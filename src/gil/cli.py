@@ -1,11 +1,13 @@
 """Batch experiment driver: config validation, dispatch, CSV/JSON emission.
 
 Usage:
-    gil check|free-energy|hessian|verify-lemma|sample --config cfg.json --out out.{json,csv} [--seed N] [--threads N]
+    gil check|free-energy|hessian|verify-lemma|sample --config cfg.json --out out.{json,csv} [--seed N]
 
 Exit codes: 0 success / all assertions pass, 1 usage or config error, 2 a
-requested condition or bound failed.  Identical config and seed produce
-byte-identical outputs; every data row carries method and error columns.
+requested condition or bound failed, 3 a chain failed its step-size or gradient
+check (one stderr line names the row and its acceptance or error).  Identical
+config and seed produce byte-identical outputs; every data row carries method
+and error columns.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -23,10 +24,13 @@ from .gff import poincare_constant
 from .lattice import Torus, Field
 from .mcmc import (
     ChainConfig,
+    Estimate,
+    GradientMismatchError,
     Observable,
+    StepSizeError,
+    batch_means,
     make_gibbs_target,
     run_chains,
-    estimate_observable,
     poincare_variance_check,
     thermodynamic_integration,
     verify_l1norm_bounds,
@@ -197,7 +201,7 @@ def _u_grid(cfg: dict) -> list[np.ndarray]:
     return out
 
 
-def cmd_check(cfg: dict, out: str, seed: int, threads: int) -> int:
+def cmd_check(cfg: dict, out: str, seed: int) -> int:
     p = build_potential(cfg["potential"])
     nr = norms(p, 1e-10)
     rep = check_conditions(float(cfg["beta"]), int(cfg["d"]), p, nr)
@@ -221,7 +225,7 @@ def cmd_check(cfg: dict, out: str, seed: int, threads: int) -> int:
     return 0 if rep.satisfied[which] else 2
 
 
-def cmd_free_energy(cfg: dict, out: str, seed: int, threads: int) -> int:
+def cmd_free_energy(cfg: dict, out: str, seed: int) -> int:
     p = build_potential(cfg["potential"])
     t = Torus(int(cfg["d"]), int(cfg["m"]))
     beta = float(cfg["beta"])
@@ -238,14 +242,13 @@ def cmd_free_energy(cfg: dict, out: str, seed: int, threads: int) -> int:
         ccfg = _chain_config(cfg, seed)
         n_nodes = int(cfg.get("ti_nodes", 32))
         for j, u in enumerate(grid):
-            node_cfg = ChainConfig(**{**ccfg.__dict__, "seed": ccfg.seed + 7919 * j})
-            est = thermodynamic_integration(p, t, beta, u, node_cfg, n_nodes=n_nodes, threads=threads)
+            est = thermodynamic_integration(p, t, beta, u, ccfg, n_nodes=n_nodes, tilt=j)
             rows.append(list(u) + [float(est.value), "chain", float(est.std_error)])
     _write_csv(out, header, rows)
     return 0
 
 
-def cmd_hessian(cfg: dict, out: str, seed: int, threads: int) -> int:
+def cmd_hessian(cfg: dict, out: str, seed: int) -> int:
     p = build_potential(cfg["potential"])
     t = Torus(int(cfg["d"]), int(cfg["m"]))
     rows = verify_theorem(
@@ -257,7 +260,6 @@ def cmd_hessian(cfg: dict, out: str, seed: int, threads: int) -> int:
         cfg=_chain_config(cfg, seed),
         method=cfg.get("method", "auto"),
         tol=float(cfg.get("tolerance", 1e-4)),
-        threads=threads,
     )
     header = [f"u_{i+1}" for i in range(t.d)] + ["hessian_min_eig", "bound", "margin", "method", "std_error", "verdict"]
     table = [list(r.u) + [r.min_eig, r.bound, r.margin, r.method, r.std_error, r.verdict] for r in rows]
@@ -265,7 +267,7 @@ def cmd_hessian(cfg: dict, out: str, seed: int, threads: int) -> int:
     return 2 if any(r.verdict == "fail" for r in rows) else 0
 
 
-def cmd_verify_lemma(cfg: dict, out: str, seed: int, threads: int) -> int:
+def cmd_verify_lemma(cfg: dict, out: str, seed: int) -> int:
     p = build_potential(cfg["potential"])
     t = Torus(int(cfg["d"]), int(cfg["m"]))
     beta = float(cfg["beta"])
@@ -287,7 +289,7 @@ def cmd_verify_lemma(cfg: dict, out: str, seed: int, threads: int) -> int:
         k_max = 4.0 * math.sqrt(12.0 * t.d * plan.cbar)
     k_grid = np.linspace(-float(k_max), float(k_max), n_points)
 
-    rep = verify_l1norm_bounds(ps, t, us, psi, plan.lam, k_grid, ccfg, threads=threads)
+    rep = verify_l1norm_bounds(ps, t, us, psi, plan.lam, k_grid, ccfg)
 
     h1 = induced_h1(plan, us, psi)
     delta = plan.cbar * poincare_constant(t).delta_m
@@ -301,7 +303,7 @@ def cmd_verify_lemma(cfg: dict, out: str, seed: int, threads: int) -> int:
         else:
             v = rng.standard_normal(t.n_dof)
         obs.append(Observable(value=lambda s, v=v: float(v @ s), grad=lambda s, v=v: v, name=f"linear_{j}"))
-    var_rep = poincare_variance_check(h1, delta, obs, ccfg, threads=threads)
+    var_rep = poincare_variance_check(h1, delta, obs, ccfg)
 
     payload = {
         "input": {"potential": cfg["potential"], "beta": beta, "d": t.d, "m": t.m, "u": u.tolist()},
@@ -335,7 +337,7 @@ def cmd_verify_lemma(cfg: dict, out: str, seed: int, threads: int) -> int:
     return 0 if (rep.ok() and var_rep.ok) else 2
 
 
-def cmd_sample(cfg: dict, out: str, seed: int, threads: int) -> int:
+def cmd_sample(cfg: dict, out: str, seed: int) -> int:
     p = build_potential(cfg["potential"])
     t = Torus(int(cfg["d"]), int(cfg["m"]))
     beta = float(cfg["beta"])
@@ -344,8 +346,8 @@ def cmd_sample(cfg: dict, out: str, seed: int, threads: int) -> int:
         raise ConfigError(f"u must have length d = {t.d}")
     ccfg = _chain_config(cfg, seed)
     target = make_gibbs_target(t, p, u, beta)
-    results = run_chains(target, ccfg, threads)
-    est = estimate_observable(target, lambda s: s, ccfg, threads)
+    results = run_chains(target, ccfg)
+    est = Estimate(*batch_means(np.concatenate([r.samples for r in results])), method="chain")
     final = Field.from_dof(t, results[-1].samples[-1])
     payload = {
         "input": {"potential": cfg["potential"], "beta": beta, "d": t.d, "m": t.m, "u": u.tolist()},
@@ -373,12 +375,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to the JSON experiment configuration")
     parser.add_argument("--out", required=True, help="output path (.json or .csv depending on the command)")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=None, help="worker threads (default GIL_THREADS or 1)")
     args = parser.parse_args(argv)
-
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("GIL_THREADS", "1"))
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
@@ -386,10 +383,13 @@ def main(argv=None) -> int:
             raise ConfigError("config root must be a JSON object")
         validate_config(cfg, args.command)
         seed = args.seed if args.seed is not None else int(cfg["seed"])
-        return _COMMANDS[args.command](cfg, args.out, seed, threads)
+        return _COMMANDS[args.command](cfg, args.out, seed)
     except (ConfigError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"gil {args.command}: {exc}", file=sys.stderr)
         return 1
+    except (StepSizeError, GradientMismatchError) as exc:
+        print(f"gil {args.command}: chain failed: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

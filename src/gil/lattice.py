@@ -25,6 +25,9 @@ __all__ = [
     "Field",
     "grad",
     "grad_all",
+    "pinned",
+    "bond_args",
+    "bond_divergence",
     "grad_norm_sq",
     "hamiltonian",
     "grad_h",
@@ -94,10 +97,7 @@ class Field:
 
     @classmethod
     def from_dof(cls, torus: Torus, dof: np.ndarray) -> "Field":
-        values = np.empty(torus.volume)
-        values[0] = 0.0
-        values[1:] = dof
-        return cls(torus, values)
+        return cls(torus, pinned(dof))
 
     def to_dof(self) -> np.ndarray:
         return self.values[1:].copy()
@@ -111,9 +111,39 @@ class Field:
         return cls(Torus(d=int(obj["d"]), m=int(obj["m"])), np.asarray(obj["values"], dtype=float))
 
 
+def _values(phi) -> np.ndarray:
+    return phi.values if isinstance(phi, Field) else np.asarray(phi, dtype=float)
+
+
+def pinned(dof: np.ndarray) -> np.ndarray:
+    """Site values of pinned fields from dof vectors: dof[..., V - 1] -> values[..., V]."""
+    dof = np.asarray(dof, dtype=float)
+    return np.concatenate((np.zeros(dof.shape[:-1] + (1,)), dof), axis=-1)
+
+
 def grad_all(t: Torus, values: np.ndarray) -> np.ndarray:
-    """All forward differences, shape (d, volume): grad[i, x] = phi(x+e_i) - phi(x)."""
-    return values[t.forward] - values[None, :]
+    """All forward differences, values[..., V] -> [..., d, V]: grad[..., i, x] = phi(x+e_i) - phi(x)."""
+    values = np.asarray(values, dtype=float)
+    return values[..., t.forward] - values[..., None, :]
+
+
+def bond_args(t: Torus, values: np.ndarray, u) -> np.ndarray:
+    """Bond arguments u_i + grad_i phi(x) of batched fields: values[..., V], u[..., d] -> [..., d, V].
+
+    Elementwise per leading index, so a row's result does not depend on the batch.
+    """
+    return grad_all(t, values) + np.asarray(u, dtype=float)[..., :, None]
+
+
+def bond_divergence(t: Torus, w: np.ndarray) -> np.ndarray:
+    """Adjoint of grad_all on dof vectors: sum_i [w_i(x - e_i) - w_i(x)] over non-origin x.
+
+    w[..., d, V] -> [..., V - 1]; the derivative of sum w(grad phi) with respect to phi.
+    """
+    out = w[..., 0, t.backward[0]] - w[..., 0, :]
+    for i in range(1, t.d):
+        out += w[..., i, t.backward[i]] - w[..., i, :]
+    return out[..., 1:]
 
 
 def grad(t: Torus, phi: Field, x: int, i: int) -> float:
@@ -123,10 +153,7 @@ def grad(t: Torus, phi: Field, x: int, i: int) -> float:
 
 def hamiltonian(t: Torus, u: np.ndarray, phi: Field | np.ndarray, p: Potential) -> float:
     """Total energy H(u, phi) = sum over sites and axes of V(grad + u_i)."""
-    values = phi.values if isinstance(phi, Field) else np.asarray(phi, dtype=float)
-    u = np.asarray(u, dtype=float)
-    g = grad_all(t, values) + u[:, None]
-    return float(np.sum(p.v(g)))
+    return float(np.sum(p.v(bond_args(t, _values(phi), u))))
 
 
 def grad_h(t: Torus, u: np.ndarray, phi: Field | np.ndarray, p: Potential) -> np.ndarray:
@@ -134,38 +161,17 @@ def grad_h(t: Torus, u: np.ndarray, phi: Field | np.ndarray, p: Potential) -> np
 
     dH/dphi(x) = sum_i [V'(grad_i phi(x - e_i) + u_i) - V'(grad_i phi(x) + u_i)].
     """
-    values = phi.values if isinstance(phi, Field) else np.asarray(phi, dtype=float)
-    u = np.asarray(u, dtype=float)
-    g = grad_all(t, values) + u[:, None]
-    vp = p.dv(g)
-    out = np.zeros(t.volume)
-    for i in range(t.d):
-        out += vp[i, t.backward[i]] - vp[i]
-    return out[1:]
+    return bond_divergence(t, p.dv(bond_args(t, _values(phi), u)))
 
 
 def hess_h_apply(t: Torus, u: np.ndarray, phi: Field | np.ndarray, p: Potential, direction: np.ndarray) -> np.ndarray:
     """Hessian-vector product (D^2 H) dir on dof vectors (origin implicit zero)."""
-    values = phi.values if isinstance(phi, Field) else np.asarray(phi, dtype=float)
-    u = np.asarray(u, dtype=float)
-    dvals = np.zeros(t.volume)
-    dvals[1:] = direction
-    g = grad_all(t, values) + u[:, None]
-    w = p.d2v(g) * grad_all(t, dvals)
-    out = np.zeros(t.volume)
-    for i in range(t.d):
-        out += w[i, t.backward[i]] - w[i]
-    return out[1:]
+    return bond_divergence(t, p.d2v(bond_args(t, _values(phi), u)) * grad_all(t, pinned(direction)))
 
 
 def hess_h_quadform(t: Torus, u: np.ndarray, phi: Field | np.ndarray, p: Potential, direction: np.ndarray) -> float:
     """Quadratic form dir . (D^2 H) dir = sum_{x,i} V''(grad+u)(grad_i dir)^2."""
-    values = phi.values if isinstance(phi, Field) else np.asarray(phi, dtype=float)
-    u = np.asarray(u, dtype=float)
-    dvals = np.zeros(t.volume)
-    dvals[1:] = direction
-    g = grad_all(t, values) + u[:, None]
-    return float(np.sum(p.d2v(g) * grad_all(t, dvals) ** 2))
+    return float(np.sum(p.d2v(bond_args(t, _values(phi), u)) * grad_all(t, pinned(direction)) ** 2))
 
 
 def grad_norm_sq(t: Torus, values: np.ndarray) -> float:
@@ -175,30 +181,21 @@ def grad_norm_sq(t: Torus, values: np.ndarray) -> float:
 
 def anharmonic_g(t: Torus, u: np.ndarray, values: np.ndarray, p: Potential) -> float:
     """G(u, phi) = sum_{x,i} g(u_i + grad_i phi) with g(s) = V(s) - s^2/2 (c1 = 1)."""
-    u = np.asarray(u, dtype=float)
-    g = grad_all(t, np.asarray(values, dtype=float)) + u[:, None]
+    g = bond_args(t, values, u)
     return float(np.sum(p.v(g) - g * g / 2.0))
 
 
 def induced_h1_energy(t: Torus, p: Potential, u: np.ndarray, psi_values: np.ndarray, theta_dof: np.ndarray, lam: float) -> float:
     """H1(theta) = G(u, psi + theta) + ||grad theta||^2 / (2 lam), theta pinned."""
-    theta = np.zeros(t.volume)
-    theta[1:] = theta_dof
+    theta = pinned(theta_dof)
     return anharmonic_g(t, u, psi_values + theta, p) + grad_norm_sq(t, theta) / (2.0 * lam)
 
 
 def induced_h1_grad(t: Torus, p: Potential, u: np.ndarray, psi_values: np.ndarray, theta_dof: np.ndarray, lam: float) -> np.ndarray:
     """dH1/dtheta(x) over non-origin sites, as a dof vector."""
-    u = np.asarray(u, dtype=float)
-    theta = np.zeros(t.volume)
-    theta[1:] = theta_dof
-    arg = grad_all(t, psi_values + theta) + u[:, None]
-    gt = grad_all(t, theta)
-    w = (p.dv(arg) - arg) + gt / lam
-    out = np.zeros(t.volume)
-    for i in range(t.d):
-        out += w[i, t.backward[i]] - w[i]
-    return out[1:]
+    theta = pinned(theta_dof)
+    arg = bond_args(t, psi_values + theta, u)
+    return bond_divergence(t, (p.dv(arg) - arg) + grad_all(t, theta) / lam)
 
 
 def separate(t: Torus, u: np.ndarray, phi: Field | np.ndarray, p: Potential) -> tuple[float, float]:
@@ -210,9 +207,9 @@ def separate(t: Torus, u: np.ndarray, phi: Field | np.ndarray, p: Potential) -> 
     """
     if abs(p.c1 - 1.0) > 1e-12:
         raise ValueError(f"separate requires a unit-scaled potential (c1 = 1), got c1 = {p.c1}")
-    values = phi.values if isinstance(phi, Field) else np.asarray(phi, dtype=float)
+    values = _values(phi)
     u = np.asarray(u, dtype=float)
-    g = grad_all(t, values) + u[:, None]
+    g = bond_args(t, values, u)
     gauss = 0.5 * t.volume * float(u @ u) + 0.5 * grad_norm_sq(t, values)
     g_part = float(np.sum(p.v(g) - g * g / 2.0))
     return gauss, g_part

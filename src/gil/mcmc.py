@@ -1,30 +1,27 @@
-"""MALA sampling of Gibbs measures on pinned fields, and the chain-side estimators.
+"""Lockstep ensemble MALA on pinned fields, and the chain-side estimators.
 
-Chains target exp(-E(theta)) over the non-origin coordinates through a Langevin
-proposal with Metropolis correction, a step size tuned toward 57% acceptance
-during burn-in and frozen afterwards, and fully deterministic streams derived
-from (seed, chain_index).  Estimators carry batch-means or jackknife standard
-errors with at least 20 blocks; nothing is reported as a bare point estimate.
+One sampler advances all rows of a job -- chains, thermodynamic-integration
+nodes -- as a single (n_rows, n_dof) state with one batched energy-and-gradient
+call per step.  Everything else is per row: a Langevin proposal with Metropolis
+correction, a step size tuned toward 57.4% acceptance during burn-in and frozen
+afterwards, a finite-difference gradient check, a post burn-in acceptance guard,
+and a noise stream from SeedSequence((seed, tilt, node, chain)) drawn in
+fixed-size chunks of steps.  A row's arithmetic is elementwise or a sum over its
+own trailing axes, so its samples are bitwise the same alone or in any ensemble.
+Estimators carry batch-means or jackknife standard errors with at least 20
+blocks; nothing is reported as a bare point estimate.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .conditions import cbar
-from .lattice import (
-    Torus,
-    Field,
-    hamiltonian,
-    grad_h,
-    induced_h1_energy,
-    induced_h1_grad,
-)
+from .lattice import Torus, Field, bond_args, bond_divergence, grad_all, pinned
 from .potentials import Potential, norms
 
 __all__ = [
@@ -49,6 +46,7 @@ __all__ = [
 ]
 
 MIN_BLOCKS = 20
+NOISE_CHUNK = 64  # steps of noise drawn at once per row; fixed, so streams do not depend on the batch
 
 
 class StepSizeError(RuntimeError):
@@ -88,7 +86,7 @@ class Estimate:
     value: float | np.ndarray
     std_error: float | np.ndarray
     n_effective: float
-    method: str  # "chain" or "oracle"
+    method: str  # "chain" (MALA), "mc" (iid Monte Carlo) or "oracle"
 
     def to_dict(self) -> dict:
         v = self.value.tolist() if isinstance(self.value, np.ndarray) else self.value
@@ -98,10 +96,14 @@ class Estimate:
 
 @dataclass(frozen=True)
 class Target:
-    """Energy and gradient of a log-density over pinned dof vectors."""
+    """Batched log-density exp(-E) over pinned dof vectors.
 
-    energy: Callable
-    grad: Callable
+    energy_grad maps X[rows, n_dof] to (E[rows], G[rows, n_dof]); it may append a
+    per-row observable O[rows, k] computed from the same arrays (D_u H for Gibbs
+    targets), which the sampler keeps beside each kept sample.
+    """
+
+    energy_grad: Callable
     n_dof: int
     step_hint: float = 0.3
     name: str = ""
@@ -116,112 +118,141 @@ class Observable:
     name: str = ""
 
 
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    return a.reshape(a.shape[0], -1).sum(axis=-1)
+
+
 def make_gibbs_target(t: Torus, p: Potential, u, beta: float) -> Target:
-    """Target exp(-beta H(u, .)) over pinned fields."""
+    """Target exp(-beta H(u, .)) over pinned fields; u[d] for all rows or u[rows, d] per row.
+
+    The observable is D_u H = sum_x V'(u_i + grad_i phi(x)), read off the V' array.
+    """
     u = np.atleast_1d(np.asarray(u, dtype=float))
 
-    def energy(dof):
-        vals = np.zeros(t.volume)
-        vals[1:] = dof
-        return beta * hamiltonian(t, u, vals, p)
-
-    def grad(dof):
-        vals = np.zeros(t.volume)
-        vals[1:] = dof
-        return beta * grad_h(t, u, vals, p)
+    def energy_grad(X):
+        g = bond_args(t, pinned(X), u)
+        vp = p.dv(g)
+        return beta * _row_sum(p.v(g)), beta * bond_divergence(t, vp), vp.sum(axis=-1)
 
     hint = 0.5 / math.sqrt(beta * (p.c2 * 2.0 * t.d) + 1.0)
-    return Target(energy=energy, grad=grad, n_dof=t.n_dof, step_hint=hint, name=f"gibbs[{p.family}]")
+    return Target(energy_grad=energy_grad, n_dof=t.n_dof, step_hint=hint, name=f"gibbs[{p.family}]")
 
 
 def make_h1_target(t: Torus, p: Potential, u, psi_values: np.ndarray, lam: float) -> Target:
     """Induced target exp(-H1(theta)), H1 = G(u, psi + theta) + ||grad theta||^2/(2 lam)."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     psi_values = np.asarray(psi_values, dtype=float)
+
+    def energy_grad(X):
+        theta = pinned(X)
+        arg = bond_args(t, psi_values + theta, u)
+        gt = grad_all(t, theta)
+        energy = _row_sum(p.v(arg) - arg * arg / 2.0) + _row_sum(gt * gt) / (2.0 * lam)
+        return energy, bond_divergence(t, (p.dv(arg) - arg) + gt / lam)
+
     hint = 0.5 / math.sqrt(2.0 * t.d / lam + 1.0)
-    return Target(
-        energy=lambda dof: induced_h1_energy(t, p, u, psi_values, dof, lam),
-        grad=lambda dof: induced_h1_grad(t, p, u, psi_values, dof, lam),
-        n_dof=t.n_dof,
-        step_hint=hint,
-        name=f"h1[{p.family}]",
-    )
+    return Target(energy_grad=energy_grad, n_dof=t.n_dof, step_hint=hint, name=f"h1[{p.family}]")
 
 
 @dataclass
 class ChainResult:
-    samples: np.ndarray          # (n_kept, n_dof)
-    acceptance: float            # post burn-in
-    step_size: float             # frozen value
-    chain_index: int
+    samples: np.ndarray            # (n_kept, n_dof)
+    acceptance: float              # post burn-in
+    step_size: float               # frozen value
+    row: tuple                     # (tilt, node, chain) stream key
+    observable: np.ndarray         # (n_kept, k) target observable at each kept sample, k = 0 if none
 
 
-def _fd_gradient_check(target: Target, rng: np.random.Generator):
-    x = 0.1 * rng.standard_normal(target.n_dof)
-    g = np.asarray(target.grad(x), dtype=float)
+def _fused(target: Target, X: np.ndarray):
+    E, G, *O = target.energy_grad(X)
+    return E, G, (O[0] if O else np.zeros((len(X), 0)))
+
+
+def _label(row) -> str:
+    return "row (tilt {}, node {}, chain {})".format(*row)
+
+
+def _fd_gradient_check(target: Target, X: np.ndarray, rows: list) -> None:
+    """Central differences of every row's energy against its gradient at X."""
+    _, G, *_ = target.energy_grad(X)
     h = 1e-5
-    fd = np.empty_like(g)
+    fd = np.empty_like(G)
     for j in range(target.n_dof):
         e = np.zeros(target.n_dof)
         e[j] = h
-        fd[j] = (target.energy(x + e) - target.energy(x - e)) / (2.0 * h)
-    scale = max(1.0, float(np.max(np.abs(g))))
-    err = float(np.max(np.abs(fd - g))) / scale
-    if err > 1e-4:
-        raise GradientMismatchError(f"target gradient differs from finite differences by {err:.2e}")
+        fd[:, j] = (target.energy_grad(X + e)[0] - target.energy_grad(X - e)[0]) / (2.0 * h)
+    err = np.max(np.abs(fd - G), axis=1) / np.maximum(1.0, np.max(np.abs(G), axis=1))
+    for r in np.flatnonzero(err > 1e-4):
+        raise GradientMismatchError(f"{_label(rows[r])}: target gradient differs from finite differences by {err[r]:.2e}")
 
 
-def run_chain(target: Target, cfg: ChainConfig, chain_index: int = 0, init: np.ndarray | None = None) -> ChainResult:
-    """One MALA chain; deterministic given (cfg.seed, chain_index)."""
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, chain_index)))
-    _fd_gradient_check(target, rng)
-    x = np.zeros(target.n_dof) if init is None else np.asarray(init, dtype=float).copy()
-    h = cfg.step_size if cfg.step_size is not None else target.step_hint
-    e_x = target.energy(x)
-    g_x = target.grad(x)
-    kept = []
-    acc_window = 0
-    acc_main = 0
-    n_main = 0
+def run_chains(
+    target: Target, cfg: ChainConfig, rows: Sequence[tuple] | None = None, keep_samples: bool = True
+) -> list[ChainResult]:
+    """Lockstep MALA over rows keyed (tilt, node, chain); default rows (0, 0, c) for c < n_chains.
+
+    Row r draws from SeedSequence((cfg.seed, *rows[r])): first a 0.1 N(0, 1) point for
+    the gradient check, then, per chunk of steps, normals (k, n_dof) and uniforms (k,).
+    With keep_samples False only the target's observable is kept (samples are (0, n_dof)).
+    """
+    rows = [(0, 0, c) for c in range(cfg.n_chains)] if rows is None else [tuple(r) for r in rows]
+    n_rows, n = len(rows), target.n_dof
+    rngs = [np.random.default_rng(np.random.SeedSequence((cfg.seed, *row))) for row in rows]
+    _fd_gradient_check(target, np.stack([0.1 * rng.standard_normal(n) for rng in rngs]), rows)
+    X = np.zeros((n_rows, n))
+    E, G, O = _fused(target, X)
+    if E.shape != (n_rows,):
+        raise ValueError(f"target returned {E.shape} energies for {n_rows} rows")
+    h = np.full(n_rows, float(cfg.step_size if cfg.step_size is not None else target.step_hint))
+    tune = cfg.tune and cfg.step_size is None
+    n_kept = len(range(cfg.burn_in, cfg.n_steps, cfg.thinning))
+    samples = np.empty((n_rows, n_kept if keep_samples else 0, n))
+    kept_obs = np.empty((n_rows, n_kept, O.shape[1]))
+    window = np.zeros(n_rows)
+    accepted = np.zeros(n_rows)
+    hc, drift = h[:, None], 0.5 * h[:, None] ** 2
     for step in range(cfg.n_steps):
-        xi = rng.standard_normal(target.n_dof)
-        mean_fwd = x - 0.5 * h * h * g_x
-        y = mean_fwd + h * xi
-        e_y = target.energy(y)
-        g_y = target.grad(y)
-        mean_rev = y - 0.5 * h * h * g_y
-        log_q_fwd = -0.5 * float(xi @ xi)
-        diff = x - mean_rev
-        log_q_rev = -0.5 * float(diff @ diff) / (h * h)
-        log_alpha = (e_x - e_y) + (log_q_rev - log_q_fwd)
-        accept = math.log(rng.random()) < log_alpha
-        if accept:
-            x, e_x, g_x = y, e_y, g_y
-        in_burn = step < cfg.burn_in
-        if in_burn:
-            acc_window += accept
-            if cfg.tune and cfg.step_size is None and (step + 1) % 25 == 0:
-                rate = acc_window / 25.0
-                h *= math.exp(0.4 * (rate - 0.574))
-                acc_window = 0
-        else:
-            acc_main += accept
-            n_main += 1
-            if (step - cfg.burn_in) % cfg.thinning == 0:
-                kept.append(x.copy())
-    rate = acc_main / max(n_main, 1)
-    if cfg.check_acceptance and not 0.10 <= rate <= 0.95:
-        raise StepSizeError(f"acceptance rate {rate:.3f} outside [0.10, 0.95]; adjust step_size")
-    return ChainResult(samples=np.asarray(kept), acceptance=rate, step_size=h, chain_index=chain_index)
+        c = step % NOISE_CHUNK
+        if c == 0:
+            k = min(NOISE_CHUNK, cfg.n_steps - step)
+            xi_chunk = np.stack([rng.standard_normal((k, n)) for rng in rngs], axis=1)
+            log_u_chunk = np.log1p(-np.stack([rng.random(k) for rng in rngs], axis=1))
+            log_q_fwd = -0.5 * (xi_chunk * xi_chunk).sum(axis=-1)
+        xi = xi_chunk[c]
+        Y = X - drift * G + hc * xi
+        EY, GY, OY = _fused(target, Y)
+        diff = X - (Y - drift * GY)
+        log_q_rev = -0.5 * (diff * diff).sum(axis=-1) / (h * h)
+        acc = log_u_chunk[c] < (E - EY) + (log_q_rev - log_q_fwd[c])
+        X = np.where(acc[:, None], Y, X)
+        E = np.where(acc, EY, E)
+        G = np.where(acc[:, None], GY, G)
+        O = np.where(acc[:, None], OY, O)
+        if step < cfg.burn_in:
+            window += acc
+            if tune and (step + 1) % 25 == 0:
+                h = h * np.exp(0.4 * (window / 25.0 - 0.574))
+                hc, drift = h[:, None], 0.5 * h[:, None] ** 2
+                window[:] = 0.0
+            continue
+        accepted += acc
+        j, off = divmod(step - cfg.burn_in, cfg.thinning)
+        if off == 0:
+            if keep_samples:
+                samples[:, j] = X
+            kept_obs[:, j] = O
+    rate = accepted / (cfg.n_steps - cfg.burn_in)
+    if cfg.check_acceptance:
+        for r in np.flatnonzero((rate < 0.10) | (rate > 0.95)):
+            raise StepSizeError(f"{_label(rows[r])}: acceptance rate {rate[r]:.3f} outside [0.10, 0.95]; adjust step_size")
+    return [
+        ChainResult(samples[r], float(rate[r]), float(h[r]), rows[r], kept_obs[r]) for r in range(n_rows)
+    ]
 
 
-def run_chains(target: Target, cfg: ChainConfig, threads: int = 1) -> list[ChainResult]:
-    """Independent chains with per-index seeds, merged in index order."""
-    if threads <= 1 or cfg.n_chains == 1:
-        return [run_chain(target, cfg, i) for i in range(cfg.n_chains)]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        futs = [ex.submit(run_chain, target, cfg, i) for i in range(cfg.n_chains)]
-        return [f.result() for f in futs]
+def run_chain(target: Target, cfg: ChainConfig, chain_index: int = 0) -> ChainResult:
+    """One MALA chain: the one-row ensemble with stream key (cfg.seed, 0, 0, chain_index)."""
+    return run_chains(target, cfg, [(0, 0, chain_index)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +285,9 @@ def batch_means(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return mean, se, min(n_eff, float(n))
 
 
-def estimate_observable(target: Target, obs: Callable, cfg: ChainConfig, threads: int = 1) -> Estimate:
+def estimate_observable(target: Target, obs: Callable, cfg: ChainConfig) -> Estimate:
     """Chain estimate of E[obs(theta)]; obs maps a dof vector to float or array."""
-    results = run_chains(target, cfg, threads)
+    results = run_chains(target, cfg)
     values = np.concatenate([np.asarray([obs(s) for s in r.samples]) for r in results])
     mean, se, n_eff = batch_means(values)
     return Estimate(value=mean, std_error=se, n_effective=n_eff, method="chain")
@@ -266,38 +297,26 @@ def estimate_observable(target: Target, obs: Callable, cfg: ChainConfig, threads
 # free-energy Hessian via the fluctuation identity
 
 
-def fluctuation_hessian(u, p: Potential, t: Torus, cfg: ChainConfig, threads: int = 1) -> Estimate:
+def fluctuation_hessian(u, p: Potential, t: Torus, cfg: ChainConfig, tilt: int = 0) -> Estimate:
     """D^2 f(u) = <D_u^2 H> - var(D_u H) at beta = 1 for a unit-scaled potential.
 
-    D_u H_i = sum_x V'(u_i + grad_i phi(x)), D_u^2 H is diagonal with entries
-    sum_x V''(u_i + grad_i phi(x)).  The covariance term uses the unbiased
-    estimator; errors come from a delete-one jackknife over >= 20 blocks.
+    D_u H_i = sum_x V'(u_i + grad_i phi(x)) is the Gibbs target's observable,
+    D_u^2 H is diagonal with entries sum_x V''(u_i + grad_i phi(x)).  The
+    covariance term uses the unbiased estimator; errors come from a delete-one
+    jackknife over >= 20 blocks.  Chains are rows (tilt, 0, chain).
     """
     if abs(p.c1 - 1.0) > 1e-12:
         raise ValueError("fluctuation_hessian requires a unit-scaled potential; call scale_to_unit first")
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    d = t.d
-    target = make_gibbs_target(t, p, u, beta=1.0)
-    results = run_chains(target, cfg, threads)
+    results = run_chains(make_gibbs_target(t, p, u, beta=1.0), cfg, [(tilt, 0, c) for c in range(cfg.n_chains)])
 
-    def stats(samples):
-        vals = np.zeros((samples.shape[0], t.volume))
-        vals[:, 1:] = samples
-        s1 = np.empty((samples.shape[0], d))
-        s2 = np.empty((samples.shape[0], d))
-        for i in range(d):
-            g = vals[:, t.forward[i]] - vals + u[i]
-            s1[:, i] = p.dv(g).sum(axis=1)
-            s2[:, i] = p.d2v(g).sum(axis=1)
-        return s1, s2
-
-    s1_all, s2_all = [], []
     blocks = []  # (sum_s1, sum_outer, sum_s2, count)
     for r in results:
-        s1, s2 = stats(r.samples)
-        s1_all.append(s1)
-        s2_all.append(s2)
-        for a, b in _block_slices(s1.shape[0]):
+        s1 = r.observable
+        # V'' over slices of 1024 samples keeps the bond arrays small on large tori
+        s2 = np.concatenate([p.d2v(bond_args(t, pinned(r.samples[a : a + 1024]), u)).sum(axis=-1)
+                             for a in range(0, len(s1), 1024)])
+        for a, b in _block_slices(len(s1)):
             sl1, sl2 = s1[a:b], s2[a:b]
             blocks.append((sl1.sum(axis=0), sl1.T @ sl1, sl2.sum(axis=0), b - a))
 
@@ -319,8 +338,7 @@ def fluctuation_hessian(u, p: Potential, t: Torus, cfg: ChainConfig, threads: in
     J = jk.shape[0]
     se = np.sqrt((J - 1) / J * np.sum((jk - jk.mean(axis=0)) ** 2, axis=0))
 
-    s1_cat = np.concatenate(s1_all)
-    _, _, n_eff = batch_means(s1_cat)
+    _, _, n_eff = batch_means(np.concatenate([r.observable for r in results]))
     return Estimate(value=full, std_error=se, n_effective=n_eff, method="chain")
 
 
@@ -329,10 +347,8 @@ def fluctuation_hessian(u, p: Potential, t: Torus, cfg: ChainConfig, threads: in
 
 
 def _bond_series(t: Torus, samples: np.ndarray, axis: int, site: int) -> np.ndarray:
-    vals = np.zeros((samples.shape[0], t.volume))
-    vals[:, 1:] = samples
-    nb = t.forward[axis, site]
-    return vals[:, nb] - vals[:, site]
+    vals = pinned(samples)
+    return vals[:, t.forward[axis, site]] - vals[:, site]
 
 
 def _phase_stats(gv: np.ndarray, k: np.ndarray, chunk: int = 64):
@@ -350,7 +366,7 @@ def _phase_stats(gv: np.ndarray, k: np.ndarray, chunk: int = 64):
 
 
 def characteristic_a(
-    k_grid, axis: int, site: int, target: Target, t: Torus, cfg: ChainConfig, threads: int = 1
+    k_grid, axis: int, site: int, target: Target, t: Torus, cfg: ChainConfig
 ):
     """A(k) = <exp(i k grad_i theta(x))> under the target, with batch-means errors.
 
@@ -358,7 +374,7 @@ def characteristic_a(
     the same samples estimate both signs (conjugate symmetry is exact).
     """
     k = np.asarray(k_grid, dtype=float)
-    results = run_chains(target, cfg, threads)
+    results = run_chains(target, cfg)
     gv = np.concatenate([_bond_series(t, r.samples, axis, site) for r in results])
     re, im, se_re, se_im = _phase_stats(gv, k)
     return re + 1j * im, se_re, se_im
@@ -402,7 +418,6 @@ def verify_l1norm_bounds(
     cfg: ChainConfig = ChainConfig(),
     axis: int = 0,
     site: int = 0,
-    threads: int = 1,
 ) -> L1NormBoundReport:
     """Estimate A(k) under the induced convex target and test the Fourier bounds.
 
@@ -428,7 +443,7 @@ def verify_l1norm_bounds(
     k = np.asarray(k_grid, dtype=float)
 
     target = make_h1_target(t, p, u, psi.values, lam)
-    results = run_chains(target, cfg, threads)
+    results = run_chains(target, cfg)
     gv = np.concatenate([_bond_series(t, r.samples, axis, site) for r in results])
 
     re, im, se_re, se_im = _phase_stats(gv, k)
@@ -493,7 +508,7 @@ class VarianceBoundReport:
 
 
 def poincare_variance_check(
-    target: Target, delta: float, observables: list[Observable], cfg: ChainConfig, threads: int = 1
+    target: Target, delta: float, observables: list[Observable], cfg: ChainConfig
 ) -> VarianceBoundReport:
     """Check var(G) <= <|DG|^2> / delta + 4 SE for each observable.
 
@@ -502,7 +517,7 @@ def poincare_variance_check(
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    results = run_chains(target, cfg, threads)
+    results = run_chains(target, cfg)
     samples = np.concatenate([r.samples for r in results])
     n = samples.shape[0]
     variances, var_se, bounds, bound_se = [], [], [], []
@@ -543,7 +558,7 @@ def poincare_variance_check(
 
 
 def bond_covariance_by_distance(
-    p: Potential, t: Torus, u, cfg: ChainConfig, axis: int = 0, threads: int = 1
+    p: Potential, t: Torus, u, cfg: ChainConfig, axis: int = 0
 ) -> dict:
     """Diagnostic: cov(V'(u + grad phi(0)), V'(u + grad phi(x))) by lattice distance.
 
@@ -553,12 +568,9 @@ def bond_covariance_by_distance(
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     target = make_gibbs_target(t, p, u, beta=1.0)
-    results = run_chains(target, cfg, threads)
+    results = run_chains(target, cfg)
     samples = np.concatenate([r.samples for r in results])
-    vals = np.zeros((samples.shape[0], t.volume))
-    vals[:, 1:] = samples
-    g = vals[:, t.forward[axis]] - vals + u[axis]
-    w = p.dv(g)
+    w = p.dv(bond_args(t, pinned(samples), u)[:, axis])
     ref = w[:, 0]
     coords = np.stack(np.unravel_index(np.arange(t.volume), (t.m,) * t.d))
     out: dict[int, list] = {}
@@ -574,41 +586,24 @@ def bond_covariance_by_distance(
 
 
 def thermodynamic_integration(
-    p: Potential, t: Torus, beta: float, u, cfg: ChainConfig, n_nodes: int = 32, threads: int = 1
+    p: Potential, t: Torus, beta: float, u, cfg: ChainConfig, n_nodes: int = 32, tilt: int = 0
 ) -> Estimate:
     """f(u) - f(0) along the straight tilt path via df/ds = <D_u H(su)> . u.
 
-    Gauss-Legendre in the path parameter; each node runs its own chains with a
-    seed derived from (cfg.seed, node).
+    Gauss-Legendre in the path parameter.  All nodes x chains run as one
+    ensemble, row (tilt, node, chain) at tilt s_node u, and each node's mean of
+    D_u H (the Gibbs target's observable) carries its own batch-means error.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     x, w = np.polynomial.legendre.leggauss(n_nodes)
     s_nodes = 0.5 * (x + 1.0)
-    w_nodes = 0.5 * w
+    nc = cfg.n_chains
+    rows = [(tilt, j, c) for j in range(n_nodes) for c in range(nc)]
+    target = make_gibbs_target(t, p, np.repeat(s_nodes, nc)[:, None] * u, beta)
+    results = run_chains(target, cfg, rows, keep_samples=False)
     total, var = 0.0, 0.0
-    for j, (s, wj) in enumerate(zip(s_nodes, w_nodes)):
-        node_cfg = ChainConfig(
-            n_steps=cfg.n_steps,
-            burn_in=cfg.burn_in,
-            thinning=cfg.thinning,
-            n_chains=cfg.n_chains,
-            seed=cfg.seed * 100_003 + j,
-            step_size=cfg.step_size,
-            tune=cfg.tune,
-            check_acceptance=cfg.check_acceptance,
-        )
-        target = make_gibbs_target(t, p, s * u, beta)
-
-        def duh(dof):
-            vals = np.zeros(t.volume)
-            vals[1:] = dof
-            out = np.empty(t.d)
-            for i in range(t.d):
-                g = vals[t.forward[i]] - vals + s * u[i]
-                out[i] = np.sum(p.dv(g))
-            return out
-
-        est = estimate_observable(target, duh, node_cfg, threads)
-        total += wj * float(np.dot(np.atleast_1d(est.value), u))
-        var += (wj * float(np.dot(np.atleast_1d(est.std_error), np.abs(u)))) ** 2
+    for j, wj in enumerate(0.5 * w):
+        mean, se, _ = batch_means(np.concatenate([r.observable for r in results[j * nc : (j + 1) * nc]]))
+        total += wj * float(np.dot(mean, u))
+        var += (wj * float(np.dot(se, np.abs(u)))) ** 2
     return Estimate(value=total, std_error=math.sqrt(var), n_effective=float(n_nodes), method="chain")

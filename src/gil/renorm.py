@@ -157,7 +157,7 @@ def estimate_r1g(
     jk = np.asarray(jk)
     J = len(jk)
     se = math.sqrt((J - 1) / J * float(np.sum((jk - jk.mean()) ** 2)))
-    return Estimate(value=full, std_error=se, n_effective=float(n_samples), method="chain")
+    return Estimate(value=full, std_error=se, n_effective=float(n_samples), method="mc")
 
 
 def _fd_second_directional(f, h: float = 1e-3) -> float:
@@ -256,14 +256,13 @@ def verify_theorem(
     cfg: ChainConfig | None = None,
     method: str = "auto",
     tol: float = 1e-4,
-    threads: int = 1,
 ) -> list[TheoremRow]:
     """Check min eig D^2 f(u) >= (c1/2) |T| - tol on each grid tilt.
 
     Oracle rows use FD Hessians of the quadrature free energy; chain rows use
     the fluctuation identity in the unit frame mapped back by D^2 f_beta(u) =
     c1 D^2 f_1(sqrt(beta c1) u).  Out-of-hypothesis tilts are computed and
-    labeled, never asserted.
+    labeled, never asserted.  Chain rows of grid tilt j use streams (seed, j, 0, chain).
     """
     nr = norms(p, 1e-8)
     in_hyp = check_conditions(beta, t.d, p, nr).satisfied["fcond"]
@@ -272,7 +271,7 @@ def verify_theorem(
         method = "oracle" if t.n_dof <= q.max_dof else "chain"
     rows = []
     ps, k = scale_to_unit(p, beta)
-    for u in u_grid:
+    for j, u in enumerate(u_grid):
         u = np.atleast_1d(np.asarray(u, dtype=float))
         if method == "oracle":
             H = hessian_fd(lambda uu: free_energy(uu, p, t, beta, q), u, h=1e-3)
@@ -280,7 +279,7 @@ def verify_theorem(
         else:
             if cfg is None:
                 raise ValueError("chain method requires a ChainConfig")
-            est = fluctuation_hessian(k * u, ps, t, cfg, threads)
+            est = fluctuation_hessian(k * u, ps, t, cfg, tilt=j)
             H = p.c1 * np.asarray(est.value)
             w, v = np.linalg.eigh(H)
             vec = np.abs(v[:, 0])

@@ -164,6 +164,59 @@ def test_byte_identical_reruns(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_tilt_streams_do_not_collide(tmp_path):
+    # two grid tilts with the same u: seed 7919 at tilt 0 once shared its chains
+    # with seed 0 at tilt 1
+    cfg = dict(
+        BASE,
+        potential={"family": "example_b", "delta": 0.5},
+        u_grid=[[0.3], [0.3]],
+        quadrature={"max_dof": 1},
+        ti_nodes=4,
+        chain={"n_steps": 600, "burn_in": 200, "n_chains": 1},
+    )
+    path = write(tmp_path / "c.json", cfg)
+    rows = {}
+    for seed in (0, 7919):
+        out = tmp_path / f"fe{seed}.csv"
+        assert run_cli(["free-energy", "--config", path, "--out", out, "--seed", seed]) == 0
+        rows[seed] = out.read_text().strip().split("\n")[1:]
+        assert all(r.split(",")[2] == "chain" for r in rows[seed])
+    assert rows[7919][0] != rows[0][1]
+    assert rows[0][0] != rows[0][1]
+
+
+def test_sample_runs_its_chains_once(tmp_path, monkeypatch):
+    import gil.cli
+    import gil.mcmc
+
+    calls = []
+    real = gil.mcmc.run_chains
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gil.mcmc, "run_chains", counted)
+    monkeypatch.setattr(gil.cli, "run_chains", counted)
+    cfg = dict(BASE, u=[0.2], chain={"n_steps": 1000, "burn_in": 200, "n_chains": 2})
+    path = write(tmp_path / "c.json", cfg)
+    out = tmp_path / "s.json"
+    assert run_cli(["sample", "--config", path, "--out", out]) == 0
+    assert len(calls) == 1
+    rep = json.loads(out.read_text())
+    assert len(rep["acceptance"]) == 2 and len(rep["mean_field"]["value"]) == 2
+
+
+def test_chain_failure_exit_three(tmp_path, capsys):
+    cfg = dict(BASE, u=[0.2], chain={"n_steps": 400, "burn_in": 100, "n_chains": 1, "step_size": 50.0})
+    path = write(tmp_path / "c.json", cfg)
+    assert run_cli(["sample", "--config", path, "--out", tmp_path / "s.json"]) == 3
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1
+    assert "row (tilt 0, node 0, chain 0)" in err[0] and "acceptance rate" in err[0]
+
+
 def test_seed_override_changes_output(tmp_path):
     cfg = dict(BASE, u=[0.2], chain={"n_steps": 2000, "burn_in": 500, "n_chains": 1})
     path = write(tmp_path / "c.json", cfg)

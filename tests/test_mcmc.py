@@ -76,15 +76,54 @@ def test_step_size_guard(pot_gauss):
     t = Torus(1, 3)
     cfg = ChainConfig(n_steps=400, burn_in=100, seed=3, step_size=50.0, tune=False, n_chains=1)
     target = make_gibbs_target(t, pot_gauss, [0.0], 1.0)
-    with pytest.raises(StepSizeError):
+    with pytest.raises(StepSizeError, match=r"row \(tilt 0, node 0, chain 0\): acceptance rate"):
         run_chain(target, cfg, 0)
 
 
 def test_gradient_spot_check_guard():
     t = Torus(1, 3)
-    bad = Target(energy=lambda x: float(x @ x), grad=lambda x: 3.0 * x, n_dof=t.n_dof)
-    with pytest.raises(GradientMismatchError):
-        run_chain(bad, ChainConfig(n_steps=100, burn_in=10, seed=0, n_chains=1), 0)
+    bad = Target(energy_grad=lambda X: ((X * X).sum(axis=1), 3.0 * X), n_dof=t.n_dof)
+    with pytest.raises(GradientMismatchError, match=r"row \(tilt 0, node 0, chain 2\): .* by "):
+        run_chain(bad, ChainConfig(n_steps=100, burn_in=10, seed=0, n_chains=1), 2)
+
+
+def test_batched_targets_match_single_field_energies(pot_a):
+    # each row of a batched call agrees with the single-field lattice functions
+    from gil.lattice import grad_h, hamiltonian, induced_h1_energy, induced_h1_grad
+
+    t = Torus(2, 3)
+    rng = np.random.default_rng(2)
+    X = rng.standard_normal((5, t.n_dof))
+    tilts = rng.standard_normal((5, 2))
+    psi = np.concatenate([[0.0], rng.standard_normal(t.n_dof)])
+    E, G, O = make_gibbs_target(t, pot_a, tilts, 0.7).energy_grad(X)
+    E1, G1 = make_h1_target(t, pot_a, tilts, psi, 0.4).energy_grad(X)
+    for r in range(5):
+        vals = Field.from_dof(t, X[r]).values
+        assert E[r] == pytest.approx(0.7 * hamiltonian(t, tilts[r], vals, pot_a), rel=1e-12)
+        np.testing.assert_allclose(G[r], 0.7 * grad_h(t, tilts[r], vals, pot_a), rtol=1e-12, atol=1e-12)
+        bonds = vals[t.forward] - vals + tilts[r][:, None]
+        np.testing.assert_allclose(O[r], pot_a.dv(bonds).sum(axis=1), rtol=1e-12)
+        assert E1[r] == pytest.approx(induced_h1_energy(t, pot_a, tilts[r], psi, X[r], 0.4), rel=1e-12)
+        np.testing.assert_allclose(G1[r], induced_h1_grad(t, pot_a, tilts[r], psi, X[r], 0.4), rtol=1e-12, atol=1e-12)
+
+
+def test_row_samples_independent_of_batch(scaled_b):
+    # a row run alone and inside a 64-row ensemble with other tilts gives the
+    # same samples, observables and frozen step size, bit for bit
+    ps, k = scaled_b
+    t = Torus(2, 3)
+    cfg = ChainConfig(n_steps=700, burn_in=300, seed=5)
+    tilts = k * np.linspace(0.0, 0.5, 64)[:, None] * np.array([1.0, 0.5])
+    rows = [(1, j // 2, j % 2) for j in range(64)]
+    ensemble = run_chains(make_gibbs_target(t, ps, tilts, 1.0), cfg, rows)
+    for r in (0, 37, 63):
+        alone = run_chains(make_gibbs_target(t, ps, tilts[r], 1.0), cfg, [rows[r]])[0]
+        assert alone.row == ensemble[r].row == rows[r]
+        assert np.array_equal(alone.samples, ensemble[r].samples)
+        assert np.array_equal(alone.observable, ensemble[r].observable)
+        assert alone.step_size == ensemble[r].step_size
+    assert not np.array_equal(ensemble[0].samples, ensemble[1].samples)
 
 
 def test_symmetric_target_mean_zero(quick_chain):
@@ -165,18 +204,19 @@ def test_characteristic_a_gaussian_closed_form(pot_gauss):
 
 
 def test_monte_carlo_rate(pot_gauss):
-    # error vs the exact covariance shrinks roughly like sqrt(10) from 1e4 to 1e5
+    # error vs the exact covariance shrinks roughly like sqrt(10) from 1e4 to 1e5;
+    # averaged over 16 chains, since over 4 the ratio misses 1.5 for about one
+    # seed group in seven even for an exact sampler
     t = Torus(1, 3)
     exact = pinned_covariance(t)[0, 0]
 
-    def err(n, seed):
-        cfg = ChainConfig(n_steps=n + 1_000, burn_in=1_000, seed=seed, n_chains=1)
-        target = make_gibbs_target(t, pot_gauss, [0.0], 1.0)
-        r = run_chain(target, cfg, 0)
-        return abs(np.var(r.samples[:, 0], ddof=1) - exact)
+    def err(n):
+        cfg = ChainConfig(n_steps=n + 1_000, burn_in=1_000, seed=0, n_chains=16)
+        results = run_chains(make_gibbs_target(t, pot_gauss, [0.0], 1.0), cfg)
+        return np.mean([abs(np.var(r.samples[:, 0], ddof=1) - exact) for r in results])
 
-    e4 = np.mean([err(10_000, s) for s in range(4)])
-    e5 = np.mean([err(100_000, s) for s in range(4)])
+    e4 = err(10_000)
+    e5 = err(100_000)
     assert e5 < e4  # strictly better
     assert e5 < e4 / 1.5  # and by a clear factor
 
@@ -229,3 +269,14 @@ def test_thermodynamic_integration_gaussian(pot_gauss):
     exact = 0.5 * t.volume * 0.64
     # the integrand is deterministic for the quadratic family, so allow roundoff
     assert abs(float(est.value) - exact) < 4 * float(est.std_error) + 1e-12
+
+
+def test_thermodynamic_integration_exact_tilt_identity(pot_b, beta_half_b):
+    # the bump of example_b is symmetric about delta/2 and sum_x grad phi(x) = 0,
+    # so f(delta 1) - f(0) = |T| d delta^2 / 2 exactly (= 1 at d = 1, m = 8)
+    t = Torus(1, 8)
+    cfg = ChainConfig(n_steps=1250, burn_in=250, n_chains=2, seed=3)
+    est = thermodynamic_integration(pot_b, t, beta_half_b, [0.5], cfg, n_nodes=32)
+    exact = t.volume * t.d * 0.5**2 / 2.0
+    assert 0 < float(est.std_error) < 1e-3
+    assert abs(float(est.value) - exact) < 4 * float(est.std_error)

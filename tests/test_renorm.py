@@ -47,14 +47,14 @@ def test_induced_h1_values(pot_gauss, scaled_b):
     # at theta = 0 the energy equals G(u, psi)
     from gil.lattice import anharmonic_g
 
-    assert target.energy(np.zeros(t.n_dof)) == pytest.approx(anharmonic_g(t, np.array([0.2]), psi.values, ps))
+    assert target.energy_grad(np.zeros((1, t.n_dof)))[0][0] == pytest.approx(anharmonic_g(t, np.array([0.2]), psi.values, ps))
     # gaussian case: pure Dirichlet term
     plan_g = DecompositionPlan.from_potential(pot_gauss, t, lam=0.5)
     tg = induced_h1(plan_g, [0.0], Field.zeros(t))
     theta = np.array([0.4, -0.2])
     vals = np.zeros(t.volume)
     vals[1:] = theta
-    assert tg.energy(theta) == pytest.approx(grad_norm_sq(t, vals) / (2 * 0.5), rel=1e-12)
+    assert tg.energy_grad(theta[None, :])[0][0] == pytest.approx(grad_norm_sq(t, vals) / (2 * 0.5), rel=1e-12)
 
 
 def test_certify_gaussian_margin(pot_gauss):
