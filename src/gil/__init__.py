@@ -6,11 +6,11 @@ convexity certificates, and quadrature/Monte Carlo cross checks for every
 estimator.
 """
 
-from .conditions import ConditionReport, cbar, check_alt, check_conditions, check_fcond, scale_to_unit
-from .gff import PoincareConstant, SpectralCovariance, poincare_constant, sample_gff, spectrum
+from .conditions import ConditionReport, cbar, check_conditions, scale_to_unit
+from .gff import ModeBasis, PoincareConstant, poincare_constant, sample_gff, spectrum
 from .lattice import Field, Torus, grad, grad_all, hamiltonian, separate
 from .mcmc import ChainConfig, Estimate, Observable, Target, fluctuation_hessian, run_chain, run_chains
-from .oracle import QuadratureSpec, free_energy, hessian_fd, log_partition, renorm_apply
+from .oracle import QuadratureSpec, free_energy, hessian_fd, log_partition
 from .potentials import (
     NormReport,
     Potential,

@@ -60,9 +60,26 @@ _POTENTIAL_KEYS = {
     "example_c": {"p", "k1", "k2"},
 }
 
-_CHAIN_KEYS = {"n_steps", "burn_in", "thinning", "n_chains", "step_size", "tune"}
-_QUAD_KEYS = {"nodes_per_dim", "envelope_scale", "max_dof", "tol", "node_cap"}
-_KGRID_KEYS = {"k_max", "n_points"}
+# JSON types of each nested block's keys, as in docs/config_schema.json; the
+# defaults live in ChainConfig and QuadratureSpec
+_BLOCK_TYPES = {
+    "chain": {
+        "n_steps": {"integer"},
+        "burn_in": {"integer"},
+        "thinning": {"integer"},
+        "n_chains": {"integer"},
+        "step_size": {"number", "null"},
+        "tune": {"boolean"},
+    },
+    "quadrature": {
+        "nodes_per_dim": {"integer"},
+        "envelope_scale": {"number"},
+        "max_dof": {"integer"},
+        "tol": {"number"},
+        "node_cap": {"integer"},
+    },
+    "k_grid": {"k_max": {"number", "null"}, "n_points": {"integer"}},
+}
 
 _COMMON_KEYS = {"potential", "d", "m", "beta", "seed"}
 _COMMAND_KEYS = {
@@ -92,6 +109,27 @@ def build_potential(spec: dict) -> Potential:
     return example_c(float(params["p"]), float(params["k1"]), float(params["k2"]))
 
 
+def _json_type(value) -> str:
+    """JSON Schema type of a parsed value; bool is checked before int, which it subclasses."""
+    for name, cls in (("null", type(None)), ("boolean", bool), ("integer", int), ("number", float), ("string", str)):
+        if isinstance(value, cls):
+            return name
+    return "array" if isinstance(value, list) else "object"
+
+
+def _validate_block(cfg: dict, block: str) -> None:
+    types = _BLOCK_TYPES[block]
+    if not isinstance(cfg[block], dict):
+        raise ConfigError(f"{block} must be an object")
+    unknown = set(cfg[block]) - set(types)
+    if unknown:
+        raise ConfigError(f"unknown {block} keys: {sorted(unknown)}")
+    for key, value in cfg[block].items():
+        kind = _json_type(value)
+        if kind not in types[key] and not (kind == "integer" and "number" in types[key]):
+            raise ConfigError(f"{block}.{key} must be {' or '.join(sorted(types[key]))}, got {kind} {value!r}")
+
+
 def validate_config(cfg: dict, command: str) -> None:
     """Reject unknown keys and enforce required fields; raises ConfigError."""
     allowed = _COMMAND_KEYS[command]
@@ -111,18 +149,9 @@ def validate_config(cfg: dict, command: str) -> None:
         raise ConfigError("beta must be a positive number")
     if not isinstance(cfg["seed"], int):
         raise ConfigError("seed must be an integer")
-    if "chain" in cfg:
-        unknown = set(cfg["chain"]) - _CHAIN_KEYS
-        if unknown:
-            raise ConfigError(f"unknown chain keys: {sorted(unknown)}")
-    if "quadrature" in cfg:
-        unknown = set(cfg["quadrature"]) - _QUAD_KEYS
-        if unknown:
-            raise ConfigError(f"unknown quadrature keys: {sorted(unknown)}")
-    if "k_grid" in cfg:
-        unknown = set(cfg["k_grid"]) - _KGRID_KEYS
-        if unknown:
-            raise ConfigError(f"unknown k_grid keys: {sorted(unknown)}")
+    for block in _BLOCK_TYPES:
+        if block in cfg:
+            _validate_block(cfg, block)
     if command in ("free-energy", "hessian") and "u_grid" not in cfg:
         raise ConfigError(f"{command} requires u_grid")
     if command == "verify-lemma":
@@ -135,27 +164,11 @@ def validate_config(cfg: dict, command: str) -> None:
 
 
 def _chain_config(cfg: dict, seed: int) -> ChainConfig:
-    block = dict(cfg.get("chain", {}))
-    return ChainConfig(
-        n_steps=int(block.get("n_steps", 20_000)),
-        burn_in=int(block.get("burn_in", 2_000)),
-        thinning=int(block.get("thinning", 1)),
-        n_chains=int(block.get("n_chains", 2)),
-        seed=seed,
-        step_size=block.get("step_size"),
-        tune=bool(block.get("tune", True)),
-    )
+    return ChainConfig(seed=seed, **cfg.get("chain", {}))
 
 
 def _quad_spec(cfg: dict) -> QuadratureSpec:
-    block = dict(cfg.get("quadrature", {}))
-    return QuadratureSpec(
-        nodes_per_dim=int(block.get("nodes_per_dim", 16)),
-        envelope_scale=float(block.get("envelope_scale", 1.0)),
-        max_dof=int(block.get("max_dof", 5)),
-        tol=float(block.get("tol", 1e-8)),
-        node_cap=int(block.get("node_cap", 128)),
-    )
+    return QuadratureSpec(**cfg.get("quadrature", {}))
 
 
 def _fmt(x) -> str:
@@ -281,17 +294,17 @@ def cmd_verify_lemma(cfg: dict, out: str, seed: int) -> int:
         raise ConfigError(f"psi must have {t.volume} site values")
     psi = Field(t, psi_vals)
     plan = DecompositionPlan.from_potential(ps, t, cfg.get("lambda"))
-    ccfg = _chain_config(cfg, seed)
     kg = cfg["k_grid"]
-    n_points = int(kg.get("n_points", 401))
     k_max = kg.get("k_max")
     if k_max is None:
         k_max = 4.0 * math.sqrt(12.0 * t.d * plan.cbar)
-    k_grid = np.linspace(-float(k_max), float(k_max), n_points)
+    k_grid = np.linspace(-float(k_max), float(k_max), kg.get("n_points", 401))
 
-    rep = verify_l1norm_bounds(ps, t, us, psi, plan.lam, k_grid, ccfg)
+    # one chain run on the induced target feeds both lemma checks
+    results = run_chains(induced_h1(plan, us, psi), _chain_config(cfg, seed))
+    samples = np.concatenate([r.samples for r in results])
+    rep = verify_l1norm_bounds(ps, t, us, psi, samples, plan.lam, k_grid)
 
-    h1 = induced_h1(plan, us, psi)
     delta = plan.cbar * poincare_constant(t).delta_m
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x0B5)))
     n_obs = int(cfg.get("observables", 5))
@@ -302,8 +315,10 @@ def cmd_verify_lemma(cfg: dict, out: str, seed: int) -> int:
             v[j] = 1.0
         else:
             v = rng.standard_normal(t.n_dof)
-        obs.append(Observable(value=lambda s, v=v: float(v @ s), grad=lambda s, v=v: v, name=f"linear_{j}"))
-    var_rep = poincare_variance_check(h1, delta, obs, ccfg)
+        obs.append(
+            Observable(value=lambda S, v=v: S @ v, grad=lambda S, v=v: np.broadcast_to(v, S.shape), name=f"linear_{j}")
+        )
+    var_rep = poincare_variance_check(samples, delta, obs)
 
     payload = {
         "input": {"potential": cfg["potential"], "beta": beta, "d": t.d, "m": t.m, "u": u.tolist()},

@@ -23,8 +23,6 @@ from .potentials import Potential, NormReport
 __all__ = [
     "ConditionReport",
     "cbar",
-    "check_fcond",
-    "check_alt",
     "check_conditions",
     "scale_to_unit",
 ]
@@ -115,17 +113,6 @@ def check_conditions(beta: float, d: int, p: Potential, nr: NormReport) -> Condi
         satisfied_pessimistic={"fcond": lf_p <= 0.5, "alt_9": l9_p <= 0.5, "alt_11": l11_p <= 0.25},
         norm_error=eps,
     )
-
-
-def check_fcond(beta: float, d: int, p: Potential, nr: NormReport) -> ConditionReport:
-    """Primary condition; alias of check_conditions with all lhs fields filled."""
-    return check_conditions(beta, d, p, nr)
-
-
-def check_alt(beta: float, d: int, p: Potential, nr: NormReport) -> tuple[float, float]:
-    """Left-hand sides of the two alternative conditions (compare to 1/2 and 1/4)."""
-    rep = check_conditions(beta, d, p, nr)
-    return rep.lhs_9, rep.lhs_11
 
 
 def scale_to_unit(p: Potential, beta: float) -> tuple[Potential, float]:

@@ -1,30 +1,29 @@
 """Spectral form of the lattice Dirichlet energy and exact Gaussian field sampling.
 
-The covariance of the pinned Gaussian measure exp(-||grad phi||^2 / 2) is handled
-through the circulant eigenbasis of the torus: eigenvalues mu_k = sum_i
-4 sin^2(pi k_i / m) with a real cos/sin mode pairing, so fields stay real
-end-to-end.  Sampling draws independent mode amplitudes of variance scale/mu_k
-(zero mode excluded) and re-pins by subtracting the origin value, which is valid
-because the Dirichlet energy is shift invariant.
+The pinned Gaussian measure exp(-||grad phi||^2 / 2) lives on the dof vectors
+(origin value fixed at zero), where the Dirichlet energy is the form D^T D of the
+bond matrix D.  ModeBasis is its eigendecomposition, dof = Q w with energy
+sum lam w^2; the quadrature backends integrate in it and sample_gff draws in it,
+independent mode amplitudes of variance scale / lam, so one basis serves both.
+The circulant eigenvalues of the unpinned torus are kept as ``spectrum`` for
+checks against the closed form.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 
-from .lattice import Torus, Field
+from .lattice import Torus, Field, grad_all, pinned
 
 __all__ = [
-    "SpectralCovariance",
+    "ModeBasis",
     "PoincareConstant",
     "spectrum",
     "sample_gff",
     "poincare_constant",
-    "dirichlet_matrix",
     "pinned_form",
     "pinned_covariance",
     "bond_matrix",
@@ -40,23 +39,19 @@ class PoincareConstant:
     delta_m: float
 
 
-def dirichlet_matrix(t: Torus) -> np.ndarray:
-    """Full-volume matrix M with phi . M phi = ||grad phi||^2."""
-    v = t.volume
-    M = np.zeros((v, v))
-    rows = np.arange(v)
-    for i in range(t.d):
-        fwd = t.forward[i]
-        M[rows, rows] += 1.0
-        M[fwd, fwd] += 1.0
-        M[rows, fwd] -= 1.0
-        M[fwd, rows] -= 1.0
-    return M
+def bond_matrix(t: Torus) -> np.ndarray:
+    """Linear map from dof vectors to all d * volume bond gradients.
+
+    Row (i * volume + x) carries grad_i phi(x) with phi(0) = 0 implicit.
+    """
+    n = t.n_dof
+    return grad_all(t, pinned(np.eye(n))).reshape(n, -1).T
 
 
 def pinned_form(t: Torus) -> np.ndarray:
-    """Dirichlet form restricted to the non-origin coordinates."""
-    return dirichlet_matrix(t)[1:, 1:]
+    """Dirichlet form on the non-origin coordinates: dof . A dof = ||grad phi||^2."""
+    D = bond_matrix(t)
+    return D.T @ D
 
 
 def pinned_covariance(t: Torus) -> np.ndarray:
@@ -64,22 +59,26 @@ def pinned_covariance(t: Torus) -> np.ndarray:
     return np.linalg.inv(pinned_form(t))
 
 
-def bond_matrix(t: Torus) -> np.ndarray:
-    """Linear map from dof vectors to all d * volume bond gradients.
+@dataclass(frozen=True)
+class ModeBasis:
+    """Eigendecomposition of the pinned Dirichlet form: dof = Q w, form = sum lam w^2."""
 
-    Row (i * volume + x) carries grad_i phi(x) with phi(0) = 0 implicit.
-    """
-    n = t.n_dof
-    D = np.zeros((t.d * t.volume, n))
-    for i in range(t.d):
-        for x in range(t.volume):
-            r = i * t.volume + x
-            y = t.forward[i, x]
-            if y != 0:
-                D[r, y - 1] += 1.0
-            if x != 0:
-                D[r, x - 1] -= 1.0
-    return D
+    torus: Torus
+    lam: np.ndarray
+    Q: np.ndarray
+
+    @classmethod
+    def build(cls, t: Torus) -> "ModeBasis":
+        return _mode_basis(t.d, t.m)
+
+
+@lru_cache(maxsize=64)
+def _mode_basis(d: int, m: int) -> ModeBasis:
+    t = Torus(d, m)
+    if t.volume > DENSE_CAP:
+        raise ValueError(f"dense eigensolve capped at volume {DENSE_CAP}, got {t.volume}")
+    lam, Q = np.linalg.eigh(pinned_form(t))
+    return ModeBasis(torus=t, lam=lam, Q=Q)
 
 
 def spectrum(t: Torus) -> np.ndarray:
@@ -94,68 +93,7 @@ def spectrum(t: Torus) -> np.ndarray:
     return mu.ravel()
 
 
-@dataclass(frozen=True)
-class SpectralCovariance:
-    """Real orthogonal mode transform diagonalizing the Dirichlet energy."""
-
-    torus: Torus
-
-    @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalue per real mode, aligned with the transform columns."""
-        return self._build()[0]
-
-    @cached_property
-    def transform(self) -> np.ndarray:
-        """Orthogonal (volume x volume) matrix; column 0 is the zero mode."""
-        return self._build()[1]
-
-    def _build(self):
-        t = self.torus
-        if t.volume > DENSE_CAP:
-            raise ValueError(f"dense mode transform capped at volume {DENSE_CAP}, got {t.volume}")
-        m, d, v = t.m, t.d, t.volume
-        coords = np.stack(np.unravel_index(np.arange(v), (m,) * d))  # (d, v)
-        ks = np.arange(m)
-        axis_eig = 4.0 * np.sin(np.pi * ks / m) ** 2
-        cols, eigs = [], []
-        seen = set()
-        for k in itertools.product(range(m), repeat=d):
-            if k in seen:
-                continue
-            k_neg = tuple((-ki) % m for ki in k)
-            mu = float(sum(axis_eig[ki] for ki in k))
-            phase = 2.0 * np.pi * (np.asarray(k) @ coords) / m
-            if k_neg == k:
-                cols.append(np.cos(phase) / np.sqrt(v))
-                eigs.append(mu)
-                seen.add(k)
-            else:
-                cols.append(np.sqrt(2.0 / v) * np.cos(phase))
-                cols.append(np.sqrt(2.0 / v) * np.sin(phase))
-                eigs.extend([mu, mu])
-                seen.update({k, k_neg})
-        order = np.argsort(np.asarray(eigs), kind="stable")
-        U = np.stack(cols, axis=1)[:, order]
-        return np.asarray(eigs)[order], U
-
-    def to_modes(self, values: np.ndarray) -> np.ndarray:
-        return self.transform.T @ values
-
-    def to_sites(self, modes: np.ndarray) -> np.ndarray:
-        return self.transform @ modes
-
-    def grad_variance(self, axis: int) -> float:
-        """Var of a single bond gradient under the scale-1 pinned field."""
-        t = self.torus
-        mu = spectrum(t)
-        ks = np.stack(np.unravel_index(np.arange(t.volume), (t.m,) * t.d))
-        ax = 4.0 * np.sin(np.pi * ks[axis] / t.m) ** 2
-        nz = mu > 1e-12
-        return float(np.sum(ax[nz] / mu[nz]) / t.volume)
-
-
-def sample_gff(sc: SpectralCovariance, variance_scale: float, rng: np.random.Generator, n_samples: int | None = None):
+def sample_gff(t: Torus, variance_scale: float, rng: np.random.Generator, n_samples: int | None = None):
     """Draw pinned Gaussian fields with Dirichlet weight exp(-||grad||^2 / (2 scale)).
 
     Returns a Field for n_samples None, else an (n_samples, volume) array of
@@ -163,14 +101,10 @@ def sample_gff(sc: SpectralCovariance, variance_scale: float, rng: np.random.Gen
     """
     if not 0.0 < variance_scale <= 1.0:
         raise ValueError(f"variance_scale must be in (0, 1], got {variance_scale}")
-    t = sc.torus
-    mu = sc.eigenvalues
-    nz = mu > 1e-12
+    mb = ModeBasis.build(t)
     n = 1 if n_samples is None else n_samples
-    amp = np.zeros((n, t.volume))
-    amp[:, nz] = rng.standard_normal((n, int(nz.sum()))) * np.sqrt(variance_scale / mu[nz])
-    sites = amp @ sc.transform.T
-    sites -= sites[:, :1]  # re-pin at the origin
+    z = rng.standard_normal((n, t.n_dof))
+    sites = pinned((z * np.sqrt(variance_scale / mb.lam)) @ mb.Q.T)
     if n_samples is None:
         return Field(t, sites[0])
     return sites
@@ -178,7 +112,4 @@ def sample_gff(sc: SpectralCovariance, variance_scale: float, rng: np.random.Gen
 
 def poincare_constant(t: Torus) -> PoincareConstant:
     """delta_m = smallest eigenvalue of the pinned Dirichlet form (dense solve)."""
-    if t.volume > DENSE_CAP:
-        raise ValueError(f"dense eigensolve capped at volume {DENSE_CAP}, got {t.volume}")
-    w = np.linalg.eigvalsh(pinned_form(t))
-    return PoincareConstant(delta_m=float(w[0]))
+    return PoincareConstant(delta_m=float(ModeBasis.build(t).lam[0]))

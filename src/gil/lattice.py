@@ -31,8 +31,6 @@ __all__ = [
     "grad_norm_sq",
     "hamiltonian",
     "grad_h",
-    "hess_h_apply",
-    "hess_h_quadform",
     "separate",
     "anharmonic_g",
     "induced_h1_energy",
@@ -164,31 +162,26 @@ def grad_h(t: Torus, u: np.ndarray, phi: Field | np.ndarray, p: Potential) -> np
     return bond_divergence(t, p.dv(bond_args(t, _values(phi), u)))
 
 
-def hess_h_apply(t: Torus, u: np.ndarray, phi: Field | np.ndarray, p: Potential, direction: np.ndarray) -> np.ndarray:
-    """Hessian-vector product (D^2 H) dir on dof vectors (origin implicit zero)."""
-    return bond_divergence(t, p.d2v(bond_args(t, _values(phi), u)) * grad_all(t, pinned(direction)))
-
-
-def hess_h_quadform(t: Torus, u: np.ndarray, phi: Field | np.ndarray, p: Potential, direction: np.ndarray) -> float:
-    """Quadratic form dir . (D^2 H) dir = sum_{x,i} V''(grad+u)(grad_i dir)^2."""
-    return float(np.sum(p.d2v(bond_args(t, _values(phi), u)) * grad_all(t, pinned(direction)) ** 2))
-
-
 def grad_norm_sq(t: Torus, values: np.ndarray) -> float:
     """Dirichlet energy ||grad phi||^2 summed over sites and axes."""
     return float(np.sum(grad_all(t, values) ** 2))
 
 
-def anharmonic_g(t: Torus, u: np.ndarray, values: np.ndarray, p: Potential) -> float:
-    """G(u, phi) = sum_{x,i} g(u_i + grad_i phi) with g(s) = V(s) - s^2/2 (c1 = 1)."""
+def anharmonic_g(t: Torus, u, values: np.ndarray, p: Potential) -> np.ndarray:
+    """G(u, phi) = sum_{x,i} g(u_i + grad_i phi(x)) with g(s) = V(s) - s^2/2 (c1 = 1).
+
+    Batched like bond_args: values[..., V], u[d] or u[..., d] -> [...].  Each row is
+    summed over its own (d, V) bonds, so its value does not depend on the batch.
+    """
     g = bond_args(t, values, u)
-    return float(np.sum(p.v(g) - g * g / 2.0))
+    w = p.v(g) - g * g / 2.0
+    return w.reshape(w.shape[:-2] + (-1,)).sum(axis=-1)
 
 
 def induced_h1_energy(t: Torus, p: Potential, u: np.ndarray, psi_values: np.ndarray, theta_dof: np.ndarray, lam: float) -> float:
     """H1(theta) = G(u, psi + theta) + ||grad theta||^2 / (2 lam), theta pinned."""
     theta = pinned(theta_dof)
-    return anharmonic_g(t, u, psi_values + theta, p) + grad_norm_sq(t, theta) / (2.0 * lam)
+    return float(anharmonic_g(t, u, psi_values + theta, p)) + grad_norm_sq(t, theta) / (2.0 * lam)
 
 
 def induced_h1_grad(t: Torus, p: Potential, u: np.ndarray, psi_values: np.ndarray, theta_dof: np.ndarray, lam: float) -> np.ndarray:
@@ -209,7 +202,5 @@ def separate(t: Torus, u: np.ndarray, phi: Field | np.ndarray, p: Potential) -> 
         raise ValueError(f"separate requires a unit-scaled potential (c1 = 1), got c1 = {p.c1}")
     values = _values(phi)
     u = np.asarray(u, dtype=float)
-    g = bond_args(t, values, u)
     gauss = 0.5 * t.volume * float(u @ u) + 0.5 * grad_norm_sq(t, values)
-    g_part = float(np.sum(p.v(g) - g * g / 2.0))
-    return gauss, g_part
+    return gauss, float(anharmonic_g(t, u, values, p))

@@ -8,8 +8,11 @@ afterwards, a finite-difference gradient check, a post burn-in acceptance guard,
 and a noise stream from SeedSequence((seed, tilt, node, chain)) drawn in
 fixed-size chunks of steps.  A row's arithmetic is elementwise or a sum over its
 own trailing axes, so its samples are bitwise the same alone or in any ensemble.
-Estimators carry batch-means or jackknife standard errors with at least 20
-blocks; nothing is reported as a bare point estimate.
+The free-energy estimators (fluctuation identity, thermodynamic integration) run
+their own rows; the lemma checks (Fourier bounds, Poincare variance bound) read
+a sample array, so one chain run serves both.  Estimators carry batch-means or
+jackknife standard errors with at least 20 blocks; nothing is reported as a bare
+point estimate.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .conditions import cbar
-from .lattice import Torus, Field, bond_args, bond_divergence, grad_all, pinned
+from .lattice import Torus, Field, anharmonic_g, bond_args, bond_divergence, grad_all, pinned
 from .potentials import Potential, norms
 
 __all__ = [
@@ -36,12 +39,9 @@ __all__ = [
     "run_chain",
     "run_chains",
     "batch_means",
-    "estimate_observable",
     "fluctuation_hessian",
-    "characteristic_a",
     "verify_l1norm_bounds",
     "poincare_variance_check",
-    "bond_covariance_by_distance",
     "thermodynamic_integration",
 ]
 
@@ -111,7 +111,10 @@ class Target:
 
 @dataclass(frozen=True)
 class Observable:
-    """Scalar observable with gradient, for variance-bound checks."""
+    """Scalar observable with gradient, for variance-bound checks.
+
+    Batched over samples: value maps S[n, n_dof] to [n], grad maps it to [n, n_dof].
+    """
 
     value: Callable
     grad: Callable
@@ -147,7 +150,7 @@ def make_h1_target(t: Torus, p: Potential, u, psi_values: np.ndarray, lam: float
         theta = pinned(X)
         arg = bond_args(t, psi_values + theta, u)
         gt = grad_all(t, theta)
-        energy = _row_sum(p.v(arg) - arg * arg / 2.0) + _row_sum(gt * gt) / (2.0 * lam)
+        energy = anharmonic_g(t, u, psi_values + theta, p) + _row_sum(gt * gt) / (2.0 * lam)
         return energy, bond_divergence(t, (p.dv(arg) - arg) + gt / lam)
 
     hint = 0.5 / math.sqrt(2.0 * t.d / lam + 1.0)
@@ -285,14 +288,6 @@ def batch_means(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return mean, se, min(n_eff, float(n))
 
 
-def estimate_observable(target: Target, obs: Callable, cfg: ChainConfig) -> Estimate:
-    """Chain estimate of E[obs(theta)]; obs maps a dof vector to float or array."""
-    results = run_chains(target, cfg)
-    values = np.concatenate([np.asarray([obs(s) for s in r.samples]) for r in results])
-    mean, se, n_eff = batch_means(values)
-    return Estimate(value=mean, std_error=se, n_effective=n_eff, method="chain")
-
-
 # ---------------------------------------------------------------------------
 # free-energy Hessian via the fluctuation identity
 
@@ -365,21 +360,6 @@ def _phase_stats(gv: np.ndarray, k: np.ndarray, chunk: int = 64):
     return re, im, se_re, se_im
 
 
-def characteristic_a(
-    k_grid, axis: int, site: int, target: Target, t: Torus, cfg: ChainConfig
-):
-    """A(k) = <exp(i k grad_i theta(x))> under the target, with batch-means errors.
-
-    Returns (A, se_re, se_im) arrays over k_grid; +-k pairing is automatic since
-    the same samples estimate both signs (conjugate symmetry is exact).
-    """
-    k = np.asarray(k_grid, dtype=float)
-    results = run_chains(target, cfg)
-    gv = np.concatenate([_bond_series(t, r.samples, axis, site) for r in results])
-    re, im, se_re, se_im = _phase_stats(gv, k)
-    return re + 1j * im, se_re, se_im
-
-
 @dataclass(frozen=True)
 class L1NormBoundReport:
     """Chain checks of the characteristic-function envelope and its consequences."""
@@ -413,13 +393,17 @@ def verify_l1norm_bounds(
     t: Torus,
     u,
     psi: Field,
+    samples: np.ndarray,
     lam: float | None = None,
     k_grid=None,
-    cfg: ChainConfig = ChainConfig(),
     axis: int = 0,
     site: int = 0,
 ) -> L1NormBoundReport:
-    """Estimate A(k) under the induced convex target and test the Fourier bounds.
+    """Estimate A(k) = <exp(i k grad_i theta(x))> from samples and test the Fourier bounds.
+
+    samples[n, n_dof] are theta draws from the induced convex target at (u, psi,
+    lam), e.g. the concatenated rows of run_chains(make_h1_target(...)).  The
+    same samples estimate A(k) and A(-k) = conj A(k).
 
     Checks, each within 4 standard errors:
       |A(k)| <= min(1, 12 d cbar / k^2) pointwise on the grid,
@@ -442,10 +426,7 @@ def verify_l1norm_bounds(
         k_grid = np.linspace(-K, K, 401)
     k = np.asarray(k_grid, dtype=float)
 
-    target = make_h1_target(t, p, u, psi.values, lam)
-    results = run_chains(target, cfg)
-    gv = np.concatenate([_bond_series(t, r.samples, axis, site) for r in results])
-
+    gv = _bond_series(t, samples, axis, site)
     re, im, se_re, se_im = _phase_stats(gv, k)
     abs_a = np.hypot(re, im)
     se_abs = np.hypot(se_re, se_im)
@@ -459,7 +440,7 @@ def verify_l1norm_bounds(
     integral_bound = 4.0 * math.sqrt(env_const)
     integral_ok = integral + tail <= integral_bound + 4.0 * integral_se
 
-    shift = u[axis] + float(psi.values[t.forward[axis, site]] - psi.values[site])
+    shift = float(bond_args(t, psi.values, u)[axis, site])
     obs = p.d2g0(shift + gv)
     g_mean, g_se, _ = batch_means(obs)
     nr = norms(p, 1e-10)
@@ -507,23 +488,19 @@ class VarianceBoundReport:
     ok: bool
 
 
-def poincare_variance_check(
-    target: Target, delta: float, observables: list[Observable], cfg: ChainConfig
-) -> VarianceBoundReport:
-    """Check var(G) <= <|DG|^2> / delta + 4 SE for each observable.
+def poincare_variance_check(samples: np.ndarray, delta: float, observables: list[Observable]) -> VarianceBoundReport:
+    """Check var(G) <= <|DG|^2> / delta + 4 SE for each observable on samples[n, n_dof].
 
-    delta must be a certified lower bound on the target's Hessian; variances use
-    a delete-one jackknife over blocks.
+    delta must be a certified lower bound on the Hessian of the target the
+    samples come from; variances use a delete-one jackknife over blocks.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    results = run_chains(target, cfg)
-    samples = np.concatenate([r.samples for r in results])
     n = samples.shape[0]
     variances, var_se, bounds, bound_se = [], [], [], []
     for obs in observables:
-        vals = np.asarray([obs.value(s) for s in samples])
-        gsq = np.asarray([float(np.sum(np.asarray(obs.grad(s)) ** 2)) for s in samples])
+        vals = np.asarray(obs.value(samples), dtype=float)
+        gsq = np.sum(np.asarray(obs.grad(samples), dtype=float) ** 2, axis=1)
         slices = _block_slices(n)
         bl = [(vals[a:b].sum(), (vals[a:b] ** 2).sum(), b - a) for a, b in slices]
         tot1 = sum(b[0] for b in bl)
@@ -555,30 +532,6 @@ def poincare_variance_check(
         bound_se=bound_se,
         ok=ok,
     )
-
-
-def bond_covariance_by_distance(
-    p: Potential, t: Torus, u, cfg: ChainConfig, axis: int = 0
-) -> dict:
-    """Diagnostic: cov(V'(u + grad phi(0)), V'(u + grad phi(x))) by lattice distance.
-
-    Qualitative companion to the fluctuation identity -- the variance term stays
-    of order |T| only when these covariances decay -- reported without asserting
-    any rate.
-    """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    target = make_gibbs_target(t, p, u, beta=1.0)
-    results = run_chains(target, cfg)
-    samples = np.concatenate([r.samples for r in results])
-    w = p.dv(bond_args(t, pinned(samples), u)[:, axis])
-    ref = w[:, 0]
-    coords = np.stack(np.unravel_index(np.arange(t.volume), (t.m,) * t.d))
-    out: dict[int, list] = {}
-    for x in range(t.volume):
-        dist = int(np.sum(np.minimum(coords[:, x], t.m - coords[:, x])))
-        cov = float(np.cov(ref, w[:, x], ddof=1)[0, 1])
-        out.setdefault(dist, []).append(cov)
-    return {dist: float(np.mean(v)) for dist, v in sorted(out.items())}
 
 
 # ---------------------------------------------------------------------------

@@ -15,16 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditions import scale_to_unit
-from .lattice import Torus, Field
+from .gff import ModeBasis
+from .lattice import Torus, Field, bond_args
 from .potentials import Potential
 from .quadrature import (
-    ModeBasis,
     QuadratureError,
     compact_anharmonicity,
     field_bond_map,
-    bond_shifts,
     gh_log_expectation_doubling,
-    adaptive_log_expectation,
     mayer_log_expectation,
     log_expectation,
 )
@@ -32,10 +30,8 @@ from .quadrature import (
 __all__ = [
     "QuadratureSpec",
     "log_partition",
-    "log_partition_record",
     "free_energy",
     "hessian_fd",
-    "renorm_apply",
     "renorm_apply_g",
     "renorm_iterated_g",
     "renorm_joint_g",
@@ -66,7 +62,12 @@ def _check_size(t: Torus, q: QuadratureSpec):
         raise QuadratureError(f"system has {t.n_dof} free coordinates, oracle cap is {q.max_dof}")
 
 
-def _log_partition_info(u, p: Potential, t: Torus, beta: float, q: QuadratureSpec) -> tuple[float, dict]:
+def log_partition(u, p: Potential, t: Torus, beta: float, q: QuadratureSpec = QuadratureSpec()) -> float:
+    """log Z = log integral over pinned fields of exp(-beta H(u, phi)).
+
+    Internally rescales to the unit frame: log Z^beta(u) = -(n/2) log(beta c1)
+    + log Z^1(u_scaled, p_scaled), then splits off the exact Gaussian part.
+    """
     _check_size(t, q)
     if beta <= 0:
         raise ValueError("beta must be positive")
@@ -75,7 +76,7 @@ def _log_partition_info(u, p: Potential, t: Torus, beta: float, q: QuadratureSpe
     us = k * u
     mb = ModeBasis.build(t)
     n = t.n_dof
-    log_e, info = log_expectation(
+    log_e, _info = log_expectation(
         t, ps, us, 1.0, order0=q.nodes_per_dim, tol=q.tol, order_cap=q.node_cap, envelope=q.envelope_scale
     )
     log_z1 = (
@@ -84,28 +85,7 @@ def _log_partition_info(u, p: Potential, t: Torus, beta: float, q: QuadratureSpe
         - 0.5 * float(np.sum(np.log(mb.lam)))
         + log_e
     )
-    return log_z1 - 0.5 * n * math.log(beta * p.c1), info
-
-
-def log_partition(u, p: Potential, t: Torus, beta: float, q: QuadratureSpec = QuadratureSpec()) -> float:
-    """log Z = log integral over pinned fields of exp(-beta H(u, phi)).
-
-    Internally rescales to the unit frame: log Z^beta(u) = -(n/2) log(beta c1)
-    + log Z^1(u_scaled, p_scaled), then splits off the exact Gaussian part.
-    """
-    return _log_partition_info(u, p, t, beta, q)[0]
-
-
-def log_partition_record(u, p: Potential, t: Torus, beta: float, q: QuadratureSpec = QuadratureSpec()) -> dict:
-    """JSON-ready oracle record: value, node order used (if GH), convergence flag."""
-    val, info = _log_partition_info(u, p, t, beta, q)
-    return {
-        "value": val,
-        "node_order": info.get("order"),
-        "converged": True,  # non-convergent backends raise instead of returning
-        "method": info["method"],
-        "error": float(info["error"]),
-    }
+    return log_z1 - 0.5 * n * math.log(beta * p.c1)
 
 
 def free_energy(u, p: Potential, t: Torus, beta: float, q: QuadratureSpec = QuadratureSpec()) -> float:
@@ -143,39 +123,6 @@ def hessian_fd(f, u, h: float = 1e-3, richardson: bool = True) -> np.ndarray:
     H2 = stencil(h / 2.0)
     H = (4.0 * H2 - H1) / 3.0
     return 0.5 * (H + H.T)
-
-
-def renorm_apply(f, variance_scale: float, u, a: Field, q: QuadratureSpec = QuadratureSpec()) -> float:
-    """One renormalization step (R f)(u, a) = -log E_{b ~ scale}[exp(-f(u, a + b))].
-
-    f(u, values) takes full site-value arrays; the Gaussian b is the pinned field
-    with weight exp(-||grad b||^2 / (2 scale)), normalized to a probability
-    measure so that constants pass through unchanged.
-    """
-    t = a.torus
-    _check_size(t, q)
-    if not 0.0 < variance_scale <= 1.0:
-        raise ValueError("variance_scale must lie in (0, 1]")
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    base = a.values
-
-    def gfun(dof_batch):
-        out = np.empty(dof_batch.shape[0])
-        vals = np.zeros(t.volume)
-        for j in range(dof_batch.shape[0]):
-            vals[1:] = dof_batch[j]
-            out[j] = f(u, base + vals)
-        return out
-
-    val, converged, delta, _order = gh_log_expectation_doubling(
-        gfun, t, variance_scale, q.nodes_per_dim, q.tol, q.node_cap
-    )
-    if converged:
-        return -val
-    if t.n_dof <= 2:
-        val, _err = adaptive_log_expectation(gfun, t, variance_scale, tol=min(q.tol, 1e-10))
-        return -val
-    raise QuadratureError(f"renorm_apply did not converge (last delta {delta:.3e})")
 
 
 def renorm_apply_g(p: Potential, variance_scale: float, u, a: Field, q: QuadratureSpec = QuadratureSpec()) -> float:
@@ -238,6 +185,6 @@ def renorm_joint_g(
     if hi - lo <= 0.0:
         return 0.0
     F = np.hstack([field_bond_map(t, 1.0 - lam), field_bond_map(t, lam)])
-    shifts = bond_shifts(t, u)
+    shifts = bond_args(t, np.zeros(t.volume), u).ravel()
     val, _pruned = mayer_log_expectation(F, shifts, h, (lo, hi), tol=min(q.tol, 1e-12))
     return -val

@@ -504,22 +504,6 @@ def norms(p: Potential, tol: float = 1e-10) -> NormReport:
     )
 
 
-def norms_closed_form(p: Potential) -> NormReport | None:
-    """Exact norms for families that have them; None otherwise."""
-    cn = p.closed_norms
-    needed = {"l1_g0pp", "l2_g0p", "l1_g0", "l1_g0pp_abs"}
-    if not needed.issubset(cn):
-        return None
-    return NormReport(
-        l1_g0pp=cn["l1_g0pp"],
-        l2_g0p=cn["l2_g0p"],
-        l1_g0=cn["l1_g0"],
-        quadrature_error=0.0,
-        l1_g0pp_abs=cn["l1_g0pp_abs"],
-        divergent=tuple(k for k in ("l1_g0pp", "l2_g0p", "l1_g0") if cn.get(k) == math.inf),
-    )
-
-
 def validate_growth(p: Potential, a_coef: float, b_coef: float, grid=None) -> bool:
     """Check the quadratic growth bound V(s) >= a_coef s^2 - b_coef on a grid."""
     if a_coef <= 0:

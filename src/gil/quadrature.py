@@ -2,11 +2,12 @@
 
 Everything here evaluates log E[exp(-G(phi))] for phi a pinned Gaussian field
 with Dirichlet weight exp(-||grad phi||^2 / (2 scale)) and G an anharmonic bond
-energy, through one of three routes:
+energy (lattice.anharmonic_g in log_expectation), through one of three routes:
 
-  gh        tensor-product Gauss-Hermite in the eigenbasis of the pinned form,
-            with node doubling until the change drops below tol; right for
-            integrands that are smooth on the scale of the Gaussian.
+  gh        tensor-product Gauss-Hermite in gff.ModeBasis, the eigenbasis of the
+            pinned form that sample_gff also draws in, with node doubling until
+            the change drops below tol; right for integrands that are smooth on
+            the scale of the Gaussian.
   adaptive  iterated 1d adaptive quadrature over the mode coordinates (n_dof <= 2
             only); slow but robust to narrow features the GH nodes cannot see.
   mayer     exact inclusion-exclusion over bonds for anharmonicities of compact
@@ -24,27 +25,24 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import roots_hermitenorm
 
-from .gff import pinned_form, bond_matrix
-from .lattice import Torus
+from .gff import ModeBasis, bond_matrix
+from .lattice import Torus, anharmonic_g, bond_args, pinned
 from .potentials import Potential
 
 __all__ = [
     "QuadratureError",
-    "ModeBasis",
-    "anharmonic_energy",
     "compact_anharmonicity",
     "gh_log_expectation",
+    "gh_log_expectation_doubling",
     "adaptive_log_expectation",
     "mayer_log_expectation",
     "log_expectation",
-    "bond_shifts",
     "field_bond_map",
 ]
 
@@ -57,46 +55,6 @@ Y_CLIP = 9.0  # standard-normal tail beyond this contributes < 1e-18
 
 class QuadratureError(RuntimeError):
     """Raised when no backend can certify the requested tolerance."""
-
-
-@dataclass(frozen=True)
-class ModeBasis:
-    """Eigendecomposition of the pinned Dirichlet form: dof = Q w, form = sum lam w^2."""
-
-    torus: Torus
-    lam: np.ndarray
-    Q: np.ndarray
-
-    @classmethod
-    def build(cls, t: Torus) -> "ModeBasis":
-        return _mode_basis(t.d, t.m)
-
-
-@lru_cache(maxsize=64)
-def _mode_basis(d: int, m: int) -> ModeBasis:
-    t = Torus(d, m)
-    lam, Q = np.linalg.eigh(pinned_form(t))
-    return ModeBasis(torus=t, lam=lam, Q=Q)
-
-
-@lru_cache(maxsize=64)
-def _bond_matrix_cached(d: int, m: int) -> np.ndarray:
-    return bond_matrix(Torus(d, m))
-
-
-def anharmonic_energy(t: Torus, p: Potential, u: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """G(u, phi) = sum_bonds [V - s^2/2](u_i + grad_i phi) for unit-scaled p.
-
-    values may be a single (volume,) configuration or a (batch, volume) stack.
-    """
-    u = np.asarray(u, dtype=float)
-    single = values.ndim == 1
-    vals = values[None, :] if single else values
-    out = np.zeros(vals.shape[0])
-    for i in range(t.d):
-        g = vals[:, t.forward[i]] - vals + u[i]
-        out += np.sum(p.v(g) - g * g / 2.0, axis=1)
-    return out[0] if single else out
 
 
 def compact_anharmonicity(p: Potential, certify_tol: float = 1e-10):
@@ -337,20 +295,12 @@ def mayer_log_expectation(
 
 
 def field_bond_map(t: Torus, scale: float) -> np.ndarray:
-    """Linear map from latent standard normal modes to bond gradients at a scale."""
+    """Linear map from latent standard normal modes to bond gradients at a scale.
+
+    Rows are ordered axis-major like bond_matrix and like bond_args(...).ravel().
+    """
     mb = ModeBasis.build(t)
-    D = _bond_matrix_cached(t.d, t.m)
-    return D @ mb.Q @ np.diag(np.sqrt(scale / mb.lam))
-
-
-def bond_shifts(t: Torus, u: np.ndarray, psi_values: np.ndarray | None = None) -> np.ndarray:
-    """Per-bond offsets u_i + grad_i psi(x), ordered axis-major like bond_matrix."""
-    u = np.asarray(u, dtype=float)
-    out = np.repeat(u, t.volume)
-    if psi_values is not None:
-        g = (psi_values[t.forward] - psi_values[None, :]).ravel()
-        out = out + g
-    return out
+    return bond_matrix(t) @ mb.Q @ np.diag(np.sqrt(scale / mb.lam))
 
 
 def log_expectation(
@@ -372,22 +322,19 @@ def log_expectation(
     """
     if abs(p.c1 - 1.0) > 1e-12:
         raise ValueError("log_expectation requires a unit-scaled potential (c1 = 1)")
+    base = np.zeros(t.volume) if psi_values is None else psi_values
     compact = compact_anharmonicity(p)
     if compact is not None:
         lo, hi, h = compact
         if hi - lo <= 0.0:
             return 0.0, {"method": "exact", "error": 0.0}
         F = field_bond_map(t, scale)
-        shifts = bond_shifts(t, u, psi_values)
+        shifts = bond_args(t, base, u).ravel()
         val, pruned = mayer_log_expectation(F, shifts, h, (lo, hi), tol=min(tol, 1e-12))
         return val, {"method": "mayer", "error": pruned}
 
-    base = psi_values if psi_values is not None else np.zeros(t.volume)
-
     def gfun(dof_batch):
-        vals = np.zeros((dof_batch.shape[0], t.volume))
-        vals[:, 1:] = dof_batch
-        return anharmonic_energy(t, p, u, vals + base)
+        return anharmonic_g(t, u, pinned(dof_batch) + base, p)
 
     val, converged, delta, order = gh_log_expectation_doubling(gfun, t, scale, order0, tol, order_cap, envelope)
     if converged:

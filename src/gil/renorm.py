@@ -17,11 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditions import cbar, scale_to_unit, check_conditions
-from .gff import SpectralCovariance, poincare_constant, sample_gff
-from .lattice import Torus, Field, grad_all, grad_norm_sq
+from .gff import poincare_constant, sample_gff
+from .lattice import Torus, Field, anharmonic_g, bond_args, grad_all, grad_norm_sq, pinned
 from .mcmc import ChainConfig, Estimate, Target, make_h1_target, fluctuation_hessian, _block_slices
 from .oracle import QuadratureSpec, free_energy, hessian_fd, renorm_apply_g, renorm_iterated_g
-from .quadrature import anharmonic_energy
 from .potentials import Potential, norms
 
 __all__ = [
@@ -79,39 +78,29 @@ def certify_h1_convexity(
     """Probe D^2 H1 >= cbar ||grad .||^2 >= cbar delta_m ||.||^2 on random pairs.
 
     The quadratic form is exact: sum g''(u_i + grad_i(psi + theta)) (grad_i
-    theta_dot)^2 + ||grad theta_dot||^2 / lambda with g'' = V'' - 1.
+    theta_dot)^2 + ||grad theta_dot||^2 / lambda with g'' = V'' - 1.  Probe j is
+    the pair (theta, theta_dot) = draws[j] of one (n_probes, 2, n_dof) normal draw.
     """
     t = plan.torus
-    p = plan.potential
     u = np.atleast_1d(np.asarray(u, dtype=float))
     delta_m = poincare_constant(t).delta_m
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0)))
-    worst_grad = math.inf
-    worst_l2 = math.inf
-    witness = None
-    for _ in range(n_probes):
-        theta = np.zeros(t.volume)
-        theta[1:] = rng.standard_normal(t.n_dof)
-        tdot = np.zeros(t.volume)
-        tdot[1:] = rng.standard_normal(t.n_dof)
-        arg = grad_all(t, psi.values + theta) + u[:, None]
-        gdot = grad_all(t, tdot)
-        quad = float(np.sum((p.d2v(arg) - 1.0) * gdot**2)) + grad_norm_sq(t, tdot) / plan.lam
-        gn = grad_norm_sq(t, tdot)
-        l2 = float(np.sum(tdot * tdot))
-        m_grad = quad - plan.cbar * gn
-        m_l2 = quad - plan.cbar * delta_m * l2
-        if m_grad < worst_grad:
-            worst_grad = m_grad
-            witness = (theta.copy(), tdot.copy())
-        worst_l2 = min(worst_l2, m_l2)
+    draws = pinned(rng.standard_normal((n_probes, 2, t.n_dof)))
+    theta, tdot = draws[:, 0], draws[:, 1]
+    gdot2 = grad_all(t, tdot) ** 2
+    gn = gdot2.sum(axis=(1, 2))
+    quad = ((plan.potential.d2v(bond_args(t, psi.values + theta, u)) - 1.0) * gdot2).sum(axis=(1, 2)) + gn / plan.lam
+    margin_grad = quad - plan.cbar * gn
+    worst = int(np.argmin(margin_grad))
+    worst_grad = float(margin_grad[worst])
+    worst_l2 = float(np.min(quad - plan.cbar * delta_m * (tdot * tdot).sum(axis=1)))
     ok = worst_grad >= -tol and worst_l2 >= -tol
     return ConvexityCertificate(
         ok=ok,
         min_margin_grad=worst_grad,
         min_margin_l2=worst_l2,
         n_probes=n_probes,
-        witness=None if ok else witness,
+        witness=None if ok else (theta[worst], tdot[worst]),
     )
 
 
@@ -136,10 +125,9 @@ def estimate_r1g(
         return Estimate(value=val, std_error=q.tol, n_effective=math.inf, method="oracle")
     if method != "mc":
         raise ValueError(f"method must be 'oracle' or 'mc', got {method}")
-    sc = SpectralCovariance(t)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x51)))
-    draws = sample_gff(sc, plan.lam, rng, n_samples)
-    w = -anharmonic_energy(t, plan.potential, u, psi.values[None, :] + draws)
+    draws = sample_gff(t, plan.lam, rng, n_samples)
+    w = -anharmonic_g(t, u, psi.values + draws, plan.potential)
     shift = w.max()
     if not math.isfinite(shift):
         raise FloatingPointError("all Monte Carlo weights underflowed; rescale the problem")
@@ -195,8 +183,7 @@ def verify_c6(
     vals, bounds = [], []
     for du, dpsi_dof in directions:
         du = np.atleast_1d(np.asarray(du, dtype=float))
-        dpsi = np.zeros(t.volume)
-        dpsi[1:] = dpsi_dof
+        dpsi = pinned(dpsi_dof)
 
         def f(s):
             return renorm_apply_g(plan.potential, plan.lam, u + s * du, Field(t, psi.values + s * dpsi), q)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from gil.cli import main as cli_main
-from gil.conditions import check_conditions, check_fcond, scale_to_unit
+from gil.conditions import check_conditions, scale_to_unit
 from gil.gff import poincare_constant
 from gil.lattice import Field, Torus
 from gil.mcmc import (
@@ -23,6 +23,7 @@ from gil.mcmc import (
     make_gibbs_target,
     poincare_variance_check,
     run_chain,
+    run_chains,
     verify_l1norm_bounds,
 )
 from gil.oracle import QuadratureSpec, free_energy, hessian_fd, renorm_iterated_g, renorm_joint_g
@@ -86,7 +87,7 @@ def test_criterion_2_threshold_reproduction():
         nr = norms(p, 1e-12)
         for d in (1, 2):
             beta = a * a * math.pi**2 / (6.0 * 16.0**2 * d)
-            rep = check_fcond(beta, d, p, nr)
+            rep = check_conditions(beta, d, p, nr)
             assert abs(rep.lhs_fcond - 0.5) < 1e-10, (a, d, rep.lhs_fcond)
     # example (b): the quoted norm bound at the quoted beta keeps the lhs below 1/2
     for delta, d in ((0.4, 1), (0.3, 2)):
@@ -94,7 +95,7 @@ def test_criterion_2_threshold_reproduction():
         quoted = 3.0 * delta**5 / (10.0 * math.sqrt(5.0))
         nr = NormReport(l1_g0pp=quoted, l2_g0p=0.0, l1_g0=0.0, quadrature_error=0.0, l1_g0pp_abs=quoted)
         beta = (5.0 * math.sqrt(5.0 * d) * math.pi / (2.0 * delta)) ** 2
-        rep = check_fcond(beta, d, p, nr)
+        rep = check_conditions(beta, d, p, nr)
         assert rep.lhs_fcond <= 0.5, (delta, d, rep.lhs_fcond)
     elapsed = time.time() - t0
     assert elapsed < 1.0
@@ -180,7 +181,8 @@ def test_criterion_7_fourier_bounds(b_setting):
     K = 4.0 * math.sqrt(12.0 * t.d * plan.cbar)
     k_grid = np.linspace(-K, K, 401)
     cfg = ChainConfig(n_steps=60_000, burn_in=5_000, thinning=1, n_chains=2, seed=71)
-    rep = verify_l1norm_bounds(ps, t, [k * 0.1], Field.zeros(t), plan.lam, k_grid, cfg)
+    samples = np.concatenate([r.samples for r in run_chains(induced_h1(plan, [k * 0.1], Field.zeros(t)), cfg)])
+    rep = verify_l1norm_bounds(ps, t, [k * 0.1], Field.zeros(t), samples, plan.lam, k_grid)
     assert rep.pointwise_ok, f"{rep.n_pointwise_violations} envelope violations"
     assert rep.integral_ok, (rep.integral, rep.integral_bound)
     assert rep.g0pp_ok, (rep.g0pp_mean, rep.g0pp_bound_l1)
@@ -206,14 +208,18 @@ def test_criterion_8_poincare_variance(b_setting):
                 v[j] = 1.0
             else:
                 v = rng.standard_normal(t.n_dof)
-            obs.append(Observable(value=lambda s, v=v: float(v @ s), grad=lambda s, v=v: v, name=f"v{j}"))
+            obs.append(
+                Observable(value=lambda S, v=v: S @ v, grad=lambda S, v=v: np.broadcast_to(v, S.shape), name=f"v{j}")
+            )
         delta_m = poincare_constant(t).delta_m
         gauss_target = make_gibbs_target(t, g, np.zeros(1), 1.0)
-        rep_g = poincare_variance_check(gauss_target, delta_m, obs, cfg)
+        samples_g = np.concatenate([r.samples for r in run_chains(gauss_target, cfg)])
+        rep_g = poincare_variance_check(samples_g, delta_m, obs)
         assert rep_g.ok, ("gaussian", m, rep_g)
         plan = DecompositionPlan.from_potential(ps, t)
         h1 = induced_h1(plan, [k * 0.1], Field.zeros(t))
-        rep_h = poincare_variance_check(h1, plan.cbar * delta_m, obs, cfg)
+        samples_h = np.concatenate([r.samples for r in run_chains(h1, cfg)])
+        rep_h = poincare_variance_check(samples_h, plan.cbar * delta_m, obs)
         assert rep_h.ok, ("h1", m, rep_h)
     elapsed = time.time() - t0
     assert elapsed < 300

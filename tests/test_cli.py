@@ -208,6 +208,54 @@ def test_sample_runs_its_chains_once(tmp_path, monkeypatch):
     assert len(rep["acceptance"]) == 2 and len(rep["mean_field"]["value"]) == 2
 
 
+def test_verify_lemma_runs_its_chains_once(tmp_path, monkeypatch):
+    # the Fourier bounds and the variance bound read the same induced chains
+    import gil.cli
+    import gil.mcmc
+
+    calls = []
+    real = gil.mcmc.run_chains
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gil.mcmc, "run_chains", counted)
+    monkeypatch.setattr(gil.cli, "run_chains", counted)
+    cfg = dict(
+        BASE,
+        potential={"family": "example_b", "delta": 0.5},
+        beta=0.116,
+        u=[0.1],
+        k_grid={"n_points": 41},
+        chain={"n_steps": 1000, "burn_in": 200, "n_chains": 2},
+    )
+    path = write(tmp_path / "c.json", cfg)
+    assert run_cli(["verify-lemma", "--config", path, "--out", tmp_path / "o.json"]) in (0, 2)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "command,extra",
+    [
+        ("sample", {"u": [0.2], "chain": {"step_size": "0.1"}}),
+        ("sample", {"u": [0.2], "chain": {"tune": "no"}}),
+        ("sample", {"u": [0.2], "chain": {"n_steps": 1000.7}}),
+        ("sample", {"u": [0.2], "chain": {"n_chains": True}}),
+        ("free-energy", {"u_grid": [[0.2]], "quadrature": {"max_dof": True}}),
+        ("free-energy", {"u_grid": [[0.2]], "quadrature": {"tol": "1e-8"}}),
+    ],
+    ids=["step_size-string", "tune-string", "n_steps-fraction", "n_chains-bool", "max_dof-bool", "tol-string"],
+)
+def test_mistyped_block_values_exit_one(tmp_path, capsys, command, extra):
+    # a value of the wrong JSON type is a config error, not a traceback, a
+    # silent cast or a truthiness test; a bool is not an integer
+    path = write(tmp_path / "c.json", dict(BASE, **extra))
+    assert run_cli([command, "--config", path, "--out", tmp_path / "o.out"]) == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and "must be" in err[0]
+
+
 def test_chain_failure_exit_three(tmp_path, capsys):
     cfg = dict(BASE, u=[0.2], chain={"n_steps": 400, "burn_in": 100, "n_chains": 1, "step_size": 50.0})
     path = write(tmp_path / "c.json", cfg)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gil.conditions import cbar, check_alt, check_conditions, check_fcond, scale_to_unit
+from gil.conditions import cbar, check_conditions, scale_to_unit
 from gil.potentials import NormReport, example_a, example_b, norms
 
 
@@ -27,7 +27,7 @@ def test_threshold_saturation_example_a(a, d):
     # beta = a^2 pi^2 / (6 * 16^2 * d) makes the primary lhs exactly 1/2
     p = example_a(a)
     beta = a * a * math.pi**2 / (6.0 * 16.0**2 * d)
-    rep = check_fcond(beta, d, p, norms(p, 1e-12))
+    rep = check_conditions(beta, d, p, norms(p, 1e-12))
     assert rep.lhs_fcond == pytest.approx(0.5, abs=1e-10)
     assert rep.beta_max_fcond == pytest.approx(beta, rel=1e-10)
 
@@ -40,7 +40,7 @@ def test_example_b_threshold_with_quoted_bound(delta, d):
     quoted = 3.0 * delta**5 / (10.0 * math.sqrt(5.0))
     nr = NormReport(l1_g0pp=quoted, l2_g0p=0.0, l1_g0=0.0, quadrature_error=0.0, l1_g0pp_abs=quoted)
     beta = (5.0 * math.sqrt(5.0 * d) * math.pi / (2.0 * delta)) ** 2
-    rep = check_fcond(beta, d, p, nr)
+    rep = check_conditions(beta, d, p, nr)
     assert rep.lhs_fcond == pytest.approx(18.0 * math.sqrt(0.4) * d * delta**4, rel=1e-12)
     assert rep.lhs_fcond <= 0.5
     assert rep.beta_max_fcond >= beta
@@ -54,21 +54,24 @@ def test_gaussian_always_satisfied(pot_gauss):
 
 
 def test_check_alt_example_a(pot_a):
-    lhs9, lhs11 = check_alt(1e-3, 1, pot_a, norms(pot_a))
+    rep = check_conditions(1e-3, 1, pot_a, norms(pot_a))
+    lhs9, lhs11 = rep.lhs_9, rep.lhs_11
     expected9 = 50.0 / math.sqrt(2 * math.pi) * 1 * 2.0 * (1e-3 * 2.0) ** 0.75 / 2.0 * math.sqrt(2 * math.pi / math.sqrt(0.5))
     assert lhs9 == pytest.approx(expected9, rel=1e-8)
     assert lhs11 == math.inf  # ||g0||_L1 diverges for the log family
 
 
 def test_check_alt_example_c(pot_c):
-    lhs9, lhs11 = check_alt(1e-3, 1, pot_c, norms(pot_c))
+    rep = check_conditions(1e-3, 1, pot_c, norms(pot_c))
+    lhs9, lhs11 = rep.lhs_9, rep.lhs_11
     assert lhs9 == math.inf and lhs11 == math.inf
 
 
 def test_check_alt_example_b_closed_form(pot_b):
     beta, d = 0.116, 1
     nr = norms(pot_b)
-    lhs9, lhs11 = check_alt(beta, d, pot_b, nr)
+    rep = check_conditions(beta, d, pot_b, nr)
+    lhs9, lhs11 = rep.lhs_9, rep.lhs_11
     assert lhs9 == pytest.approx(50 / math.sqrt(2 * math.pi) * 1.2 * beta**0.75 * nr.l2_g0p, rel=1e-10)
     assert lhs11 == pytest.approx(2500 / (2 * math.pi) * 1.2**3 * beta**1.5 * nr.l1_g0, rel=1e-10)
 

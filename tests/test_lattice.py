@@ -10,11 +10,8 @@ from gil.lattice import (
     Torus,
     grad,
     grad_all,
-    grad_norm_sq,
     grad_h,
     hamiltonian,
-    hess_h_apply,
-    hess_h_quadform,
     induced_h1_energy,
     induced_h1_grad,
     separate,
@@ -115,50 +112,6 @@ def test_grad_h_matches_finite_differences(d, m, pot_a):
             2 * eps
         )
         assert gh[j] == pytest.approx(fd, rel=1e-6, abs=1e-8)
-
-
-def test_hessian_apply_gaussian_quadform(pot_gauss):
-    t = Torus(2, 3)
-    rng = np.random.default_rng(3)
-    phi = random_pinned(t, rng)
-    direction = rng.standard_normal(t.n_dof)
-    dvals = np.zeros(t.volume)
-    dvals[1:] = direction
-    q = hess_h_quadform(t, [0.1, 0.2], phi, pot_gauss, direction)
-    assert q == pytest.approx(grad_norm_sq(t, dvals), rel=1e-12)
-
-
-def test_hessian_apply_symmetry(pot_b):
-    t = Torus(2, 3)
-    rng = np.random.default_rng(8)
-    phi = random_pinned(t, rng)
-    u = np.array([0.3, -0.2])
-    d1 = rng.standard_normal(t.n_dof)
-    d2 = rng.standard_normal(t.n_dof)
-    lhs = d2 @ hess_h_apply(t, u, phi, pot_b, d1)
-    rhs = d1 @ hess_h_apply(t, u, phi, pot_b, d2)
-    assert lhs == pytest.approx(rhs, abs=1e-10)
-
-
-def test_hessian_apply_vs_dense_fd(pot_a):
-    t = Torus(1, 5)
-    rng = np.random.default_rng(4)
-    dof = rng.standard_normal(t.n_dof) * 0.5
-    u = np.array([0.2])
-    n = t.n_dof
-    eps = 1e-4
-    dense = np.zeros((n, n))
-    for j in range(n):
-        dp, dm_ = dof.copy(), dof.copy()
-        dp[j] += eps
-        dm_[j] -= eps
-        dense[:, j] = (grad_h(t, u, Field.from_dof(t, dp), pot_a) - grad_h(t, u, Field.from_dof(t, dm_), pot_a)) / (
-            2 * eps
-        )
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        np.testing.assert_allclose(hess_h_apply(t, u, Field.from_dof(t, dof), pot_a, e), dense[:, j], atol=1e-5)
 
 
 @given(seed=st.integers(0, 2**31 - 1))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gil.conditions import scale_to_unit
-from gil.gff import SpectralCovariance, pinned_covariance, poincare_constant
+from gil.gff import pinned_covariance, poincare_constant
 from gil.lattice import Field, Torus
 from gil.mcmc import (
     ChainConfig,
@@ -13,8 +13,6 @@ from gil.mcmc import (
     StepSizeError,
     Target,
     batch_means,
-    characteristic_a,
-    estimate_observable,
     fluctuation_hessian,
     make_gibbs_target,
     make_h1_target,
@@ -110,20 +108,23 @@ def test_batched_targets_match_single_field_energies(pot_a):
 
 def test_row_samples_independent_of_batch(scaled_b):
     # a row run alone and inside a 64-row ensemble with other tilts gives the
-    # same samples, observables and frozen step size, bit for bit
+    # same samples, observables and frozen step size, bit for bit, for the
+    # Gibbs target and for the induced h1 target
     ps, k = scaled_b
     t = Torus(2, 3)
     cfg = ChainConfig(n_steps=700, burn_in=300, seed=5)
     tilts = k * np.linspace(0.0, 0.5, 64)[:, None] * np.array([1.0, 0.5])
     rows = [(1, j // 2, j % 2) for j in range(64)]
-    ensemble = run_chains(make_gibbs_target(t, ps, tilts, 1.0), cfg, rows)
-    for r in (0, 37, 63):
-        alone = run_chains(make_gibbs_target(t, ps, tilts[r], 1.0), cfg, [rows[r]])[0]
-        assert alone.row == ensemble[r].row == rows[r]
-        assert np.array_equal(alone.samples, ensemble[r].samples)
-        assert np.array_equal(alone.observable, ensemble[r].observable)
-        assert alone.step_size == ensemble[r].step_size
-    assert not np.array_equal(ensemble[0].samples, ensemble[1].samples)
+    psi = np.concatenate([[0.0], 0.3 * np.random.default_rng(6).standard_normal(t.n_dof)])
+    for make in (lambda u: make_gibbs_target(t, ps, u, 1.0), lambda u: make_h1_target(t, ps, u, psi, 0.4)):
+        ensemble = run_chains(make(tilts), cfg, rows)
+        for r in (0, 37, 63):
+            alone = run_chains(make(tilts[r]), cfg, [rows[r]])[0]
+            assert alone.row == ensemble[r].row == rows[r]
+            assert np.array_equal(alone.samples, ensemble[r].samples)
+            assert np.array_equal(alone.observable, ensemble[r].observable)
+            assert alone.step_size == ensemble[r].step_size
+        assert not np.array_equal(ensemble[0].samples, ensemble[1].samples)
 
 
 def test_symmetric_target_mean_zero(quick_chain):
@@ -131,8 +132,9 @@ def test_symmetric_target_mean_zero(quick_chain):
     pa, _ = scale_to_unit(example_a(0.5), 0.05)
     t = Torus(1, 3)
     target = make_gibbs_target(t, pa, [0.0], 1.0)
-    est = estimate_observable(target, lambda s: s, ChainConfig(n_steps=30_000, burn_in=3_000, seed=11))
-    assert np.all(np.abs(est.value) < 4 * est.std_error)
+    results = run_chains(target, ChainConfig(n_steps=30_000, burn_in=3_000, seed=11))
+    mean, se, _ = batch_means(np.concatenate([r.samples for r in results]))
+    assert np.all(np.abs(mean) < 4 * se)
 
 
 def test_batch_means_iid():
@@ -179,28 +181,33 @@ def test_fluctuation_hessian_symmetric(scaled_b):
     np.testing.assert_allclose(est.value, np.asarray(est.value).T, atol=1e-12)
 
 
+def _h1_samples(t, p, lam, cfg):
+    target = make_h1_target(t, p, [0.0], np.zeros(t.volume), lam)
+    return np.concatenate([r.samples for r in run_chains(target, cfg)])
+
+
 def test_characteristic_a_at_zero_and_bounded(pot_gauss, quick_chain):
     t = Torus(1, 3)
-    target = make_h1_target(t, pot_gauss, [0.0], np.zeros(t.volume), 0.5)
+    samples = _h1_samples(t, pot_gauss, 0.5, quick_chain)
     k = np.array([0.0, 0.7, 1.5, 3.0])
-    A, se_re, se_im = characteristic_a(k, 0, 0, target, t, quick_chain)
-    assert A[0] == 1.0 + 0.0j
-    assert np.all(np.abs(A) <= 1.0 + 4.0 * np.hypot(se_re, se_im))
+    rep = verify_l1norm_bounds(pot_gauss, t, [0.0], Field.zeros(t), samples, 0.5, k)
+    assert rep.abs_a[0] == 1.0 and rep.se_abs[0] == 0.0
+    assert np.all(rep.abs_a <= 1.0 + 4.0 * rep.se_abs)
 
 
 def test_characteristic_a_gaussian_closed_form(pot_gauss):
     # for G = 0 the induced measure is the scale-lam pinned field, so A(k) is
-    # the Gaussian characteristic function with the spectral bond variance
+    # the Gaussian characteristic function of a bond, whose variance under the
+    # scale-1 field is (V - 1) / (d V)
     t = Torus(1, 3)
     lam = 0.5
     cfg = ChainConfig(n_steps=60_000, burn_in=5_000, seed=29, n_chains=2)
-    target = make_h1_target(t, pot_gauss, [0.0], np.zeros(t.volume), lam)
+    samples = _h1_samples(t, pot_gauss, lam, cfg)
     k = np.array([0.5, 1.0, 2.0])
-    A, se_re, se_im = characteristic_a(k, 0, 0, target, t, cfg)
-    var = lam * SpectralCovariance(t).grad_variance(0)
+    rep = verify_l1norm_bounds(pot_gauss, t, [0.0], Field.zeros(t), samples, lam, k)
+    var = lam * (t.volume - 1) / (t.d * t.volume)
     exact = np.exp(-k * k * var / 2.0)
-    np.testing.assert_allclose(A.real, exact, atol=4 * np.max(se_re) + 1e-3)
-    np.testing.assert_allclose(A.imag, 0.0, atol=4 * np.max(se_im) + 1e-3)
+    np.testing.assert_allclose(rep.abs_a, exact, atol=4 * np.max(rep.se_abs) + 1e-3)
 
 
 def test_monte_carlo_rate(pot_gauss):
@@ -221,6 +228,10 @@ def test_monte_carlo_rate(pot_gauss):
     assert e5 < e4 / 1.5  # and by a clear factor
 
 
+def _linear(v, name):
+    return Observable(value=lambda S: S @ v, grad=lambda S: np.broadcast_to(v, S.shape), name=name)
+
+
 def test_poincare_variance_check_gaussian_linear(pot_gauss):
     # exact variance (v, C v) obeys (1/delta) |v|^2 with strictness off the
     # minimal eigenvector
@@ -228,38 +239,22 @@ def test_poincare_variance_check_gaussian_linear(pot_gauss):
     delta = poincare_constant(t).delta_m
     target = make_gibbs_target(t, pot_gauss, [0.0], 1.0)
     rng = np.random.default_rng(31)
-    obs = []
-    for j in range(3):
-        v = rng.standard_normal(t.n_dof)
-        obs.append(Observable(value=lambda s, v=v: float(v @ s), grad=lambda s, v=v: v, name=f"v{j}"))
+    vs = [rng.standard_normal(t.n_dof) for _ in range(3)]
+    obs = [_linear(v, f"v{j}") for j, v in enumerate(vs)]
     cfg = ChainConfig(n_steps=30_000, burn_in=3_000, seed=37, n_chains=2)
-    rep = poincare_variance_check(target, delta, obs, cfg)
+    rep = poincare_variance_check(np.concatenate([r.samples for r in run_chains(target, cfg)]), delta, obs)
     assert rep.ok
     C = pinned_covariance(t)
-    for j, o in enumerate(obs):
-        v = o.grad(np.zeros(t.n_dof))
+    for j, v in enumerate(vs):
         assert rep.variances[j] == pytest.approx(float(v @ C @ v), abs=6 * rep.variance_se[j] + 1e-3)
 
 
 def test_poincare_variance_check_constant_observable(pot_gauss, quick_chain):
     t = Torus(1, 3)
     target = make_gibbs_target(t, pot_gauss, [0.0], 1.0)
-    obs = [Observable(value=lambda s: 1.25, grad=lambda s: np.zeros(t.n_dof), name="const")]
-    rep = poincare_variance_check(target, 1.0, obs, quick_chain)
+    obs = [Observable(value=lambda S: np.full(len(S), 1.25), grad=np.zeros_like, name="const")]
+    rep = poincare_variance_check(np.concatenate([r.samples for r in run_chains(target, quick_chain)]), 1.0, obs)
     assert rep.ok and rep.variances[0] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_bond_covariance_diagnostic(scaled_b):
-    # distance-0 entry is the variance of a single bond term; longer distances
-    # are reported but no decay rate is asserted
-    from gil.mcmc import bond_covariance_by_distance
-
-    ps, k = scaled_b
-    t = Torus(1, 4)
-    cfg = ChainConfig(n_steps=8_000, burn_in=1_000, seed=47, n_chains=1)
-    diag = bond_covariance_by_distance(ps, t, [k * 0.25], cfg)
-    assert set(diag) == {0, 1, 2}
-    assert diag[0] > 0
 
 
 def test_thermodynamic_integration_gaussian(pot_gauss):

@@ -11,13 +11,12 @@ from gil.oracle import (
     free_energy,
     hessian_fd,
     log_partition,
-    renorm_apply,
     renorm_apply_g,
     renorm_iterated_g,
     renorm_joint_g,
 )
 from gil.potentials import example_a, example_b, gaussian_potential
-from gil.quadrature import QuadratureError
+from gil.quadrature import QuadratureError, gh_log_expectation_doubling
 
 # frozen from the iid-gradient conditioning reference (independent of the
 # tensor backends): log Z for example_b(0.5), d=1, M=3, beta=1, u=0.1
@@ -122,28 +121,29 @@ def test_hessian_fd_symmetric(pot_b):
     assert H.shape == (1, 1)
 
 
-def test_renorm_apply_constant(scaled_b):
-    ps, _ = scaled_b
+# one renormalization step (R f)(a) = -log E_b[exp(-f(a + b))] over the pinned
+# Gaussian b at a variance scale, by the GH backend with node doubling
+
+
+def test_renorm_apply_constant():
     t = Torus(1, 3)
-    val = renorm_apply(lambda u, v: 3.25, 0.4, [0.0], Field.zeros(t), Q)
-    assert val == pytest.approx(3.25, abs=1e-12)
+    val, converged, _, _ = gh_log_expectation_doubling(lambda dof: np.full(len(dof), 3.25), t, 0.4, Q.nodes_per_dim)
+    assert converged
+    assert -val == pytest.approx(3.25, abs=1e-12)
 
 
 def test_renorm_apply_linear_log_mgf():
-    # f(u, values) = w . values gives R f(u, a) = w.a - (scale/2) w C w on the
-    # pinned covariance C
+    # f(values) = w . values gives R f(a) = w.a - (scale/2) w C w on the pinned
+    # covariance C
     t = Torus(1, 3)
     w = np.array([0.7, -0.3])
     scale = 0.35
     a = Field.from_dof(t, np.array([0.2, 0.1]))
-
-    def f(u, values):
-        return float(w @ values[1:])
-
-    got = renorm_apply(f, scale, [0.0], a, Q)
+    val, converged, _, _ = gh_log_expectation_doubling(lambda dof: (a.values[1:] + dof) @ w, t, scale, Q.nodes_per_dim)
+    assert converged
     C = pinned_covariance(t)
     expected = float(w @ a.values[1:]) - 0.5 * scale * float(w @ C @ w)
-    assert got == pytest.approx(expected, abs=1e-9)
+    assert -val == pytest.approx(expected, abs=1e-9)
 
 
 def test_renorm_g_zero_for_gaussian(pot_gauss):
@@ -208,14 +208,3 @@ def test_envelope_scale_is_an_importance_reweighting(pot_gauss):
     assert lp([0.0], pot_gauss, t, 1.0, QuadratureSpec(envelope_scale=1.7)) == pytest.approx(
         math.log(2 * math.pi / math.sqrt(3)), abs=1e-12
     )
-
-
-def test_log_partition_record_fields(pot_b, pot_gauss):
-    from gil.oracle import log_partition_record
-
-    rec = log_partition_record([0.1], pot_b, Torus(1, 3), 1.0, Q)
-    assert rec["converged"] is True
-    assert rec["method"] == "mayer"
-    assert rec["value"] == pytest.approx(LOGZ_B_REFERENCE, abs=1e-9)
-    rec_g = log_partition_record([0.0], pot_gauss, Torus(1, 3), 1.0, Q)
-    assert rec_g["method"] == "exact" and rec_g["error"] == 0.0

@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 from gil.conditions import scale_to_unit
-from gil.lattice import Torus
+from gil.gff import ModeBasis, pinned_form
+from gil.lattice import Torus, anharmonic_g, bond_args, pinned
 from gil.potentials import custom_potential, example_a, example_b, gaussian_potential
 from gil.quadrature import (
-    ModeBasis,
     QuadratureError,
     adaptive_log_expectation,
-    anharmonic_energy,
     compact_anharmonicity,
     field_bond_map,
-    bond_shifts,
     gh_log_expectation,
     gh_log_expectation_doubling,
     log_expectation,
@@ -70,7 +68,7 @@ def test_mayer_matches_conditioning_reference(conditioning_reference, scaled_b):
 
     ref = conditioning_reference(u, 3, g_scalar, [lo, hi])
     F = field_bond_map(t, 1.0)
-    shifts = bond_shifts(t, np.array([u]))
+    shifts = bond_args(t, np.zeros(t.volume), [u]).ravel()
     got, pruned = mayer_log_expectation(F, shifts, h, (lo, hi))
     assert got == pytest.approx(ref, abs=5e-12)
     assert pruned < 1e-12
@@ -84,9 +82,7 @@ def test_mayer_matches_adaptive(scaled_b):
     assert info["method"] == "mayer"
 
     def gfun(dof_batch):
-        vals = np.zeros((dof_batch.shape[0], t.volume))
-        vals[:, 1:] = dof_batch
-        return anharmonic_energy(t, ps, u, vals)
+        return anharmonic_g(t, u, pinned(dof_batch), ps)
 
     val_ad, err = adaptive_log_expectation(gfun, t, 1.0)
     assert val_mayer == pytest.approx(val_ad, abs=5e-9)
@@ -147,9 +143,7 @@ def test_mayer_degenerate_subsets_handled(scaled_b):
     assert info["method"] == "mayer"
 
     def gfun(dof_batch):
-        vals = np.zeros((dof_batch.shape[0], t.volume))
-        vals[:, 1:] = dof_batch
-        return anharmonic_energy(t, ps, u, vals)
+        return anharmonic_g(t, u, pinned(dof_batch), ps)
 
     ref, _ = adaptive_log_expectation(gfun, t, 1.0)
     assert val == pytest.approx(ref, abs=1e-9)
@@ -162,15 +156,19 @@ def test_anharmonic_energy_batch_matches_scalar(scaled_b):
     batch = np.zeros((5, t.volume))
     batch[:, 1:] = rng.standard_normal((5, t.n_dof))
     u = np.array([0.1, -0.2])
-    vals = anharmonic_energy(t, ps, u, batch)
+    vals = anharmonic_g(t, u, batch, ps)
+    assert vals.shape == (5,)
     for j in range(5):
-        assert vals[j] == pytest.approx(float(anharmonic_energy(t, ps, u, batch[j])), rel=1e-12)
+        assert vals[j] == pytest.approx(float(anharmonic_g(t, u, batch[j], ps)), rel=1e-12)
+    # per-row tilts u[rows, d] broadcast like bond_args
+    tilts = rng.standard_normal((5, t.d))
+    rows = anharmonic_g(t, tilts, batch, ps)
+    for j in range(5):
+        assert rows[j] == pytest.approx(float(anharmonic_g(t, tilts[j], batch[j], ps)), rel=1e-12)
 
 
 def test_mode_basis_diagonalizes_pinned_form():
     t = Torus(2, 3)
     mb = ModeBasis.build(t)
-    from gil.gff import pinned_form
-
     A = pinned_form(t)
     np.testing.assert_allclose(mb.Q @ np.diag(mb.lam) @ mb.Q.T, A, atol=1e-10)
