@@ -3,11 +3,18 @@
 Usage:
     gil check|free-energy|hessian|verify-lemma|sample --config cfg.json --out out.{json,csv} [--seed N]
 
-Exit codes: 0 success / all assertions pass, 1 usage or config error, 2 a
-requested condition or bound failed, 3 a chain failed its step-size or gradient
-check (one stderr line names the row and its acceptance or error).  Identical
-config and seed produce byte-identical outputs; every data row carries method
-and error columns.
+The config contract is config_schema.json next to this module, and nothing
+else: a small interpreter checks every value against its root schema and the
+command's entry in $defs.commands (types, ranges, enums, allowed and required
+keys) before any computation.  Python adds only the lengths the schema cannot
+state (d components per tilt, one psi value per site); defaults live in the
+functions the values feed.
+
+Exit codes: 0 success / all assertions pass, 1 usage or config error (one
+stderr line naming the offending key), 2 a requested condition or bound
+failed, 3 a chain failed its step-size or gradient check (one stderr line
+names the row and its acceptance or error).  Identical config and seed produce
+byte-identical outputs; every data row carries method and error columns.
 """
 
 from __future__ import annotations
@@ -15,7 +22,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -29,156 +38,124 @@ from .mcmc import (
     Observable,
     StepSizeError,
     batch_means,
+    fourier_k_grid,
     make_gibbs_target,
     run_chains,
     poincare_variance_check,
+    stream,
     thermodynamic_integration,
     verify_l1norm_bounds,
 )
 from .oracle import QuadratureSpec, free_energy
-from .potentials import (
-    Potential,
-    example_a,
-    example_b,
-    example_c,
-    gaussian_potential,
-    norms,
-)
+from .potentials import Potential, example_a, example_b, example_c, gaussian_potential, norms
 from .renorm import DecompositionPlan, induced_h1, verify_theorem
 
 __all__ = ["main", "build_potential", "validate_config", "ConfigError"]
+
+SCHEMA = json.loads((Path(__file__).parent / "config_schema.json").read_text())
+_FAMILIES = {"gaussian": gaussian_potential, "example_a": example_a, "example_b": example_b, "example_c": example_c}
+_TYPES = {"null": type(None), "boolean": bool, "integer": int, "number": (int, float), "string": str, "array": list, "object": dict}
+_BOUNDS = {
+    "minimum": (operator.ge, ">="),
+    "maximum": (operator.le, "<="),
+    "exclusiveMinimum": (operator.gt, ">"),
+    "exclusiveMaximum": (operator.lt, "<"),
+}
 
 
 class ConfigError(ValueError):
     """Configuration failed schema validation."""
 
 
-_POTENTIAL_KEYS = {
-    "gaussian": set(),
-    "example_a": {"a"},
-    "example_b": {"delta"},
-    "example_c": {"p", "k1", "k2"},
-}
-
-# JSON types of each nested block's keys, as in docs/config_schema.json; the
-# defaults live in ChainConfig and QuadratureSpec
-_BLOCK_TYPES = {
-    "chain": {
-        "n_steps": {"integer"},
-        "burn_in": {"integer"},
-        "thinning": {"integer"},
-        "n_chains": {"integer"},
-        "step_size": {"number", "null"},
-        "tune": {"boolean"},
-    },
-    "quadrature": {
-        "nodes_per_dim": {"integer"},
-        "envelope_scale": {"number"},
-        "max_dof": {"integer"},
-        "tol": {"number"},
-        "node_cap": {"integer"},
-    },
-    "k_grid": {"k_max": {"number", "null"}, "n_points": {"integer"}},
-}
-
-_COMMON_KEYS = {"potential", "d", "m", "beta", "seed"}
-_COMMAND_KEYS = {
-    "check": _COMMON_KEYS | {"condition"},
-    "free-energy": _COMMON_KEYS | {"u_grid", "quadrature", "chain", "ti_nodes"},
-    "hessian": _COMMON_KEYS | {"u_grid", "quadrature", "chain", "method", "tolerance"},
-    "verify-lemma": _COMMON_KEYS | {"u", "psi", "lambda", "k_grid", "chain", "observables"},
-    "sample": _COMMON_KEYS | {"u", "chain"},
-}
+class _Mismatch(ConfigError):
+    """A `const` failed: in a oneOf, the value belongs to another branch rather than breaking this one."""
 
 
-def build_potential(spec: dict) -> Potential:
-    family = spec.get("family")
-    if family not in _POTENTIAL_KEYS:
-        raise ConfigError(f"unknown potential family {family!r}; choose from {sorted(_POTENTIAL_KEYS)}")
-    params = {k: v for k, v in spec.items() if k != "family"}
-    extra = set(params) - _POTENTIAL_KEYS[family]
-    missing = _POTENTIAL_KEYS[family] - set(params)
-    if extra or missing:
-        raise ConfigError(f"potential {family}: unknown keys {sorted(extra)}, missing keys {sorted(missing)}")
-    if family == "gaussian":
-        return gaussian_potential()
-    if family == "example_a":
-        return example_a(float(params["a"]))
-    if family == "example_b":
-        return example_b(float(params["delta"]))
-    return example_c(float(params["p"]), float(params["k1"]), float(params["k2"]))
+def _is(value, kind: str) -> bool:
+    # a bool is only a boolean, and an integral float is not an integer
+    if isinstance(value, bool):
+        return kind == "boolean"
+    return isinstance(value, _TYPES[kind])
 
 
-def _json_type(value) -> str:
-    """JSON Schema type of a parsed value; bool is checked before int, which it subclasses."""
-    for name, cls in (("null", type(None)), ("boolean", bool), ("integer", int), ("number", float), ("string", str)):
-        if isinstance(value, cls):
-            return name
-    return "array" if isinstance(value, list) else "object"
-
-
-def _validate_block(cfg: dict, block: str) -> None:
-    types = _BLOCK_TYPES[block]
-    if not isinstance(cfg[block], dict):
-        raise ConfigError(f"{block} must be an object")
-    unknown = set(cfg[block]) - set(types)
-    if unknown:
-        raise ConfigError(f"unknown {block} keys: {sorted(unknown)}")
-    for key, value in cfg[block].items():
-        kind = _json_type(value)
-        if kind not in types[key] and not (kind == "integer" and "number" in types[key]):
-            raise ConfigError(f"{block}.{key} must be {' or '.join(sorted(types[key]))}, got {kind} {value!r}")
+def _check(value, schema: dict, where: str) -> None:
+    """Raise ConfigError naming `where` unless value satisfies schema (the keywords config_schema.json uses)."""
+    kinds = [schema["type"]] if isinstance(schema.get("type"), str) else schema.get("type", [])
+    if kinds and not any(_is(value, k) for k in kinds):
+        raise ConfigError(f"{where} must be {' or '.join(kinds)}, got {value!r}")
+    if "const" in schema and value != schema["const"]:
+        raise _Mismatch(f"{where} must be {schema['const']!r}, got {value!r}")
+    if "enum" in schema and value not in schema["enum"]:
+        raise ConfigError(f"{where} must be one of {schema['enum']}, got {value!r}")
+    for key, (holds, sign) in _BOUNDS.items():
+        if key in schema and _is(value, "number") and not holds(value, schema[key]):
+            raise ConfigError(f"{where} must be {sign} {schema[key]}, got {value!r}")
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        if "propertyNames" in schema:
+            for key in value:
+                _check(key, schema["propertyNames"], f"{where} key")
+        for key in (k for k in props if k in value):  # schema order: a oneOf branch's tag comes first
+            _check(value[key], props[key], key if where == "config" else f"{where}.{key}")
+        for key in schema.get("required", []):
+            if key not in value:
+                raise ConfigError(f"{where} must have key {key!r}")
+        extra = [k for k in value if k not in props]
+        if extra and schema.get("additionalProperties") is False:
+            raise ConfigError(f"{where} must not have key {extra[0]!r}")
+    if isinstance(value, list) and "items" in schema:
+        for i, item in enumerate(value):
+            _check(item, schema["items"], f"{where}[{i}]")
+    if "oneOf" in schema:
+        # messages, not exceptions: a kept exception's traceback would hold the
+        # caller frames, and a command's arrays with them, until a cyclic collection
+        fails = []
+        for branch in schema["oneOf"]:
+            try:
+                _check(value, branch, where)
+            except ConfigError as exc:
+                fails.append((str(exc), isinstance(exc, _Mismatch)))
+        if len(fails) != len(schema["oneOf"]) - 1:
+            near = [msg for msg, other in fails if not other] or [msg for msg, _ in fails]
+            raise ConfigError(" or ".join(dict.fromkeys(near)) if fails else f"{where} must match exactly one form")
 
 
 def validate_config(cfg: dict, command: str) -> None:
-    """Reject unknown keys and enforce required fields; raises ConfigError."""
-    allowed = _COMMAND_KEYS[command]
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
-    for key in ("potential", "d", "m", "beta", "seed"):
-        if key not in cfg:
-            raise ConfigError(f"missing required key {key!r}")
-    if not isinstance(cfg["potential"], dict):
-        raise ConfigError("potential must be an object with a 'family' tag")
-    if not (isinstance(cfg["d"], int) and cfg["d"] >= 1):
-        raise ConfigError("d must be an integer >= 1")
-    if not (isinstance(cfg["m"], int) and cfg["m"] >= 2):
-        raise ConfigError("m must be an integer >= 2")
-    if not (isinstance(cfg["beta"], (int, float)) and cfg["beta"] > 0):
-        raise ConfigError("beta must be a positive number")
-    if not isinstance(cfg["seed"], int):
-        raise ConfigError("seed must be an integer")
-    for block in _BLOCK_TYPES:
-        if block in cfg:
-            _validate_block(cfg, block)
-    if command in ("free-energy", "hessian") and "u_grid" not in cfg:
-        raise ConfigError(f"{command} requires u_grid")
-    if command == "verify-lemma":
-        if "k_grid" not in cfg:
-            raise ConfigError("verify-lemma requires k_grid")
-        if "u" not in cfg:
-            raise ConfigError("verify-lemma requires u")
-    if command == "sample" and "u" not in cfg:
-        raise ConfigError("sample requires u")
+    """Check cfg against the schema and its command entry; raises ConfigError."""
+    _check(cfg, SCHEMA, "config")
+    _check(cfg, SCHEMA["$defs"]["commands"][command], f"{command} config")
+
+
+def build_potential(spec: dict) -> Potential:
+    """The potential a config's potential block names, checked against the schema; raises ConfigError."""
+    _check(spec, SCHEMA["properties"]["potential"], "potential")
+    params = {k: v for k, v in spec.items() if k != "family"}
+    return _FAMILIES[spec["family"]](**params)
+
+
+def _setup(cfg: dict) -> tuple[Potential, Torus, float]:
+    """Potential, torus and inverse temperature of a validated config, its vector lengths checked."""
+    t = Torus(cfg["d"], cfg["m"])
+    if any(len(u) != t.d for u in cfg.get("u_grid", []) + [cfg.get("u", [0.0] * t.d)]):
+        raise ConfigError(f"u and every u_grid entry must have length d = {t.d}")
+    if len(cfg.get("psi", [0.0] * t.volume)) != t.volume:
+        raise ConfigError(f"psi must have {t.volume} site values")
+    return build_potential(cfg["potential"]), t, float(cfg["beta"])
+
+
+def _given(cfg: dict, **params) -> dict:
+    """Keyword arguments {param: cfg[key]} for the keys present, so unset ones take the callee's default."""
+    return {param: cfg[key] for param, key in params.items() if key in cfg}
 
 
 def _chain_config(cfg: dict, seed: int) -> ChainConfig:
     return ChainConfig(seed=seed, **cfg.get("chain", {}))
 
 
-def _quad_spec(cfg: dict) -> QuadratureSpec:
-    return QuadratureSpec(**cfg.get("quadrature", {}))
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(x if isinstance(x, str) else _fmt(x) for x in row))
+        lines.append(",".join(x if isinstance(x, str) else format(float(x), ".17g") for x in row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -203,24 +180,11 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _u_grid(cfg: dict) -> list[np.ndarray]:
-    grid = cfg.get("u_grid", [])
-    out = []
-    for u in grid:
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        if u.shape != (cfg["d"],):
-            raise ConfigError(f"u_grid entries must have length d = {cfg['d']}")
-        out.append(u)
-    return out
-
-
 def cmd_check(cfg: dict, out: str, seed: int) -> int:
-    p = build_potential(cfg["potential"])
+    p, t, beta = _setup(cfg)
     nr = norms(p, 1e-10)
-    rep = check_conditions(float(cfg["beta"]), int(cfg["d"]), p, nr)
+    rep = check_conditions(beta, t.d, p, nr)
     which = cfg.get("condition", "fcond")
-    if which not in rep.satisfied:
-        raise ConfigError(f"condition must be one of {sorted(rep.satisfied)}")
     payload = {
         "input": {"potential": cfg["potential"], "beta": cfg["beta"], "d": cfg["d"]},
         "norms": {
@@ -239,41 +203,29 @@ def cmd_check(cfg: dict, out: str, seed: int) -> int:
 
 
 def cmd_free_energy(cfg: dict, out: str, seed: int) -> int:
-    p = build_potential(cfg["potential"])
-    t = Torus(int(cfg["d"]), int(cfg["m"]))
-    beta = float(cfg["beta"])
-    q = _quad_spec(cfg)
-    grid = _u_grid(cfg)
+    p, t, beta = _setup(cfg)
+    q = QuadratureSpec(**cfg.get("quadrature", {}))
+    grid = np.asarray(cfg["u_grid"], dtype=float).reshape(-1, t.d)
     header = [f"u_{i+1}" for i in range(t.d)] + ["delta_f", "method", "error"]
     rows = []
-    use_oracle = t.n_dof <= q.max_dof
-    if use_oracle:
+    if t.n_dof <= q.max_dof:
         f0 = free_energy(np.zeros(t.d), p, t, beta, q)
         for u in grid:
             rows.append(list(u) + [free_energy(u, p, t, beta, q) - f0, "oracle", q.tol])
     else:
         ccfg = _chain_config(cfg, seed)
-        n_nodes = int(cfg.get("ti_nodes", 32))
         for j, u in enumerate(grid):
-            est = thermodynamic_integration(p, t, beta, u, ccfg, n_nodes=n_nodes, tilt=j)
+            est = thermodynamic_integration(p, t, beta, u, ccfg, tilt=j, **_given(cfg, n_nodes="ti_nodes"))
             rows.append(list(u) + [float(est.value), "chain", float(est.std_error)])
     _write_csv(out, header, rows)
     return 0
 
 
 def cmd_hessian(cfg: dict, out: str, seed: int) -> int:
-    p = build_potential(cfg["potential"])
-    t = Torus(int(cfg["d"]), int(cfg["m"]))
-    rows = verify_theorem(
-        p,
-        float(cfg["beta"]),
-        t,
-        _u_grid(cfg),
-        q=_quad_spec(cfg),
-        cfg=_chain_config(cfg, seed),
-        method=cfg.get("method", "auto"),
-        tol=float(cfg.get("tolerance", 1e-4)),
-    )
+    p, t, beta = _setup(cfg)
+    grid = np.asarray(cfg["u_grid"], dtype=float).reshape(-1, t.d)
+    q, ccfg = QuadratureSpec(**cfg.get("quadrature", {})), _chain_config(cfg, seed)
+    rows = verify_theorem(p, beta, t, grid, q, ccfg, **_given(cfg, method="method", tol="tolerance"))
     header = [f"u_{i+1}" for i in range(t.d)] + ["hessian_min_eig", "bound", "margin", "method", "std_error", "verdict"]
     table = [list(r.u) + [r.min_eig, r.bound, r.margin, r.method, r.std_error, r.verdict] for r in rows]
     _write_csv(out, header, table)
@@ -281,24 +233,13 @@ def cmd_hessian(cfg: dict, out: str, seed: int) -> int:
 
 
 def cmd_verify_lemma(cfg: dict, out: str, seed: int) -> int:
-    p = build_potential(cfg["potential"])
-    t = Torus(int(cfg["d"]), int(cfg["m"]))
-    beta = float(cfg["beta"])
+    p, t, beta = _setup(cfg)
     ps, k = scale_to_unit(p, beta)
-    u = np.atleast_1d(np.asarray(cfg["u"], dtype=float))
-    if u.shape != (t.d,):
-        raise ConfigError(f"u must have length d = {t.d}")
+    u = np.asarray(cfg["u"], dtype=float)
     us = k * u
-    psi_vals = np.asarray(cfg.get("psi", np.zeros(t.volume)), dtype=float)
-    if psi_vals.shape != (t.volume,):
-        raise ConfigError(f"psi must have {t.volume} site values")
-    psi = Field(t, psi_vals)
+    psi = Field(t, np.asarray(cfg.get("psi", np.zeros(t.volume)), dtype=float))
     plan = DecompositionPlan.from_potential(ps, t, cfg.get("lambda"))
-    kg = cfg["k_grid"]
-    k_max = kg.get("k_max")
-    if k_max is None:
-        k_max = 4.0 * math.sqrt(12.0 * t.d * plan.cbar)
-    k_grid = np.linspace(-float(k_max), float(k_max), kg.get("n_points", 401))
+    k_grid = fourier_k_grid(t, plan.cbar, **cfg["k_grid"])
 
     # one chain run on the induced target feeds both lemma checks
     results = run_chains(induced_h1(plan, us, psi), _chain_config(cfg, seed))
@@ -306,10 +247,9 @@ def cmd_verify_lemma(cfg: dict, out: str, seed: int) -> int:
     rep = verify_l1norm_bounds(ps, t, us, psi, samples, plan.lam, k_grid)
 
     delta = plan.cbar * poincare_constant(t).delta_m
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x0B5)))
-    n_obs = int(cfg.get("observables", 5))
+    rng = stream(seed, purpose="observables")
     obs = []
-    for j in range(n_obs):
+    for j in range(cfg.get("observables", 5)):
         if j < t.n_dof:
             v = np.zeros(t.n_dof)
             v[j] = 1.0
@@ -353,15 +293,9 @@ def cmd_verify_lemma(cfg: dict, out: str, seed: int) -> int:
 
 
 def cmd_sample(cfg: dict, out: str, seed: int) -> int:
-    p = build_potential(cfg["potential"])
-    t = Torus(int(cfg["d"]), int(cfg["m"]))
-    beta = float(cfg["beta"])
-    u = np.atleast_1d(np.asarray(cfg["u"], dtype=float))
-    if u.shape != (t.d,):
-        raise ConfigError(f"u must have length d = {t.d}")
-    ccfg = _chain_config(cfg, seed)
-    target = make_gibbs_target(t, p, u, beta)
-    results = run_chains(target, ccfg)
+    p, t, beta = _setup(cfg)
+    u = np.asarray(cfg["u"], dtype=float)
+    results = run_chains(make_gibbs_target(t, p, u, beta), _chain_config(cfg, seed))
     est = Estimate(*batch_means(np.concatenate([r.samples for r in results])), method="chain")
     final = Field.from_dof(t, results[-1].samples[-1])
     payload = {
@@ -394,10 +328,8 @@ def main(argv=None) -> int:
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
-        if not isinstance(cfg, dict):
-            raise ConfigError("config root must be a JSON object")
         validate_config(cfg, args.command)
-        seed = args.seed if args.seed is not None else int(cfg["seed"])
+        seed = args.seed if args.seed is not None else cfg["seed"]
         return _COMMANDS[args.command](cfg, args.out, seed)
     except (ConfigError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"gil {args.command}: {exc}", file=sys.stderr)

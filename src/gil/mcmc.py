@@ -6,8 +6,9 @@ call per step.  Everything else is per row: a Langevin proposal with Metropolis
 correction, a step size tuned toward 57.4% acceptance during burn-in and frozen
 afterwards, a finite-difference gradient check, a post burn-in acceptance guard,
 and a noise stream from SeedSequence((seed, tilt, node, chain)) drawn in
-fixed-size chunks of steps.  A row's arithmetic is elementwise or a sum over its
-own trailing axes, so its samples are bitwise the same alone or in any ensemble.
+fixed-size chunks of steps; `stream` derives that and every auxiliary stream.
+A row's arithmetic is elementwise or a sum over its own trailing axes, so its
+samples are bitwise the same alone or in any ensemble.
 The free-energy estimators (fluctuation identity, thermodynamic integration) run
 their own rows; the lemma checks (Fourier bounds, Poincare variance bound) read
 a sample array, so one chain run serves both.  Estimators carry batch-means or
@@ -38,8 +39,10 @@ __all__ = [
     "make_h1_target",
     "run_chain",
     "run_chains",
+    "stream",
     "batch_means",
     "fluctuation_hessian",
+    "fourier_k_grid",
     "verify_l1norm_bounds",
     "poincare_variance_check",
     "thermodynamic_integration",
@@ -47,6 +50,23 @@ __all__ = [
 
 MIN_BLOCKS = 20
 NOISE_CHUNK = 64  # steps of noise drawn at once per row; fixed, so streams do not depend on the batch
+# purpose words of the streams drawn outside any chain row
+AUX_STREAMS = {"observables": 0xB5, "probes": 0xC0, "r1g": 0x51}
+
+
+def stream(seed: int, row: tuple = (), purpose: str | None = None) -> np.random.Generator:
+    """The random stream of chain row (tilt, node, chain), or of an auxiliary purpose.
+
+    A row draws from SeedSequence((seed, tilt, node, chain)): the seed's 32-bit
+    words, the top one nonzero unless the seed is 0, then tilt, node and chain.  A
+    purpose draws from SeedSequence(seed, spawn_key=(0, 0, 0, word)): the seed
+    zero-padded to at least four words, then 0, 0, 0, word.  Its word before the
+    last three is 0 and it has at least eight words, so it equals no row key,
+    whatever the seed; a shorter key would alias a zero-padded row key.
+    """
+    if purpose is None:
+        return np.random.default_rng(np.random.SeedSequence((seed, *row)))
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 0, 0, AUX_STREAMS[purpose])))
 
 
 class StepSizeError(RuntimeError):
@@ -194,13 +214,13 @@ def run_chains(
 ) -> list[ChainResult]:
     """Lockstep MALA over rows keyed (tilt, node, chain); default rows (0, 0, c) for c < n_chains.
 
-    Row r draws from SeedSequence((cfg.seed, *rows[r])): first a 0.1 N(0, 1) point for
+    Row r draws from stream(cfg.seed, rows[r]): first a 0.1 N(0, 1) point for
     the gradient check, then, per chunk of steps, normals (k, n_dof) and uniforms (k,).
     With keep_samples False only the target's observable is kept (samples are (0, n_dof)).
     """
     rows = [(0, 0, c) for c in range(cfg.n_chains)] if rows is None else [tuple(r) for r in rows]
     n_rows, n = len(rows), target.n_dof
-    rngs = [np.random.default_rng(np.random.SeedSequence((cfg.seed, *row))) for row in rows]
+    rngs = [stream(cfg.seed, row) for row in rows]
     _fd_gradient_check(target, np.stack([0.1 * rng.standard_normal(n) for rng in rngs]), rows)
     X = np.zeros((n_rows, n))
     E, G, O = _fused(target, X)
@@ -388,6 +408,13 @@ class L1NormBoundReport:
         return self.pointwise_ok and self.integral_ok and self.g0pp_ok and extra
 
 
+def fourier_k_grid(t: Torus, cb: float, k_max: float | None = None, n_points: int = 401) -> np.ndarray:
+    """Symmetric k grid of the Fourier bounds; by default out to the integral bound's scale 4 sqrt(12 d cbar)."""
+    if k_max is None:
+        k_max = 4.0 * math.sqrt(12.0 * t.d * cb)
+    return np.linspace(-k_max, k_max, n_points)
+
+
 def verify_l1norm_bounds(
     p: Potential,
     t: Torus,
@@ -421,10 +448,7 @@ def verify_l1norm_bounds(
     if lam > 1.0 / (2.0 * cb) + 1e-12:
         raise ValueError(f"lambda = {lam} exceeds the convexity guard 1/(2 cbar) = {1/(2*cb)}")
     env_const = 12.0 * t.d * cb
-    if k_grid is None:
-        K = 4.0 * math.sqrt(env_const)
-        k_grid = np.linspace(-K, K, 401)
-    k = np.asarray(k_grid, dtype=float)
+    k = np.asarray(fourier_k_grid(t, cb) if k_grid is None else k_grid, dtype=float)
 
     gv = _bond_series(t, samples, axis, site)
     re, im, se_re, se_im = _phase_stats(gv, k)
@@ -496,6 +520,8 @@ def poincare_variance_check(samples: np.ndarray, delta: float, observables: list
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
+    if not observables:
+        raise ValueError("at least one observable is required")
     n = samples.shape[0]
     variances, var_se, bounds, bound_se = [], [], [], []
     for obs in observables:

@@ -19,7 +19,7 @@ import numpy as np
 from .conditions import cbar, scale_to_unit, check_conditions
 from .gff import poincare_constant, sample_gff
 from .lattice import Torus, Field, anharmonic_g, bond_args, grad_all, grad_norm_sq, pinned
-from .mcmc import ChainConfig, Estimate, Target, make_h1_target, fluctuation_hessian, _block_slices
+from .mcmc import ChainConfig, Estimate, Target, make_h1_target, fluctuation_hessian, stream, _block_slices
 from .oracle import QuadratureSpec, free_energy, hessian_fd, renorm_apply_g, renorm_iterated_g
 from .potentials import Potential, norms
 
@@ -84,8 +84,7 @@ def certify_h1_convexity(
     t = plan.torus
     u = np.atleast_1d(np.asarray(u, dtype=float))
     delta_m = poincare_constant(t).delta_m
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0)))
-    draws = pinned(rng.standard_normal((n_probes, 2, t.n_dof)))
+    draws = pinned(stream(seed, purpose="probes").standard_normal((n_probes, 2, t.n_dof)))
     theta, tdot = draws[:, 0], draws[:, 1]
     gdot2 = grad_all(t, tdot) ** 2
     gn = gdot2.sum(axis=(1, 2))
@@ -125,8 +124,7 @@ def estimate_r1g(
         return Estimate(value=val, std_error=q.tol, n_effective=math.inf, method="oracle")
     if method != "mc":
         raise ValueError(f"method must be 'oracle' or 'mc', got {method}")
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x51)))
-    draws = sample_gff(t, plan.lam, rng, n_samples)
+    draws = sample_gff(t, plan.lam, stream(seed, purpose="r1g"), n_samples)
     w = -anharmonic_g(t, u, psi.values + draws, plan.potential)
     shift = w.max()
     if not math.isfinite(shift):
@@ -256,6 +254,8 @@ def verify_theorem(
     bound = 0.5 * p.c1 * t.volume
     if method == "auto":
         method = "oracle" if t.n_dof <= q.max_dof else "chain"
+    if method not in ("oracle", "chain"):
+        raise ValueError(f"method must be 'auto', 'oracle' or 'chain', got {method!r}")
     rows = []
     ps, k = scale_to_unit(p, beta)
     for j, u in enumerate(u_grid):

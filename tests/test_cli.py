@@ -236,24 +236,63 @@ def test_verify_lemma_runs_its_chains_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "command,extra",
+    "command,extra,key",
     [
-        ("sample", {"u": [0.2], "chain": {"step_size": "0.1"}}),
-        ("sample", {"u": [0.2], "chain": {"tune": "no"}}),
-        ("sample", {"u": [0.2], "chain": {"n_steps": 1000.7}}),
-        ("sample", {"u": [0.2], "chain": {"n_chains": True}}),
-        ("free-energy", {"u_grid": [[0.2]], "quadrature": {"max_dof": True}}),
-        ("free-energy", {"u_grid": [[0.2]], "quadrature": {"tol": "1e-8"}}),
+        ("sample", {"u": [0.2], "chain": {"step_size": "0.1"}}, "chain.step_size"),
+        ("sample", {"u": [0.2], "chain": {"tune": "no"}}, "chain.tune"),
+        ("sample", {"u": [0.2], "chain": {"n_steps": 1000.7}}, "chain.n_steps"),
+        ("sample", {"u": [0.2], "chain": {"n_chains": True}}, "chain.n_chains"),
+        ("free-energy", {"u_grid": [[0.2]], "quadrature": {"max_dof": True}}, "quadrature.max_dof"),
+        ("free-energy", {"u_grid": [[0.2]], "quadrature": {"tol": "1e-8"}}, "quadrature.tol"),
+        ("check", {"beta": True}, "beta"),
+        ("sample", {"u": [0.2], "seed": True}, "seed"),
+        ("check", {"d": True}, "d"),
+        ("hessian", {"u_grid": [[0.2]], "method": "foo"}, "method"),
+        ("hessian", {"u_grid": [[0.2]], "tolerance": "1e-4"}, "tolerance"),
+        ("check", {"potential": {"family": "example_a", "a": "0.5"}}, "potential.a"),
+        ("free-energy", {"u_grid": [[0.2]], "ti_nodes": True}, "ti_nodes"),
+        ("free-energy", {"u_grid": [[0.2]], "ti_nodes": 0}, "ti_nodes"),
+        ("sample", {"u": 0.2}, "u"),
+        ("free-energy", {"u_grid": [0.2]}, "u_grid[0]"),
+        ("hessian", {"u_grid": [0.2]}, "u_grid[0]"),
+        ("verify-lemma", {"u": [0.1], "k_grid": {}, "observables": 0}, "observables"),
+        ("verify-lemma", {"u": [0.1], "k_grid": {"n_points": 1}}, "k_grid.n_points"),
+        ("verify-lemma", {"u": [0.1], "k_grid": {}, "lambda": "0.3"}, "lambda"),
+        ("verify-lemma", {"u": [0.1], "k_grid": {"k_max": 0}}, "k_grid.k_max"),
     ],
-    ids=["step_size-string", "tune-string", "n_steps-fraction", "n_chains-bool", "max_dof-bool", "tol-string"],
+    ids=[
+        "step_size-string",
+        "tune-string",
+        "n_steps-fraction",
+        "n_chains-bool",
+        "max_dof-bool",
+        "tol-string",
+        "beta-bool",
+        "seed-bool",
+        "d-bool",
+        "method-unknown",
+        "tolerance-string",
+        "a-string",
+        "ti_nodes-bool",
+        "ti_nodes-zero",
+        "u-scalar",
+        "u_grid-flat-free-energy",
+        "u_grid-flat-hessian",
+        "observables-zero",
+        "n_points-one",
+        "lambda-string",
+        "k_max-zero",
+    ],
 )
-def test_mistyped_block_values_exit_one(tmp_path, capsys, command, extra):
-    # a value of the wrong JSON type is a config error, not a traceback, a
-    # silent cast or a truthiness test; a bool is not an integer
+def test_mistyped_block_values_exit_one(tmp_path, capsys, command, extra, key):
+    # a value outside the schema is a config error, not a traceback, a silent
+    # cast, a truthiness test or a check that passes with nothing checked; a
+    # bool is not an integer
     path = write(tmp_path / "c.json", dict(BASE, **extra))
     assert run_cli([command, "--config", path, "--out", tmp_path / "o.out"]) == 1
     err = capsys.readouterr().err.strip().split("\n")
-    assert len(err) == 1 and "must be" in err[0]
+    assert len(err) == 1 and f": {key} must be" in err[0]
+    assert not (tmp_path / "o.out").exists()
 
 
 def test_chain_failure_exit_three(tmp_path, capsys):

@@ -249,6 +249,26 @@ def test_poincare_variance_check_gaussian_linear(pot_gauss):
         assert rep.variances[j] == pytest.approx(float(v @ C @ v), abs=6 * rep.variance_se[j] + 1e-3)
 
 
+def test_poincare_variance_check_needs_observables():
+    # an empty list would report ok with nothing checked
+    with pytest.raises(ValueError):
+        poincare_variance_check(np.zeros((100, 2)), 1.0, [])
+
+
+def test_auxiliary_streams_differ_from_chain_rows():
+    # SeedSequence((seed, w)) zero-pads to (seed, w, 0, 0), the key of chain row
+    # (w, 0, 0); SeedSequence(seed, spawn_key=(w,)) equals row (0, 0, w) of a
+    # seed of two 32-bit words
+    from gil.mcmc import AUX_STREAMS, stream
+
+    for seed in (0, 7, 2**32 + 5):
+        for purpose, word in AUX_STREAMS.items():
+            aux = stream(seed, purpose=purpose).random(8)
+            assert np.array_equal(aux, stream(seed, purpose=purpose).random(8))
+            for row in ((word, 0, 0), (0, 0, word)):
+                assert not np.array_equal(aux, stream(seed, row).random(8)), (seed, purpose, row)
+
+
 def test_poincare_variance_check_constant_observable(pot_gauss, quick_chain):
     t = Torus(1, 3)
     target = make_gibbs_target(t, pot_gauss, [0.0], 1.0)

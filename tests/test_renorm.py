@@ -113,6 +113,12 @@ def test_estimate_r1g_rejects_unknown_method(scaled_b):
         estimate_r1g(plan, [0.0], Field.zeros(Torus(1, 3)), "bogus")
 
 
+def test_verify_theorem_rejects_unknown_method(pot_gauss, quick_chain):
+    # an unknown method once ran the chain route and labelled its rows with it
+    with pytest.raises(ValueError):
+        verify_theorem(pot_gauss, 1.0, Torus(1, 3), [[0.0]], Q, cfg=quick_chain, method="foo")
+
+
 def test_verify_c6_gaussian(pot_gauss):
     t = Torus(1, 3)
     plan = DecompositionPlan.from_potential(pot_gauss, t, lam=0.5)
