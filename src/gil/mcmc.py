@@ -415,6 +415,13 @@ def fourier_k_grid(t: Torus, cb: float, k_max: float | None = None, n_points: in
     return np.linspace(-k_max, k_max, n_points)
 
 
+def _envelope_tail(c: float, k_max: float) -> float:
+    """Integral of min(1, c / k^2) over |k| > k_max: 2c/k_max beyond sqrt(c), 4 sqrt(c) - 2 k_max below."""
+    if k_max >= math.sqrt(c):
+        return 2.0 * c / k_max
+    return 4.0 * math.sqrt(c) - 2.0 * k_max
+
+
 def verify_l1norm_bounds(
     p: Potential,
     t: Torus,
@@ -459,8 +466,7 @@ def verify_l1norm_bounds(
 
     integral = float(np.trapezoid(abs_a, k))
     integral_se = float(np.trapezoid(se_abs, k))
-    K_hi = float(np.max(np.abs(k)))
-    tail = 2.0 * env_const / K_hi
+    tail = _envelope_tail(env_const, float(np.max(np.abs(k))))
     integral_bound = 4.0 * math.sqrt(env_const)
     integral_ok = integral + tail <= integral_bound + 4.0 * integral_se
 

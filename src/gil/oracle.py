@@ -97,14 +97,14 @@ def hessian_fd(f, u, h: float = 1e-3, richardson: bool = True) -> np.ndarray:
     """Symmetrized central second differences of a scalar map on R^d.
 
     With richardson=True the h and h/2 stencils are combined to cancel the
-    leading O(h^2) truncation term.
+    leading O(h^2) truncation term; both stencils share the one f(u).
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
+    f0 = f(u)
 
     def stencil(step):
         d = len(u)
         H = np.zeros((d, d))
-        f0 = f(u)
         for i in range(d):
             ei = np.zeros(d)
             ei[i] = step

@@ -8,8 +8,11 @@ energy (lattice.anharmonic_g in log_expectation), through one of three routes:
             pinned form that sample_gff also draws in, with node doubling until
             the change drops below tol; right for integrands that are smooth on
             the scale of the Gaussian.
-  adaptive  iterated 1d adaptive quadrature over the mode coordinates (n_dof <= 2
-            only); slow but robust to narrow features the GH nodes cannot see.
+  adaptive  iterated, locally adaptive Gauss-Kronrod (QUADPACK's 21/10-point
+            pair) over the mode coordinates (n_dof <= 2 only), batched so that
+            each refinement round is one integrand call; robust to narrow
+            features the GH nodes cannot see, and it raises QuadratureError
+            rather than return an unconverged value.
   mayer     exact inclusion-exclusion over bonds for anharmonicities of compact
             support: E[prod_b (1 + b_b)] expands into 2^B Gaussian moments of
             compactly supported factors, each integrated spectrally on its own
@@ -28,7 +31,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import roots_hermitenorm
 
 from .gff import ModeBasis, bond_matrix
@@ -51,6 +53,38 @@ GH_MAX_ORDER = 128
 GH_POINT_CAP = 20_000_000  # tensor grids beyond this are declared non-convergent
 GL_ORDER = 24
 Y_CLIP = 9.0  # standard-normal tail beyond this contributes < 1e-18
+
+# QUADPACK qk21: 21-point Kronrod nodes on [0, 1] (the odd entries are the 10-point
+# Gauss nodes), their Kronrod weights, and the Gauss weights (zero off the Gauss nodes)
+_GK21_X = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+)
+_GK21_WK = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208980242240, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_GK21_WG = (
+    0.0, 0.066671344308688137593568809893332,
+    0.0, 0.149451349150580593145776339657697,
+    0.0, 0.219086362515982043995534934228163,
+    0.0, 0.269266719309996355091226921569469,
+    0.0, 0.295524224714752870173892994651338,
+    0.0,
+)
+# the rule on [-1, 1]: 21 nodes and the weight columns [Kronrod, Gauss]
+GK21_NODES = np.concatenate([np.negative(_GK21_X), _GK21_X[-2::-1]])
+GK21_WEIGHTS = np.array([_GK21_WK + _GK21_WK[-2::-1], _GK21_WG + _GK21_WG[-2::-1]]).T
+GK_MAX_DEPTH = 40  # bisections of one panel before the adaptive backend gives up
+GK_MAX_PANELS = 512  # active panels of one integral in one round; bounds the work like QUADPACK's limit
 
 
 class QuadratureError(RuntimeError):
@@ -144,14 +178,56 @@ def gh_log_expectation_doubling(
 
 
 # ---------------------------------------------------------------------------
-# iterated adaptive backend (n_dof <= 2)
+# batched adaptive Gauss-Kronrod backend (n_dof <= 2)
+
+
+def _gk_adaptive(integrand, half_width: np.ndarray, epsabs: float) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate integrand over [-half_width[p], half_width[p]] for every problem p at once.
+
+    integrand(prob, x) -> (values, errors) at the points x of problems prob; errors
+    is the absolute error already in those values (0 for exact values).  Each round
+    evaluates the GK21 rule on every active panel in one integrand call; a panel is
+    accepted when |K21 - G10| <= epsabs * width / (2 half_width), else bisected.
+    Returns (integrals, errors): per problem the sums over accepted panels of K21 and
+    of |K21 - G10| plus the Kronrod-weighted error of the values.
+    """
+    n_prob = len(half_width)
+    prob = np.arange(n_prob)
+    lo, hi = -half_width, half_width
+    total = np.zeros(n_prob)
+    error = np.zeros(n_prob)
+    for _depth in range(GK_MAX_DEPTH + 1):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        x = mid[:, None] + half[:, None] * GK21_NODES
+        fv, fe = integrand(np.repeat(prob, len(GK21_NODES)), x.ravel())
+        fv = fv.reshape(x.shape)
+        if not np.all(np.isfinite(fv)):
+            raise QuadratureError("adaptive backend: integrand is not finite")
+        kronrod, gauss = (half[:, None] * (fv @ GK21_WEIGHTS)).T
+        gap = np.abs(kronrod - gauss)
+        ok = gap <= epsabs * half / half_width[prob]
+        err = gap + half * (fe.reshape(x.shape) @ GK21_WEIGHTS[:, 0])
+        np.add.at(total, prob[ok], kronrod[ok])
+        np.add.at(error, prob[ok], err[ok])
+        if ok.all():
+            return total, error
+        prob, lo, hi, mid = prob[~ok], lo[~ok], hi[~ok], mid[~ok]
+        if 2 * np.bincount(prob).max() > GK_MAX_PANELS:
+            raise QuadratureError(f"adaptive backend: more than {GK_MAX_PANELS} panels in one integral")
+        prob = np.repeat(prob, 2)
+        lo, hi = np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel()
+    raise QuadratureError(f"adaptive backend: no convergence after {GK_MAX_DEPTH} bisections")
 
 
 def adaptive_log_expectation(gfun, t: Torus, scale: float, tol: float = 1e-10) -> tuple[float, float]:
-    """Iterated adaptive quadrature over mode coordinates; returns (log E, err bound).
+    """Iterated adaptive Gauss-Kronrod quadrature over mode coordinates; returns (log E, rel error).
 
-    Only n_dof <= 2 is supported; the Gaussian weight is integrated explicitly, so
-    the result is log of the weighted integral divided by the Gaussian mass.
+    Only n_dof <= 2 is supported.  Each mode coordinate w_j is integrated over
+    +-10 sigma_j against its Gaussian weight (absolute tolerance tol 1e-2 for the
+    outer, tol 1e-3 for the inner integral); for n_dof = 2 the inner integrals of
+    every outer node of a refinement round form one batch, so each round of each
+    level makes one gfun call.  The error is the sum of the accepted panels'
+    |K21 - G10|, inner errors included, over the value.
     """
     mb = ModeBasis.build(t)
     n = t.n_dof
@@ -159,31 +235,26 @@ def adaptive_log_expectation(gfun, t: Torus, scale: float, tol: float = 1e-10) -
         raise QuadratureError(f"adaptive backend supports n_dof <= 2, got {n}")
     sigmas = np.sqrt(scale / mb.lam)
     lims = 10.0 * sigmas
+    epsabs = (tol * 1e-2, tol * 1e-3)
     log_norm = sum(0.5 * math.log(2.0 * math.pi) + math.log(s) for s in sigmas)
 
-    if n == 1:
+    def integrate(prefix: np.ndarray):
+        # integrate mode coordinate `level` with the leading ones fixed at prefix[p]
+        level = prefix.shape[1]
 
-        def f1(w):
-            dof = np.array([[w]]) @ mb.Q.T
-            return math.exp(-float(gfun(dof)[0]) - 0.5 * (w / sigmas[0]) ** 2)
+        def integrand(prob, x):
+            w = np.column_stack([prefix[prob], x])
+            log_gauss = -0.5 * (x / sigmas[level]) ** 2
+            if level == n - 1:
+                return np.exp(-gfun(w @ mb.Q.T) + log_gauss), np.zeros(len(x))
+            inner, inner_err = integrate(w)
+            gauss = np.exp(log_gauss)
+            return gauss * inner, gauss * inner_err
 
-        val, err = quad(f1, -lims[0], lims[0], limit=400, epsabs=tol * 1e-2, epsrel=1e-12)
-        return math.log(val) - log_norm, err / max(val, 1e-300)
+        return _gk_adaptive(integrand, np.full(len(prefix), lims[level]), epsabs[level])
 
-    err_acc = 0.0
-
-    def inner(w1):
-        def f2(w2):
-            dof = np.array([w1, w2]) @ mb.Q.T
-            return math.exp(-float(gfun(dof[None, :])[0]) - 0.5 * (w2 / sigmas[1]) ** 2)
-
-        val, err = quad(f2, -lims[1], lims[1], limit=200, epsabs=tol * 1e-3, epsrel=1e-11)
-        nonlocal err_acc
-        err_acc = max(err_acc, err)
-        return val * math.exp(-0.5 * (w1 / sigmas[0]) ** 2)
-
-    val, err = quad(inner, -lims[0], lims[0], limit=200, epsabs=tol * 1e-2, epsrel=1e-11)
-    return math.log(val) - log_norm, (err + err_acc * 2.0 * lims[1]) / max(val, 1e-300)
+    (val,), (err,) = integrate(np.empty((1, 0)))
+    return math.log(val) - log_norm, err / val
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,19 @@ def test_verify_lemma_requires_k_grid(tmp_path):
     assert run_cli(["verify-lemma", "--config", path, "--out", tmp_path / "o.json"]) == 1
 
 
+@pytest.mark.parametrize("k_max", [1.0, 2.0])
+def test_verify_lemma_small_k_max_passes(tmp_path, k_max):
+    # a grid inside sqrt(12 d cbar) = 3.46 needs the tail 4 sqrt(c) - 2K of
+    # min(1, c / k^2); the form 2c/K overstated the integral as 25.9 at K = 1
+    cfg = dict(BASE, u=[0.1], k_grid={"k_max": k_max}, chain={"n_steps": 6000, "burn_in": 1000, "n_chains": 1})
+    path = write(tmp_path / "c.json", cfg)
+    out = tmp_path / "o.json"
+    assert run_cli(["verify-lemma", "--config", path, "--out", out]) == 0
+    rep = json.loads(out.read_text())["characteristic_bounds"]
+    assert rep["integral_ok"] is True
+    assert rep["integral"] <= rep["integral_bound"]
+
+
 def test_verify_lemma_small_run(tmp_path):
     cfg = dict(
         BASE,

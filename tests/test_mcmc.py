@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from gil.conditions import scale_to_unit
 from gil.gff import pinned_covariance, poincare_constant
@@ -12,6 +13,7 @@ from gil.mcmc import (
     Observable,
     StepSizeError,
     Target,
+    _envelope_tail,
     batch_means,
     fluctuation_hessian,
     make_gibbs_target,
@@ -193,6 +195,18 @@ def test_characteristic_a_at_zero_and_bounded(pot_gauss, quick_chain):
     rep = verify_l1norm_bounds(pot_gauss, t, [0.0], Field.zeros(t), samples, 0.5, k)
     assert rep.abs_a[0] == 1.0 and rep.se_abs[0] == 0.0
     assert np.all(rep.abs_a <= 1.0 + 4.0 * rep.se_abs)
+
+
+def test_envelope_tail_exact_and_continuous():
+    # integral of min(1, c / k^2) over |k| > K, against a direct quadrature
+    c = 12.0
+    root = math.sqrt(c)
+    for K in (0.5, 2.0, root, 5.0):
+        flat, _ = quad(lambda k: min(1.0, c / (k * k)), K, max(K, root))
+        beyond, _ = quad(lambda k: c / (k * k), max(K, root), math.inf)
+        assert _envelope_tail(c, K) == pytest.approx(2.0 * (flat + beyond), rel=1e-10)
+    below, above = _envelope_tail(c, root * (1 - 1e-12)), _envelope_tail(c, root * (1 + 1e-12))
+    assert below == pytest.approx(above, rel=1e-10) and below == pytest.approx(2.0 * root, rel=1e-10)
 
 
 def test_characteristic_a_gaussian_closed_form(pot_gauss):

@@ -115,6 +115,20 @@ def test_hessian_fd_quartic():
     assert H[0, 0] == pytest.approx(12.0, abs=1e-4)
 
 
+@pytest.mark.parametrize("d,expected", [(1, 5), (2, 17)])
+def test_hessian_fd_evaluates_center_once(d, expected):
+    # 1 + 2 (2d + 2d(d-1)) evaluations: f(u) is shared by the h and h/2 stencils
+    calls = []
+
+    def f(x):
+        calls.append(x.copy())
+        return float(np.sum(x**4))
+
+    hessian_fd(f, np.full(d, 0.3), h=1e-3)
+    assert len(calls) == expected
+    assert sum(np.array_equal(x, np.full(d, 0.3)) for x in calls) == 1
+
+
 def test_hessian_fd_symmetric(pot_b):
     t = Torus(1, 3)
     H = hessian_fd(lambda uu: free_energy(uu, pot_b, t, 0.116, Q), [0.2], h=1e-3)

@@ -187,6 +187,21 @@ def test_example_b_derivative_property(s):
     assert fd == pytest.approx(float(p.dv(s)), rel=1e-5, abs=1e-5)
 
 
+@pytest.mark.parametrize("delta", [0.5, 0.3])
+def test_example_b_g0_matches_closed_form_polynomial(delta):
+    # g0 and dg0 multiply r = s (delta - s) instead of taking float powers
+    p = example_b(delta)
+    c = 4.0 / delta**4
+    s_lo, s_hi = p.g0pp_breakpoints[1:3]
+    s = np.concatenate([np.linspace(-0.2, delta + 0.2, 2001), [0.0, s_lo, s_hi, delta, delta / 2.0]])
+    inside = (s >= 0.0) & (s <= delta)
+    g0 = np.where(inside, -c * s**3 * (delta - s) ** 3, 0.0)
+    dg0 = np.where(inside, -3.0 * c * s**2 * (delta - s) ** 2 * (delta - 2.0 * s), 0.0)
+    np.testing.assert_allclose(p.g0(s), g0, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(p.dg0(s), dg0, rtol=1e-15, atol=0.0)
+    assert p.g0(0.0) == 0.0 and p.g0(delta) == 0.0
+
+
 def test_validate_growth_gaussian(pot_gauss):
     assert validate_growth(pot_gauss, 0.5, 0.0)
     assert not validate_growth(pot_gauss, 0.51, 0.0)  # above the curvature cap

@@ -8,6 +8,8 @@ from gil.gff import ModeBasis, pinned_form
 from gil.lattice import Torus, anharmonic_g, bond_args, pinned
 from gil.potentials import custom_potential, example_a, example_b, gaussian_potential
 from gil.quadrature import (
+    GK21_NODES,
+    GK21_WEIGHTS,
     QuadratureError,
     adaptive_log_expectation,
     compact_anharmonicity,
@@ -55,6 +57,91 @@ def test_adaptive_matches_gh_on_smooth():
     ad, err = adaptive_log_expectation(gfun, t, 1.0)
     assert ad == pytest.approx(gh, abs=1e-9)
     assert err < 1e-8
+
+
+def _counted(gfun):
+    calls = []
+
+    def wrapped(dof_batch):
+        calls.append(len(dof_batch))
+        return gfun(dof_batch)
+
+    return wrapped, calls
+
+
+# At m = 2 the two bonds are u + q w and u - q w; for u below the support's upper
+# end 0.17 both can sit in the support, and Mayer's pair term then integrates the
+# support's C^2 edges inside its Gauss-Legendre box (1.8e-12 off at u = 0.15 by a
+# breakpoint-aware 1d quadrature).  u = 0.2 leaves the pair term exactly zero.
+@pytest.mark.parametrize("m,u", [(2, 0.2), (3, 0.15)])
+def test_adaptive_matches_mayer_example_b(scaled_b, m, u):
+    # m = 2 is the one-mode path, m = 3 the batched inner integrals of two modes
+    ps, _ = scaled_b
+    t = Torus(1, m)
+    tilt = np.array([u])
+    val_mayer, info = log_expectation(t, ps, tilt)
+    assert info["method"] == "mayer"
+    gfun, calls = _counted(lambda dof: anharmonic_g(t, tilt, pinned(dof), ps))
+    val_ad, err = adaptive_log_expectation(gfun, t, 1.0)
+    assert val_ad == pytest.approx(val_mayer, abs=1e-12)
+    assert err < 1e-12
+    # one gfun call per refinement round, not one per integrand point
+    assert len(calls) <= 200
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-8])
+@pytest.mark.parametrize("m,u", [(2, 0.2), (3, 0.15)])
+def test_adaptive_error_bounds_difference_from_mayer(scaled_b, m, u, tol):
+    ps, _ = scaled_b
+    t = Torus(1, m)
+    tilt = np.array([u])
+    val_mayer, _ = log_expectation(t, ps, tilt)
+    val_ad, err = adaptive_log_expectation(lambda dof: anharmonic_g(t, tilt, pinned(dof), ps), t, 1.0, tol=tol)
+    assert abs(val_ad - val_mayer) <= err
+
+
+def test_adaptive_matches_conditioning_reference_example_a(conditioning_reference):
+    # in-hypothesis temperature: GH cannot resolve the needle of g at this beta
+    ps, k = scale_to_unit(example_a(0.5), 1e-3)
+    t = Torus(1, 3)
+    u = np.array([0.5 * k])
+    ref = conditioning_reference(u[0], 3, lambda s: float(ps.v(s) - s * s / 2.0), None)
+    val, info = log_expectation(t, ps, u)
+    assert info["method"] == "adaptive"
+    assert val == pytest.approx(ref, abs=1e-11)
+    gfun, calls = _counted(lambda dof: anharmonic_g(t, u, pinned(dof), ps))
+    adaptive_log_expectation(gfun, t, 1.0)
+    assert len(calls) <= 200
+
+
+@pytest.mark.parametrize(
+    "gfun,message",
+    [
+        # a jump: the panel holding it never passes, whatever its width
+        (lambda dof: np.where(dof[:, 0] > 0.1234567, 5.0, 0.0), "bisections"),
+        # noise: every panel fails, so the panel count grows instead
+        (lambda dof: 1e-3 * np.random.default_rng(len(dof)).standard_normal(len(dof)), "panels"),
+        (lambda dof: np.where(dof[:, 0] > 1.0, np.nan, 0.0), "not finite"),
+    ],
+    ids=["depth_cap", "panel_cap", "nan"],
+)
+@pytest.mark.parametrize("m", [2, 3])
+def test_adaptive_raises_instead_of_unconverged_value(gfun, message, m):
+    with pytest.raises(QuadratureError, match=message):
+        adaptive_log_expectation(gfun, Torus(1, m), 1.0)
+
+
+def test_gk21_rule_exactness():
+    # Kronrod integrates degree 31 exactly, its embedded Gauss rule degree 19
+    for deg in range(32):
+        exact = 2.0 / (deg + 1) if deg % 2 == 0 else 0.0
+        assert GK21_WEIGHTS[:, 0] @ GK21_NODES**deg == pytest.approx(exact, abs=1e-15)
+        if deg < 20:
+            assert GK21_WEIGHTS[:, 1] @ GK21_NODES**deg == pytest.approx(exact, abs=1e-15)
+    x, w = np.polynomial.legendre.leggauss(10)
+    gauss = GK21_WEIGHTS[:, 1] > 0
+    np.testing.assert_allclose(GK21_NODES[gauss], x, atol=1e-15)
+    np.testing.assert_allclose(GK21_WEIGHTS[gauss, 1], w, atol=1e-15)
 
 
 def test_mayer_matches_conditioning_reference(conditioning_reference, scaled_b):
