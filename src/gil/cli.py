@@ -12,9 +12,11 @@ functions the values feed.
 
 Exit codes: 0 success / all assertions pass, 1 usage or config error (one
 stderr line naming the offending key), 2 a requested condition or bound
-failed, 3 a chain failed its step-size or gradient check (one stderr line
-names the row and its acceptance or error).  Identical config and seed produce
-byte-identical outputs; every data row carries method and error columns.
+failed, 3 a numerical backend failed: a chain failed its step-size or gradient
+check (one stderr line names the row and its acceptance or error) or a
+quadrature did not converge (one stderr line names the backend).  Identical
+config and seed produce byte-identical outputs; every data row carries method
+and error columns.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from .mcmc import (
 )
 from .oracle import QuadratureSpec, free_energy
 from .potentials import Potential, example_a, example_b, example_c, gaussian_potential, norms
+from .quadrature import QuadratureError
 from .renorm import DecompositionPlan, induced_h1, verify_theorem
 
 __all__ = ["main", "build_potential", "validate_config", "ConfigError"]
@@ -336,6 +339,9 @@ def main(argv=None) -> int:
         return 1
     except (StepSizeError, GradientMismatchError) as exc:
         print(f"gil {args.command}: chain failed: {exc}", file=sys.stderr)
+        return 3
+    except QuadratureError as exc:
+        print(f"gil {args.command}: quadrature failed: {exc}", file=sys.stderr)
         return 3
 
 

@@ -2,21 +2,23 @@
 
 Everything here evaluates log E[exp(-G(phi))] for phi a pinned Gaussian field
 with Dirichlet weight exp(-||grad phi||^2 / (2 scale)) and G an anharmonic bond
-energy (lattice.anharmonic_g in log_expectation), through one of three routes:
+energy (lattice.anharmonic_g).  log_expectation picks one route from its input
+alone, with no fallback between routes:
 
-  gh        tensor-product Gauss-Hermite in gff.ModeBasis, the eigenbasis of the
-            pinned form that sample_gff also draws in, with node doubling until
-            the change drops below tol; right for integrands that are smooth on
-            the scale of the Gaussian.
-  adaptive  iterated, locally adaptive Gauss-Kronrod (QUADPACK's 21/10-point
-            pair) over the mode coordinates (n_dof <= 2 only), batched so that
-            each refinement round is one integrand call; robust to narrow
-            features the GH nodes cannot see, and it raises QuadratureError
-            rather than return an unconverged value.
-  mayer     exact inclusion-exclusion over bonds for anharmonicities of compact
-            support: E[prod_b (1 + b_b)] expands into 2^B Gaussian moments of
-            compactly supported factors, each integrated spectrally on its own
-            box.  Subsets are pruned by rigorous magnitude bounds.
+  exact         a pure Gaussian (zero anharmonicity): log E = 0.
+  mayer         compactly supported anharmonicity, any d: exact
+                inclusion-exclusion over bonds, E[prod_b (1 + b_b)] expanded
+                into 2^B Gaussian moments of compactly supported factors, each
+                integrated spectrally on its own box.  Subsets are pruned by
+                rigorous magnitude bounds.
+  conditioning  d = 1, any other potential, any m, scale and base field: the m
+                bond gradients are iid N(0, scale) conditioned to sum to zero,
+                so log E is one convolution at zero, evaluated with FFTs on a
+                periodic grid that doubles until converged.
+  gh            d >= 2: tensor-product Gauss-Hermite in gff.ModeBasis, the
+                eigenbasis of the pinned form that sample_gff also draws in,
+                with node doubling until the change drops below tol; raises
+                QuadratureError when it does not converge.
 
 The mayer route also handles the two-field integral behind the decomposition
 identity: the latent standard-normal coordinates of both fields enter one linear
@@ -42,7 +44,7 @@ __all__ = [
     "compact_anharmonicity",
     "gh_log_expectation",
     "gh_log_expectation_doubling",
-    "adaptive_log_expectation",
+    "conditioning_log_expectation",
     "mayer_log_expectation",
     "log_expectation",
     "field_bond_map",
@@ -54,37 +56,9 @@ GH_POINT_CAP = 20_000_000  # tensor grids beyond this are declared non-convergen
 GL_ORDER = 24
 Y_CLIP = 9.0  # standard-normal tail beyond this contributes < 1e-18
 
-# QUADPACK qk21: 21-point Kronrod nodes on [0, 1] (the odd entries are the 10-point
-# Gauss nodes), their Kronrod weights, and the Gauss weights (zero off the Gauss nodes)
-_GK21_X = (
-    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
-    0.0,
-)
-_GK21_WK = (
-    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-    0.123491976262065851077208980242240, 0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821,
-)
-_GK21_WG = (
-    0.0, 0.066671344308688137593568809893332,
-    0.0, 0.149451349150580593145776339657697,
-    0.0, 0.219086362515982043995534934228163,
-    0.0, 0.269266719309996355091226921569469,
-    0.0, 0.295524224714752870173892994651338,
-    0.0,
-)
-# the rule on [-1, 1]: 21 nodes and the weight columns [Kronrod, Gauss]
-GK21_NODES = np.concatenate([np.negative(_GK21_X), _GK21_X[-2::-1]])
-GK21_WEIGHTS = np.array([_GK21_WK + _GK21_WK[-2::-1], _GK21_WG + _GK21_WG[-2::-1]]).T
-GK_MAX_DEPTH = 40  # bisections of one panel before the adaptive backend gives up
-GK_MAX_PANELS = 512  # active panels of one integral in one round; bounds the work like QUADPACK's limit
+COND_MIN_POINTS = 2**10
+COND_MAX_POINTS = 2**20
+COND_WIDTH = 18.0  # conditioning grid width over sqrt(scale * max(m, 4)): the circular wrap is below 1e-16
 
 
 class QuadratureError(RuntimeError):
@@ -167,94 +141,62 @@ def gh_log_expectation_doubling(
 ):
     """GH with node doubling; returns (value, converged, last_delta, order)."""
     order = max(GH_MIN_ORDER, order0)
-    prev = gh_log_expectation(gfun, t, scale, order, envelope=envelope)
+    prev, delta = gh_log_expectation(gfun, t, scale, order, envelope=envelope), math.inf
     while 2 * order <= order_cap and (2 * order) ** t.n_dof <= GH_POINT_CAP:
         order *= 2
         cur = gh_log_expectation(gfun, t, scale, order, envelope=envelope)
-        if abs(cur - prev) < tol:
-            return cur, True, abs(cur - prev), order
+        delta = abs(cur - prev)
+        if delta < tol:
+            return cur, True, delta, order
         prev = cur
-    return prev, False, math.inf, order
+    return prev, False, delta, order
 
 
 # ---------------------------------------------------------------------------
-# batched adaptive Gauss-Kronrod backend (n_dof <= 2)
+# conditioning backend (d = 1)
 
 
-def _gk_adaptive(integrand, half_width: np.ndarray, epsabs: float) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate integrand over [-half_width[p], half_width[p]] for every problem p at once.
+def conditioning_log_expectation(g, shifts: np.ndarray, scale: float = 1.0, tol: float = 1e-12) -> tuple[float, dict]:
+    """log E[exp(-sum_b g(shifts[b] + e_b))] for e iid N(0, scale) conditioned on sum(e) = 0.
 
-    integrand(prob, x) -> (values, errors) at the points x of problems prob; errors
-    is the absolute error already in those values (0 for exact values).  Each round
-    evaluates the GK21 rule on every active panel in one integrand call; a panel is
-    accepted when |K21 - G10| <= epsabs * width / (2 half_width), else bisected.
-    Returns (integrals, errors): per problem the sums over accepted panels of K21 and
-    of |K21 - G10| plus the Kronrod-weighted error of the values.
+    On the d = 1 torus these are the bond gradients of the pinned field, so the
+    m - 1 dimensional integral is the convolution (f_1 * ... * f_m)(0) over
+    N^{*m}(0), with f_b(e) = N(e) exp(-g(shifts[b] + e)).  Each f_b is sampled on
+    one periodic grid and the convolution is a product of FFTs; writing
+    f_b = N + r_b, the difference prod F_b - G^m is accumulated bond by bond, so
+    log1p of its ratio to G^m keeps its relative precision when g is small.
+    Bonds with equal shifts share one transform.  The grid doubles until two
+    successive values differ by less than tol; returns (log E, {"error", "points"})
+    and raises QuadratureError at COND_MAX_POINTS or on a non-finite value.
     """
-    n_prob = len(half_width)
-    prob = np.arange(n_prob)
-    lo, hi = -half_width, half_width
-    total = np.zeros(n_prob)
-    error = np.zeros(n_prob)
-    for _depth in range(GK_MAX_DEPTH + 1):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        x = mid[:, None] + half[:, None] * GK21_NODES
-        fv, fe = integrand(np.repeat(prob, len(GK21_NODES)), x.ravel())
-        fv = fv.reshape(x.shape)
-        if not np.all(np.isfinite(fv)):
-            raise QuadratureError("adaptive backend: integrand is not finite")
-        kronrod, gauss = (half[:, None] * (fv @ GK21_WEIGHTS)).T
-        gap = np.abs(kronrod - gauss)
-        ok = gap <= epsabs * half / half_width[prob]
-        err = gap + half * (fe.reshape(x.shape) @ GK21_WEIGHTS[:, 0])
-        np.add.at(total, prob[ok], kronrod[ok])
-        np.add.at(error, prob[ok], err[ok])
-        if ok.all():
-            return total, error
-        prob, lo, hi, mid = prob[~ok], lo[~ok], hi[~ok], mid[~ok]
-        if 2 * np.bincount(prob).max() > GK_MAX_PANELS:
-            raise QuadratureError(f"adaptive backend: more than {GK_MAX_PANELS} panels in one integral")
-        prob = np.repeat(prob, 2)
-        lo, hi = np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel()
-    raise QuadratureError(f"adaptive backend: no convergence after {GK_MAX_DEPTH} bisections")
-
-
-def adaptive_log_expectation(gfun, t: Torus, scale: float, tol: float = 1e-10) -> tuple[float, float]:
-    """Iterated adaptive Gauss-Kronrod quadrature over mode coordinates; returns (log E, rel error).
-
-    Only n_dof <= 2 is supported.  Each mode coordinate w_j is integrated over
-    +-10 sigma_j against its Gaussian weight (absolute tolerance tol 1e-2 for the
-    outer, tol 1e-3 for the inner integral); for n_dof = 2 the inner integrals of
-    every outer node of a refinement round form one batch, so each round of each
-    level makes one gfun call.  The error is the sum of the accepted panels'
-    |K21 - G10|, inner errors included, over the value.
-    """
-    mb = ModeBasis.build(t)
-    n = t.n_dof
-    if n > 2:
-        raise QuadratureError(f"adaptive backend supports n_dof <= 2, got {n}")
-    sigmas = np.sqrt(scale / mb.lam)
-    lims = 10.0 * sigmas
-    epsabs = (tol * 1e-2, tol * 1e-3)
-    log_norm = sum(0.5 * math.log(2.0 * math.pi) + math.log(s) for s in sigmas)
-
-    def integrate(prefix: np.ndarray):
-        # integrate mode coordinate `level` with the leading ones fixed at prefix[p]
-        level = prefix.shape[1]
-
-        def integrand(prob, x):
-            w = np.column_stack([prefix[prob], x])
-            log_gauss = -0.5 * (x / sigmas[level]) ** 2
-            if level == n - 1:
-                return np.exp(-gfun(w @ mb.Q.T) + log_gauss), np.zeros(len(x))
-            inner, inner_err = integrate(w)
-            gauss = np.exp(log_gauss)
-            return gauss * inner, gauss * inner_err
-
-        return _gk_adaptive(integrand, np.full(len(prefix), lims[level]), epsabs[level])
-
-    (val,), (err,) = integrate(np.empty((1, 0)))
-    return math.log(val) - log_norm, err / val
+    shifts = np.asarray(shifts, dtype=float).ravel()
+    m = len(shifts)
+    width = COND_WIDTH * math.sqrt(scale * max(m, 4))
+    n, prev = COND_MIN_POINTS, None
+    while n <= COND_MAX_POINTS:
+        step = width / n
+        e = step * ((np.arange(n) + n // 2) % n - n // 2)  # index 0 at e = 0
+        gauss = np.exp(-0.5 * e * e / scale) * step / math.sqrt(2.0 * math.pi * scale)
+        G = np.fft.rfft(gauss)
+        P, D = np.ones_like(G), np.zeros_like(G)  # prod_{b<j} F_b and its excess over G^j
+        for shift, count in zip(*np.unique(shifts, return_counts=True)):
+            with np.errstate(all="ignore"):
+                r = gauss * np.expm1(-g(shift + e))
+            if not np.all(np.isfinite(r)):
+                raise QuadratureError("conditioning backend: integrand is not finite")
+            R = np.fft.rfft(r)
+            F = G + R
+            for _ in range(count):
+                D = D * G + P * R
+                P = P * F
+        # both circular convolutions at e = 0: index 0 of the inverse transforms
+        cur = math.log1p(np.fft.irfft(D, n)[0] / np.fft.irfft(G**m, n)[0])
+        if not math.isfinite(cur):
+            raise QuadratureError("conditioning backend: value is not finite")
+        if prev is not None and abs(cur - prev) < tol:
+            return cur, {"error": abs(cur - prev), "points": n}
+        prev, n = cur, 2 * n
+    raise QuadratureError(f"conditioning backend: no convergence below {tol} at {COND_MAX_POINTS} grid points")
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +329,12 @@ def log_expectation(
 ) -> tuple[float, dict]:
     """log E[exp(-G(u, psi + phi))] for phi a pinned field at the given scale.
 
-    p must be unit-scaled (c1 = 1).  Dispatch: exact zero for pure Gaussians,
-    Mayer expansion for compact anharmonicity, else GH with node doubling and an
-    adaptive fallback when n_dof <= 2.
+    p must be unit-scaled (c1 = 1).  Returns (log E, info) with info["method"]
+    the route, chosen from the input alone: "exact" for a pure Gaussian,
+    "mayer" for compact anharmonicity in any d, "conditioning" for any other
+    potential in d = 1 (converged to min(tol, 1e-12)), and "gh" with node
+    doubling in d >= 2, which raises QuadratureError when unconverged.  order0,
+    order_cap and envelope apply to the gh route only.
     """
     if abs(p.c1 - 1.0) > 1e-12:
         raise ValueError("log_expectation requires a unit-scaled potential (c1 = 1)")
@@ -403,17 +348,16 @@ def log_expectation(
         shifts = bond_args(t, base, u).ravel()
         val, pruned = mayer_log_expectation(F, shifts, h, (lo, hi), tol=min(tol, 1e-12))
         return val, {"method": "mayer", "error": pruned}
+    if t.d == 1:
+        val, info = conditioning_log_expectation(
+            lambda s: p.v(s) - 0.5 * s * s, bond_args(t, base, u), scale, tol=min(tol, 1e-12)
+        )
+        return val, {"method": "conditioning", **info}
 
     def gfun(dof_batch):
         return anharmonic_g(t, u, pinned(dof_batch) + base, p)
 
     val, converged, delta, order = gh_log_expectation_doubling(gfun, t, scale, order0, tol, order_cap, envelope)
-    if converged:
-        return val, {"method": "gh", "error": delta, "order": order}
-    if t.n_dof <= 2:
-        val, err = adaptive_log_expectation(gfun, t, scale, tol=min(tol, 1e-10))
-        return val, {"method": "adaptive", "error": err}
-    raise QuadratureError(
-        f"GH did not converge below {tol} at order cap {order_cap} (last delta {delta:.3e}) "
-        f"and n_dof = {t.n_dof} excludes the adaptive fallback"
-    )
+    if not converged:
+        raise QuadratureError(f"GH did not converge below {tol} at order cap {order_cap} (last delta {delta:.3e})")
+    return val, {"method": "gh", "error": delta, "order": order}

@@ -1,9 +1,8 @@
-import math
-import warnings
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import IntegrationWarning, quad
 
 from gil.conditions import check_conditions, scale_to_unit
 from gil.lattice import Torus
@@ -48,38 +47,19 @@ def quick_chain():
     return ChainConfig(n_steps=6000, burn_in=1000, thinning=1, n_chains=2, seed=1234)
 
 
-def conditioning_log_expectation(u: float, m: int, g_scalar, breakpoints) -> float:
-    """Independent d = 1 reference for E_mu[exp(-sum_b g(u + grad_b))].
-
-    Under the pinned Dirichlet weight the bond gradients are iid standard
-    normals conditioned to sum to zero; the constraint is resolved by a Fourier
-    integral, so only 1d quadratures enter.  Used as an oracle for the tensor
-    backends.
-    """
-
-    def ft(t):
-        re, _ = quad(
-            lambda e: math.exp(-g_scalar(u + e)) * math.exp(-e * e / 2) * math.cos(t * e) / math.sqrt(2 * math.pi),
-            -12, 12, points=breakpoints, limit=400, epsabs=1e-15, epsrel=1e-14,
-        )
-        im, _ = quad(
-            lambda e: math.exp(-g_scalar(u + e)) * math.exp(-e * e / 2) * math.sin(t * e) / math.sqrt(2 * math.pi),
-            -12, 12, points=breakpoints, limit=400, epsabs=1e-15, epsrel=1e-14,
-        )
-        return complex(re, im)
-
-    with warnings.catch_warnings():
-        # the tolerances here sit below what QUADPACK will certify; the values
-        # are cross-validated against the tensor backends regardless
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(lambda t: (ft(t) ** m).real, -50, 50, limit=1000, epsabs=1e-15, epsrel=1e-14)
-    p0 = 1 / math.sqrt(2 * math.pi * m)
-    return math.log(val / (2 * math.pi * p0))
-
-
 @pytest.fixture(scope="session")
 def conditioning_reference():
-    return conditioning_log_expectation
+    """Independent d = 1 reference: log_expectation_1d(g, m, kinks) from bench/reference.py.
+
+    It evaluates log E[exp(-sum_b g(e_b))] for m iid N(0, 1) bond gradients
+    conditioned to sum to zero as one Fourier integral on fixed Gauss-Legendre
+    grids, sharing no code with gil's backends; g is vectorized in the bond
+    argument (the tilt already added) and kinks lists its non-smooth points.
+    """
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    from reference import log_expectation_1d
+
+    return log_expectation_1d
 
 
 def random_pinned(t: Torus, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:

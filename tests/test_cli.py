@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from gil.cli import ConfigError, build_potential, main, validate_config
+from gil.conditions import check_conditions
+from gil.potentials import norms
 
 
 def run_cli(args):
@@ -315,6 +317,32 @@ def test_chain_failure_exit_three(tmp_path, capsys):
     err = capsys.readouterr().err.strip().split("\n")
     assert len(err) == 1
     assert "row (tilt 0, node 0, chain 0)" in err[0] and "acceptance rate" in err[0]
+
+
+def _example_a_half_threshold(d, m, u):
+    p = build_potential({"family": "example_a", "a": 0.5})
+    beta = check_conditions(1.0, d, p, norms(p)).beta_max_fcond / 2.0
+    return {"potential": {"family": "example_a", "a": 0.5}, "d": d, "m": m, "beta": beta, "seed": 7, "u_grid": [u]}
+
+
+@pytest.mark.parametrize("command", ["free-energy", "hessian"])
+def test_quadrature_failure_exit_three(tmp_path, capsys, command):
+    # in hypothesis at d = 2 the needle of g escapes every GH grid up to the order cap
+    path = write(tmp_path / "c.json", _example_a_half_threshold(2, 2, [0.5, 0.5]))
+    assert run_cli([command, "--config", path, "--out", tmp_path / "o.csv"]) == 3
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1
+    assert err[0].startswith(f"gil {command}: quadrature failed: GH did not converge")
+
+
+def test_hessian_oracle_in_hypothesis_d1(tmp_path):
+    # d = 1, m = 6 (5 free coordinates) in hypothesis: the conditioning route serves the oracle
+    path = write(tmp_path / "c.json", _example_a_half_threshold(1, 6, [0.5]))
+    out = tmp_path / "h.csv"
+    assert run_cli(["hessian", "--config", path, "--out", out]) == 0
+    rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+    assert len(rows) == 1
+    assert rows[0][4] == "oracle" and rows[0][6] == "pass"
 
 
 def test_seed_override_changes_output(tmp_path):

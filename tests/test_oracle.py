@@ -82,17 +82,13 @@ def test_beta_rescaling_gaussian(pot_gauss):
 
 
 def test_log_partition_cross_method_example_a(conditioning_reference):
-    # independent check of the adaptive/GH backends against the conditioning route
+    # independent check of the d = 1 backend against the conditioning reference
     pa = example_a(0.5)
     beta = 0.3
     t = Torus(1, 3)
     ps, k = scale_to_unit(pa, beta)
     u = 0.2
-
-    def g_scalar(s):
-        return float(ps.v(s) - s * s / 2.0)
-
-    ref_logE = conditioning_reference(k * u, 3, g_scalar, None)
+    ref_logE = conditioning_reference(lambda e: ps.v(k * u + e) - 0.5 * (k * u + e) ** 2, 3)
     mb_logdet = math.log(3.0)  # det of the pinned form for M = 3
     expected = (
         -0.5 * 3 * (k * u) ** 2
@@ -213,11 +209,13 @@ def test_envelope_scale_is_an_importance_reweighting(pot_gauss):
     # widening the sampling envelope must not move converged answers
     from gil.oracle import log_partition as lp
 
-    t = Torus(1, 3)
+    # d = 2, where the GH route and its envelope are used
+    t = Torus(2, 2)
     pa = example_a(0.5)
-    base = lp([0.3], pa, t, 0.3, QuadratureSpec())
-    wide = lp([0.3], pa, t, 0.3, QuadratureSpec(envelope_scale=2.0))
+    base = lp([0.3, 0.1], pa, t, 0.3, QuadratureSpec())
+    wide = lp([0.3, 0.1], pa, t, 0.3, QuadratureSpec(envelope_scale=2.0))
     assert wide == pytest.approx(base, abs=1e-7)
+    t = Torus(1, 3)
     # exact on the gaussian family at any envelope
     assert lp([0.0], pot_gauss, t, 1.0, QuadratureSpec(envelope_scale=1.7)) == pytest.approx(
         math.log(2 * math.pi / math.sqrt(3)), abs=1e-12

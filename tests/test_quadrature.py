@@ -5,14 +5,13 @@ import pytest
 
 from gil.conditions import scale_to_unit
 from gil.gff import ModeBasis, pinned_form
-from gil.lattice import Torus, anharmonic_g, bond_args, pinned
+from gil.lattice import Torus, anharmonic_g, bond_args
+from gil.oracle import hessian_fd
 from gil.potentials import custom_potential, example_a, example_b, gaussian_potential
 from gil.quadrature import (
-    GK21_NODES,
-    GK21_WEIGHTS,
     QuadratureError,
-    adaptive_log_expectation,
     compact_anharmonicity,
+    conditioning_log_expectation,
     field_bond_map,
     gh_log_expectation,
     gh_log_expectation_doubling,
@@ -50,21 +49,21 @@ def test_gh_doubling_converges_on_smooth():
     assert converged and delta < 1e-8
 
 
-def test_adaptive_matches_gh_on_smooth():
+def test_conditioning_matches_gh_on_smooth():
+    # the quadratic G of _quadratic_gfun is g(s) = (eps/2) s^2 at the shift u on every bond
     t = Torus(1, 3)
-    gfun = _quadratic_gfun(t, 0.25, np.array([0.3]))
-    gh = gh_log_expectation(gfun, t, 1.0, order=32)
-    ad, err = adaptive_log_expectation(gfun, t, 1.0)
-    assert ad == pytest.approx(gh, abs=1e-9)
-    assert err < 1e-8
+    gh = gh_log_expectation(_quadratic_gfun(t, 0.25, np.array([0.3])), t, 1.0, order=32)
+    val, info = conditioning_log_expectation(lambda s: 0.125 * s * s, np.full(3, 0.3))
+    assert val == pytest.approx(gh, abs=1e-12)
+    assert info["error"] < 1e-12
 
 
-def _counted(gfun):
+def _counted(g):
     calls = []
 
-    def wrapped(dof_batch):
-        calls.append(len(dof_batch))
-        return gfun(dof_batch)
+    def wrapped(s):
+        calls.append(len(s))
+        return g(s)
 
     return wrapped, calls
 
@@ -74,74 +73,85 @@ def _counted(gfun):
 # support's C^2 edges inside its Gauss-Legendre box (1.8e-12 off at u = 0.15 by a
 # breakpoint-aware 1d quadrature).  u = 0.2 leaves the pair term exactly zero.
 @pytest.mark.parametrize("m,u", [(2, 0.2), (3, 0.15)])
-def test_adaptive_matches_mayer_example_b(scaled_b, m, u):
-    # m = 2 is the one-mode path, m = 3 the batched inner integrals of two modes
+def test_conditioning_matches_mayer_example_b(scaled_b, m, u):
     ps, _ = scaled_b
     t = Torus(1, m)
     tilt = np.array([u])
     val_mayer, info = log_expectation(t, ps, tilt)
     assert info["method"] == "mayer"
-    gfun, calls = _counted(lambda dof: anharmonic_g(t, tilt, pinned(dof), ps))
-    val_ad, err = adaptive_log_expectation(gfun, t, 1.0)
-    assert val_ad == pytest.approx(val_mayer, abs=1e-12)
-    assert err < 1e-12
-    # one gfun call per refinement round, not one per integrand point
-    assert len(calls) <= 200
+    _lo, _hi, h = compact_anharmonicity(ps)
+    g, calls = _counted(h)
+    val, info = conditioning_log_expectation(g, bond_args(t, np.zeros(t.volume), tilt))
+    assert val == pytest.approx(val_mayer, abs=1e-12)
+    assert info["error"] < 1e-12
+    # every bond has the tilt as its shift: one g call per grid size
+    assert len(calls) <= 11 and calls[-1] == info["points"]
 
 
-@pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-8])
-@pytest.mark.parametrize("m,u", [(2, 0.2), (3, 0.15)])
-def test_adaptive_error_bounds_difference_from_mayer(scaled_b, m, u, tol):
+@pytest.mark.parametrize("m", [3, 4, 5])
+@pytest.mark.parametrize("scale", [1.0, 0.3])
+def test_conditioning_matches_mayer_with_base_field(scaled_b, m, scale):
+    # a nonzero base field gives every bond its own shift, so no transform is shared
     ps, _ = scaled_b
     t = Torus(1, m)
-    tilt = np.array([u])
-    val_mayer, _ = log_expectation(t, ps, tilt)
-    val_ad, err = adaptive_log_expectation(lambda dof: anharmonic_g(t, tilt, pinned(dof), ps), t, 1.0, tol=tol)
-    assert abs(val_ad - val_mayer) <= err
+    tilt = np.array([0.12])
+    psi = np.zeros(t.volume)
+    psi[1:] = 0.05 * np.random.default_rng(m).standard_normal(t.n_dof)
+    val_mayer, info = log_expectation(t, ps, tilt, scale, psi_values=psi)
+    assert info["method"] == "mayer"
+    _lo, _hi, h = compact_anharmonicity(ps)
+    shifts = bond_args(t, psi, tilt).ravel()
+    assert len(np.unique(shifts)) == m
+    val, _ = conditioning_log_expectation(h, shifts, scale)
+    assert val == pytest.approx(val_mayer, abs=1e-12)
 
 
-def test_adaptive_matches_conditioning_reference_example_a(conditioning_reference):
-    # in-hypothesis temperature: GH cannot resolve the needle of g at this beta
+def test_conditioning_matches_reference_example_a(conditioning_reference):
+    # in-hypothesis temperature: g is a needle of width ~ 0.03 that GH cannot resolve
     ps, k = scale_to_unit(example_a(0.5), 1e-3)
     t = Torus(1, 3)
     u = np.array([0.5 * k])
-    ref = conditioning_reference(u[0], 3, lambda s: float(ps.v(s) - s * s / 2.0), None)
+    ref = conditioning_reference(lambda e: ps.v(u[0] + e) - 0.5 * (u[0] + e) ** 2, 3)
     val, info = log_expectation(t, ps, u)
-    assert info["method"] == "adaptive"
+    assert info["method"] == "conditioning"
     assert val == pytest.approx(ref, abs=1e-11)
-    gfun, calls = _counted(lambda dof: anharmonic_g(t, u, pinned(dof), ps))
-    adaptive_log_expectation(gfun, t, 1.0)
-    assert len(calls) <= 200
+
+
+def test_conditioning_curvature_in_hypothesis_example_a():
+    # f''(u)/m at example (a), beta = 8e-4, u = 0.5, from h = 1e-2 Richardson
+    # differences of f(u) - f(0) = m c1 u^2 / 2 - log E(k u) / beta
+    pa, beta = example_a(0.5), 8.0e-4
+    ps, k = scale_to_unit(pa, beta)
+    curvatures = []
+    for m, expected in ((4, 1.99590), (16, 1.99670), (64, 1.99686)):
+        t = Torus(1, m)
+
+        def f(u):
+            val, info = log_expectation(t, ps, k * u)
+            assert info["method"] == "conditioning"
+            return 0.5 * m * pa.c1 * float(u @ u) - val / beta
+
+        curvatures.append(hessian_fd(f, [0.5], h=1e-2)[0, 0] / m)
+        assert curvatures[-1] == pytest.approx(expected, abs=2e-5)
+    # the finite-m curvature rises toward its m -> infinity limit 1.99690
+    assert curvatures[0] < curvatures[1] < curvatures[2] < 1.99690
 
 
 @pytest.mark.parametrize(
-    "gfun,message",
+    "g,message",
     [
-        # a jump: the panel holding it never passes, whatever its width
-        (lambda dof: np.where(dof[:, 0] > 0.1234567, 5.0, 0.0), "bisections"),
-        # noise: every panel fails, so the panel count grows instead
-        (lambda dof: 1e-3 * np.random.default_rng(len(dof)).standard_normal(len(dof)), "panels"),
-        (lambda dof: np.where(dof[:, 0] > 1.0, np.nan, 0.0), "not finite"),
+        # a jump: the trapezoid sums converge only as O(h), never to tol
+        (lambda s: np.where(s > 0.1234567, 5.0, 0.0), "no convergence"),
+        # noise: successive grids never agree
+        (lambda s: 1e-3 * np.random.default_rng(len(s)).standard_normal(len(s)), "no convergence"),
+        (lambda s: np.where(s > 1.0, np.nan, 0.0), "not finite"),
     ],
-    ids=["depth_cap", "panel_cap", "nan"],
+    ids=["jump", "noise", "nan"],
 )
 @pytest.mark.parametrize("m", [2, 3])
-def test_adaptive_raises_instead_of_unconverged_value(gfun, message, m):
+def test_conditioning_raises_instead_of_unconverged_value(g, message, m):
     with pytest.raises(QuadratureError, match=message):
-        adaptive_log_expectation(gfun, Torus(1, m), 1.0)
-
-
-def test_gk21_rule_exactness():
-    # Kronrod integrates degree 31 exactly, its embedded Gauss rule degree 19
-    for deg in range(32):
-        exact = 2.0 / (deg + 1) if deg % 2 == 0 else 0.0
-        assert GK21_WEIGHTS[:, 0] @ GK21_NODES**deg == pytest.approx(exact, abs=1e-15)
-        if deg < 20:
-            assert GK21_WEIGHTS[:, 1] @ GK21_NODES**deg == pytest.approx(exact, abs=1e-15)
-    x, w = np.polynomial.legendre.leggauss(10)
-    gauss = GK21_WEIGHTS[:, 1] > 0
-    np.testing.assert_allclose(GK21_NODES[gauss], x, atol=1e-15)
-    np.testing.assert_allclose(GK21_WEIGHTS[gauss, 1], w, atol=1e-15)
+        conditioning_log_expectation(g, np.zeros(m))
 
 
 def test_mayer_matches_conditioning_reference(conditioning_reference, scaled_b):
@@ -149,11 +159,7 @@ def test_mayer_matches_conditioning_reference(conditioning_reference, scaled_b):
     t = Torus(1, 3)
     u = 0.3
     lo, hi, h = compact_anharmonicity(ps)
-
-    def g_scalar(s):
-        return float(h(s))
-
-    ref = conditioning_reference(u, 3, g_scalar, [lo, hi])
+    ref = conditioning_reference(lambda e: h(u + e), 3, [lo - u, hi - u])
     F = field_bond_map(t, 1.0)
     shifts = bond_args(t, np.zeros(t.volume), [u]).ravel()
     got, pruned = mayer_log_expectation(F, shifts, h, (lo, hi))
@@ -161,18 +167,15 @@ def test_mayer_matches_conditioning_reference(conditioning_reference, scaled_b):
     assert pruned < 1e-12
 
 
-def test_mayer_matches_adaptive(scaled_b):
+def test_mayer_matches_conditioning(scaled_b):
     ps, _ = scaled_b
     t = Torus(1, 3)
     u = np.array([0.15])
     val_mayer, info = log_expectation(t, ps, u)
     assert info["method"] == "mayer"
-
-    def gfun(dof_batch):
-        return anharmonic_g(t, u, pinned(dof_batch), ps)
-
-    val_ad, err = adaptive_log_expectation(gfun, t, 1.0)
-    assert val_mayer == pytest.approx(val_ad, abs=5e-9)
+    _lo, _hi, h = compact_anharmonicity(ps)
+    val, _ = conditioning_log_expectation(h, bond_args(t, np.zeros(t.volume), u))
+    assert val_mayer == pytest.approx(val, abs=5e-9)
 
 
 def test_log_expectation_gaussian_exact(pot_gauss):
@@ -182,26 +185,27 @@ def test_log_expectation_gaussian_exact(pot_gauss):
 
 
 def test_log_expectation_dispatch_example_a():
-    # moderate temperature: GH converges; tiny temperature: adaptive fallback
+    # the route follows from the input alone: d = 1 is the conditioning route at
+    # any temperature, d = 2 is GH
     pa = example_a(0.5)
-    t = Torus(1, 3)
+    for beta in (0.3, 1e-3):
+        ps, _ = scale_to_unit(pa, beta)
+        val, info = log_expectation(Torus(1, 3), ps, np.array([0.2]))
+        assert info["method"] == "conditioning"
+        assert math.isfinite(val)
     ps, _ = scale_to_unit(pa, 0.3)
-    _, info = log_expectation(t, ps, np.array([0.2]))
-    assert info["method"] in ("gh", "adaptive")
-    ps2, _ = scale_to_unit(pa, 1e-3)
-    val, info2 = log_expectation(t, ps2, np.array([0.2]))
-    assert info2["method"] == "adaptive"
-    assert math.isfinite(val)
+    _, info = log_expectation(Torus(2, 2), ps, np.array([0.2, 0.1]))
+    assert info["method"] == "gh"
 
 
 def test_log_expectation_raises_beyond_fallback():
-    # n_dof = 3 excludes the adaptive fallback; a needle the GH grid cannot see
-    # must raise rather than return an unconverged number
+    # d = 2 has no route but GH; a needle its grid cannot see must raise rather
+    # than return an unconverged number
     pa = example_a(0.5)
     ps, _ = scale_to_unit(pa, 1e-3)
-    t = Torus(1, 4)
+    t = Torus(2, 2)
     with pytest.raises(QuadratureError):
-        log_expectation(t, ps, np.array([0.2]), order_cap=32)
+        log_expectation(t, ps, np.array([0.2, 0.1]), order_cap=32)
 
 
 def test_log_expectation_requires_unit_scale():
@@ -222,17 +226,14 @@ def test_compact_anharmonicity_detection(pot_gauss, scaled_b):
 def test_mayer_degenerate_subsets_handled(scaled_b):
     # on the two-site torus forward and backward gradients are exact negatives,
     # so pair subsets have singular covariance; the rank-reduced route must not
-    # blow up and must agree with the adaptive backend
+    # blow up and must agree with the conditioning route
     ps, _ = scaled_b
     t = Torus(1, 2)
     u = np.array([0.2])
     val, info = log_expectation(t, ps, u)
     assert info["method"] == "mayer"
-
-    def gfun(dof_batch):
-        return anharmonic_g(t, u, pinned(dof_batch), ps)
-
-    ref, _ = adaptive_log_expectation(gfun, t, 1.0)
+    _lo, _hi, h = compact_anharmonicity(ps)
+    ref, _ = conditioning_log_expectation(h, bond_args(t, np.zeros(t.volume), u))
     assert val == pytest.approx(ref, abs=1e-9)
 
 
