@@ -25,7 +25,6 @@ __all__ = [
     "sample_gff",
     "poincare_constant",
     "pinned_form",
-    "pinned_covariance",
     "bond_matrix",
 ]
 
@@ -52,11 +51,6 @@ def pinned_form(t: Torus) -> np.ndarray:
     """Dirichlet form on the non-origin coordinates: dof . A dof = ||grad phi||^2."""
     D = bond_matrix(t)
     return D.T @ D
-
-
-def pinned_covariance(t: Torus) -> np.ndarray:
-    """Inverse of the pinned form: covariance of the pinned Gaussian field."""
-    return np.linalg.inv(pinned_form(t))
 
 
 @dataclass(frozen=True)

@@ -23,18 +23,13 @@ from .potentials import Potential
 __all__ = [
     "Torus",
     "Field",
-    "grad",
     "grad_all",
     "pinned",
     "bond_args",
     "bond_divergence",
     "grad_norm_sq",
-    "hamiltonian",
-    "grad_h",
     "separate",
     "anharmonic_g",
-    "induced_h1_energy",
-    "induced_h1_grad",
 ]
 
 
@@ -70,10 +65,6 @@ class Torus:
         idx = np.arange(self.volume).reshape((self.m,) * self.d)
         return np.stack([np.roll(idx, 1, axis=i).ravel() for i in range(self.d)])
 
-    def site_index(self, coords) -> int:
-        coords = tuple(int(c) % self.m for c in coords)
-        return int(np.ravel_multi_index(coords, (self.m,) * self.d))
-
 
 @dataclass
 class Field:
@@ -102,11 +93,6 @@ class Field:
 
     def to_json(self) -> str:
         return json.dumps({"d": self.torus.d, "m": self.torus.m, "values": self.values.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "Field":
-        obj = json.loads(text)
-        return cls(Torus(d=int(obj["d"]), m=int(obj["m"])), np.asarray(obj["values"], dtype=float))
 
 
 def _values(phi) -> np.ndarray:
@@ -144,24 +130,6 @@ def bond_divergence(t: Torus, w: np.ndarray) -> np.ndarray:
     return out[..., 1:]
 
 
-def grad(t: Torus, phi: Field, x: int, i: int) -> float:
-    """Single periodic difference grad_i phi(x)."""
-    return float(phi.values[t.forward[i, x]] - phi.values[x])
-
-
-def hamiltonian(t: Torus, u: np.ndarray, phi: Field | np.ndarray, p: Potential) -> float:
-    """Total energy H(u, phi) = sum over sites and axes of V(grad + u_i)."""
-    return float(np.sum(p.v(bond_args(t, _values(phi), u))))
-
-
-def grad_h(t: Torus, u: np.ndarray, phi: Field | np.ndarray, p: Potential) -> np.ndarray:
-    """dH/dphi(x) for the non-origin sites, as a dof vector of length volume - 1.
-
-    dH/dphi(x) = sum_i [V'(grad_i phi(x - e_i) + u_i) - V'(grad_i phi(x) + u_i)].
-    """
-    return bond_divergence(t, p.dv(bond_args(t, _values(phi), u)))
-
-
 def grad_norm_sq(t: Torus, values: np.ndarray) -> float:
     """Dirichlet energy ||grad phi||^2 summed over sites and axes."""
     return float(np.sum(grad_all(t, values) ** 2))
@@ -178,25 +146,12 @@ def anharmonic_g(t: Torus, u, values: np.ndarray, p: Potential) -> np.ndarray:
     return w.reshape(w.shape[:-2] + (-1,)).sum(axis=-1)
 
 
-def induced_h1_energy(t: Torus, p: Potential, u: np.ndarray, psi_values: np.ndarray, theta_dof: np.ndarray, lam: float) -> float:
-    """H1(theta) = G(u, psi + theta) + ||grad theta||^2 / (2 lam), theta pinned."""
-    theta = pinned(theta_dof)
-    return float(anharmonic_g(t, u, psi_values + theta, p)) + grad_norm_sq(t, theta) / (2.0 * lam)
-
-
-def induced_h1_grad(t: Torus, p: Potential, u: np.ndarray, psi_values: np.ndarray, theta_dof: np.ndarray, lam: float) -> np.ndarray:
-    """dH1/dtheta(x) over non-origin sites, as a dof vector."""
-    theta = pinned(theta_dof)
-    arg = bond_args(t, psi_values + theta, u)
-    return bond_divergence(t, (p.dv(arg) - arg) + grad_all(t, theta) / lam)
-
-
 def separate(t: Torus, u: np.ndarray, phi: Field | np.ndarray, p: Potential) -> tuple[float, float]:
     """Split H into the exact Gaussian part and the anharmonic remainder.
 
     Valid only for potentials already scaled to c1 = 1: returns
     (|T| |u|^2 / 2 + ||grad phi||^2 / 2,  sum g(u_i + grad_i phi)) with
-    g(s) = V(s) - s^2/2, and the two parts sum to hamiltonian(...).
+    g(s) = V(s) - s^2/2, and the two parts sum to H(u, phi).
     """
     if abs(p.c1 - 1.0) > 1e-12:
         raise ValueError(f"separate requires a unit-scaled potential (c1 = 1), got c1 = {p.c1}")

@@ -289,6 +289,21 @@ def _block_slices(n: int, min_blocks: int = MIN_BLOCKS):
     return [(j * b, (j + 1) * b) for j in range(nb)]
 
 
+def _jackknife(statistic, blocks: list[tuple], totals: tuple | None = None):
+    """Delete-one block jackknife of statistic over per-block sufficient statistics.
+
+    blocks[j] holds block j's sums; totals defaults to their sequential sums.
+    Returns (statistic(*totals), std error), the error elementwise over the
+    statistic's shape from the leave-one-out values statistic(*(totals - block)).
+    """
+    if totals is None:
+        totals = tuple(sum(col) for col in zip(*blocks))
+    jk = np.stack([np.asarray(statistic(*(tot - b for tot, b in zip(totals, blk)))) for blk in blocks])
+    J = jk.shape[0]
+    se = np.sqrt((J - 1) / J * np.sum((jk - jk.mean(axis=0)) ** 2, axis=0))
+    return statistic(*totals), se
+
+
 def batch_means(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Batch-means mean, std error and effective sample size along axis 0."""
     x = np.asarray(x, dtype=float)
@@ -340,19 +355,7 @@ def fluctuation_hessian(u, p: Potential, t: Torus, cfg: ChainConfig, tilt: int =
         cov = (outer - n * np.outer(m1, m1)) / (n - 1)
         return np.diag(sum2 / n) - cov
 
-    tot1 = sum(b[0] for b in blocks)
-    toto = sum(b[1] for b in blocks)
-    tot2 = sum(b[2] for b in blocks)
-    totn = sum(b[3] for b in blocks)
-    full = statistic(tot1, toto, tot2, totn)
-
-    jk = []
-    for b1, bo, b2, bn in blocks:
-        jk.append(statistic(tot1 - b1, toto - bo, tot2 - b2, totn - bn))
-    jk = np.stack(jk)
-    J = jk.shape[0]
-    se = np.sqrt((J - 1) / J * np.sum((jk - jk.mean(axis=0)) ** 2, axis=0))
-
+    full, se = _jackknife(statistic, blocks)
     _, _, n_eff = batch_means(np.concatenate([r.observable for r in results]))
     return Estimate(value=full, std_error=se, n_effective=n_eff, method="chain")
 
@@ -533,19 +536,10 @@ def poincare_variance_check(samples: np.ndarray, delta: float, observables: list
     for obs in observables:
         vals = np.asarray(obs.value(samples), dtype=float)
         gsq = np.sum(np.asarray(obs.grad(samples), dtype=float) ** 2, axis=1)
-        slices = _block_slices(n)
-        bl = [(vals[a:b].sum(), (vals[a:b] ** 2).sum(), b - a) for a, b in slices]
-        tot1 = sum(b[0] for b in bl)
-        tot2 = sum(b[1] for b in bl)
-        totn = sum(b[2] for b in bl)
-
-        def var_stat(s1, s2, m):
-            return (s2 - s1 * s1 / m) / (m - 1)
-
-        v_full = var_stat(tot1, tot2, totn)
-        jk = np.asarray([var_stat(tot1 - b1, tot2 - b2, totn - bn) for b1, b2, bn in bl])
-        J = len(jk)
-        v_se = math.sqrt((J - 1) / J * float(np.sum((jk - jk.mean()) ** 2)))
+        v_full, v_se = _jackknife(
+            lambda s1, s2, m: (s2 - s1 * s1 / m) / (m - 1),
+            [(vals[a:b].sum(), (vals[a:b] ** 2).sum(), b - a) for a, b in _block_slices(n)],
+        )
         g_mean, g_se, _ = batch_means(gsq)
         variances.append(v_full)
         var_se.append(v_se)

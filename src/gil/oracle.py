@@ -16,16 +16,9 @@ import numpy as np
 
 from .conditions import scale_to_unit
 from .gff import ModeBasis
-from .lattice import Torus, Field, bond_args
+from .lattice import Torus, Field
 from .potentials import Potential
-from .quadrature import (
-    QuadratureError,
-    compact_anharmonicity,
-    field_bond_map,
-    gh_log_expectation_doubling,
-    mayer_log_expectation,
-    log_expectation,
-)
+from .quadrature import QuadratureError, gh_log_expectation_doubling, log_expectation
 
 __all__ = [
     "QuadratureSpec",
@@ -40,21 +33,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Gauss-Hermite order schedule and size caps for the oracle integrals."""
+    """Size cap and tolerance for the oracle integrals.
 
-    nodes_per_dim: int = 16
-    envelope_scale: float = 1.0
+    max_dof caps the free coordinates an oracle call accepts (at most 5); tol is
+    the convergence tolerance handed to quadrature.log_expectation.  The
+    Gauss-Hermite order schedule is fixed in the quadrature module.
+    """
+
     max_dof: int = 5
     tol: float = 1e-8
-    node_cap: int = 128
 
     def __post_init__(self):
-        if self.nodes_per_dim < 8:
-            raise ValueError("nodes_per_dim must be at least 8")
         if self.max_dof > 5:
             raise ValueError("max_dof is capped at 5")
-        if self.envelope_scale <= 0 or self.tol <= 0:
-            raise ValueError("envelope_scale and tol must be positive")
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
 
 
 def _check_size(t: Torus, q: QuadratureSpec):
@@ -76,9 +69,7 @@ def log_partition(u, p: Potential, t: Torus, beta: float, q: QuadratureSpec = Qu
     us = k * u
     mb = ModeBasis.build(t)
     n = t.n_dof
-    log_e, _info = log_expectation(
-        t, ps, us, 1.0, order0=q.nodes_per_dim, tol=q.tol, order_cap=q.node_cap, envelope=q.envelope_scale
-    )
+    log_e, _info = log_expectation(t, ps, us, 1.0, tol=q.tol)
     log_z1 = (
         -0.5 * t.volume * float(us @ us)
         + 0.5 * n * math.log(2.0 * math.pi)
@@ -93,11 +84,11 @@ def free_energy(u, p: Potential, t: Torus, beta: float, q: QuadratureSpec = Quad
     return -log_partition(u, p, t, beta, q) / beta
 
 
-def hessian_fd(f, u, h: float = 1e-3, richardson: bool = True) -> np.ndarray:
+def hessian_fd(f, u, h: float = 1e-3) -> np.ndarray:
     """Symmetrized central second differences of a scalar map on R^d.
 
-    With richardson=True the h and h/2 stencils are combined to cancel the
-    leading O(h^2) truncation term; both stencils share the one f(u).
+    The h and h/2 stencils are combined (Richardson) to cancel the leading
+    O(h^2) truncation term; both stencils share the one f(u).
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     f0 = f(u)
@@ -118,10 +109,7 @@ def hessian_fd(f, u, h: float = 1e-3, richardson: bool = True) -> np.ndarray:
         return H
 
     H1 = stencil(h)
-    if not richardson:
-        return 0.5 * (H1 + H1.T)
-    H2 = stencil(h / 2.0)
-    H = (4.0 * H2 - H1) / 3.0
+    H = (4.0 * stencil(h / 2.0) - H1) / 3.0
     return 0.5 * (H + H.T)
 
 
@@ -134,9 +122,7 @@ def renorm_apply_g(p: Potential, variance_scale: float, u, a: Field, q: Quadratu
     t = a.torus
     _check_size(t, q)
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    val, _info = log_expectation(
-        t, p, u, variance_scale, psi_values=a.values, order0=q.nodes_per_dim, tol=q.tol, order_cap=q.node_cap
-    )
+    val, _info = log_expectation(t, p, u, variance_scale, psi_values=a.values, tol=q.tol)
     return -val
 
 
@@ -159,9 +145,7 @@ def renorm_iterated_g(
             out[j] = renorm_apply_g(p, lam, u, psi, q)
         return out
 
-    val, converged, delta, _order = gh_log_expectation_doubling(
-        outer_gfun, t, 1.0 - lam, q.nodes_per_dim, q.tol, q.node_cap
-    )
+    val, converged, delta, _order = gh_log_expectation_doubling(outer_gfun, t, 1.0 - lam, q.tol)
     if not converged:
         raise QuadratureError(f"outer renorm layer did not converge (last delta {delta:.3e})")
     return -val
@@ -170,21 +154,12 @@ def renorm_iterated_g(
 def renorm_joint_g(
     p: Potential, lam: float, u, t: Torus, q: QuadratureSpec = QuadratureSpec()
 ) -> float:
-    """The same map evaluated as one joint quadrature over both Gaussian layers.
+    """The same map evaluated as one quadrature over the sum of both layers.
 
-    Both fields' latent coordinates enter a single (bonds x 2 n_dof) linear map;
-    compact anharmonicity is required.  Agreement with renorm_iterated_g is the
-    numerical decomposition identity.
+    Independent pinned fields at scales lam and 1 - lam sum to one pinned field
+    at scale 1, so the joint side is -log E[exp(-G(u, phi))] at scale 1 and
+    does not depend on lam.  Agreement with renorm_iterated_g is the numerical
+    decomposition identity.
     """
     _check_size(t, q)
-    compact = compact_anharmonicity(p)
-    if compact is None:
-        raise QuadratureError("joint quadrature requires compactly supported anharmonicity")
-    lo, hi, h = compact
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if hi - lo <= 0.0:
-        return 0.0
-    F = np.hstack([field_bond_map(t, 1.0 - lam), field_bond_map(t, lam)])
-    shifts = bond_args(t, np.zeros(t.volume), u).ravel()
-    val, _pruned = mayer_log_expectation(F, shifts, h, (lo, hi), tol=min(q.tol, 1e-12))
-    return -val
+    return -log_expectation(t, p, np.atleast_1d(np.asarray(u, dtype=float)), 1.0, tol=q.tol)[0]

@@ -17,13 +17,9 @@ alone, with no fallback between routes:
                 periodic grid that doubles until converged.
   gh            d >= 2: tensor-product Gauss-Hermite in gff.ModeBasis, the
                 eigenbasis of the pinned form that sample_gff also draws in,
-                with node doubling until the change drops below tol; raises
-                QuadratureError when it does not converge.
-
-The mayer route also handles the two-field integral behind the decomposition
-identity: the latent standard-normal coordinates of both fields enter one linear
-map, directions the integrand ignores marginalize to one exactly, and the rest
-is a low-dimensional box integral.
+                with node doubling from GH_START_ORDER until the change drops
+                below tol; raises QuadratureError when it does not converge by
+                GH_MAX_ORDER or GH_POINT_CAP.
 """
 
 from __future__ import annotations
@@ -50,9 +46,10 @@ __all__ = [
     "field_bond_map",
 ]
 
-GH_MIN_ORDER = 8
+GH_START_ORDER = 16
 GH_MAX_ORDER = 128
 GH_POINT_CAP = 20_000_000  # tensor grids beyond this are declared non-convergent
+GH_PRUNE = 1e-18  # tensor nodes below this fraction of the largest weight are dropped
 GL_ORDER = 24
 Y_CLIP = 9.0  # standard-normal tail beyond this contributes < 1e-18
 
@@ -65,10 +62,10 @@ class QuadratureError(RuntimeError):
     """Raised when no backend can certify the requested tolerance."""
 
 
-def compact_anharmonicity(p: Potential, certify_tol: float = 1e-10):
+def compact_anharmonicity(p: Potential):
     """Return (lo, hi, h) when V(s) - s^2/2 is compactly supported, else None.
 
-    h is the scalar anharmonicity; the certificate checks h vanishes on a probe
+    h is the scalar anharmonicity; the certificate checks |h| <= 1e-10 on a probe
     grid outside the declared support and requires c1 = c2 = 1.
     """
     if p.g0_support is None or abs(p.c1 - 1.0) > 1e-12 or abs(p.c2 - 1.0) > 1e-12:
@@ -83,7 +80,7 @@ def compact_anharmonicity(p: Potential, certify_tol: float = 1e-10):
     probes = np.concatenate(
         [np.linspace(lo - 6 * width, lo - 1e-9, 64), np.linspace(hi + 1e-9, hi + 6 * width, 64)]
     )
-    if np.max(np.abs(h(probes))) > certify_tol:
+    if np.max(np.abs(h(probes))) > 1e-10:
         return None
     return lo, hi, h
 
@@ -98,53 +95,34 @@ def _gh_rule(order: int):
     return x, w / math.sqrt(2.0 * math.pi)
 
 
-def _gh_tensor(order: int, sigmas: np.ndarray, prune: float):
+def _gh_tensor(order: int, sigmas: np.ndarray):
     """Pruned tensor grid: nodes (n_pts, n), log-weights (n_pts,)."""
     x, w = _gh_rule(order)
     logw = np.log(w)
     n = len(sigmas)
     idx = np.meshgrid(*[np.arange(order)] * n, indexing="ij")
     logW = sum(logw[ii] for ii in idx).reshape(-1)
-    keep = logW >= logW.max() + math.log(prune)
+    keep = logW >= logW.max() + math.log(GH_PRUNE)
     pts = np.stack([sigmas[j] * x[idx[j]].reshape(-1)[keep] for j in range(n)], axis=-1)
     return pts, logW[keep]
 
 
-def gh_log_expectation(gfun, t: Torus, scale: float, order: int, prune: float = 1e-18, envelope: float = 1.0) -> float:
-    """One fixed-order tensor GH evaluation of log E[exp(-gfun(dof))].
-
-    envelope != 1 widens (or narrows) the sampling Gaussian by that variance
-    factor and reweights the integrand by the exact density ratio, which helps
-    when the integrand puts mass outside the natural envelope.
-    """
+def gh_log_expectation(gfun, t: Torus, scale: float, order: int) -> float:
+    """One fixed-order tensor GH evaluation of log E[exp(-gfun(dof))]."""
     mb = ModeBasis.build(t)
-    sigmas = np.sqrt(envelope * scale / mb.lam)
-    pts, logW = _gh_tensor(order, sigmas, prune)
-    dof = pts @ mb.Q.T
-    gv = gfun(dof)
-    if envelope != 1.0:
-        # density ratio between the target and widened Gaussians
-        quad = np.sum((pts / sigmas) ** 2 * (envelope - 1.0), axis=1)
-        logW = logW + 0.5 * t.n_dof * math.log(envelope) - 0.5 * quad
+    pts, logW = _gh_tensor(order, np.sqrt(scale / mb.lam))
+    gv = gfun(pts @ mb.Q.T)
     m = np.max(logW - gv)
     return float(m + np.log(np.sum(np.exp(logW - gv - m))))
 
 
-def gh_log_expectation_doubling(
-    gfun,
-    t: Torus,
-    scale: float,
-    order0: int = GH_MIN_ORDER,
-    tol: float = 1e-8,
-    order_cap: int = GH_MAX_ORDER,
-    envelope: float = 1.0,
-):
-    """GH with node doubling; returns (value, converged, last_delta, order)."""
-    order = max(GH_MIN_ORDER, order0)
-    prev, delta = gh_log_expectation(gfun, t, scale, order, envelope=envelope), math.inf
-    while 2 * order <= order_cap and (2 * order) ** t.n_dof <= GH_POINT_CAP:
+def gh_log_expectation_doubling(gfun, t: Torus, scale: float, tol: float = 1e-8):
+    """GH with node doubling from GH_START_ORDER; returns (value, converged, last_delta, order)."""
+    order = GH_START_ORDER
+    prev, delta = gh_log_expectation(gfun, t, scale, order), math.inf
+    while 2 * order <= GH_MAX_ORDER and (2 * order) ** t.n_dof <= GH_POINT_CAP:
         order *= 2
-        cur = gh_log_expectation(gfun, t, scale, order, envelope=envelope)
+        cur = gh_log_expectation(gfun, t, scale, order)
         delta = abs(cur - prev)
         if delta < tol:
             return cur, True, delta, order
@@ -208,7 +186,7 @@ def _gl_rule(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
-def _box_moment(F_S: np.ndarray, lo: np.ndarray, hi: np.ndarray, bfuns, gl_order: int) -> float:
+def _box_moment(F_S: np.ndarray, lo: np.ndarray, hi: np.ndarray, bfuns) -> float:
     """E[prod_b b_b((F_S z)_b)] for z standard normal, b_b supported on [lo_b, hi_b].
 
     Marginalizes the null space of F_S exactly and integrates the remaining
@@ -234,14 +212,14 @@ def _box_moment(F_S: np.ndarray, lo: np.ndarray, hi: np.ndarray, bfuns, gl_order
     yhi = np.minimum(yhi, Y_CLIP)
     if np.any(ylo >= yhi):
         return 0.0
-    x, w = _gl_rule(gl_order)
+    x, w = _gl_rule(GL_ORDER)
     half = (yhi - ylo) / 2.0
     mid = (yhi + ylo) / 2.0
     axes = [mid[j] + half[j] * x for j in range(r)]
     grids = np.meshgrid(*axes, indexing="ij")
     Y = np.stack([g.reshape(-1) for g in grids], axis=-1)  # (n_pts, r)
     wts = np.ones(Y.shape[0])
-    widx = np.meshgrid(*[np.arange(gl_order)] * r, indexing="ij")
+    widx = np.meshgrid(*[np.arange(GL_ORDER)] * r, indexing="ij")
     for j in range(r):
         wts = wts * (half[j] * w[widx[j].reshape(-1)])
     Z = Y @ A.T  # (n_pts, |S|)
@@ -252,12 +230,7 @@ def _box_moment(F_S: np.ndarray, lo: np.ndarray, hi: np.ndarray, bfuns, gl_order
 
 
 def mayer_log_expectation(
-    F: np.ndarray,
-    shifts: np.ndarray,
-    h,
-    support: tuple[float, float],
-    tol: float = 1e-12,
-    gl_order: int = GL_ORDER,
+    F: np.ndarray, shifts: np.ndarray, h, support: tuple[float, float], tol: float = 1e-12
 ) -> tuple[float, float]:
     """log E[prod_b (1 + b_b)] with b_b(zeta) = exp(-h(shift_b + zeta_b)) - 1.
 
@@ -297,7 +270,7 @@ def mayer_log_expectation(
             if bound < tol / (2.0**B):
                 pruned += bound
                 continue
-            total += _box_moment(F[idx, :], lo[idx], hi[idx], [bfuns_all[b] for b in idx], gl_order)
+            total += _box_moment(F[idx, :], lo[idx], hi[idx], [bfuns_all[b] for b in idx])
     if total <= -1.0:
         raise QuadratureError("inclusion-exclusion sum left the domain of log1p")
     return math.log1p(total), pruned
@@ -317,15 +290,7 @@ def field_bond_map(t: Torus, scale: float) -> np.ndarray:
 
 
 def log_expectation(
-    t: Torus,
-    p: Potential,
-    u: np.ndarray,
-    scale: float = 1.0,
-    psi_values: np.ndarray | None = None,
-    order0: int = GH_MIN_ORDER,
-    tol: float = 1e-8,
-    order_cap: int = GH_MAX_ORDER,
-    envelope: float = 1.0,
+    t: Torus, p: Potential, u: np.ndarray, scale: float = 1.0, psi_values: np.ndarray | None = None, tol: float = 1e-8
 ) -> tuple[float, dict]:
     """log E[exp(-G(u, psi + phi))] for phi a pinned field at the given scale.
 
@@ -333,8 +298,7 @@ def log_expectation(
     the route, chosen from the input alone: "exact" for a pure Gaussian,
     "mayer" for compact anharmonicity in any d, "conditioning" for any other
     potential in d = 1 (converged to min(tol, 1e-12)), and "gh" with node
-    doubling in d >= 2, which raises QuadratureError when unconverged.  order0,
-    order_cap and envelope apply to the gh route only.
+    doubling in d >= 2, which raises QuadratureError when unconverged.
     """
     if abs(p.c1 - 1.0) > 1e-12:
         raise ValueError("log_expectation requires a unit-scaled potential (c1 = 1)")
@@ -357,7 +321,7 @@ def log_expectation(
     def gfun(dof_batch):
         return anharmonic_g(t, u, pinned(dof_batch) + base, p)
 
-    val, converged, delta, order = gh_log_expectation_doubling(gfun, t, scale, order0, tol, order_cap, envelope)
+    val, converged, delta, order = gh_log_expectation_doubling(gfun, t, scale, tol)
     if not converged:
-        raise QuadratureError(f"GH did not converge below {tol} at order cap {order_cap} (last delta {delta:.3e})")
+        raise QuadratureError(f"GH did not converge below {tol} at order cap {GH_MAX_ORDER} (last delta {delta:.3e})")
     return val, {"method": "gh", "error": delta, "order": order}

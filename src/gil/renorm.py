@@ -19,7 +19,7 @@ import numpy as np
 from .conditions import cbar, scale_to_unit, check_conditions
 from .gff import poincare_constant, sample_gff
 from .lattice import Torus, Field, anharmonic_g, bond_args, grad_all, grad_norm_sq, pinned
-from .mcmc import ChainConfig, Estimate, Target, make_h1_target, fluctuation_hessian, stream, _block_slices
+from .mcmc import ChainConfig, Estimate, Target, make_h1_target, fluctuation_hessian, stream, _block_slices, _jackknife
 from .oracle import QuadratureSpec, free_energy, hessian_fd, renorm_apply_g, renorm_iterated_g
 from .potentials import Potential, norms
 
@@ -129,29 +129,13 @@ def estimate_r1g(
     shift = w.max()
     if not math.isfinite(shift):
         raise FloatingPointError("all Monte Carlo weights underflowed; rescale the problem")
-
-    def neg_log_mean(ws):
-        return -(shift + math.log(np.mean(np.exp(ws - shift))))
-
-    full = neg_log_mean(w)
-    slices = _block_slices(n_samples)
-    jk = []
-    for a, b in slices:
-        mask = np.ones(n_samples, dtype=bool)
-        mask[a:b] = False
-        jk.append(neg_log_mean(w[mask]))
-    jk = np.asarray(jk)
-    J = len(jk)
-    se = math.sqrt((J - 1) / J * float(np.sum((jk - jk.mean()) ** 2)))
-    return Estimate(value=full, std_error=se, n_effective=float(n_samples), method="mc")
-
-
-def _fd_second_directional(f, h: float = 1e-3) -> float:
-    """Richardson-extrapolated central second derivative of f: R -> R at 0."""
-    f0 = f(0.0)
-    d_h = (f(h) - 2.0 * f0 + f(-h)) / h**2
-    d_h2 = (f(h / 2.0) - 2.0 * f0 + f(-h / 2.0)) / (h / 2.0) ** 2
-    return (4.0 * d_h2 - d_h) / 3.0
+    e = np.exp(w - shift)
+    full, se = _jackknife(
+        lambda total, n: -(shift + math.log(total / n)),
+        [(e[a:b].sum(), b - a) for a, b in _block_slices(n_samples)],
+        totals=(e.sum(), n_samples),
+    )
+    return Estimate(value=full, std_error=float(se), n_effective=float(n_samples), method="mc")
 
 
 @dataclass(frozen=True)
@@ -184,9 +168,9 @@ def verify_c6(
         dpsi = pinned(dpsi_dof)
 
         def f(s):
-            return renorm_apply_g(plan.potential, plan.lam, u + s * du, Field(t, psi.values + s * dpsi), q)
+            return renorm_apply_g(plan.potential, plan.lam, u + s[0] * du, Field(t, psi.values + s[0] * dpsi), q)
 
-        vals.append(_fd_second_directional(f, h))
+        vals.append(hessian_fd(f, 0.0, h)[0, 0])
         bounds.append(-0.5 * (t.volume * float(du @ du) + grad_norm_sq(t, dpsi)))
     vals = np.asarray(vals)
     bounds = np.asarray(bounds)
@@ -210,9 +194,9 @@ def verify_c7(
         du = np.atleast_1d(np.asarray(du, dtype=float))
 
         def f(s):
-            return renorm_iterated_g(plan.potential, plan.lam, u + s * du, t, q)
+            return renorm_iterated_g(plan.potential, plan.lam, u + s[0] * du, t, q)
 
-        vals.append(_fd_second_directional(f, h))
+        vals.append(hessian_fd(f, 0.0, h)[0, 0])
         bounds.append(-0.5 * t.volume * float(du @ du))
     vals = np.asarray(vals)
     bounds = np.asarray(bounds)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from gil.conditions import check_conditions, scale_to_unit
-from gil.lattice import Torus
+from gil.gff import pinned_form
+from gil.lattice import Field, Torus, anharmonic_g, bond_args, bond_divergence, grad_all, grad_norm_sq, pinned
 from gil.mcmc import ChainConfig
 from gil.potentials import example_a, example_b, example_c, gaussian_potential, norms
 
@@ -66,3 +67,37 @@ def random_pinned(t: Torus, rng: np.random.Generator, scale: float = 1.0) -> np.
     vals = np.zeros(t.volume)
     vals[1:] = scale * rng.standard_normal(t.n_dof)
     return vals
+
+
+# Single-field reference forms of the batched lattice kernels, used only to check
+# the kernels and the targets built on them.
+
+
+def hamiltonian(t: Torus, u, phi, p) -> float:
+    """Total energy H(u, phi) = sum over sites and axes of V(grad + u_i)."""
+    values = phi.values if isinstance(phi, Field) else np.asarray(phi, dtype=float)
+    return float(np.sum(p.v(bond_args(t, values, u))))
+
+
+def grad_h(t: Torus, u, phi, p) -> np.ndarray:
+    """dH/dphi(x) = sum_i [V'(grad_i phi(x - e_i) + u_i) - V'(grad_i phi(x) + u_i)] over non-origin x."""
+    values = phi.values if isinstance(phi, Field) else np.asarray(phi, dtype=float)
+    return bond_divergence(t, p.dv(bond_args(t, values, u)))
+
+
+def induced_h1_energy(t: Torus, p, u, psi_values, theta_dof, lam: float) -> float:
+    """H1(theta) = G(u, psi + theta) + ||grad theta||^2 / (2 lam), theta pinned."""
+    theta = pinned(theta_dof)
+    return float(anharmonic_g(t, u, psi_values + theta, p)) + grad_norm_sq(t, theta) / (2.0 * lam)
+
+
+def induced_h1_grad(t: Torus, p, u, psi_values, theta_dof, lam: float) -> np.ndarray:
+    """dH1/dtheta(x) over non-origin sites, as a dof vector."""
+    theta = pinned(theta_dof)
+    arg = bond_args(t, psi_values + theta, u)
+    return bond_divergence(t, (p.dv(arg) - arg) + grad_all(t, theta) / lam)
+
+
+def pinned_covariance(t: Torus) -> np.ndarray:
+    """Inverse of the pinned form: covariance of the pinned Gaussian field."""
+    return np.linalg.inv(pinned_form(t))

@@ -310,6 +310,15 @@ def test_mistyped_block_values_exit_one(tmp_path, capsys, command, extra, key):
     assert not (tmp_path / "o.out").exists()
 
 
+def test_removed_quadrature_key_exit_one(tmp_path, capsys):
+    # the Gauss-Hermite schedule is fixed; its old key is rejected, not ignored
+    path = write(tmp_path / "c.json", dict(BASE, u_grid=[[0.2]], quadrature={"nodes_per_dim": 16}))
+    assert run_cli(["free-energy", "--config", path, "--out", tmp_path / "o.csv"]) == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert err == ["gil free-energy: quadrature must not have key 'nodes_per_dim'"]
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_chain_failure_exit_three(tmp_path, capsys):
     cfg = dict(BASE, u=[0.2], chain={"n_steps": 400, "burn_in": 100, "n_chains": 1, "step_size": 50.0})
     path = write(tmp_path / "c.json", cfg)

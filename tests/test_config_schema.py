@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import tomllib
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 import gil.cli
 from gil.cli import SCHEMA, ConfigError, build_potential, validate_config
+from gil.oracle import QuadratureSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -29,7 +31,7 @@ ENFORCED = {
 ANNOTATIONS = {"$schema", "title", "description", "$defs"}
 
 CHAIN = {"n_steps": 100, "burn_in": 10, "thinning": 1, "n_chains": 1, "step_size": 0.3, "tune": True}
-QUAD = {"nodes_per_dim": 16, "envelope_scale": 1.0, "max_dof": 2, "tol": 1e-8, "node_cap": 64}
+QUAD = {"max_dof": 2, "tol": 1e-8}
 BASE = {"potential": {"family": "example_a", "a": 0.5}, "d": 1, "m": 3, "beta": 1.0, "seed": 7}
 VALID = {
     "check": dict(BASE, condition="alt_9"),
@@ -136,3 +138,10 @@ def test_schema_is_package_data():
     assert "config_schema.json" in pyproject["tool"]["setuptools"]["package-data"]["gil"]
     assert (Path(gil.cli.__file__).parent / "config_schema.json").is_file()
     assert not (ROOT / "docs" / "config_schema.json").exists()
+
+
+def test_quadrature_block_matches_spec_fields():
+    # the cli builds QuadratureSpec(**block): a field without a schema key could
+    # not be set, and a key without a field would fail after validation
+    fields = {f.name for f in dataclasses.fields(QuadratureSpec)}
+    assert fields == set(SCHEMA["properties"]["quadrature"]["properties"])

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from gil.gff import (
     ModeBasis,
     bond_matrix,
-    pinned_covariance,
     pinned_form,
     poincare_constant,
     sample_gff,
@@ -19,7 +18,7 @@ def full_dirichlet_matrix(t):
     D = grad_all(t, np.eye(t.volume)).reshape(t.volume, -1).T
     return D.T @ D
 
-from conftest import random_pinned
+from conftest import pinned_covariance, random_pinned
 
 
 @pytest.mark.parametrize(
@@ -158,7 +157,7 @@ def test_grad_variance_matches_dense_covariance():
     # phi(0) = 0 it is Var(phi(e_0)) under the pinned field
     for d, m in ((1, 3), (2, 3)):
         t = Torus(d, m)
-        e0 = t.site_index((1,) + (0,) * (d - 1)) - 1
+        e0 = t.forward[0, 0] - 1  # dof index of the site e_0
         assert (t.volume - 1) / (d * t.volume) == pytest.approx(pinned_covariance(t)[e0, e0], abs=1e-12)
 
 

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from gil.conditions import scale_to_unit
-from gil.gff import pinned_covariance, poincare_constant
+from gil.gff import poincare_constant
 from gil.lattice import Field, Torus
 from gil.mcmc import (
     ChainConfig,
@@ -26,6 +26,8 @@ from gil.mcmc import (
 )
 from gil.oracle import QuadratureSpec, free_energy, hessian_fd
 from gil.potentials import example_a, gaussian_potential
+
+from conftest import grad_h, hamiltonian, induced_h1_energy, induced_h1_grad, pinned_covariance
 
 
 def test_chain_determinism(pot_gauss, quick_chain):
@@ -89,8 +91,6 @@ def test_gradient_spot_check_guard():
 
 def test_batched_targets_match_single_field_energies(pot_a):
     # each row of a batched call agrees with the single-field lattice functions
-    from gil.lattice import grad_h, hamiltonian, induced_h1_energy, induced_h1_grad
-
     t = Torus(2, 3)
     rng = np.random.default_rng(2)
     X = rng.standard_normal((5, t.n_dof))

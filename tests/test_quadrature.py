@@ -205,7 +205,7 @@ def test_log_expectation_raises_beyond_fallback():
     ps, _ = scale_to_unit(pa, 1e-3)
     t = Torus(2, 2)
     with pytest.raises(QuadratureError):
-        log_expectation(t, ps, np.array([0.2, 0.1]), order_cap=32)
+        log_expectation(t, ps, np.array([0.2, 0.1]))
 
 
 def test_log_expectation_requires_unit_scale():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from gil.conditions import check_conditions, scale_to_unit
-from gil.lattice import Field, Torus, grad_norm_sq
-from gil.mcmc import ChainConfig
+from gil.gff import sample_gff
+from gil.lattice import Field, Torus, anharmonic_g, grad_norm_sq
+from gil.mcmc import ChainConfig, _block_slices, stream
 from gil.oracle import QuadratureSpec, renorm_apply_g
 from gil.potentials import example_a, example_c, gaussian_potential, norms
 from gil.renorm import (
@@ -104,6 +105,26 @@ def test_estimate_r1g_mc_matches_oracle(scaled_b):
     mc = estimate_r1g(plan, [0.3], psi, "mc", Q, n_samples=100_000, seed=5)
     assert abs(float(mc.value) - float(oracle.value)) < 3 * float(mc.std_error)
     assert mc.std_error > 0
+
+
+def test_estimate_r1g_jackknife_matches_leave_one_out_loop(scaled_b):
+    # the estimator works on block sums of the weights; the reference re-averages
+    # the sample with each block deleted, so the samples past the last whole
+    # block stay in every leave-one-out mean
+    ps, _ = scaled_b
+    t = Torus(1, 3)
+    plan = DecompositionPlan.from_potential(ps, t)
+    psi = Field.from_dof(t, np.array([0.4, -0.2]))
+    n = 2_003
+    est = estimate_r1g(plan, [0.3], psi, "mc", Q, n_samples=n, seed=5)
+    w = -anharmonic_g(t, [0.3], psi.values + sample_gff(t, plan.lam, stream(5, purpose="r1g"), n), ps)
+
+    def neg_log_mean(ws):
+        return -(w.max() + math.log(np.mean(np.exp(ws - w.max()))))
+
+    jk = np.array([neg_log_mean(np.delete(w, np.s_[a:b])) for a, b in _block_slices(n)])
+    assert est.value == neg_log_mean(w)
+    assert est.std_error == pytest.approx(math.sqrt((len(jk) - 1) / len(jk) * np.sum((jk - jk.mean()) ** 2)), rel=1e-9)
 
 
 def test_estimate_r1g_rejects_unknown_method(scaled_b):
