@@ -7,16 +7,14 @@ estimator.
 """
 
 from .conditions import ConditionReport, cbar, check_conditions, scale_to_unit
-from .gff import ModeBasis, PoincareConstant, poincare_constant, sample_gff, spectrum
+from .gff import ModeBasis, poincare_constant, sample_gff, spectrum
 from .lattice import Field, Torus, grad_all, separate
-from .mcmc import ChainConfig, Estimate, Observable, Target, fluctuation_hessian, run_chain, run_chains
+from .mcmc import ChainConfig, Estimate, Observable, Target, fluctuation_hessian, run_chains
 from .oracle import QuadratureSpec, free_energy, hessian_fd, log_partition
 from .potentials import (
     NormReport,
     Potential,
-    constants,
     custom_potential,
-    eval_potential,
     example_a,
     example_b,
     example_c,

@@ -249,7 +249,7 @@ def cmd_verify_lemma(cfg: dict, out: str, seed: int) -> int:
     samples = np.concatenate([r.samples for r in results])
     rep = verify_l1norm_bounds(ps, t, us, psi, samples, plan.lam, k_grid)
 
-    delta = plan.cbar * poincare_constant(t).delta_m
+    delta = plan.cbar * poincare_constant(t)
     rng = stream(seed, purpose="observables")
     obs = []
     for j in range(cfg.get("observables", 5)):

@@ -136,34 +136,17 @@ def scale_to_unit(p: Potential, beta: float) -> tuple[Potential, float]:
     def _scale2(f):
         return lambda s: f(np.asarray(s, dtype=float) / k) / c1
 
-    cn = {}
-    base = p.closed_norms
-    if "l1_g0pp" in base:
-        cn["l1_g0pp"] = base["l1_g0pp"] * k / c1
-    if "l1_g0pp_abs" in base:
-        cn["l1_g0pp_abs"] = base["l1_g0pp_abs"] * k / c1
-    if "l2_g0p" in base:
-        cn["l2_g0p"] = base["l2_g0p"] * beta**0.75 * c1**-0.25
-    if "l1_g0" in base:
-        cn["l1_g0"] = base["l1_g0"] * beta**1.5 * math.sqrt(c1)
-
+    v, dv, d2v = p.vfun
     scaled = Potential(
         family=f"scaled:{p.family}",
-        params={**p.params, "beta": beta, "base_family": p.family},
-        v0=_scale0(p.v0),
-        dv0=_scale1(p.dv0),
-        d2v0=_scale2(p.d2v0),
-        g0=_scale0(p.g0),
-        dg0=_scale1(p.dg0),
+        vfun=(_scale0(v), _scale1(dv), _scale2(d2v)),
         d2g0=_scale2(p.d2g0),
         c0=p.c0 / c1,
         c1=1.0,
         c2=p.c2 / c1,
+        g0=None if p.g0 is None else _scale0(p.g0),
+        dg0=None if p.dg0 is None else _scale1(p.dg0),
         g0pp_breakpoints=tuple(x * k for x in p.g0pp_breakpoints),
         g0_support=None if p.g0_support is None else (p.g0_support[0] * k, p.g0_support[1] * k),
-        closed_norms=cn,
-        v_total=None if p.v_total is None else _scale0(p.v_total),
-        dv_total=None if p.dv_total is None else _scale1(p.dv_total),
-        d2v_total=None if p.d2v_total is None else _scale2(p.d2v_total),
     )
     return scaled, k

@@ -20,7 +20,6 @@ from .lattice import Torus, Field, grad_all, pinned
 
 __all__ = [
     "ModeBasis",
-    "PoincareConstant",
     "spectrum",
     "sample_gff",
     "poincare_constant",
@@ -29,13 +28,6 @@ __all__ = [
 ]
 
 DENSE_CAP = 4096
-
-
-@dataclass(frozen=True)
-class PoincareConstant:
-    """Smallest Rayleigh quotient ||grad eta||^2 / ||eta||^2 over pinned fields."""
-
-    delta_m: float
 
 
 def bond_matrix(t: Torus) -> np.ndarray:
@@ -104,6 +96,9 @@ def sample_gff(t: Torus, variance_scale: float, rng: np.random.Generator, n_samp
     return sites
 
 
-def poincare_constant(t: Torus) -> PoincareConstant:
-    """delta_m = smallest eigenvalue of the pinned Dirichlet form (dense solve)."""
-    return PoincareConstant(delta_m=float(ModeBasis.build(t).lam[0]))
+def poincare_constant(t: Torus) -> float:
+    """delta_m, the smallest Rayleigh quotient ||grad eta||^2 / ||eta||^2 over pinned fields.
+
+    It is the smallest eigenvalue of the pinned Dirichlet form (dense solve).
+    """
+    return float(ModeBasis.build(t).lam[0])

@@ -37,7 +37,6 @@ __all__ = [
     "GradientMismatchError",
     "make_gibbs_target",
     "make_h1_target",
-    "run_chain",
     "run_chains",
     "stream",
     "batch_means",
@@ -271,11 +270,6 @@ def run_chains(
     return [
         ChainResult(samples[r], float(rate[r]), float(h[r]), rows[r], kept_obs[r]) for r in range(n_rows)
     ]
-
-
-def run_chain(target: Target, cfg: ChainConfig, chain_index: int = 0) -> ChainResult:
-    """One MALA chain: the one-row ensemble with stream key (cfg.seed, 0, 0, chain_index)."""
-    return run_chains(target, cfg, [(0, 0, chain_index)])[0]
 
 
 # ---------------------------------------------------------------------------

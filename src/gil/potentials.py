@@ -1,7 +1,11 @@
-"""Interaction potentials V = V0 + g0: built-in families, derivatives, constants, norms.
+"""Interaction potentials V = V0 + g0: built-in families, curvature certificates, norms.
 
 Each potential is a convex base V0 (curvature in [c1, c2]) plus a perturbation g0
-whose curvature is bounded below by -c0.  Built-in families:
+whose curvature is bounded below by -c0.  A ``Potential`` stores V, V' and V''
+once, plus only the g0 terms the smallness conditions read: g0'' always, and g0'
+and g0 only where their norms ||g0'||_L2 and ||g0||_L1 are finite.  Leaving one
+out declares that norm divergent.  V0 itself is never stored; its curvature is
+V'' - g0''.  Built-in families:
 
   gaussian    V0(s) = s^2/2,                       g0 = 0
   example_a   V0(s) = s^2,                         g0(s) = a - log(s^2 + a),  0 < a < 1
@@ -23,7 +27,7 @@ constants keep the excess on the g0 side).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,7 +37,6 @@ __all__ = [
     "Potential",
     "NormReport",
     "CurvatureReport",
-    "PotentialDomainError",
     "InvalidPotentialError",
     "DivergentNormError",
     "gaussian_potential",
@@ -41,18 +44,12 @@ __all__ = [
     "example_b",
     "example_c",
     "custom_potential",
-    "eval_potential",
-    "constants",
     "norms",
     "validate_growth",
     "curvature_report",
 ]
 
 GRID_LO, GRID_HI, GRID_N = -50.0, 50.0, 10_001
-
-
-class PotentialDomainError(ValueError):
-    """Potential evaluated outside its domain (non-finite result)."""
 
 
 class InvalidPotentialError(ValueError):
@@ -65,41 +62,35 @@ class DivergentNormError(ValueError):
 
 @dataclass(frozen=True)
 class Potential:
-    """A pair (V0, g0) with first and second derivatives and curvature constants.
+    """V = V0 + g0 as the triple (V, V', V''), g0'' and the curvature constants.
 
-    c1 <= V0'' <= c2 and g0'' >= -c0 hold on the certification grid; g0'' <= 0 may
-    fail on a set where the excess is certified absorbable (see curvature_report).
+    c1 <= V0'' = V'' - g0'' <= c2 and g0'' >= -c0 hold on the certification grid;
+    g0'' <= 0 may fail on a set where the excess is certified absorbable (see
+    curvature_report).  g0 and g0' are kept only when ||g0||_L1 and ||g0'||_L2
+    are finite; None declares the norm divergent.
     """
 
     family: str
-    params: dict
-    v0: Callable
-    dv0: Callable
-    d2v0: Callable
-    g0: Callable
-    dg0: Callable
+    vfun: tuple[Callable, Callable, Callable]  # (V, V', V'')
     d2g0: Callable
     c0: float
     c1: float
     c2: float
+    g0: Callable | None = None
+    dg0: Callable | None = None
     # sign-change / kink abscissas of g0'', used as quadrature breakpoints
     g0pp_breakpoints: tuple = ()
     # support [lo, hi] of the non-quadratic part when compact, else None
     g0_support: tuple | None = None
-    closed_norms: dict = field(default_factory=dict)
-    # optional closed forms for the total V; default is the V0 + g0 sum
-    v_total: Callable | None = None
-    dv_total: Callable | None = None
-    d2v_total: Callable | None = None
 
     def v(self, s):
-        return self.v_total(s) if self.v_total is not None else self.v0(s) + self.g0(s)
+        return self.vfun[0](s)
 
     def dv(self, s):
-        return self.dv_total(s) if self.dv_total is not None else self.dv0(s) + self.dg0(s)
+        return self.vfun[1](s)
 
     def d2v(self, s):
-        return self.d2v_total(s) if self.d2v_total is not None else self.d2v0(s) + self.d2g0(s)
+        return self.vfun[2](s)
 
 
 @dataclass(frozen=True)
@@ -147,18 +138,18 @@ def gaussian_potential() -> Potential:
     zero = lambda s: np.zeros_like(_as_array(s))
     return Potential(
         family="gaussian",
-        params={},
-        v0=lambda s: _as_array(s) ** 2 / 2.0,
-        dv0=lambda s: _as_array(s),
-        d2v0=lambda s: np.ones_like(_as_array(s)),
-        g0=zero,
-        dg0=zero,
+        vfun=(
+            lambda s: _as_array(s) ** 2 / 2.0,
+            lambda s: np.array(s, dtype=float),
+            lambda s: np.ones_like(_as_array(s)),
+        ),
         d2g0=zero,
         c0=0.0,
         c1=1.0,
         c2=1.0,
+        g0=zero,
+        dg0=zero,
         g0_support=(0.0, 0.0),
-        closed_norms={"l1_g0pp": 0.0, "l2_g0p": 0.0, "l1_g0": 0.0, "l1_g0pp_abs": 0.0},
     )
 
 
@@ -166,15 +157,22 @@ def example_a(a: float) -> Potential:
     """Log-perturbed quadratic: V(s) = s^2 + a - log(s^2 + a), 0 < a < 1.
 
     Constants (c0, c1, c2) = (2/a, 2, 2); the concave part of g0'' lives on
-    [-sqrt(a), sqrt(a)] and integrates to 2/sqrt(a).
+    [-sqrt(a), sqrt(a)] and integrates to 2/sqrt(a).  g0 grows like -log s^2,
+    so ||g0||_L1 diverges and g0 is not stored.
     """
     if not 0.0 < a < 1.0:
         raise InvalidPotentialError(f"example_a requires 0 < a < 1, got {a}")
     ra = math.sqrt(a)
 
-    def g0(s):
+    def v(s):
         s = _as_array(s)
-        return a - np.log(s * s + a)
+        return s**2 + (a - np.log(s * s + a))
+
+    def dv(s):
+        return 2.0 * _as_array(s) + dg0(s)
+
+    def d2v(s):
+        return 2.0 + d2g0(s)
 
     def dg0(s):
         s = _as_array(s)
@@ -186,23 +184,13 @@ def example_a(a: float) -> Potential:
 
     return Potential(
         family="example_a",
-        params={"a": a},
-        v0=lambda s: _as_array(s) ** 2,
-        dv0=lambda s: 2.0 * _as_array(s),
-        d2v0=lambda s: 2.0 * np.ones_like(_as_array(s)),
-        g0=g0,
-        dg0=dg0,
+        vfun=(v, dv, d2v),
         d2g0=d2g0,
         c0=2.0 / a,
         c1=2.0,
         c2=2.0,
+        dg0=dg0,
         g0pp_breakpoints=(-ra, ra),
-        closed_norms={
-            "l1_g0pp": 2.0 / ra,
-            "l1_g0pp_abs": 4.0 / ra,
-            "l2_g0p": math.sqrt(2.0 * math.pi / ra),
-            "l1_g0": math.inf,
-        },
     )
 
 
@@ -243,24 +231,19 @@ def example_b(delta: float) -> Potential:
 
     return Potential(
         family="example_b",
-        params={"delta": delta},
-        v0=lambda s: _as_array(s) ** 2 / 2.0,
-        dv0=lambda s: _as_array(s),
-        d2v0=lambda s: np.ones_like(_as_array(s)),
-        g0=g0,
-        dg0=dg0,
+        vfun=(
+            lambda s: _as_array(s) ** 2 / 2.0 + g0(s),
+            lambda s: _as_array(s) + dg0(s),
+            lambda s: 1.0 + d2g0(s),
+        ),
         d2g0=d2g0,
         c0=6.0 / 5.0,
         c1=1.0,
         c2=1.0,
+        g0=g0,
+        dg0=dg0,
         g0pp_breakpoints=(0.0, s_lo, s_hi, delta),
         g0_support=(0.0, delta),
-        closed_norms={
-            "l1_g0pp": 24.0 * delta / (25.0 * r5),
-            "l1_g0pp_abs": 48.0 * delta / (25.0 * r5),
-            "l2_g0p": math.sqrt(24.0 * delta**3 / 1155.0),
-            "l1_g0": delta**3 / 35.0,
-        },
     )
 
 
@@ -269,6 +252,8 @@ def example_c(p: float, k1: float, k2: float) -> Potential:
 
     Split per the mixture identity: V0'' is the posterior-weighted curvature in
     [k2, p k1 + (1-p) k2] and g0'' <= 0 everywhere with g0'' >= -p(k1-k2)/(1-p).
+    g0' tends to the nonzero constant -int_0^inf (V0''-k2), so ||g0'||_L2 and
+    ||g0||_L1 diverge and neither g0 nor g0' is stored.
     """
     if not (0.0 < p < 1.0 and 0.0 < k2 < k1):
         raise InvalidPotentialError(f"example_c requires 0<p<1, 0<k2<k1, got {(p, k1, k2)}")
@@ -290,86 +275,53 @@ def example_c(p: float, k1: float, k2: float) -> Potential:
         s, w1 = _weights(s)
         return -w1 * (1.0 - w1) * kap**2 * s * s
 
-    def vtot(s):
+    def v(s):
         s = _as_array(s)
         z = np.clip(kap * s * s / 2.0, 0.0, 700.0)
         # V = k2 s^2/2 - log(q + p e^{-kap s^2/2})
         return k2 * s * s / 2.0 - np.log(q + p * np.exp(-z))
 
-    def dvtot(s):
+    def dv(s):
         s, w1 = _weights(s)
         return s * (w1 * k1 + (1.0 - w1) * k2)
 
-    # V0', V0 and hence g0', g0 have no elementary closed form; integrate the
-    # curvature split from 0 (convention V0(0) = V(0), V0'(0) = 0) with fixed
-    # Gauss-Legendre, vectorized over evaluation points.
-    gl_x, gl_w = np.polynomial.legendre.leggauss(64)
-
-    def _cum_int(fn, s):
-        s = _as_array(s)
-        half = s[..., None] / 2.0
-        nodes = half * (gl_x + 1.0)
-        return (half * gl_w * fn(nodes)).sum(axis=-1)
-
-    def dv0(s):
-        return _cum_int(v0pp, s)
-
-    def v0(s):
-        return _cum_int(dv0, s) + float(vtot(0.0))
-
-    def g0(s):
-        return vtot(s) - v0(s)
-
-    def dg0(s):
-        return dvtot(s) - dv0(s)
-
     return Potential(
         family="example_c",
-        params={"p": p, "k1": k1, "k2": k2},
-        v0=v0,
-        dv0=dv0,
-        d2v0=v0pp,
-        g0=g0,
-        dg0=dg0,
+        vfun=(v, dv, lambda s: v0pp(s) + g0pp(s)),
         d2g0=g0pp,
         c0=p * kap / q,
         c1=k2,
         c2=p * k1 + q * k2,
-        # g0' tends to the nonzero constant -int_0^inf (V0''-k2), so the lower
-        # order norms diverge for this family
-        closed_norms={"l2_g0p": math.inf, "l1_g0": math.inf},
-        v_total=vtot,
-        dv_total=dvtot,
-        d2v_total=lambda s: v0pp(s) + g0pp(s),
     )
 
 
 def custom_potential(
-    v0: Callable,
-    dv0: Callable,
-    d2v0: Callable,
-    g0: Callable,
-    dg0: Callable,
+    v: Callable,
+    dv: Callable,
+    d2v: Callable,
     d2g0: Callable,
     c0: float,
     c1: float,
     c2: float,
+    g0: Callable | None = None,
+    dg0: Callable | None = None,
     g0_support: tuple | None = None,
     g0pp_breakpoints: Sequence[float] = (),
 ) -> Potential:
-    """Wrap user callbacks; the declared constants are certified on the grid."""
+    """Wrap user callbacks for V, V', V'' and g0''; the declared constants are certified on the grid.
+
+    Pass g0 and g0' when ||g0||_L1 and ||g0'||_L2 are finite; leaving one out
+    declares that norm divergent.
+    """
     p = Potential(
         family="custom",
-        params={},
-        v0=v0,
-        dv0=dv0,
-        d2v0=d2v0,
-        g0=g0,
-        dg0=dg0,
+        vfun=(v, dv, d2v),
         d2g0=d2g0,
         c0=float(c0),
         c1=float(c1),
         c2=float(c2),
+        g0=g0,
+        dg0=dg0,
         g0pp_breakpoints=tuple(g0pp_breakpoints),
         g0_support=g0_support,
     )
@@ -387,34 +339,16 @@ def custom_potential(
 # operations
 
 
-def eval_potential(p: Potential, s, order: int = 0):
-    """Evaluate V = V0 + g0 (order 0) or its first/second derivative at s."""
-    if order not in (0, 1, 2):
-        raise ValueError(f"order must be 0, 1 or 2, got {order}")
-    f = (p.v, p.dv, p.d2v)[order]
-    out = f(s)
-    if not np.all(np.isfinite(out)):
-        raise PotentialDomainError(f"{p.family} returned non-finite value at s={s!r}")
-    return out
-
-
-def constants(p: Potential) -> tuple[float, float, float]:
-    """Return (c0, c1, c2); for custom potentials these are grid-certified."""
-    if p.c1 <= 0 or p.c2 < p.c1 or p.c0 < 0:
-        raise InvalidPotentialError(f"ill-ordered constants {(p.c0, p.c1, p.c2)}")
-    return (p.c0, p.c1, p.c2)
-
-
 def curvature_report(p: Potential, lo: float = GRID_LO, hi: float = GRID_HI, n: int = GRID_N) -> CurvatureReport:
-    """Sample V0'' and g0'' on a dense grid and certify the declared constants.
+    """Sample V0'' = V'' - g0'' and g0'' on a dense grid and certify the declared constants.
 
     A small relative slack absorbs roundoff at the grid extremes.
     """
     s = np.linspace(lo, hi, n)
     if p.g0pp_breakpoints:
         s = np.sort(np.concatenate([s, np.asarray(p.g0pp_breakpoints, dtype=float)]))
-    v0pp = np.asarray(p.d2v0(s), dtype=float)
     g0pp = np.asarray(p.d2g0(s), dtype=float)
+    v0pp = np.asarray(p.d2v(s), dtype=float) - g0pp
     tol = 1e-9 * max(1.0, abs(p.c2), abs(p.c0))
     excess = float(max(g0pp.max(), 0.0))
     cbar_decl = max(p.c0 / p.c1, p.c2 / p.c1 - 1.0, 1.0)
@@ -471,7 +405,8 @@ def norms(p: Potential, tol: float = 1e-10) -> NormReport:
     """Adaptive quadrature of the g0 norms with tail truncation.
 
     Norms whose tails diverge are reported as inf rather than raised, so that a
-    report always exists; the divergent entries are named in ``divergent``.
+    report always exists; the divergent entries are named in ``divergent``.  A
+    g0 term the potential leaves out is declared divergent without a tail scan.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -479,24 +414,22 @@ def norms(p: Potential, tol: float = 1e-10) -> NormReport:
     err = 0.0
     divergent = []
 
-    def _try(fn, name, square=False):
-        # known-divergent entries skip the (slow) failing tail scan
+    def _try(term, integrand, name):
         nonlocal err
-        if p.closed_norms.get(name) == math.inf:
-            divergent.append(name)
-            return math.inf
-        try:
-            v, e = _integrate_tail_doubling(fn, tol, pts)
-            err = max(err, e)
-            return v
-        except DivergentNormError:
-            divergent.append(name)
-            return math.inf
+        if term is not None:
+            try:
+                v, e = _integrate_tail_doubling(lambda s: integrand(float(term(s))), tol, pts)
+                err = max(err, e)
+                return v
+            except DivergentNormError:
+                pass
+        divergent.append(name)
+        return math.inf
 
-    l1_neg = _try(lambda s: max(-float(p.d2g0(s)), 0.0), "l1_g0pp")
-    l1_abs = _try(lambda s: abs(float(p.d2g0(s))), "l1_g0pp_abs")
-    l2_sq = _try(lambda s: float(p.dg0(s)) ** 2, "l2_g0p", square=True)
-    l1_g0 = _try(lambda s: abs(float(p.g0(s))), "l1_g0")
+    l1_neg = _try(p.d2g0, lambda x: max(-x, 0.0), "l1_g0pp")
+    l1_abs = _try(p.d2g0, abs, "l1_g0pp_abs")
+    l2_sq = _try(p.dg0, lambda x: x**2, "l2_g0p")
+    l1_g0 = _try(p.g0, abs, "l1_g0")
     return NormReport(
         l1_g0pp=l1_neg,
         l2_g0p=math.sqrt(l2_sq) if math.isfinite(l2_sq) else math.inf,

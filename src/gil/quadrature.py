@@ -117,8 +117,14 @@ def gh_log_expectation(gfun, t: Torus, scale: float, order: int) -> float:
 
 
 def gh_log_expectation_doubling(gfun, t: Torus, scale: float, tol: float = 1e-8):
-    """GH with node doubling from GH_START_ORDER; returns (value, converged, last_delta, order)."""
+    """GH with node doubling from GH_START_ORDER; returns (value, converged, last_delta, order).
+
+    When not even one doubling fits under GH_POINT_CAP, convergence cannot be
+    shown, so it returns (nan, False, inf, GH_START_ORDER) without calling gfun.
+    """
     order = GH_START_ORDER
+    if (2 * order) ** t.n_dof > GH_POINT_CAP:
+        return math.nan, False, math.inf, order
     prev, delta = gh_log_expectation(gfun, t, scale, order), math.inf
     while 2 * order <= GH_MAX_ORDER and (2 * order) ** t.n_dof <= GH_POINT_CAP:
         order *= 2
@@ -323,5 +329,5 @@ def log_expectation(
 
     val, converged, delta, order = gh_log_expectation_doubling(gfun, t, scale, tol)
     if not converged:
-        raise QuadratureError(f"GH did not converge below {tol} at order cap {GH_MAX_ORDER} (last delta {delta:.3e})")
+        raise QuadratureError(f"GH did not converge below {tol} by order {order} under its caps (last delta {delta:.3e})")
     return val, {"method": "gh", "error": delta, "order": order}

@@ -83,7 +83,7 @@ def certify_h1_convexity(
     """
     t = plan.torus
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    delta_m = poincare_constant(t).delta_m
+    delta_m = poincare_constant(t)
     draws = pinned(stream(seed, purpose="probes").standard_normal((n_probes, 2, t.n_dof)))
     theta, tdot = draws[:, 0], draws[:, 1]
     gdot2 = grad_all(t, tdot) ** 2
@@ -146,6 +146,14 @@ class CurvatureBoundReport:
     margins: np.ndarray
 
 
+def _curvature_bound_report(lines: list, tol: float, h: float) -> CurvatureBoundReport:
+    """FD second derivative at 0 of each line f in (f, bound) pairs against its lower bound."""
+    vals = np.array([hessian_fd(f, 0.0, h)[0, 0] for f, _ in lines])
+    bounds = np.array([bound for _, bound in lines])
+    margins = vals - bounds
+    return CurvatureBoundReport(ok=bool(np.all(margins >= -tol)), values=vals, bounds=bounds, margins=margins)
+
+
 def verify_c6(
     plan: DecompositionPlan,
     u,
@@ -162,20 +170,17 @@ def verify_c6(
     """
     t = plan.torus
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    vals, bounds = [], []
-    for du, dpsi_dof in directions:
+
+    def line(du, dpsi_dof):
         du = np.atleast_1d(np.asarray(du, dtype=float))
         dpsi = pinned(dpsi_dof)
 
         def f(s):
             return renorm_apply_g(plan.potential, plan.lam, u + s[0] * du, Field(t, psi.values + s[0] * dpsi), q)
 
-        vals.append(hessian_fd(f, 0.0, h)[0, 0])
-        bounds.append(-0.5 * (t.volume * float(du @ du) + grad_norm_sq(t, dpsi)))
-    vals = np.asarray(vals)
-    bounds = np.asarray(bounds)
-    margins = vals - bounds
-    return CurvatureBoundReport(ok=bool(np.all(margins >= -tol)), values=vals, bounds=bounds, margins=margins)
+        return f, -0.5 * (t.volume * float(du @ du) + grad_norm_sq(t, dpsi))
+
+    return _curvature_bound_report([line(du, dpsi) for du, dpsi in directions], tol, h)
 
 
 def verify_c7(
@@ -189,19 +194,16 @@ def verify_c7(
     """FD curvature of the fully integrated map against -|T| |du|^2 / 2."""
     t = plan.torus
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    vals, bounds = [], []
-    for du in u_dirs:
+
+    def line(du):
         du = np.atleast_1d(np.asarray(du, dtype=float))
 
         def f(s):
             return renorm_iterated_g(plan.potential, plan.lam, u + s[0] * du, t, q)
 
-        vals.append(hessian_fd(f, 0.0, h)[0, 0])
-        bounds.append(-0.5 * t.volume * float(du @ du))
-    vals = np.asarray(vals)
-    bounds = np.asarray(bounds)
-    margins = vals - bounds
-    return CurvatureBoundReport(ok=bool(np.all(margins >= -tol)), values=vals, bounds=bounds, margins=margins)
+        return f, -0.5 * t.volume * float(du @ du)
+
+    return _curvature_bound_report([line(du) for du in u_dirs], tol, h)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from gil.mcmc import (
     fluctuation_hessian,
     make_gibbs_target,
     poincare_variance_check,
-    run_chain,
     run_chains,
     verify_l1norm_bounds,
 )
@@ -211,7 +210,7 @@ def test_criterion_8_poincare_variance(b_setting):
             obs.append(
                 Observable(value=lambda S, v=v: S @ v, grad=lambda S, v=v: np.broadcast_to(v, S.shape), name=f"v{j}")
             )
-        delta_m = poincare_constant(t).delta_m
+        delta_m = poincare_constant(t)
         gauss_target = make_gibbs_target(t, g, np.zeros(1), 1.0)
         samples_g = np.concatenate([r.samples for r in run_chains(gauss_target, cfg)])
         rep_g = poincare_variance_check(samples_g, delta_m, obs)
@@ -249,8 +248,8 @@ def test_criterion_10_determinism(b_setting, tmp_path):
     t = Torus(1, 3)
     cfg = ChainConfig(n_steps=4_000, burn_in=500, thinning=1, n_chains=1, seed=101)
     target = make_gibbs_target(t, ps, [k * 0.25], 1.0)
-    r1 = run_chain(target, cfg, 0)
-    r2 = run_chain(target, cfg, 0)
+    r1 = run_chains(target, cfg, [(0, 0, 0)])[0]
+    r2 = run_chains(target, cfg, [(0, 0, 0)])[0]
     assert np.array_equal(r1.samples, r2.samples)
     # CLI outputs are byte identical under a repeated seed
     cfg_path = tmp_path / "cfg.json"

@@ -64,7 +64,7 @@ def test_quadratic_form_identity(seed):
 
 @pytest.mark.parametrize("d,m", [(1, 3), (1, 2), (1, 5)])
 def test_poincare_examples(d, m):
-    val = poincare_constant(Torus(d, m)).delta_m
+    val = poincare_constant(Torus(d, m))
     if m == 3:
         assert val == pytest.approx(1.0, abs=1e-12)
     elif m == 2:
@@ -77,7 +77,7 @@ def test_poincare_examples(d, m):
 @pytest.mark.parametrize("d,m", [(1, 2), (1, 3), (1, 6), (2, 2), (2, 4)])
 def test_poincare_positive_and_interlaced(d, m):
     t = Torus(d, m)
-    delta = poincare_constant(t).delta_m
+    delta = poincare_constant(t)
     assert delta > 0
     nz = np.sort(spectrum(t))[1]
     assert delta <= nz + 1e-12

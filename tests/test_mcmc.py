@@ -19,7 +19,6 @@ from gil.mcmc import (
     make_gibbs_target,
     make_h1_target,
     poincare_variance_check,
-    run_chain,
     run_chains,
     thermodynamic_integration,
     verify_l1norm_bounds,
@@ -33,10 +32,10 @@ from conftest import grad_h, hamiltonian, induced_h1_energy, induced_h1_grad, pi
 def test_chain_determinism(pot_gauss, quick_chain):
     t = Torus(1, 3)
     target = make_gibbs_target(t, pot_gauss, [0.0], 1.0)
-    r1 = run_chain(target, quick_chain, 0)
-    r2 = run_chain(target, quick_chain, 0)
+    r1 = run_chains(target, quick_chain, [(0, 0, 0)])[0]
+    r2 = run_chains(target, quick_chain, [(0, 0, 0)])[0]
     assert np.array_equal(r1.samples, r2.samples)
-    r3 = run_chain(target, quick_chain, 1)
+    r3 = run_chains(target, quick_chain, [(0, 0, 1)])[0]
     assert not np.array_equal(r1.samples, r3.samples)
 
 
@@ -69,7 +68,7 @@ def test_point_mass_limit(pot_gauss):
         n_steps=500, burn_in=100, seed=3, step_size=1e-8, tune=False, check_acceptance=False, n_chains=1
     )
     target = make_gibbs_target(t, pot_gauss, [0.0], 1.0)
-    r = run_chain(target, cfg, 0)
+    r = run_chains(target, cfg, [(0, 0, 0)])[0]
     assert r.acceptance > 0.999
     assert float(np.max(np.abs(r.samples))) < 1e-5
 
@@ -79,14 +78,14 @@ def test_step_size_guard(pot_gauss):
     cfg = ChainConfig(n_steps=400, burn_in=100, seed=3, step_size=50.0, tune=False, n_chains=1)
     target = make_gibbs_target(t, pot_gauss, [0.0], 1.0)
     with pytest.raises(StepSizeError, match=r"row \(tilt 0, node 0, chain 0\): acceptance rate"):
-        run_chain(target, cfg, 0)
+        run_chains(target, cfg, [(0, 0, 0)])[0]
 
 
 def test_gradient_spot_check_guard():
     t = Torus(1, 3)
     bad = Target(energy_grad=lambda X: ((X * X).sum(axis=1), 3.0 * X), n_dof=t.n_dof)
     with pytest.raises(GradientMismatchError, match=r"row \(tilt 0, node 0, chain 2\): .* by "):
-        run_chain(bad, ChainConfig(n_steps=100, burn_in=10, seed=0, n_chains=1), 2)
+        run_chains(bad, ChainConfig(n_steps=100, burn_in=10, seed=0, n_chains=1), [(0, 0, 2)])
 
 
 def test_batched_targets_match_single_field_energies(pot_a):
@@ -250,7 +249,7 @@ def test_poincare_variance_check_gaussian_linear(pot_gauss):
     # exact variance (v, C v) obeys (1/delta) |v|^2 with strictness off the
     # minimal eigenvector
     t = Torus(1, 3)
-    delta = poincare_constant(t).delta_m
+    delta = poincare_constant(t)
     target = make_gibbs_target(t, pot_gauss, [0.0], 1.0)
     rng = np.random.default_rng(31)
     vs = [rng.standard_normal(t.n_dof) for _ in range(3)]

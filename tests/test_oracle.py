@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -153,6 +154,29 @@ def test_renorm_apply_linear_log_mgf():
     C = pinned_covariance(t)
     expected = float(w @ a.values[1:]) - 0.5 * scale * float(w @ C @ w)
     assert -val == pytest.approx(expected, abs=1e-9)
+
+
+def test_gh_doubling_fails_before_evaluating_when_no_doubling_fits():
+    # at 5 dof even the first doubled grid (32^5 nodes) exceeds the point cap
+    t = Torus(1, 6)
+    seen = []
+
+    def gfun(dof):
+        seen.append(len(dof))
+        return np.zeros(len(dof))
+
+    val, converged, _, _ = gh_log_expectation_doubling(gfun, t, 1.0)
+    assert not converged and math.isnan(val)
+    assert sum(seen) == 0
+
+
+def test_renorm_iterated_raises_fast_at_five_dof():
+    ps, _ = scale_to_unit(example_b(0.5), 0.1)
+    t = Torus(1, 6)
+    start = time.perf_counter()
+    with pytest.raises(QuadratureError):
+        renorm_iterated_g(ps, 0.4, [0.3], t, Q)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_renorm_g_zero_for_gaussian(pot_gauss):

@@ -6,11 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from gil.potentials import (
     InvalidPotentialError,
-    PotentialDomainError,
-    constants,
     curvature_report,
     custom_potential,
-    eval_potential,
     example_a,
     example_b,
     example_c,
@@ -28,40 +25,18 @@ FAMILIES = {
 
 
 def test_eval_gaussian_curvature_is_one(pot_gauss):
-    assert eval_potential(pot_gauss, 3.7, 2) == 1.0
+    assert pot_gauss.d2v(3.7) == 1.0
 
 
 def test_eval_example_a_closed_form_at_zero(pot_a):
     # V(0) = a - log(a) for V(s) = s^2 + a - log(s^2 + a)
     a = 0.5
-    assert eval_potential(pot_a, 0.0, 0) == pytest.approx(a - math.log(a), abs=1e-14)
+    assert pot_a.v(0.0) == pytest.approx(a - math.log(a), abs=1e-14)
 
 
 def test_eval_example_a_curvature_tends_to_two(pot_a):
-    assert eval_potential(pot_a, 1e4, 2) == pytest.approx(2.0, abs=1e-6)
-    assert eval_potential(pot_a, 3.0, 2) == pytest.approx(2.0 + float(pot_a.d2g0(3.0)), abs=1e-12)
-
-
-def test_eval_rejects_bad_order(pot_gauss):
-    with pytest.raises(ValueError):
-        eval_potential(pot_gauss, 1.0, 3)
-
-
-def test_eval_signals_domain_error():
-    bad = custom_potential(
-        v0=lambda s: np.asarray(s) ** 2,
-        dv0=lambda s: 2 * np.asarray(s),
-        d2v0=lambda s: 2 * np.ones_like(np.asarray(s, dtype=float)),
-        g0=lambda s: np.log(np.asarray(s, dtype=float)),  # not defined for s <= 0
-        dg0=lambda s: 1 / np.asarray(s, dtype=float),
-        d2g0=lambda s: np.zeros_like(np.asarray(s, dtype=float)) - 1e-9,
-        c0=1.0,
-        c1=2.0,
-        c2=2.0,
-    )
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(PotentialDomainError):
-            eval_potential(bad, -1.0, 0)
+    assert pot_a.d2v(1e4) == pytest.approx(2.0, abs=1e-6)
+    assert pot_a.d2v(3.0) == pytest.approx(2.0 + float(pot_a.d2g0(3.0)), abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -73,12 +48,14 @@ def test_eval_signals_domain_error():
     ],
 )
 def test_constants_builtin(family, expected):
-    assert constants(FAMILIES[family]()) == pytest.approx(expected)
+    p = FAMILIES[family]()
+    assert (p.c0, p.c1, p.c2) == pytest.approx(expected)
 
 
 def test_constants_example_c():
     p, k1, k2 = 0.05, 2.0, 1.0
-    c0, c1, c2 = constants(example_c(p, k1, k2))
+    pot = example_c(p, k1, k2)
+    c0, c1, c2 = pot.c0, pot.c1, pot.c2
     assert c1 == k2
     assert c2 == pytest.approx(p * k1 + (1 - p) * k2)
     assert c0 == pytest.approx(p * (k1 - k2) / (1 - p))
@@ -86,12 +63,11 @@ def test_constants_example_c():
 
 def test_custom_rejects_violated_constants():
     with pytest.raises(InvalidPotentialError):
+        # V0(s) = s^2 and g0(s) = -s^2, so V = 0
         custom_potential(
-            v0=lambda s: np.asarray(s) ** 2,
-            dv0=lambda s: 2 * np.asarray(s),
-            d2v0=lambda s: 2 * np.ones_like(np.asarray(s, dtype=float)),
-            g0=lambda s: -np.asarray(s) ** 2,
-            dg0=lambda s: -2 * np.asarray(s),
+            v=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
+            dv=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
+            d2v=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
             d2g0=lambda s: -2 * np.ones_like(np.asarray(s, dtype=float)),
             c0=1.0,  # true lower curvature of g0 is -2
             c1=2.0,
@@ -170,12 +146,12 @@ def test_finite_difference_derivative_consistency(family, s_values):
     p = FAMILIES[family]()
     h = 1e-4
     for s in s_values:
-        d1 = (eval_potential(p, s + h, 0) - eval_potential(p, s - h, 0)) / (2 * h)
-        d2 = (eval_potential(p, s + h, 0) - 2 * eval_potential(p, s, 0) + eval_potential(p, s - h, 0)) / h**2
-        scale1 = max(1.0, abs(eval_potential(p, s, 1)))
-        scale2 = max(1.0, abs(eval_potential(p, s, 2)))
-        assert abs(d1 - eval_potential(p, s, 1)) / scale1 < 1e-6
-        assert abs(d2 - eval_potential(p, s, 2)) / scale2 < 1e-6
+        d1 = (p.v(s + h) - p.v(s - h)) / (2 * h)
+        d2 = (p.v(s + h) - 2 * p.v(s) + p.v(s - h)) / h**2
+        scale1 = max(1.0, abs(p.dv(s)))
+        scale2 = max(1.0, abs(p.d2v(s)))
+        assert abs(d1 - p.dv(s)) / scale1 < 1e-6
+        assert abs(d2 - p.d2v(s)) / scale2 < 1e-6
 
 
 @given(s=st.floats(-20.0, 20.0))
@@ -223,10 +199,3 @@ def test_family_parameter_validation():
         example_b(0.0)
     with pytest.raises(InvalidPotentialError):
         example_c(0.5, 1.0, 2.0)  # needs k2 < k1
-
-
-def test_example_c_split_consistency(pot_c):
-    # total closed form equals integrated split on a few points
-    for s in (0.0, 0.5, -1.2, 2.5):
-        assert float(pot_c.v(s)) == pytest.approx(float(pot_c.v0(s) + pot_c.g0(s)), abs=1e-10)
-        assert float(pot_c.dv(s)) == pytest.approx(float(pot_c.dv0(s) + pot_c.dg0(s)), abs=1e-10)
