@@ -12,7 +12,6 @@ import argparse
 
 from gil.conditions import check_conditions
 from gil.lattice import Torus
-from gil.oracle import QuadratureSpec
 from gil.potentials import example_a, example_b, norms
 from gil.renorm import verify_theorem
 
@@ -33,7 +32,7 @@ def main():
     lines = ["beta,beta_over_threshold,u_1,min_eig,bound,margin,verdict"]
     for factor in (0.25, 0.5, 1.0, 2.0, 4.0):
         beta = factor * beta_star
-        rows = verify_theorem(p, beta, t, u_grid, QuadratureSpec())
+        rows = verify_theorem(p, beta, t, u_grid, method="oracle")  # d = 1: the oracle serves any m
         for r in rows:
             lines.append(
                 f"{beta:.17g},{factor},{r.u[0]:.17g},{r.min_eig:.17g},{r.bound:.17g},{r.margin:.17g},{r.verdict}"

@@ -10,7 +10,7 @@ from .conditions import ConditionReport, cbar, check_conditions, scale_to_unit
 from .gff import ModeBasis, poincare_constant, sample_gff, spectrum
 from .lattice import Field, Torus, grad_all, separate
 from .mcmc import ChainConfig, Estimate, Observable, Target, fluctuation_hessian, run_chains
-from .oracle import QuadratureSpec, free_energy, hessian_fd, log_partition
+from .oracle import free_energy, hessian_fd, log_partition
 from .potentials import (
     NormReport,
     Potential,

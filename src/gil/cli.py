@@ -26,6 +26,7 @@ import json
 import math
 import operator
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -48,9 +49,9 @@ from .mcmc import (
     thermodynamic_integration,
     verify_l1norm_bounds,
 )
-from .oracle import QuadratureSpec, free_energy
+from .oracle import ORACLE_ERROR, free_energy
 from .potentials import Potential, example_a, example_b, example_c, gaussian_potential, norms
-from .quadrature import QuadratureError
+from .quadrature import ORACLE_MAX_DOF, QuadratureError
 from .renorm import DecompositionPlan, induced_h1, verify_theorem
 
 __all__ = ["main", "build_potential", "validate_config", "ConfigError"]
@@ -190,15 +191,8 @@ def cmd_check(cfg: dict, out: str, seed: int) -> int:
     which = cfg.get("condition", "fcond")
     payload = {
         "input": {"potential": cfg["potential"], "beta": cfg["beta"], "d": cfg["d"]},
-        "norms": {
-            "l1_g0pp": nr.l1_g0pp,
-            "l1_g0pp_abs": nr.l1_g0pp_abs,
-            "l2_g0p": nr.l2_g0p,
-            "l1_g0": nr.l1_g0,
-            "quadrature_error": nr.quadrature_error,
-            "divergent": list(nr.divergent),
-        },
-        "report": rep.to_dict(),
+        "norms": asdict(nr),
+        "report": asdict(rep),
         "condition": which,
     }
     _write_json(out, payload)
@@ -207,14 +201,13 @@ def cmd_check(cfg: dict, out: str, seed: int) -> int:
 
 def cmd_free_energy(cfg: dict, out: str, seed: int) -> int:
     p, t, beta = _setup(cfg)
-    q = QuadratureSpec(**cfg.get("quadrature", {}))
     grid = np.asarray(cfg["u_grid"], dtype=float).reshape(-1, t.d)
     header = [f"u_{i+1}" for i in range(t.d)] + ["delta_f", "method", "error"]
     rows = []
-    if t.n_dof <= q.max_dof:
-        f0 = free_energy(np.zeros(t.d), p, t, beta, q)
+    if t.n_dof <= ORACLE_MAX_DOF:
+        f0 = free_energy(np.zeros(t.d), p, t, beta)
         for u in grid:
-            rows.append(list(u) + [free_energy(u, p, t, beta, q) - f0, "oracle", q.tol])
+            rows.append(list(u) + [free_energy(u, p, t, beta) - f0, "oracle", ORACLE_ERROR])
     else:
         ccfg = _chain_config(cfg, seed)
         for j, u in enumerate(grid):
@@ -227,8 +220,7 @@ def cmd_free_energy(cfg: dict, out: str, seed: int) -> int:
 def cmd_hessian(cfg: dict, out: str, seed: int) -> int:
     p, t, beta = _setup(cfg)
     grid = np.asarray(cfg["u_grid"], dtype=float).reshape(-1, t.d)
-    q, ccfg = QuadratureSpec(**cfg.get("quadrature", {})), _chain_config(cfg, seed)
-    rows = verify_theorem(p, beta, t, grid, q, ccfg, **_given(cfg, method="method", tol="tolerance"))
+    rows = verify_theorem(p, beta, t, grid, _chain_config(cfg, seed), **_given(cfg, method="method", tol="tolerance"))
     header = [f"u_{i+1}" for i in range(t.d)] + ["hessian_min_eig", "bound", "margin", "method", "std_error", "verdict"]
     table = [list(r.u) + [r.min_eig, r.bound, r.margin, r.method, r.std_error, r.verdict] for r in rows]
     _write_csv(out, header, table)
@@ -281,15 +273,7 @@ def cmd_verify_lemma(cfg: dict, out: str, seed: int) -> int:
             "g0pp_bound_l2": rep.g0pp_bound_l2,
             "g0pp_ok_l2": rep.g0pp_ok_l2,
         },
-        "variance_bound": {
-            "delta": delta,
-            "names": list(var_rep.names),
-            "variances": var_rep.variances,
-            "variance_se": var_rep.variance_se,
-            "bounds": var_rep.bounds,
-            "bound_se": var_rep.bound_se,
-            "ok": var_rep.ok,
-        },
+        "variance_bound": dict(asdict(var_rep), delta=delta),
     }
     _write_json(out, payload)
     return 0 if (rep.ok() and var_rep.ok) else 2
@@ -306,7 +290,7 @@ def cmd_sample(cfg: dict, out: str, seed: int) -> int:
         "checkpoint": json.loads(final.to_json()),
         "acceptance": [r.acceptance for r in results],
         "step_size": [r.step_size for r in results],
-        "mean_field": est.to_dict(),
+        "mean_field": asdict(est),
     }
     _write_json(out, payload)
     return 0

@@ -14,7 +14,7 @@ assumes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,9 +59,6 @@ class ConditionReport:
     satisfied: dict
     satisfied_pessimistic: dict
     norm_error: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _lhs_fcond(beta: float, d: int, c1: float, cb: float, l1_g0pp: float) -> float:

@@ -88,9 +88,6 @@ class Field:
     def from_dof(cls, torus: Torus, dof: np.ndarray) -> "Field":
         return cls(torus, pinned(dof))
 
-    def to_dof(self) -> np.ndarray:
-        return self.values[1:].copy()
-
     def to_json(self) -> str:
         return json.dumps({"d": self.torus.d, "m": self.torus.m, "values": self.values.tolist()})
 

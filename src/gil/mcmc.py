@@ -78,22 +78,19 @@ class GradientMismatchError(RuntimeError):
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """MALA schedule: step size (None = auto-tune from the target hint), lengths, seed."""
+    """MALA schedule: lengths, seed, and step size (None = tuned from the target hint during burn-in)."""
 
     n_steps: int = 20_000
     burn_in: int = 2_000
-    thinning: int = 1
     n_chains: int = 2
     seed: int = 0
     step_size: float | None = None
-    tune: bool = True
-    check_acceptance: bool = True
 
     def __post_init__(self):
         if not (0 <= self.burn_in < self.n_steps):
             raise ValueError("need 0 <= burn_in < n_steps")
-        if self.thinning < 1 or self.n_chains < 1:
-            raise ValueError("thinning and n_chains must be >= 1")
+        if self.n_chains < 1:
+            raise ValueError("n_chains must be >= 1")
         if self.step_size is not None and self.step_size <= 0:
             raise ValueError("step_size must be positive")
 
@@ -106,11 +103,6 @@ class Estimate:
     std_error: float | np.ndarray
     n_effective: float
     method: str  # "chain" (MALA), "mc" (iid Monte Carlo) or "oracle"
-
-    def to_dict(self) -> dict:
-        v = self.value.tolist() if isinstance(self.value, np.ndarray) else self.value
-        e = self.std_error.tolist() if isinstance(self.std_error, np.ndarray) else self.std_error
-        return {"value": v, "std_error": e, "n_effective": self.n_effective, "method": self.method}
 
 
 @dataclass(frozen=True)
@@ -125,7 +117,6 @@ class Target:
     energy_grad: Callable
     n_dof: int
     step_hint: float = 0.3
-    name: str = ""
 
 
 @dataclass(frozen=True)
@@ -157,7 +148,7 @@ def make_gibbs_target(t: Torus, p: Potential, u, beta: float) -> Target:
         return beta * _row_sum(p.v(g)), beta * bond_divergence(t, vp), vp.sum(axis=-1)
 
     hint = 0.5 / math.sqrt(beta * (p.c2 * 2.0 * t.d) + 1.0)
-    return Target(energy_grad=energy_grad, n_dof=t.n_dof, step_hint=hint, name=f"gibbs[{p.family}]")
+    return Target(energy_grad=energy_grad, n_dof=t.n_dof, step_hint=hint)
 
 
 def make_h1_target(t: Torus, p: Potential, u, psi_values: np.ndarray, lam: float) -> Target:
@@ -173,7 +164,7 @@ def make_h1_target(t: Torus, p: Potential, u, psi_values: np.ndarray, lam: float
         return energy, bond_divergence(t, (p.dv(arg) - arg) + gt / lam)
 
     hint = 0.5 / math.sqrt(2.0 * t.d / lam + 1.0)
-    return Target(energy_grad=energy_grad, n_dof=t.n_dof, step_hint=hint, name=f"h1[{p.family}]")
+    return Target(energy_grad=energy_grad, n_dof=t.n_dof, step_hint=hint)
 
 
 @dataclass
@@ -226,8 +217,8 @@ def run_chains(
     if E.shape != (n_rows,):
         raise ValueError(f"target returned {E.shape} energies for {n_rows} rows")
     h = np.full(n_rows, float(cfg.step_size if cfg.step_size is not None else target.step_hint))
-    tune = cfg.tune and cfg.step_size is None
-    n_kept = len(range(cfg.burn_in, cfg.n_steps, cfg.thinning))
+    tune = cfg.step_size is None
+    n_kept = cfg.n_steps - cfg.burn_in
     samples = np.empty((n_rows, n_kept if keep_samples else 0, n))
     kept_obs = np.empty((n_rows, n_kept, O.shape[1]))
     window = np.zeros(n_rows)
@@ -258,15 +249,13 @@ def run_chains(
                 window[:] = 0.0
             continue
         accepted += acc
-        j, off = divmod(step - cfg.burn_in, cfg.thinning)
-        if off == 0:
-            if keep_samples:
-                samples[:, j] = X
-            kept_obs[:, j] = O
-    rate = accepted / (cfg.n_steps - cfg.burn_in)
-    if cfg.check_acceptance:
-        for r in np.flatnonzero((rate < 0.10) | (rate > 0.95)):
-            raise StepSizeError(f"{_label(rows[r])}: acceptance rate {rate[r]:.3f} outside [0.10, 0.95]; adjust step_size")
+        j = step - cfg.burn_in
+        if keep_samples:
+            samples[:, j] = X
+        kept_obs[:, j] = O
+    rate = accepted / n_kept
+    for r in np.flatnonzero((rate < 0.10) | (rate > 0.95)):
+        raise StepSizeError(f"{_label(rows[r])}: acceptance rate {rate[r]:.3f} outside [0.10, 0.95]; adjust step_size")
     return [
         ChainResult(samples[r], float(rate[r]), float(h[r]), rows[r], kept_obs[r]) for r in range(n_rows)
     ]
@@ -358,11 +347,6 @@ def fluctuation_hessian(u, p: Potential, t: Torus, cfg: ChainConfig, tilt: int =
 # characteristic function and the Fourier bounds
 
 
-def _bond_series(t: Torus, samples: np.ndarray, axis: int, site: int) -> np.ndarray:
-    vals = pinned(samples)
-    return vals[:, t.forward[axis, site]] - vals[:, site]
-
-
 def _phase_stats(gv: np.ndarray, k: np.ndarray, chunk: int = 64):
     """Batch-means mean and error of cos/sin(k * gv), chunked over k."""
     re = np.empty_like(k)
@@ -427,10 +411,8 @@ def verify_l1norm_bounds(
     samples: np.ndarray,
     lam: float | None = None,
     k_grid=None,
-    axis: int = 0,
-    site: int = 0,
 ) -> L1NormBoundReport:
-    """Estimate A(k) = <exp(i k grad_i theta(x))> from samples and test the Fourier bounds.
+    """Estimate A(k) = <exp(i k grad_1 theta(0))> from samples and test the Fourier bounds.
 
     samples[n, n_dof] are theta draws from the induced convex target at (u, psi,
     lam), e.g. the concatenated rows of run_chains(make_h1_target(...)).  The
@@ -439,7 +421,7 @@ def verify_l1norm_bounds(
     Checks, each within 4 standard errors:
       |A(k)| <= min(1, 12 d cbar / k^2) pointwise on the grid,
       trapezoid(|A|) + analytic tail <= 4 sqrt(12 d cbar),
-      |<g0''(u_i + grad_i psi + grad_i theta)>| <= (2/pi) sqrt(12 d cbar) ||g0''||_L1,
+      |<g0''(u_1 + grad_1 psi(0) + grad_1 theta(0))>| <= (2/pi) sqrt(12 d cbar) ||g0''||_L1,
     and, when ||g0'||_L2 is finite, the lower-order variant
       ... <= (1/sqrt(2 pi)) ||g0'||_L2 sqrt(2 (1/3 + (12 d cbar)^2)).
     """
@@ -454,7 +436,7 @@ def verify_l1norm_bounds(
     env_const = 12.0 * t.d * cb
     k = np.asarray(fourier_k_grid(t, cb) if k_grid is None else k_grid, dtype=float)
 
-    gv = _bond_series(t, samples, axis, site)
+    gv = samples[:, t.forward[0, 0] - 1]  # grad_1 theta(0): the origin is pinned to zero
     re, im, se_re, se_im = _phase_stats(gv, k)
     abs_a = np.hypot(re, im)
     se_abs = np.hypot(se_re, se_im)
@@ -467,7 +449,7 @@ def verify_l1norm_bounds(
     integral_bound = 4.0 * math.sqrt(env_const)
     integral_ok = integral + tail <= integral_bound + 4.0 * integral_se
 
-    shift = float(bond_args(t, psi.values, u)[axis, site])
+    shift = float(bond_args(t, psi.values, u)[0, 0])
     obs = p.d2g0(shift + gv)
     g_mean, g_se, _ = batch_means(obs)
     nr = norms(p, 1e-10)

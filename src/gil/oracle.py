@@ -1,7 +1,8 @@
 """Brute-force partition functions, free energies, and renormalization maps.
 
-Ground truth for every Monte Carlo estimator, restricted to systems with at most
-``max_dof`` free coordinates.  All integrals reduce to pinned-Gaussian
+Ground truth for every Monte Carlo estimator, on the systems a quadrature route
+reaches: d = 1 at any m, compact anharmonicity at most ORACLE_MAX_DOF free
+coordinates in any d, and GH otherwise.  All integrals reduce to pinned-Gaussian
 expectations handled by the quadrature backends; the change of variables to the
 beta = 1, c1 = 1 frame is exact, so scaling identities hold to machine precision
 by construction and are tested against independent references elsewhere.
@@ -10,7 +11,6 @@ by construction and are tested against independent references elsewhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,10 +18,10 @@ from .conditions import scale_to_unit
 from .gff import ModeBasis
 from .lattice import Torus, Field
 from .potentials import Potential
-from .quadrature import QuadratureError, gh_log_expectation_doubling, log_expectation
+from .quadrature import GH_TOL, QuadratureError, gh_log_expectation_doubling, log_expectation
 
 __all__ = [
-    "QuadratureSpec",
+    "ORACLE_ERROR",
     "log_partition",
     "free_energy",
     "hessian_fd",
@@ -31,45 +31,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Size cap and tolerance for the oracle integrals.
-
-    max_dof caps the free coordinates an oracle call accepts (at most 5); tol is
-    the convergence tolerance handed to quadrature.log_expectation.  The
-    Gauss-Hermite order schedule is fixed in the quadrature module.
-    """
-
-    max_dof: int = 5
-    tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.max_dof > 5:
-            raise ValueError("max_dof is capped at 5")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+# the error an oracle value reports until routes estimate their own: the GH tolerance
+ORACLE_ERROR = GH_TOL
 
 
-def _check_size(t: Torus, q: QuadratureSpec):
-    if t.n_dof > q.max_dof:
-        raise QuadratureError(f"system has {t.n_dof} free coordinates, oracle cap is {q.max_dof}")
-
-
-def log_partition(u, p: Potential, t: Torus, beta: float, q: QuadratureSpec = QuadratureSpec()) -> float:
+def log_partition(u, p: Potential, t: Torus, beta: float) -> float:
     """log Z = log integral over pinned fields of exp(-beta H(u, phi)).
 
     Internally rescales to the unit frame: log Z^beta(u) = -(n/2) log(beta c1)
     + log Z^1(u_scaled, p_scaled), then splits off the exact Gaussian part.
+    The expectation comes first, so a torus no route serves fails before the
+    dense eigensolve.
     """
-    _check_size(t, q)
     if beta <= 0:
         raise ValueError("beta must be positive")
     u = np.atleast_1d(np.asarray(u, dtype=float))
     ps, k = scale_to_unit(p, beta)
     us = k * u
+    log_e, _info = log_expectation(t, ps, us, 1.0)
     mb = ModeBasis.build(t)
     n = t.n_dof
-    log_e, _info = log_expectation(t, ps, us, 1.0, tol=q.tol)
     log_z1 = (
         -0.5 * t.volume * float(us @ us)
         + 0.5 * n * math.log(2.0 * math.pi)
@@ -79,9 +60,9 @@ def log_partition(u, p: Potential, t: Torus, beta: float, q: QuadratureSpec = Qu
     return log_z1 - 0.5 * n * math.log(beta * p.c1)
 
 
-def free_energy(u, p: Potential, t: Torus, beta: float, q: QuadratureSpec = QuadratureSpec()) -> float:
+def free_energy(u, p: Potential, t: Torus, beta: float) -> float:
     """f = -(1/beta) log Z."""
-    return -log_partition(u, p, t, beta, q) / beta
+    return -log_partition(u, p, t, beta) / beta
 
 
 def hessian_fd(f, u, h: float = 1e-3) -> np.ndarray:
@@ -113,47 +94,40 @@ def hessian_fd(f, u, h: float = 1e-3) -> np.ndarray:
     return 0.5 * (H + H.T)
 
 
-def renorm_apply_g(p: Potential, variance_scale: float, u, a: Field, q: QuadratureSpec = QuadratureSpec()) -> float:
+def renorm_apply_g(p: Potential, variance_scale: float, u, a: Field) -> float:
     """(R G)(u, a) for the anharmonic bond energy G of a unit-scaled potential.
 
     Uses the exact inclusion-exclusion route for compact anharmonicity and the
     generic backends otherwise.
     """
-    t = a.torus
-    _check_size(t, q)
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    val, _info = log_expectation(t, p, u, variance_scale, psi_values=a.values, tol=q.tol)
+    val, _info = log_expectation(a.torus, p, u, variance_scale, psi_values=a.values)
     return -val
 
 
-def renorm_iterated_g(
-    p: Potential, lam: float, u, t: Torus, q: QuadratureSpec = QuadratureSpec()
-) -> float:
+def renorm_iterated_g(p: Potential, lam: float, u, t: Torus) -> float:
     """(R2 R1 G)(u, 0): integrate theta at scale lam, then psi at scale 1 - lam.
 
     The outer integrand exp(-R1G(u, psi)) is a Gaussian smoothing of the bond
     energy and hence smooth, so the outer layer uses GH with node doubling; each
     inner value comes from renorm_apply_g.
     """
-    _check_size(t, q)
     u = np.atleast_1d(np.asarray(u, dtype=float))
 
     def outer_gfun(dof_batch):
         out = np.empty(dof_batch.shape[0])
         for j in range(dof_batch.shape[0]):
             psi = Field.from_dof(t, dof_batch[j])
-            out[j] = renorm_apply_g(p, lam, u, psi, q)
+            out[j] = renorm_apply_g(p, lam, u, psi)
         return out
 
-    val, converged, delta, _order = gh_log_expectation_doubling(outer_gfun, t, 1.0 - lam, q.tol)
+    val, converged, delta, _order = gh_log_expectation_doubling(outer_gfun, t, 1.0 - lam)
     if not converged:
         raise QuadratureError(f"outer renorm layer did not converge (last delta {delta:.3e})")
     return -val
 
 
-def renorm_joint_g(
-    p: Potential, lam: float, u, t: Torus, q: QuadratureSpec = QuadratureSpec()
-) -> float:
+def renorm_joint_g(p: Potential, lam: float, u, t: Torus) -> float:
     """The same map evaluated as one quadrature over the sum of both layers.
 
     Independent pinned fields at scales lam and 1 - lam sum to one pinned field
@@ -161,5 +135,4 @@ def renorm_joint_g(
     does not depend on lam.  Agreement with renorm_iterated_g is the numerical
     decomposition identity.
     """
-    _check_size(t, q)
-    return -log_expectation(t, p, np.atleast_1d(np.asarray(u, dtype=float)), 1.0, tol=q.tol)[0]
+    return -log_expectation(t, p, np.atleast_1d(np.asarray(u, dtype=float)), 1.0)[0]

@@ -6,20 +6,21 @@ energy (lattice.anharmonic_g).  log_expectation picks one route from its input
 alone, with no fallback between routes:
 
   exact         a pure Gaussian (zero anharmonicity): log E = 0.
-  mayer         compactly supported anharmonicity, any d: exact
-                inclusion-exclusion over bonds, E[prod_b (1 + b_b)] expanded
-                into 2^B Gaussian moments of compactly supported factors, each
-                integrated spectrally on its own box.  Subsets are pruned by
-                rigorous magnitude bounds.
-  conditioning  d = 1, any other potential, any m, scale and base field: the m
+  mayer         compactly supported anharmonicity, any d, at most
+                ORACLE_MAX_DOF free coordinates: exact inclusion-exclusion over
+                bonds, E[prod_b (1 + b_b)] expanded into 2^B Gaussian moments
+                of compactly supported factors, each integrated spectrally on
+                its own box.  Subsets are pruned by rigorous magnitude bounds.
+  conditioning  d = 1, any other input, any m, scale and base field: the m
                 bond gradients are iid N(0, scale) conditioned to sum to zero,
                 so log E is one convolution at zero, evaluated with FFTs on a
                 periodic grid that doubles until converged.
-  gh            d >= 2: tensor-product Gauss-Hermite in gff.ModeBasis, the
-                eigenbasis of the pinned form that sample_gff also draws in,
-                with node doubling from GH_START_ORDER until the change drops
-                below tol; raises QuadratureError when it does not converge by
-                GH_MAX_ORDER or GH_POINT_CAP.
+  gh            d >= 2 otherwise: tensor-product Gauss-Hermite in
+                gff.ModeBasis, the eigenbasis of the pinned form that
+                sample_gff also draws in, with node doubling from
+                GH_START_ORDER until the change drops below GH_TOL; raises
+                QuadratureError when it does not converge by GH_MAX_ORDER or
+                GH_POINT_CAP.
 """
 
 from __future__ import annotations
@@ -45,6 +46,10 @@ __all__ = [
     "log_expectation",
     "field_bond_map",
 ]
+
+ORACLE_MAX_DOF = 5  # Mayer's reach; beyond it d = 1 is conditioned and d >= 2 is left to GH
+EXACT_TOL = 1e-12  # Mayer's pruned-mass budget and the conditioning grid's convergence
+GH_TOL = 1e-8  # GH stops doubling once successive orders differ by less
 
 GH_START_ORDER = 16
 GH_MAX_ORDER = 128
@@ -116,8 +121,8 @@ def gh_log_expectation(gfun, t: Torus, scale: float, order: int) -> float:
     return float(m + np.log(np.sum(np.exp(logW - gv - m))))
 
 
-def gh_log_expectation_doubling(gfun, t: Torus, scale: float, tol: float = 1e-8):
-    """GH with node doubling from GH_START_ORDER; returns (value, converged, last_delta, order).
+def gh_log_expectation_doubling(gfun, t: Torus, scale: float):
+    """GH with node doubling from GH_START_ORDER to GH_TOL; returns (value, converged, last_delta, order).
 
     When not even one doubling fits under GH_POINT_CAP, convergence cannot be
     shown, so it returns (nan, False, inf, GH_START_ORDER) without calling gfun.
@@ -130,7 +135,7 @@ def gh_log_expectation_doubling(gfun, t: Torus, scale: float, tol: float = 1e-8)
         order *= 2
         cur = gh_log_expectation(gfun, t, scale, order)
         delta = abs(cur - prev)
-        if delta < tol:
+        if delta < GH_TOL:
             return cur, True, delta, order
         prev = cur
     return prev, False, delta, order
@@ -140,7 +145,7 @@ def gh_log_expectation_doubling(gfun, t: Torus, scale: float, tol: float = 1e-8)
 # conditioning backend (d = 1)
 
 
-def conditioning_log_expectation(g, shifts: np.ndarray, scale: float = 1.0, tol: float = 1e-12) -> tuple[float, dict]:
+def conditioning_log_expectation(g, shifts: np.ndarray, scale: float = 1.0) -> tuple[float, dict]:
     """log E[exp(-sum_b g(shifts[b] + e_b))] for e iid N(0, scale) conditioned on sum(e) = 0.
 
     On the d = 1 torus these are the bond gradients of the pinned field, so the
@@ -150,7 +155,7 @@ def conditioning_log_expectation(g, shifts: np.ndarray, scale: float = 1.0, tol:
     f_b = N + r_b, the difference prod F_b - G^m is accumulated bond by bond, so
     log1p of its ratio to G^m keeps its relative precision when g is small.
     Bonds with equal shifts share one transform.  The grid doubles until two
-    successive values differ by less than tol; returns (log E, {"error", "points"})
+    successive values differ by less than EXACT_TOL; returns (log E, {"error", "points"})
     and raises QuadratureError at COND_MAX_POINTS or on a non-finite value.
     """
     shifts = np.asarray(shifts, dtype=float).ravel()
@@ -177,10 +182,10 @@ def conditioning_log_expectation(g, shifts: np.ndarray, scale: float = 1.0, tol:
         cur = math.log1p(np.fft.irfft(D, n)[0] / np.fft.irfft(G**m, n)[0])
         if not math.isfinite(cur):
             raise QuadratureError("conditioning backend: value is not finite")
-        if prev is not None and abs(cur - prev) < tol:
+        if prev is not None and abs(cur - prev) < EXACT_TOL:
             return cur, {"error": abs(cur - prev), "points": n}
         prev, n = cur, 2 * n
-    raise QuadratureError(f"conditioning backend: no convergence below {tol} at {COND_MAX_POINTS} grid points")
+    raise QuadratureError(f"conditioning backend: no convergence below {EXACT_TOL} at {COND_MAX_POINTS} grid points")
 
 
 # ---------------------------------------------------------------------------
@@ -235,14 +240,12 @@ def _box_moment(F_S: np.ndarray, lo: np.ndarray, hi: np.ndarray, bfuns) -> float
     return float(wts @ vals)
 
 
-def mayer_log_expectation(
-    F: np.ndarray, shifts: np.ndarray, h, support: tuple[float, float], tol: float = 1e-12
-) -> tuple[float, float]:
+def mayer_log_expectation(F: np.ndarray, shifts: np.ndarray, h, support: tuple[float, float]) -> tuple[float, float]:
     """log E[prod_b (1 + b_b)] with b_b(zeta) = exp(-h(shift_b + zeta_b)) - 1.
 
     F maps latent standard-normal coordinates to the per-bond arguments zeta.
-    Returns (value, rigorous bound on the pruned mass).  Exact up to pruning and
-    the spectral box quadrature.
+    Returns (value, rigorous bound on the pruned mass, at most EXACT_TOL).
+    Exact up to pruning and the spectral box quadrature.
     """
     lo_s, hi_s = support
     B = F.shape[0]
@@ -273,7 +276,7 @@ def mayer_log_expectation(
         for S in itertools.combinations(range(B), size):
             idx = list(S)
             bound = bmax**size * float(np.min(p_hit[idx]))
-            if bound < tol / (2.0**B):
+            if bound < EXACT_TOL / (2.0**B):
                 pruned += bound
                 continue
             total += _box_moment(F[idx, :], lo[idx], hi[idx], [bfuns_all[b] for b in idx])
@@ -296,15 +299,16 @@ def field_bond_map(t: Torus, scale: float) -> np.ndarray:
 
 
 def log_expectation(
-    t: Torus, p: Potential, u: np.ndarray, scale: float = 1.0, psi_values: np.ndarray | None = None, tol: float = 1e-8
+    t: Torus, p: Potential, u: np.ndarray, scale: float = 1.0, psi_values: np.ndarray | None = None
 ) -> tuple[float, dict]:
     """log E[exp(-G(u, psi + phi))] for phi a pinned field at the given scale.
 
     p must be unit-scaled (c1 = 1).  Returns (log E, info) with info["method"]
     the route, chosen from the input alone: "exact" for a pure Gaussian,
-    "mayer" for compact anharmonicity in any d, "conditioning" for any other
-    potential in d = 1 (converged to min(tol, 1e-12)), and "gh" with node
-    doubling in d >= 2, which raises QuadratureError when unconverged.
+    "mayer" for compact anharmonicity in any d at most ORACLE_MAX_DOF free
+    coordinates, then "conditioning" for any other input in d = 1 and "gh"
+    with node doubling in d >= 2, which raises QuadratureError when
+    unconverged.
     """
     if abs(p.c1 - 1.0) > 1e-12:
         raise ValueError("log_expectation requires a unit-scaled potential (c1 = 1)")
@@ -314,20 +318,18 @@ def log_expectation(
         lo, hi, h = compact
         if hi - lo <= 0.0:
             return 0.0, {"method": "exact", "error": 0.0}
-        F = field_bond_map(t, scale)
-        shifts = bond_args(t, base, u).ravel()
-        val, pruned = mayer_log_expectation(F, shifts, h, (lo, hi), tol=min(tol, 1e-12))
-        return val, {"method": "mayer", "error": pruned}
+        if t.n_dof <= ORACLE_MAX_DOF:
+            F = field_bond_map(t, scale)
+            val, pruned = mayer_log_expectation(F, bond_args(t, base, u).ravel(), h, (lo, hi))
+            return val, {"method": "mayer", "error": pruned}
     if t.d == 1:
-        val, info = conditioning_log_expectation(
-            lambda s: p.v(s) - 0.5 * s * s, bond_args(t, base, u), scale, tol=min(tol, 1e-12)
-        )
+        val, info = conditioning_log_expectation(lambda s: p.v(s) - 0.5 * s * s, bond_args(t, base, u), scale)
         return val, {"method": "conditioning", **info}
 
     def gfun(dof_batch):
         return anharmonic_g(t, u, pinned(dof_batch) + base, p)
 
-    val, converged, delta, order = gh_log_expectation_doubling(gfun, t, scale, tol)
+    val, converged, delta, order = gh_log_expectation_doubling(gfun, t, scale)
     if not converged:
-        raise QuadratureError(f"GH did not converge below {tol} by order {order} under its caps (last delta {delta:.3e})")
+        raise QuadratureError(f"GH did not converge below {GH_TOL} by order {order} under its caps (last delta {delta:.3e})")
     return val, {"method": "gh", "error": delta, "order": order}

@@ -20,8 +20,9 @@ from .conditions import cbar, scale_to_unit, check_conditions
 from .gff import poincare_constant, sample_gff
 from .lattice import Torus, Field, anharmonic_g, bond_args, grad_all, grad_norm_sq, pinned
 from .mcmc import ChainConfig, Estimate, Target, make_h1_target, fluctuation_hessian, stream, _block_slices, _jackknife
-from .oracle import QuadratureSpec, free_energy, hessian_fd, renorm_apply_g, renorm_iterated_g
+from .oracle import ORACLE_ERROR, free_energy, hessian_fd, renorm_apply_g, renorm_iterated_g
 from .potentials import Potential, norms
+from .quadrature import ORACLE_MAX_DOF
 
 __all__ = [
     "DecompositionPlan",
@@ -108,7 +109,6 @@ def estimate_r1g(
     u,
     psi: Field,
     method: str = "oracle",
-    q: QuadratureSpec = QuadratureSpec(),
     n_samples: int = 100_000,
     seed: int = 0,
 ) -> Estimate:
@@ -120,8 +120,8 @@ def estimate_r1g(
     t = plan.torus
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if method == "oracle":
-        val = renorm_apply_g(plan.potential, plan.lam, u, psi, q)
-        return Estimate(value=val, std_error=q.tol, n_effective=math.inf, method="oracle")
+        val = renorm_apply_g(plan.potential, plan.lam, u, psi)
+        return Estimate(value=val, std_error=ORACLE_ERROR, n_effective=math.inf, method="oracle")
     if method != "mc":
         raise ValueError(f"method must be 'oracle' or 'mc', got {method}")
     draws = sample_gff(t, plan.lam, stream(seed, purpose="r1g"), n_samples)
@@ -159,7 +159,6 @@ def verify_c6(
     u,
     psi: Field,
     directions,
-    q: QuadratureSpec = QuadratureSpec(),
     tol: float = 1e-6,
     h: float = 1e-3,
 ) -> CurvatureBoundReport:
@@ -176,7 +175,7 @@ def verify_c6(
         dpsi = pinned(dpsi_dof)
 
         def f(s):
-            return renorm_apply_g(plan.potential, plan.lam, u + s[0] * du, Field(t, psi.values + s[0] * dpsi), q)
+            return renorm_apply_g(plan.potential, plan.lam, u + s[0] * du, Field(t, psi.values + s[0] * dpsi))
 
         return f, -0.5 * (t.volume * float(du @ du) + grad_norm_sq(t, dpsi))
 
@@ -187,7 +186,6 @@ def verify_c7(
     plan: DecompositionPlan,
     u,
     u_dirs,
-    q: QuadratureSpec = QuadratureSpec(),
     tol: float = 1e-6,
     h: float = 1e-3,
 ) -> CurvatureBoundReport:
@@ -199,7 +197,7 @@ def verify_c7(
         du = np.atleast_1d(np.asarray(du, dtype=float))
 
         def f(s):
-            return renorm_iterated_g(plan.potential, plan.lam, u + s[0] * du, t, q)
+            return renorm_iterated_g(plan.potential, plan.lam, u + s[0] * du, t)
 
         return f, -0.5 * t.volume * float(du @ du)
 
@@ -223,23 +221,24 @@ def verify_theorem(
     beta: float,
     t: Torus,
     u_grid,
-    q: QuadratureSpec = QuadratureSpec(),
     cfg: ChainConfig | None = None,
     method: str = "auto",
     tol: float = 1e-4,
 ) -> list[TheoremRow]:
     """Check min eig D^2 f(u) >= (c1/2) |T| - tol on each grid tilt.
 
-    Oracle rows use FD Hessians of the quadrature free energy; chain rows use
-    the fluctuation identity in the unit frame mapped back by D^2 f_beta(u) =
-    c1 D^2 f_1(sqrt(beta c1) u).  Out-of-hypothesis tilts are computed and
-    labeled, never asserted.  Chain rows of grid tilt j use streams (seed, j, 0, chain).
+    method "auto" takes the oracle up to ORACLE_MAX_DOF free coordinates and
+    chains beyond.  Oracle rows use FD Hessians of the quadrature free energy;
+    chain rows use the fluctuation identity in the unit frame mapped back by
+    D^2 f_beta(u) = c1 D^2 f_1(sqrt(beta c1) u).  Out-of-hypothesis tilts are
+    computed and labeled, never asserted.  Chain rows of grid tilt j use
+    streams (seed, j, 0, chain).
     """
     nr = norms(p, 1e-8)
     in_hyp = check_conditions(beta, t.d, p, nr).satisfied["fcond"]
     bound = 0.5 * p.c1 * t.volume
     if method == "auto":
-        method = "oracle" if t.n_dof <= q.max_dof else "chain"
+        method = "oracle" if t.n_dof <= ORACLE_MAX_DOF else "chain"
     if method not in ("oracle", "chain"):
         raise ValueError(f"method must be 'auto', 'oracle' or 'chain', got {method!r}")
     rows = []
@@ -247,8 +246,8 @@ def verify_theorem(
     for j, u in enumerate(u_grid):
         u = np.atleast_1d(np.asarray(u, dtype=float))
         if method == "oracle":
-            H = hessian_fd(lambda uu: free_energy(uu, p, t, beta, q), u, h=1e-3)
-            se = 10.0 * q.tol
+            H = hessian_fd(lambda uu: free_energy(uu, p, t, beta), u, h=1e-3)
+            se = 10.0 * ORACLE_ERROR
         else:
             if cfg is None:
                 raise ValueError("chain method requires a ChainConfig")

@@ -45,7 +45,7 @@ def scaled_b(pot_b, beta_half_b):
 
 @pytest.fixture
 def quick_chain():
-    return ChainConfig(n_steps=6000, burn_in=1000, thinning=1, n_chains=2, seed=1234)
+    return ChainConfig(n_steps=6000, burn_in=1000, n_chains=2, seed=1234)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -181,12 +182,12 @@ def test_byte_identical_reruns(tmp_path):
 
 def test_tilt_streams_do_not_collide(tmp_path):
     # two grid tilts with the same u: seed 7919 at tilt 0 once shared its chains
-    # with seed 0 at tilt 1
+    # with seed 0 at tilt 1; at m = 7 (6 free coordinates) auto takes the chains
     cfg = dict(
         BASE,
         potential={"family": "example_b", "delta": 0.5},
+        m=7,
         u_grid=[[0.3], [0.3]],
-        quadrature={"max_dof": 1},
         ti_nodes=4,
         chain={"n_steps": 600, "burn_in": 200, "n_chains": 1},
     )
@@ -254,11 +255,8 @@ def test_verify_lemma_runs_its_chains_once(tmp_path, monkeypatch):
     "command,extra,key",
     [
         ("sample", {"u": [0.2], "chain": {"step_size": "0.1"}}, "chain.step_size"),
-        ("sample", {"u": [0.2], "chain": {"tune": "no"}}, "chain.tune"),
         ("sample", {"u": [0.2], "chain": {"n_steps": 1000.7}}, "chain.n_steps"),
         ("sample", {"u": [0.2], "chain": {"n_chains": True}}, "chain.n_chains"),
-        ("free-energy", {"u_grid": [[0.2]], "quadrature": {"max_dof": True}}, "quadrature.max_dof"),
-        ("free-energy", {"u_grid": [[0.2]], "quadrature": {"tol": "1e-8"}}, "quadrature.tol"),
         ("check", {"beta": True}, "beta"),
         ("sample", {"u": [0.2], "seed": True}, "seed"),
         ("check", {"d": True}, "d"),
@@ -277,11 +275,8 @@ def test_verify_lemma_runs_its_chains_once(tmp_path, monkeypatch):
     ],
     ids=[
         "step_size-string",
-        "tune-string",
         "n_steps-fraction",
         "n_chains-bool",
-        "max_dof-bool",
-        "tol-string",
         "beta-bool",
         "seed-bool",
         "d-bool",
@@ -310,13 +305,22 @@ def test_mistyped_block_values_exit_one(tmp_path, capsys, command, extra, key):
     assert not (tmp_path / "o.out").exists()
 
 
-def test_removed_quadrature_key_exit_one(tmp_path, capsys):
-    # the Gauss-Hermite schedule is fixed; its old key is rejected, not ignored
-    path = write(tmp_path / "c.json", dict(BASE, u_grid=[[0.2]], quadrature={"nodes_per_dim": 16}))
-    assert run_cli(["free-energy", "--config", path, "--out", tmp_path / "o.csv"]) == 1
-    err = capsys.readouterr().err.strip().split("\n")
-    assert err == ["gil free-energy: quadrature must not have key 'nodes_per_dim'"]
-    assert not (tmp_path / "o.csv").exists()
+@pytest.mark.parametrize(
+    "command,extra,message",
+    [
+        ("free-energy", {"u_grid": [[0.2]], "quadrature": {"max_dof": 5}}, "config must not have key 'quadrature'"),
+        ("sample", {"u": [0.2], "chain": {"thinning": 1}}, "chain must not have key 'thinning'"),
+        ("sample", {"u": [0.2], "chain": {"tune": False}}, "chain must not have key 'tune'"),
+    ],
+    ids=["quadrature", "chain.thinning", "chain.tune"],
+)
+def test_removed_key_exit_one(tmp_path, capsys, command, extra, message):
+    # the oracle's size cap and tolerances are fixed, samples are never thinned
+    # and a null step size is tuned: the old keys are rejected, not ignored
+    path = write(tmp_path / "c.json", dict(BASE, **extra))
+    assert run_cli([command, "--config", path, "--out", tmp_path / "o.out"]) == 1
+    assert capsys.readouterr().err.strip().split("\n") == [f"gil {command}: {message}"]
+    assert not (tmp_path / "o.out").exists()
 
 
 def test_chain_failure_exit_three(tmp_path, capsys):
@@ -342,6 +346,17 @@ def test_quadrature_failure_exit_three(tmp_path, capsys, command):
     err = capsys.readouterr().err.strip().split("\n")
     assert len(err) == 1
     assert err[0].startswith(f"gil {command}: quadrature failed: GH did not converge")
+
+
+def test_hessian_oracle_d2_fails_fast(tmp_path, capsys):
+    # 8 free coordinates in d = 2: Mayer does not reach and no GH doubling fits
+    # under the point cap, so the explicit oracle fails before any evaluation
+    path = write(tmp_path / "c.json", dict(_example_a_half_threshold(2, 3, [0.5, 0.5]), method="oracle"))
+    start = time.perf_counter()
+    assert run_cli(["hessian", "--config", path, "--out", tmp_path / "h.csv"]) == 3
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("gil hessian: quadrature failed: ")
 
 
 def test_hessian_oracle_in_hypothesis_d1(tmp_path):

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import gc
 import tomllib
 from pathlib import Path
@@ -8,7 +7,6 @@ import pytest
 
 import gil.cli
 from gil.cli import SCHEMA, ConfigError, build_potential, validate_config
-from gil.oracle import QuadratureSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -30,13 +28,12 @@ ENFORCED = {
 }
 ANNOTATIONS = {"$schema", "title", "description", "$defs"}
 
-CHAIN = {"n_steps": 100, "burn_in": 10, "thinning": 1, "n_chains": 1, "step_size": 0.3, "tune": True}
-QUAD = {"max_dof": 2, "tol": 1e-8}
+CHAIN = {"n_steps": 100, "burn_in": 10, "n_chains": 1, "step_size": 0.3}
 BASE = {"potential": {"family": "example_a", "a": 0.5}, "d": 1, "m": 3, "beta": 1.0, "seed": 7}
 VALID = {
     "check": dict(BASE, condition="alt_9"),
-    "free-energy": dict(BASE, u_grid=[[0.1], [0.2]], quadrature=QUAD, chain=CHAIN, ti_nodes=4),
-    "hessian": dict(BASE, u_grid=[[0.1]], quadrature=QUAD, chain=CHAIN, method="chain", tolerance=1e-4),
+    "free-energy": dict(BASE, u_grid=[[0.1], [0.2]], chain=CHAIN, ti_nodes=4),
+    "hessian": dict(BASE, u_grid=[[0.1]], chain=CHAIN, method="chain", tolerance=1e-4),
     "verify-lemma": dict(
         BASE, u=[0.1], psi=[0.0, 0.1, 0.2], k_grid={"k_max": 3.0, "n_points": 41}, chain=CHAIN, observables=3, **{"lambda": 0.3}
     ),
@@ -139,9 +136,3 @@ def test_schema_is_package_data():
     assert (Path(gil.cli.__file__).parent / "config_schema.json").is_file()
     assert not (ROOT / "docs" / "config_schema.json").exists()
 
-
-def test_quadrature_block_matches_spec_fields():
-    # the cli builds QuadratureSpec(**block): a field without a schema key could
-    # not be set, and a key without a field would fail after validation
-    fields = {f.name for f in dataclasses.fields(QuadratureSpec)}
-    assert fields == set(SCHEMA["properties"]["quadrature"]["properties"])

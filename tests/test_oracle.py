@@ -7,7 +7,6 @@ import pytest
 from gil.conditions import scale_to_unit
 from gil.lattice import Field, Torus
 from gil.oracle import (
-    QuadratureSpec,
     free_energy,
     hessian_fd,
     log_partition,
@@ -24,24 +23,23 @@ from conftest import pinned_covariance
 # tensor backends): log Z for example_b(0.5), d=1, M=3, beta=1, u=0.1
 LOGZ_B_REFERENCE = 1.2787192177616633
 
-Q = QuadratureSpec()
 
 
 def test_gaussian_log_partition_closed_form(pot_gauss):
     t = Torus(1, 3)
     # pinned form [[2,-1],[-1,2]] has determinant 3, so Z = 2 pi / sqrt(3)
-    assert log_partition([0.0], pot_gauss, t, 1.0, Q) == pytest.approx(math.log(2 * math.pi / math.sqrt(3)), abs=1e-12)
+    assert log_partition([0.0], pot_gauss, t, 1.0) == pytest.approx(math.log(2 * math.pi / math.sqrt(3)), abs=1e-12)
 
 
 def test_gaussian_tilt_dependence(pot_gauss):
     t = Torus(2, 2)
     u = np.array([0.3, -0.7])
-    diff = log_partition(u, pot_gauss, t, 1.0, Q) - log_partition(np.zeros(2), pot_gauss, t, 1.0, Q)
+    diff = log_partition(u, pot_gauss, t, 1.0) - log_partition(np.zeros(2), pot_gauss, t, 1.0)
     assert diff == pytest.approx(-0.5 * t.volume * float(u @ u), abs=1e-12)
 
 
 def test_example_b_regression_constant(pot_b):
-    got = log_partition([0.1], pot_b, Torus(1, 3), 1.0, Q)
+    got = log_partition([0.1], pot_b, Torus(1, 3), 1.0)
     assert got == pytest.approx(LOGZ_B_REFERENCE, abs=1e-9)
 
 
@@ -49,17 +47,15 @@ def test_free_energy_is_scaled_log_partition(pot_b):
     t = Torus(1, 3)
     beta = 0.25
     u = [0.4]
-    assert free_energy(u, pot_b, t, beta, Q) == pytest.approx(-log_partition(u, pot_b, t, beta, Q) / beta, rel=1e-14)
+    assert free_energy(u, pot_b, t, beta) == pytest.approx(-log_partition(u, pot_b, t, beta) / beta, rel=1e-14)
 
 
-def test_oracle_size_cap(pot_gauss):
-    with pytest.raises(QuadratureError):
-        log_partition([0.0], pot_gauss, Torus(1, 8), 1.0, Q)
-
-
-def test_quadrature_spec_invariants():
-    with pytest.raises(ValueError):
-        QuadratureSpec(max_dof=6)
+def test_gaussian_log_partition_closed_form_past_mayer_reach(pot_gauss):
+    # 7 free coordinates: the pinned form of the cycle C_8 has determinant 8 (its
+    # spanning trees), so log Z^beta(u) = -beta |T| u^2 / 2 + (7/2) log(2 pi / beta) - log(8) / 2
+    t, beta, u = Torus(1, 8), 0.7, 0.3
+    expected = -0.5 * beta * 8 * u * u + 3.5 * math.log(2 * math.pi / beta) - 0.5 * math.log(8)
+    assert log_partition([u], pot_gauss, t, beta) == pytest.approx(expected, abs=1e-12)
 
 
 @pytest.mark.parametrize("u", [0.5, 1.0])
@@ -67,9 +63,9 @@ def test_scaling_identity_moderate_beta(u, pot_a):
     # f_M^beta(u) - f_M^beta(0) = (1/beta) [f_M^1(k u) - f_M^1(0)] with k = sqrt(beta c1)
     t = Torus(1, 3)
     beta = 0.3
-    lhs = free_energy([u], pot_a, t, beta, Q) - free_energy([0.0], pot_a, t, beta, Q)
+    lhs = free_energy([u], pot_a, t, beta) - free_energy([0.0], pot_a, t, beta)
     ps, k = scale_to_unit(pot_a, beta)
-    rhs = (free_energy([k * u], ps, t, 1.0, Q) - free_energy([0.0], ps, t, 1.0, Q)) / beta
+    rhs = (free_energy([k * u], ps, t, 1.0) - free_energy([0.0], ps, t, 1.0)) / beta
     assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
@@ -77,7 +73,7 @@ def test_beta_rescaling_gaussian(pot_gauss):
     # on the quadratic family the free energy difference is beta independent
     t = Torus(1, 4)
     for beta in (0.5, 1.0, 2.0):
-        diff = free_energy([0.6], pot_gauss, t, beta, Q) - free_energy([0.0], pot_gauss, t, beta, Q)
+        diff = free_energy([0.6], pot_gauss, t, beta) - free_energy([0.0], pot_gauss, t, beta)
         assert diff == pytest.approx(0.5 * t.volume * 0.36, abs=1e-10)
 
 
@@ -97,7 +93,7 @@ def test_log_partition_cross_method_example_a(conditioning_reference):
         + ref_logE
         - 0.5 * 2 * math.log(beta * pa.c1)
     )
-    got = log_partition([u], pa, t, beta, Q)
+    got = log_partition([u], pa, t, beta)
     assert got == pytest.approx(expected, abs=1e-8)
 
 
@@ -127,7 +123,7 @@ def test_hessian_fd_evaluates_center_once(d, expected):
 
 def test_hessian_fd_symmetric(pot_b):
     t = Torus(1, 3)
-    H = hessian_fd(lambda uu: free_energy(uu, pot_b, t, 0.116, Q), [0.2], h=1e-3)
+    H = hessian_fd(lambda uu: free_energy(uu, pot_b, t, 0.116), [0.2], h=1e-3)
     assert H.shape == (1, 1)
 
 
@@ -175,13 +171,13 @@ def test_renorm_iterated_raises_fast_at_five_dof():
     t = Torus(1, 6)
     start = time.perf_counter()
     with pytest.raises(QuadratureError):
-        renorm_iterated_g(ps, 0.4, [0.3], t, Q)
+        renorm_iterated_g(ps, 0.4, [0.3], t)
     assert time.perf_counter() - start < 1.0
 
 
 def test_renorm_g_zero_for_gaussian(pot_gauss):
     t = Torus(1, 3)
-    assert renorm_apply_g(pot_gauss, 0.5, [0.3], Field.zeros(t), Q) == 0.0
+    assert renorm_apply_g(pot_gauss, 0.5, [0.3], Field.zeros(t)) == 0.0
 
 
 def test_renorm_g_shift_invariance(scaled_b):
@@ -192,8 +188,8 @@ def test_renorm_g_shift_invariance(scaled_b):
     psi1 = Field.from_dof(t, dof)
     shifted = psi1.values + 1.7
     psi2 = Field(t, shifted - shifted[0])
-    r1 = renorm_apply_g(ps, 0.4, [0.2], psi1, Q)
-    r2 = renorm_apply_g(ps, 0.4, [0.2], psi2, Q)
+    r1 = renorm_apply_g(ps, 0.4, [0.2], psi1)
+    r2 = renorm_apply_g(ps, 0.4, [0.2], psi2)
     assert r1 == pytest.approx(r2, rel=1e-12)
 
 
@@ -202,8 +198,8 @@ def test_renorm_iterated_equals_joint(scaled_b):
     t = Torus(1, 3)
     lam = 5.0 / 12.0
     for u in (0.0, 0.3):
-        it = renorm_iterated_g(ps, lam, [u], t, Q)
-        jt = renorm_joint_g(ps, lam, [u], t, Q)
+        it = renorm_iterated_g(ps, lam, [u], t)
+        jt = renorm_joint_g(ps, lam, [u], t)
         assert math.exp(-it) == pytest.approx(math.exp(-jt), rel=1e-6)
 
 
@@ -213,11 +209,11 @@ def test_free_energy_decomposition_identity(scaled_b):
     t = Torus(1, 3)
     lam = 5.0 / 12.0
     us = 0.45
-    lhs = free_energy([us], ps, t, 1.0, Q) - free_energy([0.0], ps, t, 1.0, Q)
+    lhs = free_energy([us], ps, t, 1.0) - free_energy([0.0], ps, t, 1.0)
     rhs = (
         0.5 * t.volume * us * us
-        + renorm_iterated_g(ps, lam, [us], t, Q)
-        - renorm_iterated_g(ps, lam, [0.0], t, Q)
+        + renorm_iterated_g(ps, lam, [us], t)
+        - renorm_iterated_g(ps, lam, [0.0], t)
     )
     assert lhs == pytest.approx(rhs, rel=1e-6, abs=1e-9)
 
@@ -228,6 +224,6 @@ def test_renorm_iterated_equals_joint_non_compact():
     pa, _ = scale_to_unit(example_a(0.5), 0.3)
     t = Torus(1, 3)
     lam = 0.25
-    it = renorm_iterated_g(pa, lam, [0.3], t, Q)
-    jt = renorm_joint_g(pa, lam, [0.3], t, Q)
+    it = renorm_iterated_g(pa, lam, [0.3], t)
+    jt = renorm_joint_g(pa, lam, [0.3], t)
     assert math.exp(-it) == pytest.approx(math.exp(-jt), rel=1e-6)

@@ -9,6 +9,7 @@ from gil.lattice import Torus, anharmonic_g, bond_args
 from gil.oracle import hessian_fd
 from gil.potentials import custom_potential, example_a, example_b, gaussian_potential
 from gil.quadrature import (
+    ORACLE_MAX_DOF,
     QuadratureError,
     compact_anharmonicity,
     conditioning_log_expectation,
@@ -196,6 +197,26 @@ def test_log_expectation_dispatch_example_a():
     ps, _ = scale_to_unit(pa, 0.3)
     _, info = log_expectation(Torus(2, 2), ps, np.array([0.2, 0.1]))
     assert info["method"] == "gh"
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_log_expectation_dispatch_example_b_mayer_reach(scaled_b, m):
+    # compact anharmonicity goes to Mayer up to ORACLE_MAX_DOF free coordinates
+    ps, _ = scaled_b
+    assert Torus(1, m).n_dof <= ORACLE_MAX_DOF
+    _, info = log_expectation(Torus(1, m), ps, np.array([0.15]))
+    assert info["method"] == "mayer"
+
+
+@pytest.mark.parametrize("m", [8, 16])
+def test_log_expectation_dispatch_example_b_beyond_mayer(conditioning_reference, scaled_b, m):
+    # past Mayer's reach d = 1 is conditioned, to the reference's precision
+    ps, _ = scaled_b
+    u = 0.15
+    val, info = log_expectation(Torus(1, m), ps, np.array([u]))
+    assert info["method"] == "conditioning"
+    lo, hi, h = compact_anharmonicity(ps)
+    assert val == pytest.approx(conditioning_reference(lambda e: h(u + e), m, [lo - u, hi - u]), abs=1e-12)
 
 
 def test_log_expectation_raises_beyond_fallback():

@@ -7,7 +7,7 @@ from gil.conditions import check_conditions, scale_to_unit
 from gil.gff import sample_gff
 from gil.lattice import Field, Torus, anharmonic_g, grad_norm_sq
 from gil.mcmc import ChainConfig, _block_slices, stream
-from gil.oracle import QuadratureSpec, renorm_apply_g
+from gil.oracle import renorm_apply_g
 from gil.potentials import example_a, example_c, gaussian_potential, norms
 from gil.renorm import (
     DecompositionPlan,
@@ -19,7 +19,6 @@ from gil.renorm import (
     verify_theorem,
 )
 
-Q = QuadratureSpec()
 
 
 def test_plan_default_lambda(scaled_b):
@@ -90,9 +89,9 @@ def test_certify_adversarial_lambda_fails(scaled_b):
 def test_estimate_r1g_gaussian_zero(pot_gauss):
     t = Torus(1, 3)
     plan = DecompositionPlan.from_potential(pot_gauss, t, lam=0.5)
-    est = estimate_r1g(plan, [0.4], Field.zeros(t), "oracle", Q)
+    est = estimate_r1g(plan, [0.4], Field.zeros(t), "oracle")
     assert est.value == 0.0 and est.method == "oracle"
-    est_mc = estimate_r1g(plan, [0.4], Field.zeros(t), "mc", Q, n_samples=2_000, seed=2)
+    est_mc = estimate_r1g(plan, [0.4], Field.zeros(t), "mc", n_samples=2_000, seed=2)
     assert est_mc.value == pytest.approx(0.0, abs=1e-12)
 
 
@@ -101,8 +100,8 @@ def test_estimate_r1g_mc_matches_oracle(scaled_b):
     t = Torus(1, 3)
     plan = DecompositionPlan.from_potential(ps, t)
     psi = Field.from_dof(t, np.array([0.4, -0.2]))
-    oracle = estimate_r1g(plan, [0.3], psi, "oracle", Q)
-    mc = estimate_r1g(plan, [0.3], psi, "mc", Q, n_samples=100_000, seed=5)
+    oracle = estimate_r1g(plan, [0.3], psi, "oracle")
+    mc = estimate_r1g(plan, [0.3], psi, "mc", n_samples=100_000, seed=5)
     assert abs(float(mc.value) - float(oracle.value)) < 3 * float(mc.std_error)
     assert mc.std_error > 0
 
@@ -116,7 +115,7 @@ def test_estimate_r1g_jackknife_matches_leave_one_out_loop(scaled_b):
     plan = DecompositionPlan.from_potential(ps, t)
     psi = Field.from_dof(t, np.array([0.4, -0.2]))
     n = 2_003
-    est = estimate_r1g(plan, [0.3], psi, "mc", Q, n_samples=n, seed=5)
+    est = estimate_r1g(plan, [0.3], psi, "mc", n_samples=n, seed=5)
     w = -anharmonic_g(t, [0.3], psi.values + sample_gff(t, plan.lam, stream(5, purpose="r1g"), n), ps)
 
     def neg_log_mean(ws):
@@ -137,7 +136,7 @@ def test_estimate_r1g_rejects_unknown_method(scaled_b):
 def test_verify_theorem_rejects_unknown_method(pot_gauss, quick_chain):
     # an unknown method once ran the chain route and labelled its rows with it
     with pytest.raises(ValueError):
-        verify_theorem(pot_gauss, 1.0, Torus(1, 3), [[0.0]], Q, cfg=quick_chain, method="foo")
+        verify_theorem(pot_gauss, 1.0, Torus(1, 3), [[0.0]], cfg=quick_chain, method="foo")
 
 
 def test_verify_c6_gaussian(pot_gauss):
@@ -145,7 +144,7 @@ def test_verify_c6_gaussian(pot_gauss):
     plan = DecompositionPlan.from_potential(pot_gauss, t, lam=0.5)
     rng = np.random.default_rng(3)
     dirs = [(rng.standard_normal(1), rng.standard_normal(t.n_dof)) for _ in range(3)]
-    rep = verify_c6(plan, [0.0], Field.zeros(t), dirs, Q)
+    rep = verify_c6(plan, [0.0], Field.zeros(t), dirs)
     assert rep.ok
     np.testing.assert_allclose(rep.values, 0.0, atol=1e-6)  # R1 G = 0 identically
     assert np.all(rep.bounds < 0)
@@ -155,7 +154,7 @@ def test_verify_c6_pure_tilt_direction(scaled_b):
     ps, _ = scaled_b
     t = Torus(1, 3)
     plan = DecompositionPlan.from_potential(ps, t)
-    rep = verify_c6(plan, [0.1], Field.zeros(t), [(np.array([1.0]), np.zeros(t.n_dof))], Q)
+    rep = verify_c6(plan, [0.1], Field.zeros(t), [(np.array([1.0]), np.zeros(t.n_dof))])
     assert rep.ok
     assert rep.bounds[0] == pytest.approx(-0.5 * t.volume)
 
@@ -167,7 +166,7 @@ def test_verify_c6_example_b_random_directions(scaled_b):
     rng = np.random.default_rng(7)
     psi = Field.from_dof(t, 0.5 * rng.standard_normal(t.n_dof))
     dirs = [(rng.standard_normal(1), rng.standard_normal(t.n_dof)) for _ in range(5)]
-    rep = verify_c6(plan, [0.2], psi, dirs, Q)
+    rep = verify_c6(plan, [0.2], psi, dirs)
     assert rep.ok, rep.margins
 
 
@@ -175,13 +174,13 @@ def test_verify_c7_example_b(scaled_b):
     ps, _ = scaled_b
     t = Torus(1, 3)
     plan = DecompositionPlan.from_potential(ps, t)
-    rep = verify_c7(plan, [0.1], [np.array([1.0])], Q)
+    rep = verify_c7(plan, [0.1], [np.array([1.0])])
     assert rep.ok
     assert rep.bounds[0] == pytest.approx(-0.5 * t.volume)
 
 
 def test_verify_theorem_gaussian(pot_gauss):
-    rows = verify_theorem(pot_gauss, 1.0, Torus(1, 4), [[0.0], [0.5], [1.0]], Q)
+    rows = verify_theorem(pot_gauss, 1.0, Torus(1, 4), [[0.0], [0.5], [1.0]])
     for r in rows:
         assert r.verdict == "pass"
         assert r.min_eig == pytest.approx(4.0, abs=1e-6)
@@ -189,7 +188,7 @@ def test_verify_theorem_gaussian(pot_gauss):
 
 
 def test_verify_theorem_example_b_in_hypothesis(pot_b, beta_half_b):
-    rows = verify_theorem(pot_b, beta_half_b, Torus(1, 3), [[0.0], [0.25], [0.5]], Q)
+    rows = verify_theorem(pot_b, beta_half_b, Torus(1, 3), [[0.0], [0.25], [0.5]])
     assert all(r.in_hypothesis and r.verdict == "pass" for r in rows)
 
 
@@ -199,13 +198,13 @@ def test_verify_theorem_out_of_hypothesis_labeled():
     beta = 20.0
     nr = norms(pc)
     assert not check_conditions(beta, 1, pc, nr).satisfied["fcond"]
-    rows = verify_theorem(pc, beta, Torus(1, 3), [[0.0]], Q)
+    rows = verify_theorem(pc, beta, Torus(1, 3), [[0.0]])
     assert rows[0].verdict == "out-of-hypothesis"
     assert not rows[0].in_hypothesis
 
 
 def test_verify_theorem_chain_method(pot_b, beta_half_b):
     cfg = ChainConfig(n_steps=20_000, burn_in=2_000, seed=19, n_chains=2)
-    rows = verify_theorem(pot_b, beta_half_b, Torus(1, 3), [[0.25]], Q, cfg=cfg, method="chain")
+    rows = verify_theorem(pot_b, beta_half_b, Torus(1, 3), [[0.25]], cfg=cfg, method="chain")
     assert rows[0].verdict == "pass"
     assert rows[0].std_error > 0

@@ -8,6 +8,14 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _run(script, *args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
 @pytest.mark.parametrize(
     "script,header",
     [
@@ -17,10 +25,13 @@ ROOT = Path(__file__).resolve().parent.parent
 )
 def test_script_writes_csv(script, header, tmp_path):
     out = tmp_path / "out.csv"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
+    proc = _run(script, "--out", out)
     assert proc.returncode == 0, proc.stderr
     assert out.read_text().splitlines()[0] == header
+
+
+def test_decomposition_demo_on_one_dof_torus():
+    # m = 2 leaves one free coordinate: the demo's outer field takes only the first entry
+    proc = _run("run_decomposition_demo.py", "--m", 2)
+    assert proc.returncode == 0, proc.stderr
+    assert sum("iterated map" in line for line in proc.stdout.splitlines()) == 2
