@@ -49,7 +49,7 @@ from .mcmc import (
     thermodynamic_integration,
     verify_l1norm_bounds,
 )
-from .oracle import ORACLE_ERROR, free_energy
+from .oracle import ORACLE_ERROR, f_tilt
 from .potentials import Potential, example_a, example_b, example_c, gaussian_potential, norms
 from .quadrature import ORACLE_MAX_DOF, QuadratureError
 from .renorm import DecompositionPlan, induced_h1, verify_theorem
@@ -205,9 +205,9 @@ def cmd_free_energy(cfg: dict, out: str, seed: int) -> int:
     header = [f"u_{i+1}" for i in range(t.d)] + ["delta_f", "method", "error"]
     rows = []
     if t.n_dof <= ORACLE_MAX_DOF:
-        f0 = free_energy(np.zeros(t.d), p, t, beta)
+        f0 = f_tilt(np.zeros(t.d), p, t, beta)
         for u in grid:
-            rows.append(list(u) + [free_energy(u, p, t, beta) - f0, "oracle", ORACLE_ERROR])
+            rows.append(list(u) + [f_tilt(u, p, t, beta) - f0, "oracle", ORACLE_ERROR])
     else:
         ccfg = _chain_config(cfg, seed)
         for j, u in enumerate(grid):

@@ -16,12 +16,13 @@ import numpy as np
 
 from .conditions import scale_to_unit
 from .gff import ModeBasis
-from .lattice import Torus, Field
+from .lattice import Torus, Field, pinned
 from .potentials import Potential
 from .quadrature import GH_TOL, QuadratureError, gh_log_expectation_doubling, log_expectation
 
 __all__ = [
     "ORACLE_ERROR",
+    "f_tilt",
     "log_partition",
     "free_energy",
     "hessian_fd",
@@ -35,34 +36,39 @@ __all__ = [
 ORACLE_ERROR = GH_TOL
 
 
-def log_partition(u, p: Potential, t: Torus, beta: float) -> float:
-    """log Z = log integral over pinned fields of exp(-beta H(u, phi)).
+def f_tilt(u, p: Potential, t: Torus, beta: float) -> float:
+    """The u-dependent part of f: |T| c1 u.u / 2 - log E[exp(-G(k u, phi))] / beta, k = sqrt(beta c1).
 
-    Internally rescales to the unit frame: log Z^beta(u) = -(n/2) log(beta c1)
-    + log Z^1(u_scaled, p_scaled), then splits off the exact Gaussian part.
-    The expectation comes first, so a torus no route serves fails before the
-    dense eigensolve.
+    G is the anharmonic bond energy of the unit-scaled potential and phi the
+    pinned field at scale 1.  Finite differences in u should difference this
+    part alone: the u-independent rest of f is large at large |T| and small
+    beta, and differencing it only adds rounding.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
     u = np.atleast_1d(np.asarray(u, dtype=float))
     ps, k = scale_to_unit(p, beta)
-    us = k * u
-    log_e, _info = log_expectation(t, ps, us, 1.0)
-    mb = ModeBasis.build(t)
-    n = t.n_dof
-    log_z1 = (
-        -0.5 * t.volume * float(us @ us)
-        + 0.5 * n * math.log(2.0 * math.pi)
-        - 0.5 * float(np.sum(np.log(mb.lam)))
-        + log_e
-    )
-    return log_z1 - 0.5 * n * math.log(beta * p.c1)
+    log_e, _info = log_expectation(t, ps, k * u, 1.0)
+    return 0.5 * t.volume * p.c1 * float(u @ u) - log_e / beta
 
 
 def free_energy(u, p: Potential, t: Torus, beta: float) -> float:
-    """f = -(1/beta) log Z."""
-    return -log_partition(u, p, t, beta) / beta
+    """f = -(1/beta) log Z = f_tilt(u) plus the Gaussian part that does not depend on u.
+
+    In the unit frame log Z^beta(u) = -(n/2) log(beta c1) + log Z^1(k u), and the
+    exact Gaussian part of log Z^1 is (n/2) log(2 pi) - (1/2) log det of the
+    pinned form.  f_tilt comes first, so a torus no route serves fails before
+    the dense eigensolve.
+    """
+    tilt = f_tilt(u, p, t, beta)
+    log_det = float(np.sum(np.log(ModeBasis.build(t).lam)))
+    log_z_gauss = 0.5 * t.n_dof * math.log(2.0 * math.pi / (beta * p.c1)) - 0.5 * log_det
+    return tilt - log_z_gauss / beta
+
+
+def log_partition(u, p: Potential, t: Torus, beta: float) -> float:
+    """log Z = log integral over pinned fields of exp(-beta H(u, phi)) = -beta f."""
+    return -beta * free_energy(u, p, t, beta)
 
 
 def hessian_fd(f, u, h: float = 1e-3) -> np.ndarray:
@@ -109,17 +115,14 @@ def renorm_iterated_g(p: Potential, lam: float, u, t: Torus) -> float:
     """(R2 R1 G)(u, 0): integrate theta at scale lam, then psi at scale 1 - lam.
 
     The outer integrand exp(-R1G(u, psi)) is a Gaussian smoothing of the bond
-    energy and hence smooth, so the outer layer uses GH with node doubling; each
-    inner value comes from renorm_apply_g.
+    energy and hence smooth, so the outer layer uses GH with node doubling; the
+    inner values at all nodes of one GH order come from one log_expectation
+    call with the nodes as a batch of base fields.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
 
     def outer_gfun(dof_batch):
-        out = np.empty(dof_batch.shape[0])
-        for j in range(dof_batch.shape[0]):
-            psi = Field.from_dof(t, dof_batch[j])
-            out[j] = renorm_apply_g(p, lam, u, psi)
-        return out
+        return -log_expectation(t, p, u, lam, psi_values=pinned(dof_batch))[0]
 
     val, converged, delta, _order = gh_log_expectation_doubling(outer_gfun, t, 1.0 - lam)
     if not converged:

@@ -1,7 +1,8 @@
 """Deterministic integration backends for tiny-system Gaussian expectations.
 
-Everything here evaluates log E[exp(-G(phi))] for phi a pinned Gaussian field
-with Dirichlet weight exp(-||grad phi||^2 / (2 scale)) and G an anharmonic bond
+Everything here evaluates log E[exp(-G(psi + phi))] for phi a pinned Gaussian
+field with Dirichlet weight exp(-||grad phi||^2 / (2 scale)), psi a base field
+(zero by default, or a batch of them, one per row) and G an anharmonic bond
 energy (lattice.anharmonic_g).  log_expectation picks one route from its input
 alone, with no fallback between routes:
 
@@ -9,8 +10,13 @@ alone, with no fallback between routes:
   mayer         compactly supported anharmonicity, any d, at most
                 ORACLE_MAX_DOF free coordinates: exact inclusion-exclusion over
                 bonds, E[prod_b (1 + b_b)] expanded into 2^B Gaussian moments
-                of compactly supported factors, each integrated spectrally on
-                its own box.  Subsets are pruned by rigorous magnitude bounds.
+                of compactly supported factors.  Each subset is integrated in
+                bond coordinates: a maximal independent set of its bonds spans
+                the rest, and tensor Gauss-Legendre runs over the independent
+                bonds' arguments, whose support edges are the rule's end
+                points.  Subsets are pruned by rigorous magnitude bounds.  The
+                geometry and the pruning depend on the torus and scale alone,
+                so one call serves a whole batch of base fields.
   conditioning  d = 1, any other input, any m, scale and base field: the m
                 bond gradients are iid N(0, scale) conditioned to sum to zero,
                 so log E is one convolution at zero, evaluated with FFTs on a
@@ -56,6 +62,7 @@ GH_MAX_ORDER = 128
 GH_POINT_CAP = 20_000_000  # tensor grids beyond this are declared non-convergent
 GH_PRUNE = 1e-18  # tensor nodes below this fraction of the largest weight are dropped
 GL_ORDER = 24
+MAYER_POINTS = 2**20  # Mayer grid points (rows times nodes) held at once
 Y_CLIP = 9.0  # standard-normal tail beyond this contributes < 1e-18
 
 COND_MIN_POINTS = 2**10
@@ -197,92 +204,120 @@ def _gl_rule(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
-def _box_moment(F_S: np.ndarray, lo: np.ndarray, hi: np.ndarray, bfuns) -> float:
-    """E[prod_b b_b((F_S z)_b)] for z standard normal, b_b supported on [lo_b, hi_b].
+def _bond_coordinates(F: np.ndarray, S: np.ndarray):
+    """Split the bonds S into independent ones I and dependent ones D.
 
-    Marginalizes the null space of F_S exactly and integrates the remaining
-    coordinates with tensor Gauss-Legendre over the interval-arithmetic bounding
-    rectangle of the support box.
+    Returns (I, D, M, R, norm): zeta_D = M zeta_I, zeta_I ~ N(0, C) with
+    C = F_I F_I^T, y^T C^-1 y = |R y|^2 for the upper triangular R, and
+    norm = det(2 pi C)^(-1/2).  The rank r = len(I) comes from the SVD; I is
+    picked by pivoted Gram-Schmidt, largest residual first.
     """
-    U, sv, _ = np.linalg.svd(F_S, full_matrices=False)
-    r = int(np.sum(sv > 1e-12 * max(sv[0], 1e-300)))
-    if r == 0:
-        out = 1.0
-        for b, f in enumerate(bfuns):
-            if lo[b] <= 0.0 <= hi[b]:
-                out *= float(f(np.array([0.0]))[0])
-            else:
-                return 0.0
-        return out
-    A = U[:, :r] * sv[:r]  # zeta_S = A y, y ~ N(0, I_r)
-    # bounding rectangle for y from zeta in the box: y = pinv(A) zeta
-    P = np.linalg.pinv(A)
-    ylo = np.sum(np.minimum(P * lo, P * hi), axis=1)
-    yhi = np.sum(np.maximum(P * lo, P * hi), axis=1)
-    ylo = np.maximum(ylo, -Y_CLIP)
-    yhi = np.minimum(yhi, Y_CLIP)
-    if np.any(ylo >= yhi):
-        return 0.0
+    sv = np.linalg.svd(F[S], compute_uv=False)
+    r = int(np.sum(sv > 1e-12 * sv[0]))
+    res, picked = F[S], []
+    for _ in range(r):
+        j = int(np.argmax(np.sum(res * res, axis=1)))
+        picked.append(j)
+        q = res[j] / np.linalg.norm(res[j])
+        res = res - np.outer(res @ q, q)
+    I, D = S[sorted(picked)], S[[j for j in range(len(S)) if j not in picked]]
+    C = F[I] @ F[I].T
+    Cinv = np.linalg.inv(C)
+    norm = 1.0 / math.sqrt(np.linalg.det(2.0 * math.pi * C))
+    return I, D, F[D] @ F[I].T @ Cinv, np.linalg.cholesky(Cinv).T, norm
+
+
+def _subset_moment(geometry, sigma: np.ndarray, shifts: np.ndarray, f, lo: float, hi: float) -> np.ndarray:
+    """E[prod_{b in S} f(shift_b + zeta_b)] for each row of shifts (n, B).
+
+    Integrates in s_I = shift_I + zeta_I with tensor Gauss-Legendre over
+    [lo, hi] cut to shift_b +- Y_CLIP sigma_b per independent bond, so those
+    bonds' support edges are the rule's endpoints and f is evaluated on r node
+    lines only; dependent bonds are evaluated on the full grid.  In a rank-1
+    subset every bond is a multiple of the one coordinate, so the interval is
+    the exact intersection of all members' supports.  The grid is summed in
+    slabs of at most MAYER_POINTS points per row.
+    """
+    I, D, M, R, norm = geometry
+    n, r = shifts.shape[0], len(I)
+    s_I = shifts[:, I]
+    a = np.maximum(lo, s_I - Y_CLIP * sigma[I])
+    b = np.minimum(hi, s_I + Y_CLIP * sigma[I])
+    if r == 1 and len(D):
+        ends = s_I[:, :, None] + (np.array([lo, hi]) - shifts[:, D, None]) / M[None, :, :]  # (n, |D|, 2)
+        a = np.maximum(a, ends.min(axis=2).max(axis=1, keepdims=True))
+        b = np.minimum(b, ends.max(axis=2).min(axis=1, keepdims=True))
+    if not np.any(np.all(b > a, axis=1)):
+        return np.zeros(n)
     x, w = _gl_rule(GL_ORDER)
-    half = (yhi - ylo) / 2.0
-    mid = (yhi + ylo) / 2.0
-    axes = [mid[j] + half[j] * x for j in range(r)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    Y = np.stack([g.reshape(-1) for g in grids], axis=-1)  # (n_pts, r)
-    wts = np.ones(Y.shape[0])
-    widx = np.meshgrid(*[np.arange(GL_ORDER)] * r, indexing="ij")
-    for j in range(r):
-        wts = wts * (half[j] * w[widx[j].reshape(-1)])
-    Z = Y @ A.T  # (n_pts, |S|)
-    vals = np.exp(-0.5 * np.sum(Y * Y, axis=1)) / (2.0 * math.pi) ** (r / 2.0)
-    for b, f in enumerate(bfuns):
-        vals = vals * f(Z[:, b])
-    return float(wts @ vals)
+    half = np.maximum(b - a, 0.0)[..., None] / 2.0
+    s = (a + b)[..., None] / 2.0 + half * x  # (n, r, GL_ORDER)
+    y = s - s_I[..., None]
+    fac = half * w * f(s)
+
+    def axis(v, j):  # (n, k) nodes as axis j of the tensor grid
+        return v.reshape((n,) + (1,) * j + (-1,) + (1,) * (r - 1 - j))
+
+    def moment(sl):  # the grid's slab with axis-0 nodes sl
+        ys = [y[:, 0, sl]] + [y[:, k] for k in range(1, r)]
+        # exp(-|R y|^2 / 2) as one factor per row of R: row j couples axes
+        # j..r-1, so the grid grows one axis at a time and each factor is <= 1
+        vals = 1.0
+        for j in reversed(range(r)):
+            q = sum(R[j, k] * axis(ys[k], k) for k in range(j, r))
+            vals = vals * axis(fac[:, j, sl] if j == 0 else fac[:, j], j) * np.exp(-0.5 * q * q)
+        for i, d in enumerate(D):
+            vals = vals * f(shifts[:, d].reshape((n,) + (1,) * r) + sum(M[i, k] * axis(ys[k], k) for k in range(r)))
+        return vals.reshape(n, -1).sum(axis=1)
+
+    step = max(1, MAYER_POINTS // GL_ORDER ** (r - 1))
+    return norm * sum(moment(slice(k, k + step)) for k in range(0, GL_ORDER, step))
 
 
-def mayer_log_expectation(F: np.ndarray, shifts: np.ndarray, h, support: tuple[float, float]) -> tuple[float, float]:
-    """log E[prod_b (1 + b_b)] with b_b(zeta) = exp(-h(shift_b + zeta_b)) - 1.
+def mayer_log_expectation(
+    F: np.ndarray, shifts: np.ndarray, h, support: tuple[float, float]
+) -> tuple[np.ndarray, float]:
+    """log E[prod_b (1 + b_b)] with b_b(zeta) = exp(-h(shift_b + zeta_b)) - 1, for each row of shifts.
 
-    F maps latent standard-normal coordinates to the per-bond arguments zeta.
-    Returns (value, rigorous bound on the pruned mass, at most EXACT_TOL).
-    Exact up to pruning and the spectral box quadrature.
+    F (B, n) maps latent standard-normal coordinates to the per-bond arguments
+    zeta; shifts (N, B) holds one base field's bond shifts per row.  Every
+    subset of bonds is one Gaussian moment, integrated in bond coordinates by
+    _subset_moment.  The subset geometry and the pruning bounds depend on F
+    alone, so they are computed once for all rows; rows go through in chunks of
+    at most MAYER_POINTS grid points.  Returns (values (N,), rigorous bound on
+    the pruned mass, at most EXACT_TOL); exact up to pruning and the
+    Gauss-Legendre rule.
     """
-    lo_s, hi_s = support
-    B = F.shape[0]
-    grid = np.linspace(lo_s, hi_s, 2001)
-    hvals = h(grid)
+    lo, hi = support
+    shifts = np.asarray(shifts, dtype=float)
+    N, B = shifts.shape
+    hvals = h(np.linspace(lo, hi, 2001))
     bmax = float(max(np.exp(-hvals.min()) - 1.0, 1.0 - np.exp(-hvals.max())))
     if bmax == 0.0:
-        return 0.0, 0.0
+        return np.zeros(N), 0.0
+
+    def f(s):
+        return np.expm1(-h(s))
+
     sigma = np.sqrt(np.sum(F * F, axis=1))
-    width = hi_s - lo_s
     # per-bond hit probability bound P(zeta_b in support); correlations between
     # bonds are unknown, so a subset bound may use only the single smallest one
-    p_hit = np.minimum(1.0, width / np.maximum(sigma, 1e-300) / math.sqrt(2.0 * math.pi))
-
-    lo = lo_s - shifts
-    hi = hi_s - shifts
-
-    def bfun(b):
-        def f(z):
-            return np.exp(-h(shifts[b] + z)) - 1.0
-
-        return f
-
-    bfuns_all = [bfun(b) for b in range(B)]
-    total = 0.0
-    pruned = 0.0
+    p_hit = np.minimum(1.0, (hi - lo) / sigma / math.sqrt(2.0 * math.pi))
+    total, pruned = np.zeros(N), 0.0
     for size in range(1, B + 1):
         for S in itertools.combinations(range(B), size):
-            idx = list(S)
-            bound = bmax**size * float(np.min(p_hit[idx]))
+            S = np.array(S)
+            bound = bmax**size * float(np.min(p_hit[S]))
             if bound < EXACT_TOL / (2.0**B):
                 pruned += bound
                 continue
-            total += _box_moment(F[idx, :], lo[idx], hi[idx], [bfuns_all[b] for b in idx])
-    if total <= -1.0:
+            geometry = _bond_coordinates(F, S)
+            rows = max(1, MAYER_POINTS // GL_ORDER ** len(geometry[0]))
+            for start in range(0, N, rows):
+                total[start : start + rows] += _subset_moment(geometry, sigma, shifts[start : start + rows], f, lo, hi)
+    if np.any(total <= -1.0):
         raise QuadratureError("inclusion-exclusion sum left the domain of log1p")
-    return math.log1p(total), pruned
+    return np.log1p(total), pruned
 
 
 # ---------------------------------------------------------------------------
@@ -300,36 +335,57 @@ def field_bond_map(t: Torus, scale: float) -> np.ndarray:
 
 def log_expectation(
     t: Torus, p: Potential, u: np.ndarray, scale: float = 1.0, psi_values: np.ndarray | None = None
-) -> tuple[float, dict]:
+) -> tuple[float | np.ndarray, dict]:
     """log E[exp(-G(u, psi + phi))] for phi a pinned field at the given scale.
 
-    p must be unit-scaled (c1 = 1).  Returns (log E, info) with info["method"]
-    the route, chosen from the input alone: "exact" for a pure Gaussian,
-    "mayer" for compact anharmonicity in any d at most ORACLE_MAX_DOF free
-    coordinates, then "conditioning" for any other input in d = 1 and "gh"
-    with node doubling in d >= 2, which raises QuadratureError when
-    unconverged.
+    p must be unit-scaled (c1 = 1).  psi_values[..., volume] batches base fields:
+    the value then has their leading shape, and is a float for one field or
+    none.  Mayer takes the whole batch in one call; the conditioning and GH
+    routes take it row by row.  Returns (log E, info) with info["method"] the
+    route, chosen from the input alone: "exact" for a pure Gaussian, "mayer"
+    for compact anharmonicity in any d at most ORACLE_MAX_DOF free coordinates,
+    then "conditioning" for any other input in d = 1 and "gh" with node
+    doubling in d >= 2, which raises QuadratureError when unconverged.  The
+    error and order or points in info are the worst row's.
     """
     if abs(p.c1 - 1.0) > 1e-12:
         raise ValueError("log_expectation requires a unit-scaled potential (c1 = 1)")
-    base = np.zeros(t.volume) if psi_values is None else psi_values
+    base = np.zeros(t.volume) if psi_values is None else np.asarray(psi_values, dtype=float)
+    rows = base.reshape(-1, t.volume)
+
+    def shaped(vals):
+        vals = np.asarray(vals, dtype=float).reshape(base.shape[:-1])
+        return float(vals) if vals.ndim == 0 else vals
+
     compact = compact_anharmonicity(p)
     if compact is not None:
         lo, hi, h = compact
         if hi - lo <= 0.0:
-            return 0.0, {"method": "exact", "error": 0.0}
+            return shaped(np.zeros(len(rows))), {"method": "exact", "error": 0.0}
         if t.n_dof <= ORACLE_MAX_DOF:
-            F = field_bond_map(t, scale)
-            val, pruned = mayer_log_expectation(F, bond_args(t, base, u).ravel(), h, (lo, hi))
-            return val, {"method": "mayer", "error": pruned}
+            shifts = bond_args(t, rows, u).reshape(len(rows), -1)
+            vals, pruned = mayer_log_expectation(field_bond_map(t, scale), shifts, h, (lo, hi))
+            return shaped(vals), {"method": "mayer", "error": pruned}
     if t.d == 1:
-        val, info = conditioning_log_expectation(lambda s: p.v(s) - 0.5 * s * s, bond_args(t, base, u), scale)
-        return val, {"method": "conditioning", **info}
 
-    def gfun(dof_batch):
-        return anharmonic_g(t, u, pinned(dof_batch) + base, p)
+        def g(s):
+            return p.v(s) - 0.5 * s * s
 
-    val, converged, delta, order = gh_log_expectation_doubling(gfun, t, scale)
-    if not converged:
-        raise QuadratureError(f"GH did not converge below {GH_TOL} by order {order} under its caps (last delta {delta:.3e})")
-    return val, {"method": "gh", "error": delta, "order": order}
+        out = [conditioning_log_expectation(g, shifts, scale) for shifts in bond_args(t, rows, u)]
+        info = {k: max(i[k] for _, i in out) for k in ("error", "points")}
+        return shaped([v for v, _ in out]), {"method": "conditioning", **info}
+    out = []
+    for row in rows:
+        val, converged, delta, order = gh_log_expectation_doubling(
+            lambda dof_batch: anharmonic_g(t, u, pinned(dof_batch) + row, p), t, scale
+        )
+        if not converged:
+            raise QuadratureError(
+                f"GH did not converge below {GH_TOL} by order {order} under its caps (last delta {delta:.3e})"
+            )
+        out.append((val, delta, order))
+    return shaped([v for v, _, _ in out]), {
+        "method": "gh",
+        "error": max(d for _, d, _ in out),
+        "order": max(o for _, _, o in out),
+    }

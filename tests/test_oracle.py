@@ -175,6 +175,33 @@ def test_renorm_iterated_raises_fast_at_five_dof():
     assert time.perf_counter() - start < 1.0
 
 
+def test_renorm_iterated_one_inner_call_per_gh_order(scaled_b, monkeypatch):
+    # every outer GH order hands its whole node batch to one inner log_expectation
+    import gil.oracle
+    import gil.quadrature
+
+    inner, orders = [], []
+    log_expectation = gil.oracle.log_expectation
+    gh_log_expectation = gil.quadrature.gh_log_expectation
+
+    def counted_inner(*args, **kwargs):
+        inner.append(kwargs["psi_values"].shape)
+        return log_expectation(*args, **kwargs)
+
+    def counted_order(gfun, t, scale, order):
+        orders.append(order)
+        return gh_log_expectation(gfun, t, scale, order)
+
+    monkeypatch.setattr(gil.oracle, "log_expectation", counted_inner)
+    monkeypatch.setattr(gil.quadrature, "gh_log_expectation", counted_order)
+    ps, _ = scaled_b
+    t = Torus(1, 3)
+    renorm_iterated_g(ps, 5.0 / 12.0, [0.3], t)
+    assert len(orders) >= 2
+    assert len(inner) == len(orders)
+    assert all(len(shape) == 2 and shape[1] == t.volume for shape in inner)
+
+
 def test_renorm_g_zero_for_gaussian(pot_gauss):
     t = Torus(1, 3)
     assert renorm_apply_g(pot_gauss, 0.5, [0.3], Field.zeros(t)) == 0.0

@@ -9,6 +9,8 @@ from gil.lattice import Torus, anharmonic_g, bond_args
 from gil.oracle import hessian_fd
 from gil.potentials import custom_potential, example_a, example_b, gaussian_potential
 from gil.quadrature import (
+    GL_ORDER,
+    MAYER_POINTS,
     ORACLE_MAX_DOF,
     QuadratureError,
     compact_anharmonicity,
@@ -69,11 +71,12 @@ def _counted(g):
     return wrapped, calls
 
 
-# At m = 2 the two bonds are u + q w and u - q w; for u below the support's upper
-# end 0.17 both can sit in the support, and Mayer's pair term then integrates the
-# support's C^2 edges inside its Gauss-Legendre box (1.8e-12 off at u = 0.15 by a
-# breakpoint-aware 1d quadrature).  u = 0.2 leaves the pair term exactly zero.
-@pytest.mark.parametrize("m,u", [(2, 0.2), (3, 0.15)])
+# At m = 2 the two bonds are u + w and u - w, so Mayer's pair term has rank 1 and
+# integrates over the exact intersection of both supports: no C^2 support edge
+# falls inside its Gauss-Legendre interval.  For u below the support's upper end
+# 0.17 both bonds can sit in the support (u = 0.15); u = 0.2 leaves the pair term
+# exactly zero.
+@pytest.mark.parametrize("m,u", [(2, 0.15), (2, 0.2), (3, 0.15)])
 def test_conditioning_matches_mayer_example_b(scaled_b, m, u):
     ps, _ = scaled_b
     t = Torus(1, m)
@@ -162,10 +165,45 @@ def test_mayer_matches_conditioning_reference(conditioning_reference, scaled_b):
     lo, hi, h = compact_anharmonicity(ps)
     ref = conditioning_reference(lambda e: h(u + e), 3, [lo - u, hi - u])
     F = field_bond_map(t, 1.0)
-    shifts = bond_args(t, np.zeros(t.volume), [u]).ravel()
+    shifts = bond_args(t, np.zeros((1, t.volume)), [u]).reshape(1, -1)
     got, pruned = mayer_log_expectation(F, shifts, h, (lo, hi))
-    assert got == pytest.approx(ref, abs=5e-12)
+    assert got.shape == (1,)
+    assert got[0] == pytest.approx(ref, abs=5e-12)
     assert pruned < 1e-12
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.3])
+def test_mayer_largest_grid_matches_conditioning_reference(conditioning_reference, pot_b, scale):
+    # m = 6 has 5 free coordinates, the most Mayer takes: its 5-bond and 6-bond
+    # subsets have rank 5 and use the largest (GL_ORDER^5) grid.  At beta = 1 no
+    # subset is pruned, so those are integrated too.  The reference takes N(0, 1)
+    # gradients, so the scale goes into g and its kinks.
+    ps, _ = scale_to_unit(pot_b, 1.0)
+    t = Torus(1, 6)
+    assert t.n_dof == ORACLE_MAX_DOF
+    u, q = 0.15, math.sqrt(scale)
+    lo, hi, h = compact_anharmonicity(ps)
+    ref = conditioning_reference(lambda e: h(u + q * e), 6, [(lo - u) / q, (hi - u) / q])
+    val, info = log_expectation(t, ps, np.array([u]), scale)
+    assert info["method"] == "mayer" and info["error"] == 0.0
+    assert val == pytest.approx(ref, abs=5e-12)
+
+
+def test_mayer_batch_equals_rows(scaled_b):
+    # at m = 5 the rank-4 subsets fit MAYER_POINTS // GL_ORDER^4 = 3 rows per
+    # chunk, so 7 base fields span three chunks; each row's value must not
+    # depend on the batch it came in
+    ps, _ = scaled_b
+    t = Torus(1, 5)
+    assert MAYER_POINTS // GL_ORDER**4 == 3
+    psi = np.zeros((7, t.volume))
+    psi[:, 1:] = 0.1 * np.random.default_rng(5).standard_normal((7, t.n_dof))
+    tilt = np.array([0.12])
+    batch, info = log_expectation(t, ps, tilt, 0.4, psi_values=psi)
+    assert info["method"] == "mayer" and batch.shape == (7,)
+    rows = [log_expectation(t, ps, tilt, 0.4, psi_values=row)[0] for row in psi]
+    assert all(isinstance(v, float) for v in rows)
+    np.testing.assert_allclose(batch, rows, rtol=0.0, atol=1e-15)
 
 
 def test_mayer_matches_conditioning(scaled_b):

@@ -192,6 +192,16 @@ def test_verify_theorem_example_b_in_hypothesis(pot_b, beta_half_b):
     assert all(r.in_hypothesis and r.verdict == "pass" for r in rows)
 
 
+def test_verify_theorem_oracle_example_a_large_torus(pot_a):
+    # example (a) in hypothesis at m = 64: the FD stencil differences only
+    # f_tilt, the u-dependent part of f; differencing f itself (about -3.2e5
+    # here, mostly u-independent) gave 1.9968623, the h >= 1e-2 value is 1.9968563
+    beta = check_conditions(1.0, 1, pot_a, norms(pot_a)).beta_max_fcond / 2.0
+    rows = verify_theorem(pot_a, beta, Torus(1, 64), [[0.5]], method="oracle")
+    assert rows[0].verdict == "pass"
+    assert rows[0].min_eig / 64 == pytest.approx(1.9968563, abs=1e-6)
+
+
 def test_verify_theorem_out_of_hypothesis_labeled():
     # strongly non-convex mixture at large beta: computed but never asserted
     pc = example_c(0.5, 10.0, 0.2)
