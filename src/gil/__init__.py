@@ -8,19 +8,17 @@ estimator.
 
 from .conditions import ConditionReport, cbar, check_conditions, scale_to_unit
 from .gff import ModeBasis, poincare_constant, sample_gff, spectrum
-from .lattice import Field, Torus, grad_all, separate
+from .lattice import Field, Torus, grad_all
 from .mcmc import ChainConfig, Estimate, Observable, Target, fluctuation_hessian, run_chains
-from .oracle import free_energy, hessian_fd, log_partition
+from .oracle import free_energy, hessian_fd
 from .potentials import (
     NormReport,
     Potential,
-    custom_potential,
     example_a,
     example_b,
     example_c,
     gaussian_potential,
     norms,
-    validate_growth,
 )
 from .renorm import DecompositionPlan, certify_h1_convexity, estimate_r1g, verify_theorem
 

@@ -287,7 +287,7 @@ def cmd_sample(cfg: dict, out: str, seed: int) -> int:
     final = Field.from_dof(t, results[-1].samples[-1])
     payload = {
         "input": {"potential": cfg["potential"], "beta": beta, "d": t.d, "m": t.m, "u": u.tolist()},
-        "checkpoint": json.loads(final.to_json()),
+        "checkpoint": {"d": t.d, "m": t.m, "values": final.values.tolist()},
         "acceptance": [r.acceptance for r in results],
         "step_size": [r.step_size for r in results],
         "mean_field": asdict(est),

@@ -12,7 +12,6 @@ folded into H; it enters only through Gibbs weights exp(-beta H).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,7 +27,6 @@ __all__ = [
     "bond_args",
     "bond_divergence",
     "grad_norm_sq",
-    "separate",
     "anharmonic_g",
 ]
 
@@ -88,13 +86,6 @@ class Field:
     def from_dof(cls, torus: Torus, dof: np.ndarray) -> "Field":
         return cls(torus, pinned(dof))
 
-    def to_json(self) -> str:
-        return json.dumps({"d": self.torus.d, "m": self.torus.m, "values": self.values.tolist()})
-
-
-def _values(phi) -> np.ndarray:
-    return phi.values if isinstance(phi, Field) else np.asarray(phi, dtype=float)
-
 
 def pinned(dof: np.ndarray) -> np.ndarray:
     """Site values of pinned fields from dof vectors: dof[..., V - 1] -> values[..., V]."""
@@ -141,18 +132,3 @@ def anharmonic_g(t: Torus, u, values: np.ndarray, p: Potential) -> np.ndarray:
     g = bond_args(t, values, u)
     w = p.v(g) - g * g / 2.0
     return w.reshape(w.shape[:-2] + (-1,)).sum(axis=-1)
-
-
-def separate(t: Torus, u: np.ndarray, phi: Field | np.ndarray, p: Potential) -> tuple[float, float]:
-    """Split H into the exact Gaussian part and the anharmonic remainder.
-
-    Valid only for potentials already scaled to c1 = 1: returns
-    (|T| |u|^2 / 2 + ||grad phi||^2 / 2,  sum g(u_i + grad_i phi)) with
-    g(s) = V(s) - s^2/2, and the two parts sum to H(u, phi).
-    """
-    if abs(p.c1 - 1.0) > 1e-12:
-        raise ValueError(f"separate requires a unit-scaled potential (c1 = 1), got c1 = {p.c1}")
-    values = _values(phi)
-    u = np.asarray(u, dtype=float)
-    gauss = 0.5 * t.volume * float(u @ u) + 0.5 * grad_norm_sq(t, values)
-    return gauss, float(anharmonic_g(t, u, values, p))

@@ -16,17 +16,15 @@ import numpy as np
 
 from .conditions import scale_to_unit
 from .gff import ModeBasis
-from .lattice import Torus, Field, pinned
+from .lattice import Torus, pinned
 from .potentials import Potential
 from .quadrature import GH_TOL, QuadratureError, gh_log_expectation_doubling, log_expectation
 
 __all__ = [
     "ORACLE_ERROR",
     "f_tilt",
-    "log_partition",
     "free_energy",
     "hessian_fd",
-    "renorm_apply_g",
     "renorm_iterated_g",
     "renorm_joint_g",
 ]
@@ -66,11 +64,6 @@ def free_energy(u, p: Potential, t: Torus, beta: float) -> float:
     return tilt - log_z_gauss / beta
 
 
-def log_partition(u, p: Potential, t: Torus, beta: float) -> float:
-    """log Z = log integral over pinned fields of exp(-beta H(u, phi)) = -beta f."""
-    return -beta * free_energy(u, p, t, beta)
-
-
 def hessian_fd(f, u, h: float = 1e-3) -> np.ndarray:
     """Symmetrized central second differences of a scalar map on R^d.
 
@@ -98,17 +91,6 @@ def hessian_fd(f, u, h: float = 1e-3) -> np.ndarray:
     H1 = stencil(h)
     H = (4.0 * stencil(h / 2.0) - H1) / 3.0
     return 0.5 * (H + H.T)
-
-
-def renorm_apply_g(p: Potential, variance_scale: float, u, a: Field) -> float:
-    """(R G)(u, a) for the anharmonic bond energy G of a unit-scaled potential.
-
-    Uses the exact inclusion-exclusion route for compact anharmonicity and the
-    generic backends otherwise.
-    """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    val, _info = log_expectation(a.torus, p, u, variance_scale, psi_values=a.values)
-    return -val
 
 
 def renorm_iterated_g(p: Potential, lam: float, u, t: Torus) -> float:

@@ -11,7 +11,6 @@ V'' - g0''.  Built-in families:
   example_a   V0(s) = s^2,                         g0(s) = a - log(s^2 + a),  0 < a < 1
   example_b   V0(s) = s^2/2,                       g0(s) = -(4/delta^4) s^3 (delta-s)^3 on [0, delta]
   example_c   V = -log(p e^{-k1 s^2/2} + (1-p) e^{-k2 s^2/2}), log-mixture split
-  custom      user callbacks plus declared constants, certified on a grid
 
 For example_a and example_b the stored g0 has a convex excess (g0'' > 0 on part of
 the line).  The conditioning machinery downstream consumes only the concave side:
@@ -31,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "Potential",
@@ -43,13 +41,15 @@ __all__ = [
     "example_a",
     "example_b",
     "example_c",
-    "custom_potential",
     "norms",
-    "validate_growth",
     "curvature_report",
 ]
 
 GRID_LO, GRID_HI, GRID_N = -50.0, 50.0, 10_001
+
+GL_FINE, GL_COARSE = np.polynomial.legendre.leggauss(20), np.polynomial.legendre.leggauss(10)
+PANELS_START = 16  # equal panels per breakpoint-free piece of a segment
+PANEL_CAP = 2048  # panels one segment may evaluate; a non-integrable integrand reaches it
 
 
 class InvalidPotentialError(ValueError):
@@ -295,46 +295,6 @@ def example_c(p: float, k1: float, k2: float) -> Potential:
     )
 
 
-def custom_potential(
-    v: Callable,
-    dv: Callable,
-    d2v: Callable,
-    d2g0: Callable,
-    c0: float,
-    c1: float,
-    c2: float,
-    g0: Callable | None = None,
-    dg0: Callable | None = None,
-    g0_support: tuple | None = None,
-    g0pp_breakpoints: Sequence[float] = (),
-) -> Potential:
-    """Wrap user callbacks for V, V', V'' and g0''; the declared constants are certified on the grid.
-
-    Pass g0 and g0' when ||g0||_L1 and ||g0'||_L2 are finite; leaving one out
-    declares that norm divergent.
-    """
-    p = Potential(
-        family="custom",
-        vfun=(v, dv, d2v),
-        d2g0=d2g0,
-        c0=float(c0),
-        c1=float(c1),
-        c2=float(c2),
-        g0=g0,
-        dg0=dg0,
-        g0pp_breakpoints=tuple(g0pp_breakpoints),
-        g0_support=g0_support,
-    )
-    rep = curvature_report(p)
-    if not (rep.base_bounds_ok and rep.lower_bound_ok and rep.concave_ok):
-        raise InvalidPotentialError(
-            "custom potential violates declared curvature bounds on the grid: "
-            f"V0'' in [{rep.v0pp_min:.6g}, {rep.v0pp_max:.6g}] vs [{c1}, {c2}], "
-            f"g0'' in [{rep.g0pp_min:.6g}, {rep.g0pp_max:.6g}] vs [{-c0}, 0]"
-        )
-    return p
-
-
 # ---------------------------------------------------------------------------
 # operations
 
@@ -366,29 +326,49 @@ def curvature_report(p: Potential, lo: float = GRID_LO, hi: float = GRID_HI, n: 
     )
 
 
+def _integrate_panels(f, a: float, b: float, points: Sequence[float], atol: float) -> tuple[float, float]:
+    """Adaptive Gauss-Legendre over [a, b], split at the breakpoints inside it.
+
+    Every live panel is integrated by the 20- and 10-point rules at once.  A panel
+    whose two values differ by at most its width-share of atol, or by 1e-14 of its
+    value, is kept; the rest are bisected.  Returns (the exactly rounded sum of
+    the 20-point values, the sum of the differences).  Raises DivergentNormError
+    past PANEL_CAP panels.
+    """
+    edges = np.array([a, *sorted(x for x in points if a < x < b), b])
+    lo = (edges[:-1, None] + np.diff(edges)[:, None] * np.arange(PANELS_START) / PANELS_START).ravel()
+    hi = np.append(lo[1:], b)
+    kept, error, evaluated = [], 0.0, 0
+    while lo.size:
+        evaluated += lo.size
+        if evaluated > PANEL_CAP:
+            raise DivergentNormError(f"more than {PANEL_CAP} panels on [{a:.3e}, {b:.3e}]")
+        mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
+        fine, coarse = (half * (f(mid[:, None] + half[:, None] * x) @ w) for x, w in (GL_FINE, GL_COARSE))
+        diff = np.abs(fine - coarse)
+        ok = diff <= np.maximum(atol * (hi - lo) / (b - a), 1e-14 * np.abs(fine))
+        kept.append(fine[ok])
+        error += float(diff[ok].sum())
+        lo, hi = np.concatenate((lo[~ok], mid[~ok])), np.concatenate((mid[~ok], hi[~ok]))
+    return math.fsum(np.concatenate(kept)), error
+
+
 def _integrate_tail_doubling(f, tol: float, points: Sequence[float] = ()) -> tuple[float, float]:
-    """Integrate f over R on [-T, T] with T doubled until the increment < tol/2.
+    """Integrate the array function f over R on [-T, T] with T doubled until the increment < tol/2.
 
     Returns (value, error_bound) where the bound is the last increment plus the
-    accumulated scipy error estimates.  Raises DivergentNormError when increments
-    stop shrinking.
+    accumulated panel error estimates.  Raises DivergentNormError when increments
+    stop shrinking or a segment needs more than PANEL_CAP panels.
     """
     pts = sorted(abs(x) for x in points)
     T = max(8.0, 2.0 * pts[-1]) if pts else 8.0
+    atol = tol * 1e-4
 
-    def _quad(a, b):
-        inner = [x for x in points if a < x < b] or None
-        val, err = quad(f, a, b, points=inner, limit=400, epsabs=tol * 1e-4, epsrel=1e-12)
-        return val, err
-
-    total, err_acc = 0.0, 0.0
-    v, e = _quad(-T, T)
-    total += v
-    err_acc += e
+    total, err_acc = _integrate_panels(f, -T, T, points, atol)
     prev_inc = math.inf
     for _ in range(60):
-        inc_r, er = _quad(T, 2 * T)
-        inc_l, el = _quad(-2 * T, -T)
+        inc_r, er = _integrate_panels(f, T, 2 * T, points, atol)
+        inc_l, el = _integrate_panels(f, -2 * T, -T, points, atol)
         inc = inc_r + inc_l
         total += inc
         err_acc += er + el
@@ -402,7 +382,7 @@ def _integrate_tail_doubling(f, tol: float, points: Sequence[float] = ()) -> tup
 
 
 def norms(p: Potential, tol: float = 1e-10) -> NormReport:
-    """Adaptive quadrature of the g0 norms with tail truncation.
+    """Adaptive Gauss-Legendre panels for the g0 norms, with tail truncation.
 
     Norms whose tails diverge are reported as inf rather than raised, so that a
     report always exists; the divergent entries are named in ``divergent``.  A
@@ -418,7 +398,7 @@ def norms(p: Potential, tol: float = 1e-10) -> NormReport:
         nonlocal err
         if term is not None:
             try:
-                v, e = _integrate_tail_doubling(lambda s: integrand(float(term(s))), tol, pts)
+                v, e = _integrate_tail_doubling(lambda s: integrand(term(s)), tol, pts)
                 err = max(err, e)
                 return v
             except DivergentNormError:
@@ -426,10 +406,10 @@ def norms(p: Potential, tol: float = 1e-10) -> NormReport:
         divergent.append(name)
         return math.inf
 
-    l1_neg = _try(p.d2g0, lambda x: max(-x, 0.0), "l1_g0pp")
-    l1_abs = _try(p.d2g0, abs, "l1_g0pp_abs")
-    l2_sq = _try(p.dg0, lambda x: x**2, "l2_g0p")
-    l1_g0 = _try(p.g0, abs, "l1_g0")
+    l1_neg = _try(p.d2g0, lambda x: np.maximum(-x, 0.0), "l1_g0pp")
+    l1_abs = _try(p.d2g0, np.abs, "l1_g0pp_abs")
+    l2_sq = _try(p.dg0, np.square, "l2_g0p")
+    l1_g0 = _try(p.g0, np.abs, "l1_g0")
     return NormReport(
         l1_g0pp=l1_neg,
         l2_g0p=math.sqrt(l2_sq) if math.isfinite(l2_sq) else math.inf,
@@ -438,13 +418,3 @@ def norms(p: Potential, tol: float = 1e-10) -> NormReport:
         l1_g0pp_abs=l1_abs,
         divergent=tuple(divergent),
     )
-
-
-def validate_growth(p: Potential, a_coef: float, b_coef: float, grid=None) -> bool:
-    """Check the quadratic growth bound V(s) >= a_coef s^2 - b_coef on a grid."""
-    if a_coef <= 0:
-        raise ValueError("a_coef must be positive")
-    if grid is None:
-        grid = np.linspace(GRID_LO, GRID_HI, GRID_N)
-    s = np.asarray(grid, dtype=float)
-    return bool(np.all(p.v(s) >= a_coef * s * s - b_coef))

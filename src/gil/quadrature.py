@@ -36,7 +36,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_hermitenorm
 
 from .gff import ModeBasis, bond_matrix
 from .lattice import Torus, anharmonic_g, bond_args, pinned
@@ -103,7 +102,7 @@ def compact_anharmonicity(p: Potential):
 
 @lru_cache(maxsize=32)
 def _gh_rule(order: int):
-    x, w = roots_hermitenorm(order)
+    x, w = np.polynomial.hermite_e.hermegauss(order)  # probabilists' rule, weights sum to sqrt(2 pi)
     return x, w / math.sqrt(2.0 * math.pi)
 
 

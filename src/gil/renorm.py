@@ -20,9 +20,9 @@ from .conditions import cbar, scale_to_unit, check_conditions
 from .gff import poincare_constant, sample_gff
 from .lattice import Torus, Field, anharmonic_g, bond_args, grad_all, grad_norm_sq, pinned
 from .mcmc import ChainConfig, Estimate, Target, make_h1_target, fluctuation_hessian, stream, _block_slices, _jackknife
-from .oracle import ORACLE_ERROR, f_tilt, hessian_fd, renorm_apply_g, renorm_iterated_g
+from .oracle import ORACLE_ERROR, f_tilt, hessian_fd, renorm_iterated_g
 from .potentials import Potential, norms
-from .quadrature import ORACLE_MAX_DOF
+from .quadrature import ORACLE_MAX_DOF, log_expectation
 
 __all__ = [
     "DecompositionPlan",
@@ -120,7 +120,7 @@ def estimate_r1g(
     t = plan.torus
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if method == "oracle":
-        val = renorm_apply_g(plan.potential, plan.lam, u, psi)
+        val = -log_expectation(t, plan.potential, u, plan.lam, psi_values=psi.values)[0]
         return Estimate(value=val, std_error=ORACLE_ERROR, n_effective=math.inf, method="oracle")
     if method != "mc":
         raise ValueError(f"method must be 'oracle' or 'mc', got {method}")
@@ -175,7 +175,7 @@ def verify_c6(
         dpsi = pinned(dpsi_dof)
 
         def f(s):
-            return renorm_apply_g(plan.potential, plan.lam, u + s[0] * du, Field(t, psi.values + s[0] * dpsi))
+            return -log_expectation(t, plan.potential, u + s[0] * du, plan.lam, psi_values=psi.values + s[0] * dpsi)[0]
 
         return f, -0.5 * (t.volume * float(du @ du) + grad_norm_sq(t, dpsi))
 

@@ -7,6 +7,7 @@ import pytest
 
 from gil.cli import ConfigError, build_potential, main, validate_config
 from gil.conditions import check_conditions
+from gil.lattice import Field, Torus
 from gil.potentials import norms
 
 
@@ -160,8 +161,11 @@ def test_sample_checkpoint_roundtrip(tmp_path):
     out = tmp_path / "s.json"
     assert run_cli(["sample", "--config", path, "--out", out]) == 0
     rep = json.loads(out.read_text())
-    assert rep["checkpoint"]["d"] == 1 and rep["checkpoint"]["m"] == 3
-    assert rep["checkpoint"]["values"][0] == 0.0
+    ck = rep["checkpoint"]
+    assert ck["d"] == 1 and ck["m"] == 3
+    assert ck["values"][0] == 0.0
+    # the checkpoint reloads as a pinned field
+    assert Field(Torus(ck["d"], ck["m"]), np.asarray(ck["values"])).torus == Torus(1, 3)
     assert rep["mean_field"]["method"] == "chain"
 
 

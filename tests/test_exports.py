@@ -1,5 +1,9 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,3 +24,12 @@ def test_all_names_resolve(name):
     missing = [n for n in mod.__all__ if not hasattr(mod, n)]
     assert not missing, missing
     assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+def test_import_loads_no_scipy():
+    # numpy is gil's only runtime dependency
+    code = "import sys, gil, gil.cli; print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    src = str(Path(gil.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
+    assert out.strip() == "[]"

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -6,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gil.conditions import scale_to_unit
-from gil.lattice import Field, Torus, grad_all, separate
+from gil.lattice import Field, Torus, anharmonic_g, grad_all, grad_norm_sq
 
 from conftest import grad_h, hamiltonian, induced_h1_energy, induced_h1_grad, random_pinned
 
@@ -105,31 +104,29 @@ def test_grad_h_matches_finite_differences(d, m, pot_a):
         assert gh[j] == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
+def _gaussian_part(t, u, values):
+    u = np.asarray(u, dtype=float)
+    return 0.5 * t.volume * float(u @ u) + 0.5 * grad_norm_sq(t, values)
+
+
 @given(seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=100, deadline=None)
 def test_separate_identity(seed, scaled_b):
+    # H separates into the exact Gaussian part and anharmonic_g when c1 = 1
     ps, _ = scaled_b
     t = Torus(1, 4)
     rng = np.random.default_rng(seed)
     phi = random_pinned(t, rng)
     u = rng.standard_normal(1)
-    gauss, g_part = separate(t, u, phi, ps)
     total = hamiltonian(t, u, phi, ps)
-    assert gauss + g_part == pytest.approx(total, rel=1e-12, abs=1e-12)
+    assert _gaussian_part(t, u, phi) + anharmonic_g(t, u, phi, ps) == pytest.approx(total, rel=1e-12, abs=1e-12)
 
 
 def test_separate_gaussian_g_part_zero(pot_gauss):
     t = Torus(1, 3)
     rng = np.random.default_rng(1)
     phi = random_pinned(t, rng)
-    _, g_part = separate(t, [0.4], phi, pot_gauss)
-    assert g_part == pytest.approx(0.0, abs=1e-12)
-
-
-def test_separate_requires_unit_scale(pot_a):
-    t = Torus(1, 3)
-    with pytest.raises(ValueError):
-        separate(t, [0.0], Field.zeros(t), pot_a)
+    assert anharmonic_g(t, [0.4], phi, pot_gauss) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_separate_gradient_invariance(scaled_b):
@@ -138,22 +135,16 @@ def test_separate_gradient_invariance(scaled_b):
     rng = np.random.default_rng(9)
     phi = random_pinned(t, rng)
     u = np.array([0.3])
-    g1 = separate(t, u, phi, ps)
-    g2 = separate(t, u, phi + 2.5, ps)
-    assert g1[0] == pytest.approx(g2[0], rel=1e-12)
-    assert g1[1] == pytest.approx(g2[1], rel=1e-9, abs=1e-12)
+    assert _gaussian_part(t, u, phi) == pytest.approx(_gaussian_part(t, u, phi + 2.5), rel=1e-12)
+    assert anharmonic_g(t, u, phi, ps) == pytest.approx(anharmonic_g(t, u, phi + 2.5, ps), rel=1e-9, abs=1e-12)
 
 
-def test_field_pinning_and_serialization():
+def test_field_pinning():
     t = Torus(1, 3)
     with pytest.raises(ValueError):
         Field(t, np.array([1.0, 0.0, 0.0]))
     f = Field.from_dof(t, np.array([0.5, -0.25]))
-    obj = json.loads(f.to_json())
-    assert obj["d"] == 1 and obj["m"] == 3
-    f2 = Field(Torus(obj["d"], obj["m"]), np.asarray(obj["values"]))
-    assert f2.torus == t
-    np.testing.assert_array_equal(f2.values, f.values)
+    np.testing.assert_array_equal(f.values, [0.0, 0.5, -0.25])
 
 
 def test_induced_h1_gradient_matches_fd(scaled_b):

@@ -9,13 +9,12 @@ from gil.lattice import Field, Torus
 from gil.oracle import (
     free_energy,
     hessian_fd,
-    log_partition,
-    renorm_apply_g,
     renorm_iterated_g,
     renorm_joint_g,
 )
 from gil.potentials import example_a, example_b, gaussian_potential
 from gil.quadrature import QuadratureError, gh_log_expectation_doubling
+from gil.renorm import DecompositionPlan, estimate_r1g
 
 from conftest import pinned_covariance
 
@@ -27,27 +26,20 @@ LOGZ_B_REFERENCE = 1.2787192177616633
 
 def test_gaussian_log_partition_closed_form(pot_gauss):
     t = Torus(1, 3)
-    # pinned form [[2,-1],[-1,2]] has determinant 3, so Z = 2 pi / sqrt(3)
-    assert log_partition([0.0], pot_gauss, t, 1.0) == pytest.approx(math.log(2 * math.pi / math.sqrt(3)), abs=1e-12)
+    # pinned form [[2,-1],[-1,2]] has determinant 3, so Z = 2 pi / sqrt(3); log Z = -beta f
+    assert -free_energy([0.0], pot_gauss, t, 1.0) == pytest.approx(math.log(2 * math.pi / math.sqrt(3)), abs=1e-12)
 
 
 def test_gaussian_tilt_dependence(pot_gauss):
     t = Torus(2, 2)
     u = np.array([0.3, -0.7])
-    diff = log_partition(u, pot_gauss, t, 1.0) - log_partition(np.zeros(2), pot_gauss, t, 1.0)
+    diff = free_energy(np.zeros(2), pot_gauss, t, 1.0) - free_energy(u, pot_gauss, t, 1.0)
     assert diff == pytest.approx(-0.5 * t.volume * float(u @ u), abs=1e-12)
 
 
 def test_example_b_regression_constant(pot_b):
-    got = log_partition([0.1], pot_b, Torus(1, 3), 1.0)
+    got = -free_energy([0.1], pot_b, Torus(1, 3), 1.0)
     assert got == pytest.approx(LOGZ_B_REFERENCE, abs=1e-9)
-
-
-def test_free_energy_is_scaled_log_partition(pot_b):
-    t = Torus(1, 3)
-    beta = 0.25
-    u = [0.4]
-    assert free_energy(u, pot_b, t, beta) == pytest.approx(-log_partition(u, pot_b, t, beta) / beta, rel=1e-14)
 
 
 def test_gaussian_log_partition_closed_form_past_mayer_reach(pot_gauss):
@@ -55,7 +47,7 @@ def test_gaussian_log_partition_closed_form_past_mayer_reach(pot_gauss):
     # spanning trees), so log Z^beta(u) = -beta |T| u^2 / 2 + (7/2) log(2 pi / beta) - log(8) / 2
     t, beta, u = Torus(1, 8), 0.7, 0.3
     expected = -0.5 * beta * 8 * u * u + 3.5 * math.log(2 * math.pi / beta) - 0.5 * math.log(8)
-    assert log_partition([u], pot_gauss, t, beta) == pytest.approx(expected, abs=1e-12)
+    assert -beta * free_energy([u], pot_gauss, t, beta) == pytest.approx(expected, abs=1e-12)
 
 
 @pytest.mark.parametrize("u", [0.5, 1.0])
@@ -93,7 +85,7 @@ def test_log_partition_cross_method_example_a(conditioning_reference):
         + ref_logE
         - 0.5 * 2 * math.log(beta * pa.c1)
     )
-    got = log_partition([u], pa, t, beta)
+    got = -beta * free_energy([u], pa, t, beta)
     assert got == pytest.approx(expected, abs=1e-8)
 
 
@@ -204,7 +196,8 @@ def test_renorm_iterated_one_inner_call_per_gh_order(scaled_b, monkeypatch):
 
 def test_renorm_g_zero_for_gaussian(pot_gauss):
     t = Torus(1, 3)
-    assert renorm_apply_g(pot_gauss, 0.5, [0.3], Field.zeros(t)) == 0.0
+    plan = DecompositionPlan.from_potential(pot_gauss, t, lam=0.5)
+    assert estimate_r1g(plan, [0.3], Field.zeros(t)).value == 0.0
 
 
 def test_renorm_g_shift_invariance(scaled_b):
@@ -215,8 +208,9 @@ def test_renorm_g_shift_invariance(scaled_b):
     psi1 = Field.from_dof(t, dof)
     shifted = psi1.values + 1.7
     psi2 = Field(t, shifted - shifted[0])
-    r1 = renorm_apply_g(ps, 0.4, [0.2], psi1)
-    r2 = renorm_apply_g(ps, 0.4, [0.2], psi2)
+    plan = DecompositionPlan.from_potential(ps, t, lam=0.4)
+    r1 = estimate_r1g(plan, [0.2], psi1).value
+    r2 = estimate_r1g(plan, [0.2], psi2).value
     assert r1 == pytest.approx(r2, rel=1e-12)
 
 

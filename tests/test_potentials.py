@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scipy.integrate import quad
+
+from gil.conditions import check_conditions, scale_to_unit
 from gil.potentials import (
+    PANEL_CAP,
     InvalidPotentialError,
+    Potential,
     curvature_report,
-    custom_potential,
     example_a,
     example_b,
     example_c,
     gaussian_potential,
     norms,
-    validate_growth,
 )
 
 FAMILIES = {
@@ -61,20 +64,6 @@ def test_constants_example_c():
     assert c0 == pytest.approx(p * (k1 - k2) / (1 - p))
 
 
-def test_custom_rejects_violated_constants():
-    with pytest.raises(InvalidPotentialError):
-        # V0(s) = s^2 and g0(s) = -s^2, so V = 0
-        custom_potential(
-            v=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-            dv=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-            d2v=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-            d2g0=lambda s: -2 * np.ones_like(np.asarray(s, dtype=float)),
-            c0=1.0,  # true lower curvature of g0 is -2
-            c1=2.0,
-            c2=2.0,
-        )
-
-
 @pytest.mark.parametrize("a", [0.25, 0.5, 0.75])
 def test_norms_example_a_concave_mass(a):
     nr = norms(example_a(a), 1e-10)
@@ -105,6 +94,66 @@ def test_norms_example_c_within_closed_bound(pot_c):
     assert nr.l1_g0pp == nr.l1_g0pp_abs  # g0'' <= 0 everywhere for this family
     assert nr.l1_g0pp <= 2 * p / (1 - p) * math.sqrt((k1 - k2) * math.pi)
     assert nr.l2_g0p == math.inf and nr.l1_g0 == math.inf
+
+
+@pytest.mark.parametrize("k1", [1000.0, 1e4])
+def test_norms_example_c_stiff_matches_trapezoid(k1):
+    # -g0'' is a bump of width ~ 1/sqrt(k1) at the origin; the dense trapezoid
+    # over +-40/sqrt(k1) converges spectrally on it
+    p = example_c(0.5, k1, 1.0)
+    half = 40.0 / math.sqrt(k1 - 1.0)
+    s = np.linspace(-half, half, 400_001)
+    ref = np.trapezoid(-p.d2g0(s), s)
+    assert norms(p).l1_g0pp == pytest.approx(ref, rel=1e-8)
+
+
+def test_check_conditions_example_c_stiff_thresholds_finite():
+    p = example_c(0.5, 1000.0, 1.0)
+    rep = check_conditions(1e-3, 2, p, norms(p))
+    assert 0.0 < rep.lhs_fcond < math.inf
+    assert 0.0 < rep.beta_max_fcond < math.inf
+
+
+def test_norms_non_integrable_is_divergent():
+    # g0'' = -1/|s| is not integrable at 0: the panel rule bisects towards the
+    # singularity until PANEL_CAP and reports the norm divergent.  The cap stops
+    # the bisection long before 1/|s| overflows.
+    points = []
+
+    def d2g0(s):
+        points.append(np.size(s))
+        return -1.0 / np.abs(s)
+
+    p = Potential(family="singular", vfun=(None, None, None), d2g0=d2g0, c0=1.0, c1=1.0, c2=1.0)
+    with np.errstate(divide="raise", over="raise"):
+        nr = norms(p)
+    assert nr.l1_g0pp == math.inf and nr.l1_g0pp_abs == math.inf
+    assert {"l1_g0pp", "l1_g0pp_abs"} <= set(nr.divergent)
+    # two norms read g0'', each stopped in its first segment: at most
+    # PANEL_CAP panels of 20 + 10 nodes apiece
+    assert sum(points) <= 2 * PANEL_CAP * 30
+
+
+def _quad_reference(f, edges):
+    # QUADPACK between consecutive breakpoints of a compactly supported integrand
+    edges = sorted(edges)
+    return sum(quad(lambda s: float(f(s)), a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0] for a, b in zip(edges, edges[1:]))
+
+
+@pytest.mark.parametrize("beta", [8e-4, 0.058, 0.116])
+@pytest.mark.parametrize("family", ["example_a", "example_b"])
+def test_norms_scaled_copies_match_quad(family, beta):
+    # the unit-frame copies the oracle and the thresholds use; every norm with
+    # compact support is compared (example_a's concave part lives between its
+    # breakpoints, example_b's g0 between its outer ones)
+    ps, _ = scale_to_unit(FAMILIES[family](), beta)
+    nr = norms(ps, 1e-10)
+    pts = ps.g0pp_breakpoints
+    assert nr.l1_g0pp == pytest.approx(_quad_reference(lambda s: max(-ps.d2g0(s), 0.0), pts), rel=1e-12)
+    if family == "example_b":
+        assert nr.l1_g0pp_abs == pytest.approx(_quad_reference(lambda s: abs(ps.d2g0(s)), pts), rel=1e-12)
+        assert nr.l2_g0p**2 == pytest.approx(_quad_reference(lambda s: ps.dg0(s) ** 2, pts), rel=1e-12)
+        assert nr.l1_g0 == pytest.approx(_quad_reference(lambda s: abs(ps.g0(s)), pts), rel=1e-12)
 
 
 def test_remark_inequality_when_finite(pot_b):
@@ -176,20 +225,6 @@ def test_example_b_g0_matches_closed_form_polynomial(delta):
     np.testing.assert_allclose(p.g0(s), g0, rtol=1e-15, atol=0.0)
     np.testing.assert_allclose(p.dg0(s), dg0, rtol=1e-15, atol=0.0)
     assert p.g0(0.0) == 0.0 and p.g0(delta) == 0.0
-
-
-def test_validate_growth_gaussian(pot_gauss):
-    assert validate_growth(pot_gauss, 0.5, 0.0)
-    assert not validate_growth(pot_gauss, 0.51, 0.0)  # above the curvature cap
-
-
-def test_validate_growth_example_a(pot_a):
-    assert validate_growth(pot_a, 0.5, 1.0)
-
-
-def test_validate_growth_rejects_nonpositive_a(pot_gauss):
-    with pytest.raises(ValueError):
-        validate_growth(pot_gauss, 0.0, 0.0)
 
 
 def test_family_parameter_validation():

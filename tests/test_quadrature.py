@@ -2,17 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_hermitenorm
 
 from gil.conditions import scale_to_unit
 from gil.gff import ModeBasis, pinned_form
 from gil.lattice import Torus, anharmonic_g, bond_args
 from gil.oracle import hessian_fd
-from gil.potentials import custom_potential, example_a, example_b, gaussian_potential
+from gil.potentials import example_a, example_b, gaussian_potential
 from gil.quadrature import (
+    GH_PRUNE,
     GL_ORDER,
     MAYER_POINTS,
     ORACLE_MAX_DOF,
     QuadratureError,
+    _gh_rule,
     compact_anharmonicity,
     conditioning_log_expectation,
     field_bond_map,
@@ -34,6 +37,19 @@ def _quadratic_gfun(t, eps, u):
         return out
 
     return gfun
+
+
+@pytest.mark.parametrize("order", [16, 32, 64, 128])
+def test_gh_rule_matches_scipy(order):
+    # numpy's probabilists' Hermite rule against scipy's, on every weight the
+    # tensor grid keeps
+    x, w = _gh_rule(order)
+    x_ref, w_ref = roots_hermitenorm(order)
+    w_ref = w_ref / math.sqrt(2.0 * math.pi)
+    keep = w_ref >= GH_PRUNE * w_ref.max()
+    np.testing.assert_allclose(x, x_ref, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(w[keep], w_ref[keep], rtol=1e-12, atol=0.0)
+    assert w.sum() == pytest.approx(1.0, rel=1e-15)
 
 
 @pytest.mark.parametrize("d,m", [(1, 3), (1, 4), (2, 2)])

@@ -7,7 +7,6 @@ from gil.conditions import check_conditions, scale_to_unit
 from gil.gff import sample_gff
 from gil.lattice import Field, Torus, anharmonic_g, grad_norm_sq
 from gil.mcmc import ChainConfig, _block_slices, stream
-from gil.oracle import renorm_apply_g
 from gil.potentials import example_a, example_c, gaussian_potential, norms
 from gil.renorm import (
     DecompositionPlan,
