@@ -133,10 +133,15 @@ def scale_to_unit(p: Potential, beta: float) -> tuple[Potential, float]:
     def _scale2(f):
         return lambda s: f(np.asarray(s, dtype=float) / k) / c1
 
-    v, dv, d2v = p.vfun
+    v, v_dv, d2v = p.vfun
+
+    def scaled_v_dv(s):
+        y, dy = v_dv(np.asarray(s, dtype=float) / k)
+        return beta * y, (beta / k) * dy
+
     scaled = Potential(
         family=f"scaled:{p.family}",
-        vfun=(_scale0(v), _scale1(dv), _scale2(d2v)),
+        vfun=(_scale0(v), scaled_v_dv, _scale2(d2v)),
         d2g0=_scale2(p.d2g0),
         c0=p.c0 / c1,
         c1=1.0,

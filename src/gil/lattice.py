@@ -33,7 +33,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Torus:
-    """Periodic lattice (Z/mZ)^d with forward-neighbor index tables."""
+    """Periodic lattice (Z/mZ)^d with the neighbor gather tables of the bond kernels."""
 
     d: int
     m: int
@@ -62,6 +62,11 @@ class Torus:
         """backward[i, x] = flat index of x - e_i."""
         idx = np.arange(self.volume).reshape((self.m,) * self.d)
         return np.stack([np.roll(idx, 1, axis=i).ravel() for i in range(self.d)])
+
+    @cached_property
+    def backward_flat(self) -> np.ndarray:
+        """backward_flat[i, x] = i * volume + backward[i, x]: bond (i, x - e_i) in a flattened (d, V) bond array."""
+        return self.backward + self.volume * np.arange(self.d)[:, None]
 
 
 @dataclass
@@ -96,7 +101,7 @@ def pinned(dof: np.ndarray) -> np.ndarray:
 def grad_all(t: Torus, values: np.ndarray) -> np.ndarray:
     """All forward differences, values[..., V] -> [..., d, V]: grad[..., i, x] = phi(x+e_i) - phi(x)."""
     values = np.asarray(values, dtype=float)
-    return values[..., t.forward] - values[..., None, :]
+    return values.take(t.forward, axis=-1) - values[..., None, :]
 
 
 def bond_args(t: Torus, values: np.ndarray, u) -> np.ndarray:
@@ -111,11 +116,10 @@ def bond_divergence(t: Torus, w: np.ndarray) -> np.ndarray:
     """Adjoint of grad_all on dof vectors: sum_i [w_i(x - e_i) - w_i(x)] over non-origin x.
 
     w[..., d, V] -> [..., V - 1]; the derivative of sum w(grad phi) with respect to phi.
+    One gather over the flattened bonds, then a sum over the axes in order i = 0, 1, ...
     """
-    out = w[..., 0, t.backward[0]] - w[..., 0, :]
-    for i in range(1, t.d):
-        out += w[..., i, t.backward[i]] - w[..., i, :]
-    return out[..., 1:]
+    behind = w.reshape(w.shape[:-2] + (-1,)).take(t.backward_flat, axis=-1)
+    return (behind - w).sum(axis=-2)[..., 1:]
 
 
 def grad_norm_sq(t: Torus, values: np.ndarray) -> float:

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .conditions import cbar
-from .lattice import Torus, Field, anharmonic_g, bond_args, bond_divergence, grad_all, pinned
+from .lattice import Torus, Field, bond_args, bond_divergence, grad_all, pinned
 from .potentials import Potential, norms
 
 __all__ = [
@@ -143,9 +143,8 @@ def make_gibbs_target(t: Torus, p: Potential, u, beta: float) -> Target:
     u = np.atleast_1d(np.asarray(u, dtype=float))
 
     def energy_grad(X):
-        g = bond_args(t, pinned(X), u)
-        vp = p.dv(g)
-        return beta * _row_sum(p.v(g)), beta * bond_divergence(t, vp), vp.sum(axis=-1)
+        v, vp = p.v_dv(bond_args(t, pinned(X), u))
+        return beta * _row_sum(v), beta * bond_divergence(t, vp), vp.sum(axis=-1)
 
     hint = 0.5 / math.sqrt(beta * (p.c2 * 2.0 * t.d) + 1.0)
     return Target(energy_grad=energy_grad, n_dof=t.n_dof, step_hint=hint)
@@ -159,9 +158,11 @@ def make_h1_target(t: Torus, p: Potential, u, psi_values: np.ndarray, lam: float
     def energy_grad(X):
         theta = pinned(X)
         arg = bond_args(t, psi_values + theta, u)
+        v, vp = p.v_dv(arg)
         gt = grad_all(t, theta)
-        energy = anharmonic_g(t, u, psi_values + theta, p) + _row_sum(gt * gt) / (2.0 * lam)
-        return energy, bond_divergence(t, (p.dv(arg) - arg) + gt / lam)
+        # G(u, psi + theta) as anharmonic_g sums it, from the bond arguments built once
+        energy = _row_sum(v - arg * arg / 2.0) + _row_sum(gt * gt) / (2.0 * lam)
+        return energy, bond_divergence(t, (vp - arg) + gt / lam)
 
     hint = 0.5 / math.sqrt(2.0 * t.d / lam + 1.0)
     return Target(energy_grad=energy_grad, n_dof=t.n_dof, step_hint=hint)
@@ -213,7 +214,8 @@ def run_chains(
     rngs = [stream(cfg.seed, row) for row in rows]
     _fd_gradient_check(target, np.stack([0.1 * rng.standard_normal(n) for rng in rngs]), rows)
     X = np.zeros((n_rows, n))
-    E, G, O = _fused(target, X)
+    # the sampler owns its state arrays: an accepted move overwrites them in place
+    E, G, O = (np.array(a, dtype=float) for a in _fused(target, X))
     if E.shape != (n_rows,):
         raise ValueError(f"target returned {E.shape} energies for {n_rows} rows")
     h = np.full(n_rows, float(cfg.step_size if cfg.step_size is not None else target.step_hint))
@@ -237,10 +239,11 @@ def run_chains(
         diff = X - (Y - drift * GY)
         log_q_rev = -0.5 * (diff * diff).sum(axis=-1) / (h * h)
         acc = log_u_chunk[c] < (E - EY) + (log_q_rev - log_q_fwd[c])
-        X = np.where(acc[:, None], Y, X)
-        E = np.where(acc, EY, E)
-        G = np.where(acc[:, None], GY, G)
-        O = np.where(acc[:, None], OY, O)
+        acc_rows = acc[:, None]
+        np.copyto(X, Y, where=acc_rows)
+        np.copyto(E, EY, where=acc)
+        np.copyto(G, GY, where=acc_rows)
+        np.copyto(O, OY, where=acc_rows)
         if step < cfg.burn_in:
             window += acc
             if tune and (step + 1) % 25 == 0:

@@ -1,11 +1,11 @@
 """Interaction potentials V = V0 + g0: built-in families, curvature certificates, norms.
 
 Each potential is a convex base V0 (curvature in [c1, c2]) plus a perturbation g0
-whose curvature is bounded below by -c0.  A ``Potential`` stores V, V' and V''
-once, plus only the g0 terms the smallness conditions read: g0'' always, and g0'
-and g0 only where their norms ||g0'||_L2 and ||g0||_L1 are finite.  Leaving one
-out declares that norm divergent.  V0 itself is never stored; its curvature is
-V'' - g0''.  Built-in families:
+whose curvature is bounded below by -c0.  A ``Potential`` stores V, the pair
+(V, V') and V'' once, plus only the g0 terms the smallness conditions read: g0''
+always, and g0' and g0 only where their norms ||g0'||_L2 and ||g0||_L1 are
+finite.  Leaving one out declares that norm divergent.  V0 itself is never
+stored; its curvature is V'' - g0''.  Built-in families:
 
   gaussian    V0(s) = s^2/2,                       g0 = 0
   example_a   V0(s) = s^2,                         g0(s) = a - log(s^2 + a),  0 < a < 1
@@ -62,7 +62,12 @@ class DivergentNormError(ValueError):
 
 @dataclass(frozen=True)
 class Potential:
-    """V = V0 + g0 as the triple (V, V', V''), g0'' and the curvature constants.
+    """V = V0 + g0 as the triple (V, (V, V'), V''), g0'' and the curvature constants.
+
+    The middle entry is the fused pass: it returns V and V' from shared
+    intermediates, bitwise the V of the first entry, so a sampler step reads
+    both from one call (``v_dv``); ``dv`` is its second half.  V alone serves
+    callers that need no derivative, such as the quadrature integrands.
 
     c1 <= V0'' = V'' - g0'' <= c2 and g0'' >= -c0 hold on the certification grid;
     g0'' <= 0 may fail on a set where the excess is certified absorbable (see
@@ -71,14 +76,15 @@ class Potential:
     """
 
     family: str
-    vfun: tuple[Callable, Callable, Callable]  # (V, V', V'')
+    vfun: tuple[Callable, Callable, Callable]  # (V, s -> (V, V'), V'')
     d2g0: Callable
     c0: float
     c1: float
     c2: float
     g0: Callable | None = None
     dg0: Callable | None = None
-    # sign-change / kink abscissas of g0'', used as quadrature breakpoints
+    # abscissas where g0'' changes sign, has a kink or varies on a short scale,
+    # used as quadrature breakpoints
     g0pp_breakpoints: tuple = ()
     # support [lo, hi] of the non-quadratic part when compact, else None
     g0_support: tuple | None = None
@@ -86,8 +92,11 @@ class Potential:
     def v(self, s):
         return self.vfun[0](s)
 
-    def dv(self, s):
+    def v_dv(self, s):
         return self.vfun[1](s)
+
+    def dv(self, s):
+        return self.vfun[1](s)[1]
 
     def d2v(self, s):
         return self.vfun[2](s)
@@ -136,11 +145,16 @@ def _as_array(s):
 def gaussian_potential() -> Potential:
     """Quadratic potential V(s) = s^2/2 with no perturbation."""
     zero = lambda s: np.zeros_like(_as_array(s))
+
+    def v_dv(s):
+        s = np.array(s, dtype=float)
+        return s * s / 2.0, s
+
     return Potential(
         family="gaussian",
         vfun=(
             lambda s: _as_array(s) ** 2 / 2.0,
-            lambda s: np.array(s, dtype=float),
+            v_dv,
             lambda s: np.ones_like(_as_array(s)),
         ),
         d2g0=zero,
@@ -168,8 +182,10 @@ def example_a(a: float) -> Potential:
         s = _as_array(s)
         return s**2 + (a - np.log(s * s + a))
 
-    def dv(s):
-        return 2.0 * _as_array(s) + dg0(s)
+    def v_dv(s):
+        s = _as_array(s)
+        q = s * s + a
+        return s * s + (a - np.log(q)), 2.0 * s + -2.0 * s / q
 
     def d2v(s):
         return 2.0 + d2g0(s)
@@ -184,7 +200,7 @@ def example_a(a: float) -> Potential:
 
     return Potential(
         family="example_a",
-        vfun=(v, dv, d2v),
+        vfun=(v, v_dv, d2v),
         d2g0=d2g0,
         c0=2.0 / a,
         c1=2.0,
@@ -209,31 +225,36 @@ def example_b(delta: float) -> Potential:
     s_lo = delta * (5.0 - r5) / 10.0
     s_hi = delta * (5.0 + r5) / 10.0
 
-    def _mask(s):
+    # r = s (delta - s) clipped at 0 vanishes exactly off [0, delta], so no mask
+    # is needed; integer powers as products: numpy's float power costs several
+    # times more
+    def _clipped(s):
         s = _as_array(s)
-        return s, (s >= 0.0) & (s <= delta)
+        return s, np.maximum(s * (delta - s), 0.0)
 
-    # integer powers as products: numpy's float power costs several times more
     def g0(s):
-        s, m = _mask(s)
-        r = s * (delta - s)
-        return np.where(m, -c * r * r * r, 0.0)
+        _, r = _clipped(s)
+        return -c * r * r * r
 
     def dg0(s):
-        s, m = _mask(s)
-        r = s * (delta - s)
-        return np.where(m, -c * 3.0 * r * r * (delta - 2.0 * s), 0.0)
+        s, r = _clipped(s)
+        return -c * 3.0 * r * r * (delta - 2.0 * s)
 
     def d2g0(s):
-        s, m = _mask(s)
-        w2 = 6.0 * s * (delta - s) * (5.0 * s * s - 5.0 * delta * s + delta * delta)
-        return np.where(m, -c * w2, 0.0)
+        s = _as_array(s)
+        # clipping the product 6 s (delta - s), not r, rounds g0'' as the unclipped formula does
+        w = np.maximum(6.0 * s * (delta - s), 0.0)
+        return -c * (w * (5.0 * s * s - 5.0 * delta * s + delta * delta))
+
+    def v_dv(s):
+        s, r = _clipped(s)
+        return s**2 / 2.0 + -c * r * r * r, s + -c * 3.0 * r * r * (delta - 2.0 * s)
 
     return Potential(
         family="example_b",
         vfun=(
             lambda s: _as_array(s) ** 2 / 2.0 + g0(s),
-            lambda s: _as_array(s) + dg0(s),
+            v_dv,
             lambda s: 1.0 + d2g0(s),
         ),
         d2g0=d2g0,
@@ -281,17 +302,27 @@ def example_c(p: float, k1: float, k2: float) -> Potential:
         # V = k2 s^2/2 - log(q + p e^{-kap s^2/2})
         return k2 * s * s / 2.0 - np.log(q + p * np.exp(-z))
 
-    def dv(s):
-        s, w1 = _weights(s)
-        return s * (w1 * k1 + (1.0 - w1) * k2)
+    def v_dv(s):
+        s = _as_array(s)
+        z = np.clip(kap * s * s / 2.0, 0.0, 700.0)
+        pe = p * np.exp(-z)
+        # the posterior weight w1 = p e^{-z} / (p e^{-z} + q) from the same exponential as V
+        w1 = pe / (pe + q)
+        return k2 * s * s / 2.0 - np.log(q + pe), s * (w1 * k1 + (1.0 - w1) * k2)
+
+    # -g0'' is a bump of width r = 1/sqrt(k1 - k2) at the origin; breakpoints on a
+    # doubling ladder of r keep the norms' panels on it however stiff k1 is
+    r = 1.0 / math.sqrt(kap)
+    ladder = tuple(r * 2.0**j for j in range(5))
 
     return Potential(
         family="example_c",
-        vfun=(v, dv, lambda s: v0pp(s) + g0pp(s)),
+        vfun=(v, v_dv, lambda s: v0pp(s) + g0pp(s)),
         d2g0=g0pp,
         c0=p * kap / q,
         c1=k2,
         c2=p * k1 + q * k2,
+        g0pp_breakpoints=(*(-x for x in reversed(ladder)), 0.0, *ladder),
     )
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gil.conditions import scale_to_unit
-from gil.lattice import Field, Torus, anharmonic_g, grad_all, grad_norm_sq
+from gil.lattice import Field, Torus, anharmonic_g, bond_divergence, grad_all, grad_norm_sq, pinned
 
 from conftest import grad_h, hamiltonian, induced_h1_energy, induced_h1_grad, random_pinned
 
@@ -39,6 +39,55 @@ def test_gradients_telescope(seed, d, m):
     vals = random_pinned(t, np.random.default_rng(seed))
     g = grad_all(t, vals)
     np.testing.assert_allclose(g.sum(axis=1), np.zeros(d), atol=1e-10)
+
+
+LEADING_SHAPES = [(), (3,), (2, 3)]
+
+
+def _site_loop_grad(t, values):
+    """grad[..., i, x] = values[..., x + e_i] - values[..., x], one site at a time."""
+    out = np.empty(values.shape[:-1] + (t.d, t.volume))
+    for x in range(t.volume):
+        for i in range(t.d):
+            out[..., i, x] = values[..., t.forward[i, x]] - values[..., x]
+    return out
+
+
+def _site_loop_divergence(t, w):
+    """sum over i = 0, 1, ... of w_i(x - e_i) - w_i(x) at each non-origin site, one site at a time."""
+    out = np.empty(w.shape[:-2] + (t.n_dof,))
+    for idx in np.ndindex(w.shape[:-2]):
+        for x in range(1, t.volume):
+            acc = 0.0
+            for i in range(t.d):
+                acc += float(w[idx + (i, t.backward[i, x])]) - float(w[idx + (i, x)])
+            out[idx + (x - 1,)] = acc
+    return out
+
+
+@pytest.mark.parametrize("lead", LEADING_SHAPES)
+@pytest.mark.parametrize("d,m", [(1, 5), (2, 4), (3, 3)])
+def test_gather_kernels_match_site_loop_bitwise(d, m, lead):
+    # d = 3 sums three axes, so the gather-and-sum must add them in the loop's order
+    t = Torus(d, m)
+    rng = np.random.default_rng(100 * d + len(lead))
+    values = pinned(rng.standard_normal(lead + (t.n_dof,)))
+    w = rng.standard_normal(lead + (d, t.volume))
+    assert np.array_equal(grad_all(t, values), _site_loop_grad(t, values))
+    assert np.array_equal(bond_divergence(t, w), _site_loop_divergence(t, w))
+
+
+@pytest.mark.parametrize("lead", LEADING_SHAPES)
+@pytest.mark.parametrize("d,m", [(1, 5), (2, 4), (3, 3)])
+def test_bond_divergence_is_adjoint_of_grad_all(d, m, lead):
+    # <w, grad_all(pinned(x))> = <bond_divergence(w), x> for dof vectors x, row by row
+    t = Torus(d, m)
+    rng = np.random.default_rng(7 * d + len(lead))
+    x = rng.standard_normal(lead + (t.n_dof,))
+    w = rng.standard_normal(lead + (d, t.volume))
+    lhs = (w * grad_all(t, pinned(x))).sum(axis=(-2, -1))
+    rhs = (bond_divergence(t, w) * x).sum(axis=-1)
+    np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
 def test_hamiltonian_gaussian_values(pot_gauss):

@@ -96,10 +96,12 @@ def test_norms_example_c_within_closed_bound(pot_c):
     assert nr.l2_g0p == math.inf and nr.l1_g0 == math.inf
 
 
-@pytest.mark.parametrize("k1", [1000.0, 1e4])
+@pytest.mark.parametrize("k1", [1000.0, 1e4, 1e7, 1e8, 1e10])
 def test_norms_example_c_stiff_matches_trapezoid(k1):
     # -g0'' is a bump of width ~ 1/sqrt(k1) at the origin; the dense trapezoid
-    # over +-40/sqrt(k1) converges spectrally on it
+    # over +-40/sqrt(k1) converges spectrally on it.  From k1 ~ 1e7 the bump falls
+    # between the nodes of panels that do not start on its scale, and at 1e8 a
+    # ladder of breakpoints out to only 4/sqrt(k1) is still 0.19% off
     p = example_c(0.5, k1, 1.0)
     half = 40.0 / math.sqrt(k1 - 1.0)
     s = np.linspace(-half, half, 400_001)
@@ -182,18 +184,15 @@ def test_curvature_grid_certificate(family):
             assert rep.convex_excess == pytest.approx(1.5, rel=1e-3)
 
 
-@pytest.mark.parametrize(
-    "family,s_values",
-    [
-        ("gaussian", [0.0, 1.3, -2.2]),
-        ("example_a", [0.0, 0.4, -1.5, 3.0]),
-        ("example_b", [0.1, 0.25, 0.49, 0.7, -0.3]),
-        ("example_c", [0.0, 0.8, -1.7, 4.0]),
-    ],
-)
-def test_finite_difference_derivative_consistency(family, s_values):
-    p = FAMILIES[family]()
-    h = 1e-4
+FD_POINTS = [
+    ("gaussian", [0.0, 1.3, -2.2]),
+    ("example_a", [0.0, 0.4, -1.5, 3.0]),
+    ("example_b", [0.1, 0.25, 0.49, 0.7, -0.3]),
+    ("example_c", [0.0, 0.8, -1.7, 4.0]),
+]
+
+
+def _check_derivatives_by_finite_differences(p, s_values, h):
     for s in s_values:
         d1 = (p.v(s + h) - p.v(s - h)) / (2 * h)
         d2 = (p.v(s + h) - 2 * p.v(s) + p.v(s - h)) / h**2
@@ -201,6 +200,19 @@ def test_finite_difference_derivative_consistency(family, s_values):
         scale2 = max(1.0, abs(p.d2v(s)))
         assert abs(d1 - p.dv(s)) / scale1 < 1e-6
         assert abs(d2 - p.d2v(s)) / scale2 < 1e-6
+
+
+@pytest.mark.parametrize("family,s_values", FD_POINTS)
+def test_finite_difference_derivative_consistency(family, s_values):
+    # dv is the V' half of the fused (V, V') pass
+    _check_derivatives_by_finite_differences(FAMILIES[family](), s_values, 1e-4)
+
+
+@pytest.mark.parametrize("family,s_values", FD_POINTS)
+def test_finite_difference_derivative_consistency_scaled(family, s_values):
+    # the unit-frame copy's fused pass; its points and step are the family's times k
+    p, k = scale_to_unit(FAMILIES[family](), 0.058)
+    _check_derivatives_by_finite_differences(p, k * np.asarray(s_values), 1e-4 * k)
 
 
 @given(s=st.floats(-20.0, 20.0))
@@ -214,17 +226,60 @@ def test_example_b_derivative_property(s):
 
 @pytest.mark.parametrize("delta", [0.5, 0.3])
 def test_example_b_g0_matches_closed_form_polynomial(delta):
-    # g0 and dg0 multiply r = s (delta - s) instead of taking float powers
+    # g0 and g0' multiply the clipped r = max(s (delta - s), 0), and g0'' the
+    # clipped 6 s (delta - s), instead of taking float powers under a mask
     p = example_b(delta)
     c = 4.0 / delta**4
     s_lo, s_hi = p.g0pp_breakpoints[1:3]
-    s = np.concatenate([np.linspace(-0.2, delta + 0.2, 2001), [0.0, s_lo, s_hi, delta, delta / 2.0]])
+    s = np.concatenate([np.linspace(-0.2, delta + 0.2, 2001), [0.0, s_lo, s_hi, delta, delta / 2.0, -1e-300, 1e6]])
     inside = (s >= 0.0) & (s <= delta)
     g0 = np.where(inside, -c * s**3 * (delta - s) ** 3, 0.0)
     dg0 = np.where(inside, -3.0 * c * s**2 * (delta - s) ** 2 * (delta - 2.0 * s), 0.0)
+    # the quadratic factor cancels at its roots s_lo and s_hi, so it is written as gil evaluates it
+    quad = 5.0 * s * s - 5.0 * delta * s + delta * delta
+    d2g0 = np.where(inside, -6.0 * c * s * (delta - s) * quad, 0.0)
     np.testing.assert_allclose(p.g0(s), g0, rtol=1e-15, atol=0.0)
     np.testing.assert_allclose(p.dg0(s), dg0, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(p.d2g0(s), d2g0, rtol=1e-15, atol=0.0)
+    # the fused pair adds the same g0 and g0' to the quadratic part (a relative
+    # tolerance on the sum would not hold where s^2/2 and g0 cancel)
+    v, dv = p.v_dv(s)
+    assert np.array_equal(v, s**2 / 2.0 + p.g0(s))
+    assert np.array_equal(dv, s + p.dg0(s))
     assert p.g0(0.0) == 0.0 and p.g0(delta) == 0.0
+
+
+def _dv_unfused_formula(family, s):
+    """V' computed on its own: example_b's g0' under a mask, example_c's weight w1 from e^{+z}."""
+    if family == "gaussian":
+        return np.array(s, dtype=float)
+    if family == "example_a":
+        return 2.0 * s + -2.0 * s / (s * s + 0.5)
+    if family == "example_b":
+        delta, c = 0.5, 4.0 / 0.5**4
+        r = s * (delta - s)
+        return s + np.where((s >= 0.0) & (s <= delta), -c * 3.0 * r * r * (delta - 2.0 * s), 0.0)
+    p, k1, k2 = 0.05, 2.0, 1.0
+    w1 = p / (p + (1.0 - p) * np.exp(np.clip((k1 - k2) * s * s / 2.0, 0.0, 700.0)))
+    return s * (w1 * k1 + (1.0 - w1) * k2)
+
+
+@pytest.mark.parametrize("beta", [None, 0.058, 0.116])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_fused_pair_matches_standalone_v_and_unfused_dv(family, beta):
+    # the fused pass returns V bitwise and V' bitwise as computed on its own,
+    # except example_c, whose posterior weight comes from the exponential V takes
+    p, k = FAMILIES[family](), 1.0
+    if beta is not None:
+        p, k = scale_to_unit(p, beta)
+    s = k * np.concatenate([np.linspace(-6.0, 6.0, 4001), [0.0, 0.25, 0.5, 1e-300, -1e-300, 1e6, -1e6]])
+    v, dv = p.v_dv(s)
+    assert np.array_equal(v, p.v(s))
+    expected = _dv_unfused_formula(family, s / k) * ((1.0 if beta is None else beta) / k)
+    if family == "example_c":
+        np.testing.assert_allclose(dv, expected, rtol=1e-15, atol=0.0)
+    else:
+        assert np.array_equal(dv, expected)
 
 
 def test_family_parameter_validation():
