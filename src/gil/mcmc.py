@@ -7,13 +7,17 @@ correction, a step size tuned toward 57.4% acceptance during burn-in and frozen
 afterwards, a finite-difference gradient check, a post burn-in acceptance guard,
 and a noise stream from SeedSequence((seed, tilt, node, chain)) drawn in
 fixed-size chunks of steps; `stream` derives that and every auxiliary stream.
-A row's arithmetic is elementwise or a sum over its own trailing axes, so its
-samples are bitwise the same alone or in any ensemble.
+The step's noise products h xi and log q(Y | X) are formed once per chunk, and
+again for the rest of a chunk when burn-in tuning moves h.  The gradient check
+evaluates all shifted states X +- h e_j in a few calls, with the shifts as a
+leading axis (see Target).  A row's arithmetic is elementwise or a sum over its
+own trailing axes, so its samples are bitwise the same alone or in any ensemble.
 The free-energy estimators (fluctuation identity, thermodynamic integration) run
 their own rows; the lemma checks (Fourier bounds, Poincare variance bound) read
 a sample array, so one chain run serves both.  Estimators carry batch-means or
 jackknife standard errors with at least 20 blocks; nothing is reported as a bare
-point estimate.
+point estimate.  Their passes over samples (the V'' sums of the fluctuation
+identity, the phases cos/sin(k grad theta)) run in slices sized to stay in cache.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ __all__ = [
 
 MIN_BLOCKS = 20
 NOISE_CHUNK = 64  # steps of noise drawn at once per row; fixed, so streams do not depend on the batch
+SLICE_VALUES = 2**15  # values per slice of a batched pass over samples or shifts, so its arrays stay in cache
 # purpose words of the streams drawn outside any chain row
 AUX_STREAMS = {"observables": 0xB5, "probes": 0xC0, "r1g": 0x51}
 
@@ -73,7 +78,7 @@ class StepSizeError(RuntimeError):
 
 
 class GradientMismatchError(RuntimeError):
-    """The target's gradient disagrees with finite differences of its energy."""
+    """The target's gradient disagrees with finite differences of its energy, or its energy cannot be differenced."""
 
 
 @dataclass(frozen=True)
@@ -109,9 +114,13 @@ class Estimate:
 class Target:
     """Batched log-density exp(-E) over pinned dof vectors.
 
-    energy_grad maps X[rows, n_dof] to (E[rows], G[rows, n_dof]); it may append a
-    per-row observable O[rows, k] computed from the same arrays (D_u H for Gibbs
-    targets), which the sampler keeps beside each kept sample.
+    energy_grad maps X[..., rows, n_dof] to (E[..., rows], G[..., rows, n_dof]);
+    it may append a per-row observable O[..., rows, k] computed from the same
+    arrays (D_u H for Gibbs targets), which the sampler keeps beside each kept
+    sample.  Leading axes before the row axis are batches of states per row (the
+    gradient check sends all shifted states at once), so per-row parameters such
+    as tilts u[rows, d] broadcast from the right, and each row is summed over its
+    own trailing axes, bitwise the same with or without leading axes.
     """
 
     energy_grad: Callable
@@ -132,7 +141,8 @@ class Observable:
 
 
 def _row_sum(a: np.ndarray) -> np.ndarray:
-    return a.reshape(a.shape[0], -1).sum(axis=-1)
+    """Sum of each row's (d, V) bond array: [..., d, V] -> [...]."""
+    return a.reshape(a.shape[:-2] + (-1,)).sum(axis=-1)
 
 
 def make_gibbs_target(t: Torus, p: Potential, u, beta: float) -> Target:
@@ -187,14 +197,24 @@ def _label(row) -> str:
 
 
 def _fd_gradient_check(target: Target, X: np.ndarray, rows: list) -> None:
-    """Central differences of every row's energy against its gradient at X."""
+    """Central differences of every row's energy against its gradient at X.
+
+    The shifted states X +- h e_j go to the target with the shift axis j leading,
+    at most SLICE_VALUES // X.size shifts per call.
+    """
     _, G, *_ = target.energy_grad(X)
     h = 1e-5
     fd = np.empty_like(G)
-    for j in range(target.n_dof):
-        e = np.zeros(target.n_dof)
-        e[j] = h
-        fd[:, j] = (target.energy_grad(X + e)[0] - target.energy_grad(X - e)[0]) / (2.0 * h)
+    n, step = target.n_dof, max(1, SLICE_VALUES // X.size)
+    for a in range(0, n, step):
+        e = h * np.eye(min(step, n - a), n, a)[:, None]  # e[i, 0] = h e_(a + i)
+        Ep, Em = target.energy_grad(X + e)[0], target.energy_grad(X - e)[0]
+        if Ep.shape != (len(e), len(X)):
+            raise GradientMismatchError(
+                f"{', '.join(map(_label, rows))}: energies of shape {Ep.shape}, expected {(len(e), len(X))}; "
+                "energy_grad must accept leading axes before the row axis to be checked by finite differences"
+            )
+        fd[:, a : a + step] = ((Ep - Em) / (2.0 * h)).T
     err = np.max(np.abs(fd - G), axis=1) / np.maximum(1.0, np.max(np.abs(G), axis=1))
     for r in np.flatnonzero(err > 1e-4):
         raise GradientMismatchError(f"{_label(rows[r])}: target gradient differs from finite differences by {err[r]:.2e}")
@@ -225,7 +245,7 @@ def run_chains(
     kept_obs = np.empty((n_rows, n_kept, O.shape[1]))
     window = np.zeros(n_rows)
     accepted = np.zeros(n_rows)
-    hc, drift = h[:, None], 0.5 * h[:, None] ** 2
+    hc, hh, drift = h[:, None], h * h, 0.5 * h[:, None] ** 2
     for step in range(cfg.n_steps):
         c = step % NOISE_CHUNK
         if c == 0:
@@ -233,11 +253,14 @@ def run_chains(
             xi_chunk = np.stack([rng.standard_normal((k, n)) for rng in rngs], axis=1)
             log_u_chunk = np.log1p(-np.stack([rng.random(k) for rng in rngs], axis=1))
             log_q_fwd = -0.5 * (xi_chunk * xi_chunk).sum(axis=-1)
-        xi = xi_chunk[c]
-        Y = X - drift * G + hc * xi
+            h_xi = hc * xi_chunk
+        Y = X - drift * G
+        Y += h_xi[c]
         EY, GY, OY = _fused(target, Y)
-        diff = X - (Y - drift * GY)
-        log_q_rev = -0.5 * (diff * diff).sum(axis=-1) / (h * h)
+        diff = Y - drift * GY
+        np.subtract(X, diff, out=diff)
+        diff *= diff
+        log_q_rev = -0.5 * diff.sum(axis=-1) / hh
         acc = log_u_chunk[c] < (E - EY) + (log_q_rev - log_q_fwd[c])
         acc_rows = acc[:, None]
         np.copyto(X, Y, where=acc_rows)
@@ -248,7 +271,8 @@ def run_chains(
             window += acc
             if tune and (step + 1) % 25 == 0:
                 h = h * np.exp(0.4 * (window / 25.0 - 0.574))
-                hc, drift = h[:, None], 0.5 * h[:, None] ** 2
+                hc, hh, drift = h[:, None], h * h, 0.5 * h[:, None] ** 2
+                np.multiply(hc, xi_chunk[c + 1 :], out=h_xi[c + 1 :])
                 window[:] = 0.0
             continue
         accepted += acc
@@ -298,15 +322,16 @@ def batch_means(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         mean = x.mean(axis=0)
         se = x.std(axis=0, ddof=1) / math.sqrt(n)
         return mean, se, float(n)
-    slices = _block_slices(n)
-    blocks = np.stack([x[a:b].mean(axis=0) for a, b in slices])
-    nb = blocks.shape[0]
-    mean = blocks.mean(axis=0)
-    se = blocks.std(axis=0, ddof=1) / math.sqrt(nb)
+    mean, se = _block_mean_se(np.stack([x[a:b].mean(axis=0) for a, b in _block_slices(n)]))
     var_x = x.var(axis=0, ddof=1)
     var_mean = np.maximum(se**2, 1e-300)
     n_eff = float(np.min(np.atleast_1d(var_x / var_mean)))
     return mean, se, min(n_eff, float(n))
+
+
+def _block_mean_se(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and batch-means std error from block means blocks[nb, ...]."""
+    return blocks.mean(axis=0), blocks.std(axis=0, ddof=1) / math.sqrt(blocks.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +352,11 @@ def fluctuation_hessian(u, p: Potential, t: Torus, cfg: ChainConfig, tilt: int =
     results = run_chains(make_gibbs_target(t, p, u, beta=1.0), cfg, [(tilt, 0, c) for c in range(cfg.n_chains)])
 
     blocks = []  # (sum_s1, sum_outer, sum_s2, count)
+    step = max(1, SLICE_VALUES // (t.d * t.volume))  # samples per V'' slice
     for r in results:
         s1 = r.observable
-        # V'' over slices of 1024 samples keeps the bond arrays small on large tori
-        s2 = np.concatenate([p.d2v(bond_args(t, pinned(r.samples[a : a + 1024]), u)).sum(axis=-1)
-                             for a in range(0, len(s1), 1024)])
+        s2 = np.concatenate([p.d2v(bond_args(t, pinned(r.samples[a : a + step]), u)).sum(axis=-1)
+                             for a in range(0, len(s1), step)])
         for a, b in _block_slices(len(s1)):
             sl1, sl2 = s1[a:b], s2[a:b]
             blocks.append((sl1.sum(axis=0), sl1.T @ sl1, sl2.sum(axis=0), b - a))
@@ -350,17 +375,24 @@ def fluctuation_hessian(u, p: Potential, t: Torus, cfg: ChainConfig, tilt: int =
 # characteristic function and the Fourier bounds
 
 
-def _phase_stats(gv: np.ndarray, k: np.ndarray, chunk: int = 64):
-    """Batch-means mean and error of cos/sin(k * gv), chunked over k."""
-    re = np.empty_like(k)
-    im = np.empty_like(k)
-    se_re = np.empty_like(k)
-    se_im = np.empty_like(k)
-    for a in range(0, len(k), chunk):
-        kk = k[a : a + chunk]
-        phase = np.outer(gv, kk)
-        re[a : a + chunk], se_re[a : a + chunk], _ = batch_means(np.cos(phase))
-        im[a : a + chunk], se_im[a : a + chunk], _ = batch_means(np.sin(phase))
+def _phase_stats(gv: np.ndarray, k: np.ndarray):
+    """Batch-means mean and error of cos/sin(k * gv) over the samples gv, as batch_means gives them.
+
+    cos and sin are formed one block of samples at a time over all k, and the
+    effective sample size that batch_means would add is not computed.
+    """
+    n = len(gv)
+    if n < 2 * MIN_BLOCKS:
+        phase = np.outer(gv, k)
+        (re, se_re, _), (im, se_im, _) = batch_means(np.cos(phase)), batch_means(np.sin(phase))
+        return re, im, se_re, se_im
+    slices = _block_slices(n)
+    re_blocks, im_blocks = np.empty((2, len(slices), len(k)))
+    for j, (a, b) in enumerate(slices):
+        phase = np.outer(gv[a:b], k)
+        re_blocks[j] = np.cos(phase).mean(axis=0)
+        im_blocks[j] = np.sin(phase).mean(axis=0)
+    (re, se_re), (im, se_im) = _block_mean_se(re_blocks), _block_mean_se(im_blocks)
     return re, im, se_re, se_im
 
 

@@ -99,7 +99,10 @@ def renorm_iterated_g(p: Potential, lam: float, u, t: Torus) -> float:
     The outer integrand exp(-R1G(u, psi)) is a Gaussian smoothing of the bond
     energy and hence smooth, so the outer layer uses GH with node doubling; the
     inner values at all nodes of one GH order come from one log_expectation
-    call with the nodes as a batch of base fields.
+    call with the nodes as a batch of base fields.  Reach: one doubling of the
+    outer GH grid must fit under GH_POINT_CAP (32^n_dof <= 2e7), so it serves
+    Torus(1, m) only for m <= 5 (at most 4 free coordinates); beyond, it raises
+    QuadratureError without evaluating the inner layer.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
 

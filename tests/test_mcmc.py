@@ -8,18 +8,22 @@ from gil.conditions import scale_to_unit
 from gil.gff import poincare_constant
 from gil.lattice import Field, Torus
 from gil.mcmc import (
+    NOISE_CHUNK,
     ChainConfig,
     GradientMismatchError,
     Observable,
     StepSizeError,
     Target,
     _envelope_tail,
+    _fd_gradient_check,
+    _phase_stats,
     batch_means,
     fluctuation_hessian,
     make_gibbs_target,
     make_h1_target,
     poincare_variance_check,
     run_chains,
+    stream,
     thermodynamic_integration,
     verify_l1norm_bounds,
 )
@@ -86,6 +90,122 @@ def test_gradient_spot_check_guard():
         run_chains(bad, ChainConfig(n_steps=100, burn_in=10, seed=0, n_chains=1), [(0, 0, 2)])
 
 
+def test_gradient_check_names_the_wrong_row():
+    # E = |x|^2 with gradient 2x, except that row 1 reports 3x
+    t = Torus(1, 4)
+    scale = np.array([2.0, 3.0, 2.0])[:, None]
+    bad = Target(energy_grad=lambda X: ((X * X).sum(axis=-1), scale * X), n_dof=t.n_dof)
+    rows = [(0, 0, 0), (0, 0, 1), (0, 0, 2)]
+    X = np.random.default_rng(1).standard_normal((3, t.n_dof))
+    with pytest.raises(GradientMismatchError, match=r"^row \(tilt 0, node 0, chain 1\): .* by "):
+        _fd_gradient_check(bad, X, rows)
+    scale[1] = 2.0
+    _fd_gradient_check(bad, X, rows)
+
+
+def test_gradient_check_batches_the_shifts(scaled_b, monkeypatch):
+    # one call at X, then the +h and -h shifts of every coordinate in one call
+    # each, or in one pair of calls per slice of shifts
+    import gil.mcmc
+
+    ps, k = scaled_b
+    t = Torus(2, 3)
+    target = make_gibbs_target(t, ps, k * np.array([[0.1, 0.2], [0.3, 0.0], [0.5, 0.5]]), 1.0)
+    shapes = []
+
+    def energy_grad(X):
+        shapes.append(X.shape)
+        return target.energy_grad(X)
+
+    counted = Target(energy_grad=energy_grad, n_dof=t.n_dof)
+    X = 0.1 * np.random.default_rng(2).standard_normal((3, t.n_dof))
+    _fd_gradient_check(counted, X, [(0, 0, c) for c in range(3)])
+    assert shapes == [(3, 8), (8, 3, 8), (8, 3, 8)]
+    shapes.clear()
+    monkeypatch.setattr(gil.mcmc, "SLICE_VALUES", 3 * 8 * 3)
+    _fd_gradient_check(counted, X, [(0, 0, c) for c in range(3)])
+    assert shapes == [(3, 8)] + [(3, 3, 8)] * 4 + [(2, 3, 8)] * 2
+
+
+@pytest.mark.parametrize("d, m", [(1, 5), (2, 3)])
+def test_energy_grad_leading_axes_match_separate_calls(scaled_b, d, m):
+    # X[k, rows, n_dof] gives, bit for bit, the k separate calls on X[j]; the
+    # per-row tilts u[rows, d] broadcast from the right
+    ps, scale = scaled_b
+    t = Torus(d, m)
+    rng = np.random.default_rng(d)
+    X = 0.5 * rng.standard_normal((4, 3, t.n_dof))
+    tilts = scale * rng.uniform(0.0, 0.5, (3, d))
+    psi = np.concatenate([[0.0], 0.3 * rng.standard_normal(t.n_dof)])
+    for target in (make_gibbs_target(t, ps, tilts, 1.0), make_h1_target(t, ps, tilts, psi, 0.4)):
+        batched = target.energy_grad(X)
+        for j in range(len(X)):
+            single = target.energy_grad(X[j])
+            assert len(batched) == len(single)
+            for a, b in zip(batched, single):
+                assert np.array_equal(a[j], b)
+
+
+def _reference_chains(target, cfg, rows):
+    """The MALA loop of run_chains written plainly, one step at a time."""
+    n = target.n_dof
+    rngs = [stream(cfg.seed, row) for row in rows]
+    for rng in rngs:
+        rng.standard_normal(n)  # the gradient-check point
+    X = np.zeros((len(rows), n))
+    E, G, *O = target.energy_grad(X)
+    O = O[0] if O else np.zeros((len(rows), 0))
+    h = np.full(len(rows), cfg.step_size if cfg.step_size is not None else target.step_hint)
+    window, accepted = np.zeros(len(rows)), np.zeros(len(rows))
+    samples, observable = [], []
+    for step in range(cfg.n_steps):
+        c = step % NOISE_CHUNK
+        if c == 0:
+            k = min(NOISE_CHUNK, cfg.n_steps - step)
+            xi_chunk = np.stack([rng.standard_normal((k, n)) for rng in rngs], axis=1)
+            log_u_chunk = np.log1p(-np.stack([rng.random(k) for rng in rngs], axis=1))
+        xi = xi_chunk[c]
+        drift = 0.5 * h[:, None] ** 2
+        Y = X - drift * G + h[:, None] * xi
+        EY, GY, *OY = target.energy_grad(Y)
+        OY = OY[0] if OY else np.zeros((len(rows), 0))
+        diff = X - (Y - drift * GY)
+        log_q_rev = -0.5 * (diff * diff).sum(axis=-1) / (h * h)
+        log_q_fwd = -0.5 * (xi * xi).sum(axis=-1)
+        acc = log_u_chunk[c] < (E - EY) + (log_q_rev - log_q_fwd)
+        X, G, O = (np.where(acc[:, None], new, old) for new, old in ((Y, X), (GY, G), (OY, O)))
+        E = np.where(acc, EY, E)
+        if step < cfg.burn_in:
+            window += acc
+            if cfg.step_size is None and (step + 1) % 25 == 0:
+                h = h * np.exp(0.4 * (window / 25.0 - 0.574))
+                window[:] = 0.0
+            continue
+        accepted += acc
+        samples.append(X)
+        observable.append(O)
+    return np.stack(samples, axis=1), np.stack(observable, axis=1), accepted / (cfg.n_steps - cfg.burn_in), h
+
+
+def test_run_chains_matches_reference_loop(scaled_b):
+    # samples, observables, acceptance and frozen step size agree bit for bit,
+    # with a tuning update inside a noise chunk (step 75 of chunk 64..127) and
+    # with a fixed step size
+    ps, k = scaled_b
+    t = Torus(2, 3)
+    tilts = k * np.array([[0.0, 0.0], [0.25, 0.1], [0.5, 0.5]])
+    psi = np.concatenate([[0.0], 0.3 * np.random.default_rng(4).standard_normal(t.n_dof)])
+    rows = [(2, 0, 0), (2, 1, 0), (2, 2, 1)]
+    for target in (make_gibbs_target(t, ps, tilts, 1.0), make_h1_target(t, ps, tilts, psi, 0.4)):
+        for cfg in (ChainConfig(n_steps=200, burn_in=90, seed=8), ChainConfig(n_steps=150, burn_in=20, seed=9, step_size=0.3)):
+            samples, observable, rate, h = _reference_chains(target, cfg, rows)
+            results = run_chains(target, cfg, rows)
+            for r, res in enumerate(results):
+                assert np.array_equal(res.samples, samples[r])
+                assert np.array_equal(res.observable, observable[r])
+                assert res.acceptance == rate[r] and res.step_size == h[r]
+
+
 def test_batched_targets_match_single_field_energies(pot_a):
     # each row of a batched call agrees with the single-field lattice functions
     t = Torus(2, 3)
@@ -134,6 +254,20 @@ def test_symmetric_target_mean_zero(quick_chain):
     results = run_chains(target, ChainConfig(n_steps=30_000, burn_in=3_000, seed=11))
     mean, se, _ = batch_means(np.concatenate([r.samples for r in results]))
     assert np.all(np.abs(mean) < 4 * se)
+
+
+@pytest.mark.parametrize("n", [14_000, 5_003, 37])
+def test_phase_stats_match_batch_means(n):
+    # block by block over all k, bitwise the batch means of the full phase
+    # arrays, at a sample count that the blocks divide unevenly and below the
+    # 2 * MIN_BLOCKS branch
+    gv = np.random.default_rng(n).standard_normal(n)
+    k = np.linspace(-6.0, 6.0, 401)
+    re, im, se_re, se_im = _phase_stats(gv, k)
+    mean_c, se_c, _ = batch_means(np.cos(np.outer(gv, k)))
+    mean_s, se_s, _ = batch_means(np.sin(np.outer(gv, k)))
+    for a, b in ((re, mean_c), (se_re, se_c), (im, mean_s), (se_im, se_s)):
+        assert np.array_equal(a, b)
 
 
 def test_batch_means_iid():
