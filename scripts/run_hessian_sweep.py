@@ -29,13 +29,14 @@ def main():
     t = Torus(1, args.m)
     beta_star = check_conditions(1.0, 1, p, norms(p)).beta_max_fcond
     u_grid = [[0.0], [0.25], [0.5], [1.0]]
-    lines = ["beta,beta_over_threshold,u_1,min_eig,bound,margin,verdict"]
+    lines = ["beta,beta_over_threshold,u_1,min_eig,std_error,bound,margin,verdict"]
     for factor in (0.25, 0.5, 1.0, 2.0, 4.0):
         beta = factor * beta_star
         rows = verify_theorem(p, beta, t, u_grid, method="oracle")  # d = 1: the oracle serves any m
         for r in rows:
             lines.append(
-                f"{beta:.17g},{factor},{r.u[0]:.17g},{r.min_eig:.17g},{r.bound:.17g},{r.margin:.17g},{r.verdict}"
+                f"{beta:.17g},{factor},{r.u[0]:.17g},{r.min_eig:.17g},{r.std_error:.17g},{r.bound:.17g},"
+                f"{r.margin:.17g},{r.verdict}"
             )
             print(f"beta={beta:10.4g} ({factor:>4}x)  u={r.u[0]:5.2f}  min_eig={r.min_eig:12.6f}  {r.verdict}")
     if args.out:

@@ -16,13 +16,21 @@ import numpy as np
 
 from .conditions import scale_to_unit
 from .gff import ModeBasis
-from .lattice import Torus, pinned
+from .lattice import Torus, bond_args, pinned
 from .potentials import Potential
-from .quadrature import GH_TOL, QuadratureError, gh_log_expectation_doubling, log_expectation
+from .quadrature import (
+    GH_TOL,
+    QuadratureError,
+    compact_anharmonicity,
+    conditioning_tilt_curvature,
+    gh_log_expectation_doubling,
+    log_expectation,
+)
 
 __all__ = [
     "ORACLE_ERROR",
     "f_tilt",
+    "f_tilt_hessian",
     "free_energy",
     "hessian_fd",
     "renorm_iterated_g",
@@ -48,6 +56,32 @@ def f_tilt(u, p: Potential, t: Torus, beta: float) -> float:
     ps, k = scale_to_unit(p, beta)
     log_e, _info = log_expectation(t, ps, k * u, 1.0)
     return 0.5 * t.volume * p.c1 * float(u @ u) - log_e / beta
+
+
+def f_tilt_hessian(u, p: Potential, t: Torus, beta: float) -> tuple[np.ndarray, float]:
+    """D^2 f(u) on a d = 1 torus from one conditioning pass, and its error.
+
+    In the unit frame f''(u) = c1 m kappa(k u), with kappa from
+    quadrature.conditioning_tilt_curvature, so no finite difference of f is
+    taken; any potential takes this route, compact ones included.  A pure
+    Gaussian gets g = 0, hence D = 0 and f'' = c1 m exactly.  Returns the
+    (1, 1) Hessian and c1 m times the curvature's last doubling difference.
+    """
+    if t.d != 1:
+        raise ValueError(f"f_tilt_hessian needs a d = 1 torus, got d = {t.d}")
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    ps, k = scale_to_unit(p, beta)
+    compact = compact_anharmonicity(ps)
+    if compact is not None and compact[1] <= compact[0]:
+        g = np.zeros_like
+    else:
+
+        def g(s):
+            return ps.v(s) - 0.5 * s * s
+
+    _log_e, kappa, info = conditioning_tilt_curvature(g, bond_args(t, np.zeros(t.volume), k * u).ravel())
+    m_c1 = t.volume * p.c1
+    return np.array([[m_c1 * kappa]]), float(m_c1 * info["curvature_error"])
 
 
 def free_energy(u, p: Potential, t: Torus, beta: float) -> float:

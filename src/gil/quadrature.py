@@ -20,7 +20,9 @@ alone, with no fallback between routes:
   conditioning  d = 1, any other input, any m, scale and base field: the m
                 bond gradients are iid N(0, scale) conditioned to sum to zero,
                 so log E is one convolution at zero, evaluated with FFTs on a
-                periodic grid that doubles until converged.
+                periodic grid that doubles until converged.  The same grids
+                give log E's curvature in a uniform bond shift
+                (conditioning_tilt_curvature), the d = 1 tilt Hessian.
   gh            d >= 2 otherwise: tensor-product Gauss-Hermite in
                 gff.ModeBasis, the eigenbasis of the pinned form that
                 sample_gff also draws in, with node doubling from
@@ -47,6 +49,7 @@ __all__ = [
     "gh_log_expectation",
     "gh_log_expectation_doubling",
     "conditioning_log_expectation",
+    "conditioning_tilt_curvature",
     "mayer_log_expectation",
     "log_expectation",
     "field_bond_map",
@@ -151,23 +154,26 @@ def gh_log_expectation_doubling(gfun, t: Torus, scale: float):
 # conditioning backend (d = 1)
 
 
-def conditioning_log_expectation(g, shifts: np.ndarray, scale: float = 1.0) -> tuple[float, dict]:
-    """log E[exp(-sum_b g(shifts[b] + e_b))] for e iid N(0, scale) conditioned on sum(e) = 0.
+def _conditioning_excess(g, shifts: np.ndarray, scale: float):
+    """Yield (n, rho0, rho) on the grids n = COND_MIN_POINTS, 2 COND_MIN_POINTS, ..., COND_MAX_POINTS.
 
-    On the d = 1 torus these are the bond gradients of the pinned field, so the
-    m - 1 dimensional integral is the convolution (f_1 * ... * f_m)(0) over
-    N^{*m}(0), with f_b(e) = N(e) exp(-g(shifts[b] + e)).  Each f_b is sampled on
-    one periodic grid and the convolution is a product of FFTs; writing
-    f_b = N + r_b, the difference prod F_b - G^m is accumulated bond by bond, so
-    log1p of its ratio to G^m keeps its relative precision when g is small.
-    Bonds with equal shifts share one transform.  The grid doubles until two
-    successive values differ by less than EXACT_TOL; returns (log E, {"error", "points"})
-    and raises QuadratureError at COND_MAX_POINTS or on a non-finite value.
+    K = f_1 * ... * f_m with f_b(e) = N(e) exp(-g(shifts[b] + e)) and e_b iid
+    N(0, scale); K_G = N^{*m} is its value at g = 0.  Each f_b is sampled on one
+    periodic grid centred on e = 0 and the convolution is a product of FFTs;
+    writing f_b = N + r_b, the excess D = prod F_b - G^m is accumulated bond by
+    bond, so ratios to K_G keep their relative precision when g is small.
+    Bonds with equal shifts share one transform.  rho0 = D(0) / K_G(0), and
+    rho(j) = D^(j)(0) / K_G(0) from the same spectrum times (i w)^j.  Raises
+    QuadratureError on a non-finite integrand or unless 1 + rho0 is finite and
+    positive: at large beta and m the excess cancels K_G to rounding, which a
+    Cramer-tilted grid (centred on the tilted density's mean) would serve; that
+    grid is not built.  Raises QuadratureError when asked for a grid beyond
+    COND_MAX_POINTS: its consumers stop once they converge.
     """
     shifts = np.asarray(shifts, dtype=float).ravel()
     m = len(shifts)
     width = COND_WIDTH * math.sqrt(scale * max(m, 4))
-    n, prev = COND_MIN_POINTS, None
+    n = COND_MIN_POINTS
     while n <= COND_MAX_POINTS:
         step = width / n
         e = step * ((np.arange(n) + n // 2) % n - n // 2)  # index 0 at e = 0
@@ -185,13 +191,68 @@ def conditioning_log_expectation(g, shifts: np.ndarray, scale: float = 1.0) -> t
                 D = D * G + P * R
                 P = P * F
         # both circular convolutions at e = 0: index 0 of the inverse transforms
-        cur = math.log1p(np.fft.irfft(D, n)[0] / np.fft.irfft(G**m, n)[0])
-        if not math.isfinite(cur):
-            raise QuadratureError("conditioning backend: value is not finite")
+        k_gauss = np.fft.irfft(G**m, n)[0]
+        rho0 = float(np.fft.irfft(D, n)[0] / k_gauss)
+        if not (math.isfinite(rho0) and rho0 > -1.0):
+            raise QuadratureError(f"conditioning backend: K(0) / K_G(0) = 1 + {rho0!r} is not finite and positive")
+
+        def rho(j):  # called before the next grid is built
+            iw = 2j * math.pi * np.fft.rfftfreq(n, step)
+            if j % 2:
+                iw[-1] = 0.0  # the Nyquist bin of an odd derivative
+            return float(np.fft.irfft(iw**j * D, n)[0] / k_gauss)
+
+        yield n, rho0, rho
+        n *= 2
+    raise QuadratureError(f"conditioning backend: no convergence below {EXACT_TOL} at {COND_MAX_POINTS} grid points")
+
+
+def conditioning_log_expectation(g, shifts: np.ndarray, scale: float = 1.0) -> tuple[float, dict]:
+    """log E[exp(-sum_b g(shifts[b] + e_b))] for e iid N(0, scale) conditioned on sum(e) = 0.
+
+    On the d = 1 torus these are the bond gradients of the pinned field, so the
+    m - 1 dimensional integral is the convolution K = f_1 * ... * f_m at zero
+    over its Gaussian value K_G(0), with f_b(e) = N(e) exp(-g(shifts[b] + e)),
+    and log E = log1p(rho0) on the grids of _conditioning_excess.  The grid
+    doubles until two successive values differ by less than EXACT_TOL; returns
+    (log E, {"error", "points"}) and raises QuadratureError where
+    _conditioning_excess does, at COND_MAX_POINTS among others.
+    """
+    prev = None
+    for n, rho0, _rho in _conditioning_excess(g, shifts, scale):
+        cur = math.log1p(rho0)
         if prev is not None and abs(cur - prev) < EXACT_TOL:
             return cur, {"error": abs(cur - prev), "points": n}
-        prev, n = cur, 2 * n
-    raise QuadratureError(f"conditioning backend: no convergence below {EXACT_TOL} at {COND_MAX_POINTS} grid points")
+        prev = cur
+
+
+def conditioning_tilt_curvature(g, shifts: np.ndarray, scale: float = 1.0) -> tuple[float, float, dict]:
+    """log E as in conditioning_log_expectation and its curvature in a uniform bond shift.
+
+    Shifting every bond by t and substituting e_b -> e_b - t moves the shift
+    onto the point where the convolution is evaluated:
+    log E(t) = m t^2 / (2 scale) + log K(m t) + const.  The curvature returned
+    is kappa = 1/scale - (log E)''(0) / m = -m (log K)''(0), which is
+    (1/scale - m rho2) / (1 + rho0) + m (rho1 / (1 + rho0))^2 in the excess
+    ratios of _conditioning_excess: no g' or g'' and no second transform.  At
+    scale 1 and zero base field, the d = 1 tilt free energy has
+    f''(u) = c1 m kappa.  The grid doubles until both log E and kappa move by
+    less than EXACT_TOL; returns (log E, kappa, {"error", "curvature_error",
+    "points"}), the errors being the last doubling differences, and raises
+    QuadratureError like conditioning_log_expectation.
+    """
+    m = np.asarray(shifts).size
+    prev = None
+    for n, rho0, rho in _conditioning_excess(g, shifts, scale):
+        ratio = rho(1) / (1.0 + rho0)
+        cur = (math.log1p(rho0), (1.0 / scale - m * rho(2)) / (1.0 + rho0) + m * ratio * ratio)
+        if not math.isfinite(cur[1]):
+            raise QuadratureError("conditioning backend: curvature is not finite")
+        if prev is not None:
+            err = abs(cur[0] - prev[0]), abs(cur[1] - prev[1])
+            if max(err) < EXACT_TOL:
+                return cur[0], cur[1], {"error": err[0], "curvature_error": err[1], "points": n}
+        prev = cur
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .conditions import cbar, scale_to_unit, check_conditions
 from .gff import poincare_constant, sample_gff
 from .lattice import Torus, Field, anharmonic_g, bond_args, grad_all, grad_norm_sq, pinned
 from .mcmc import ChainConfig, Estimate, Target, make_h1_target, fluctuation_hessian, stream, _block_slices, _jackknife
-from .oracle import ORACLE_ERROR, f_tilt, hessian_fd, renorm_iterated_g
+from .oracle import ORACLE_ERROR, f_tilt, f_tilt_hessian, hessian_fd, renorm_iterated_g
 from .potentials import Potential, norms
 from .quadrature import ORACLE_MAX_DOF, log_expectation
 
@@ -228,8 +228,11 @@ def verify_theorem(
     """Check min eig D^2 f(u) >= (c1/2) |T| - tol on each grid tilt.
 
     method "auto" takes the oracle up to ORACLE_MAX_DOF free coordinates and
-    chains beyond.  Oracle rows use FD Hessians of f_tilt, the u-dependent
-    part of the quadrature free energy; chain rows use the fluctuation
+    chains beyond.  Oracle rows in d = 1 come from one conditioning pass per
+    tilt (oracle.f_tilt_hessian, whatever the potential) and report its
+    doubling difference as std_error; in d >= 2 they are Richardson FD
+    Hessians of f_tilt, the u-dependent part of the quadrature free energy,
+    reporting 10 ORACLE_ERROR.  Chain rows use the fluctuation
     identity in the unit frame mapped back by
     D^2 f_beta(u) = c1 D^2 f_1(sqrt(beta c1) u).  Out-of-hypothesis tilts are
     computed and labeled, never asserted.  Chain rows of grid tilt j use
@@ -246,7 +249,9 @@ def verify_theorem(
     ps, k = scale_to_unit(p, beta)
     for j, u in enumerate(u_grid):
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        if method == "oracle":
+        if method == "oracle" and t.d == 1:
+            H, se = f_tilt_hessian(u, p, t, beta)
+        elif method == "oracle":
             H = hessian_fd(lambda uu: f_tilt(uu, p, t, beta), u, h=1e-3)
             se = 10.0 * ORACLE_ERROR
         else:

@@ -363,6 +363,16 @@ def test_hessian_oracle_d2_fails_fast(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("gil hessian: quadrature failed: ")
 
 
+def test_hessian_oracle_far_past_threshold_exit_three(tmp_path, capsys):
+    # 1000x the d = 1 threshold at m = 64: the conditioning grid's excess
+    # cancels the Gaussian convolution to rounding, a quadrature failure
+    cfg = _example_a_half_threshold(1, 64, [0.5])
+    path = write(tmp_path / "c.json", dict(cfg, beta=2000.0 * cfg["beta"], method="oracle"))
+    assert run_cli(["hessian", "--config", path, "--out", tmp_path / "h.csv"]) == 3
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("gil hessian: quadrature failed: conditioning backend")
+
+
 def test_hessian_oracle_in_hypothesis_d1(tmp_path):
     # d = 1, m = 6 (5 free coordinates) in hypothesis: the conditioning route serves the oracle
     path = write(tmp_path / "c.json", _example_a_half_threshold(1, 6, [0.5]))

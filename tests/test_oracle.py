@@ -4,15 +4,17 @@ import time
 import numpy as np
 import pytest
 
-from gil.conditions import scale_to_unit
+from gil.conditions import check_conditions, scale_to_unit
 from gil.lattice import Field, Torus
 from gil.oracle import (
+    f_tilt,
+    f_tilt_hessian,
     free_energy,
     hessian_fd,
     renorm_iterated_g,
     renorm_joint_g,
 )
-from gil.potentials import example_a, example_b, gaussian_potential
+from gil.potentials import example_a, example_b, gaussian_potential, norms
 from gil.quadrature import QuadratureError, gh_log_expectation_doubling
 from gil.renorm import DecompositionPlan, estimate_r1g
 
@@ -111,6 +113,40 @@ def test_hessian_fd_evaluates_center_once(d, expected):
     hessian_fd(f, np.full(d, 0.3), h=1e-3)
     assert len(calls) == expected
     assert sum(np.array_equal(x, np.full(d, 0.3)) for x in calls) == 1
+
+
+@pytest.mark.parametrize(
+    "family,m,u,factor,kappa",
+    [
+        ("example_b", 5, 0.0, 0.5, None),
+        ("example_a", 64, 0.5, 0.5, 0.9984281253),
+        ("example_a", 8, 0.3, 100.0, 0.80935418646),
+    ],
+)
+def test_f_tilt_hessian_matches_richardson_stencil(family, m, u, factor, kappa):
+    # factor is beta over the d = 1 threshold; kappa = f'' / (m c1)
+    p = example_a(0.5) if family == "example_a" else example_b(0.5)
+    beta = factor * check_conditions(1.0, 1, p, norms(p)).beta_max_fcond
+    t = Torus(1, m)
+    H, err = f_tilt_hessian([u], p, t, beta)
+    stencil = hessian_fd(lambda uu: f_tilt(uu, p, t, beta), [u], h=1e-2)[0, 0]
+    assert H.shape == (1, 1)
+    assert H[0, 0] == pytest.approx(stencil, rel=1e-8)
+    assert math.isfinite(err) and 0.0 <= err <= 1e-8 * H[0, 0]
+    if kappa is not None:
+        assert H[0, 0] / (m * p.c1) == pytest.approx(kappa, abs=1e-10)
+
+
+def test_f_tilt_hessian_gaussian_exact(pot_gauss):
+    # g = 0: the excess D vanishes and f'' = c1 m at any beta, with error 0
+    for beta in (0.3, 1.0):
+        H, err = f_tilt_hessian([0.4], pot_gauss, Torus(1, 6), beta)
+        assert H[0, 0] == 6.0 and err == 0.0
+
+
+def test_f_tilt_hessian_needs_d1(pot_gauss):
+    with pytest.raises(ValueError, match="d = 1"):
+        f_tilt_hessian([0.0, 0.0], pot_gauss, Torus(2, 2), 1.0)
 
 
 def test_hessian_fd_symmetric(pot_b):

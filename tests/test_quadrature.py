@@ -18,6 +18,7 @@ from gil.quadrature import (
     _gh_rule,
     compact_anharmonicity,
     conditioning_log_expectation,
+    conditioning_tilt_curvature,
     field_bond_map,
     gh_log_expectation,
     gh_log_expectation_doubling,
@@ -165,13 +166,37 @@ def test_conditioning_curvature_in_hypothesis_example_a():
         # noise: successive grids never agree
         (lambda s: 1e-3 * np.random.default_rng(len(s)).standard_normal(len(s)), "no convergence"),
         (lambda s: np.where(s > 1.0, np.nan, 0.0), "not finite"),
+        # log E = -50 m, but the excess over the Gaussian cancels it to rounding
+        (lambda s: np.full_like(s, 50.0), "not finite and positive"),
     ],
-    ids=["jump", "noise", "nan"],
+    ids=["jump", "noise", "nan", "vanishing"],
 )
 @pytest.mark.parametrize("m", [2, 3])
 def test_conditioning_raises_instead_of_unconverged_value(g, message, m):
-    with pytest.raises(QuadratureError, match=message):
-        conditioning_log_expectation(g, np.zeros(m))
+    for route in (conditioning_log_expectation, conditioning_tilt_curvature):
+        with pytest.raises(QuadratureError, match=message):
+            route(g, np.zeros(m))
+
+
+def test_tilt_curvature_log_e_is_the_conditioning_value(scaled_b):
+    # both stop on the same grids' log E; the curvature may need more doublings
+    ps, k = scaled_b
+    shifts = np.array([0.1, 0.3, -0.2, 0.3]) * k
+    val, info = conditioning_log_expectation(lambda s: ps.v(s) - 0.5 * s * s, shifts)
+    log_e, kappa, cinfo = conditioning_tilt_curvature(lambda s: ps.v(s) - 0.5 * s * s, shifts)
+    assert log_e == pytest.approx(val, abs=2e-12)
+    assert cinfo["points"] >= info["points"]
+    assert max(cinfo["error"], cinfo["curvature_error"]) < 1e-12
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.4])
+def test_tilt_curvature_of_quadratic_g(scale):
+    # for g = eps s^2 / 2 and sum(e) = 0, sum_b g(s_b + t + e_b) is its t = 0 value
+    # plus eps t sum(s) + m eps t^2 / 2, so (log E)'' = -m eps and kappa = 1/scale + eps
+    eps = 0.125
+    _, kappa, info = conditioning_tilt_curvature(lambda s: 0.5 * eps * s * s, np.array([0.3, -0.1, 0.2]), scale)
+    assert kappa == pytest.approx(1.0 / scale + eps, abs=1e-12)
+    assert info["curvature_error"] < 1e-12
 
 
 def test_mayer_matches_conditioning_reference(conditioning_reference, scaled_b):

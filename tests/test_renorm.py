@@ -179,11 +179,12 @@ def test_verify_c7_example_b(scaled_b):
 
 
 def test_verify_theorem_gaussian(pot_gauss):
+    # d = 1 oracle rows are spectral: g = 0 gives f'' = c1 m with error 0
     rows = verify_theorem(pot_gauss, 1.0, Torus(1, 4), [[0.0], [0.5], [1.0]])
     for r in rows:
         assert r.verdict == "pass"
-        assert r.min_eig == pytest.approx(4.0, abs=1e-6)
-        assert r.margin == pytest.approx(2.0, abs=1e-6)
+        assert r.min_eig == 4.0 and r.std_error == 0.0
+        assert r.margin == 2.0
 
 
 def test_verify_theorem_example_b_in_hypothesis(pot_b, beta_half_b):
@@ -192,13 +193,23 @@ def test_verify_theorem_example_b_in_hypothesis(pot_b, beta_half_b):
 
 
 def test_verify_theorem_oracle_example_a_large_torus(pot_a):
-    # example (a) in hypothesis at m = 64: the FD stencil differences only
-    # f_tilt, the u-dependent part of f; differencing f itself (about -3.2e5
-    # here, mostly u-independent) gave 1.9968623, the h >= 1e-2 value is 1.9968563
+    # example (a) in hypothesis at m = 64: the spectral row is c1 = 2 times
+    # kappa = 0.9984281253; the h = 1e-3 stencil of f_tilt was 1e-6 off and
+    # differencing f itself (about -3.2e5 here) gave 1.9968623
     beta = check_conditions(1.0, 1, pot_a, norms(pot_a)).beta_max_fcond / 2.0
     rows = verify_theorem(pot_a, beta, Torus(1, 64), [[0.5]], method="oracle")
     assert rows[0].verdict == "pass"
-    assert rows[0].min_eig / 64 == pytest.approx(1.9968563, abs=1e-6)
+    assert rows[0].min_eig / 64 == pytest.approx(1.99685625, abs=1e-8)
+    assert rows[0].std_error < 1e-10
+
+
+def test_verify_theorem_oracle_d2_keeps_the_stencil(pot_b):
+    # d >= 2 oracle rows are still the h = 1e-3 Richardson stencil of f_tilt
+    # (Mayer here), bit for bit, with the nominal error 10 ORACLE_ERROR
+    beta = check_conditions(1.0, 2, pot_b, norms(pot_b)).beta_max_fcond / 2.0
+    row = verify_theorem(pot_b, beta, Torus(2, 2), [[0.3, 0.1]], method="oracle")[0]
+    assert row.min_eig == 4.000284357171442
+    assert row.std_error == 1e-7
 
 
 def test_verify_theorem_out_of_hypothesis_labeled():

@@ -20,7 +20,7 @@ def _run(script, *args):
     "script,header",
     [
         ("run_threshold_scan.py", "family,d,cbar,l1_g0pp,beta_max_fcond,beta_max_alt9,beta_max_alt11"),
-        ("run_hessian_sweep.py", "beta,beta_over_threshold,u_1,min_eig,bound,margin,verdict"),
+        ("run_hessian_sweep.py", "beta,beta_over_threshold,u_1,min_eig,std_error,bound,margin,verdict"),
     ],
 )
 def test_script_writes_csv(script, header, tmp_path):
