@@ -116,8 +116,9 @@ def scale_to_unit(p: Potential, beta: float) -> tuple[Potential, float]:
     """Rescale (V0, g0) at inverse temperature beta to the beta = 1, c1 = 1 frame.
 
     Returns the scaled potential and tilt_scale = sqrt(beta c1); tilts map as
-    u -> tilt_scale * u.  The scaled constants are (c0/c1, 1, c2/c1) and the
-    concave-part norm picks up the factor sqrt(beta c1)/c1.
+    u -> tilt_scale * u.  The scaled constants are (c0/c1, 1, c2/c1), the
+    anharmonic part maps as g -> beta g(s / tilt_scale), and the concave-part
+    norm picks up the factor sqrt(beta c1)/c1.
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
@@ -133,7 +134,7 @@ def scale_to_unit(p: Potential, beta: float) -> tuple[Potential, float]:
     def _scale2(f):
         return lambda s: f(np.asarray(s, dtype=float) / k) / c1
 
-    v, v_dv, d2v = p.vfun
+    g, v_dv, d2v = p.vfun
 
     def scaled_v_dv(s):
         y, dy = v_dv(np.asarray(s, dtype=float) / k)
@@ -141,7 +142,7 @@ def scale_to_unit(p: Potential, beta: float) -> tuple[Potential, float]:
 
     scaled = Potential(
         family=f"scaled:{p.family}",
-        vfun=(_scale0(v), scaled_v_dv, _scale2(d2v)),
+        vfun=(_scale0(g), scaled_v_dv, _scale2(d2v)),
         d2g0=_scale2(p.d2g0),
         c0=p.c0 / c1,
         c1=1.0,

@@ -128,11 +128,13 @@ def grad_norm_sq(t: Torus, values: np.ndarray) -> float:
 
 
 def anharmonic_g(t: Torus, u, values: np.ndarray, p: Potential) -> np.ndarray:
-    """G(u, phi) = sum_{x,i} g(u_i + grad_i phi(x)) with g(s) = V(s) - s^2/2 (c1 = 1).
+    """G(u, phi) = sum_{x,i} g(u_i + grad_i phi(x)) with g(s) = V(s) - s^2/2, read as p.g.
 
-    Batched like bond_args: values[..., V], u[d] or u[..., d] -> [...].  Each row is
-    summed over its own (d, V) bonds, so its value does not depend on the batch.
+    p must be unit-scaled (c1 = 1).  Batched like bond_args: values[..., V], u[d]
+    or u[..., d] -> [...].  Each row is summed over its own (d, V) bonds, so its
+    value does not depend on the batch.
     """
-    g = bond_args(t, values, u)
-    w = p.v(g) - g * g / 2.0
+    if abs(p.c1 - 1.0) > 1e-12:
+        raise ValueError("anharmonic_g requires a unit-scaled potential (c1 = 1)")
+    w = p.g(bond_args(t, values, u))
     return w.reshape(w.shape[:-2] + (-1,)).sum(axis=-1)

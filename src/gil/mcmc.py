@@ -170,7 +170,7 @@ def make_h1_target(t: Torus, p: Potential, u, psi_values: np.ndarray, lam: float
         arg = bond_args(t, psi_values + theta, u)
         v, vp = p.v_dv(arg)
         gt = grad_all(t, theta)
-        # G(u, psi + theta) as anharmonic_g sums it, from the bond arguments built once
+        # G(u, psi + theta) as the sum of V - s^2/2, from the bond arguments built once
         energy = _row_sum(v - arg * arg / 2.0) + _row_sum(gt * gt) / (2.0 * lam)
         return energy, bond_divergence(t, (vp - arg) + gt / lam)
 

@@ -21,7 +21,6 @@ from .potentials import Potential
 from .quadrature import (
     GH_TOL,
     QuadratureError,
-    compact_anharmonicity,
     conditioning_tilt_curvature,
     gh_log_expectation_doubling,
     log_expectation,
@@ -64,22 +63,15 @@ def f_tilt_hessian(u, p: Potential, t: Torus, beta: float) -> tuple[np.ndarray, 
     In the unit frame f''(u) = c1 m kappa(k u), with kappa from
     quadrature.conditioning_tilt_curvature, so no finite difference of f is
     taken; any potential takes this route, compact ones included.  A pure
-    Gaussian gets g = 0, hence D = 0 and f'' = c1 m exactly.  Returns the
-    (1, 1) Hessian and c1 m times the curvature's last doubling difference.
+    Gaussian has g = 0, hence D = 0 and f'' = c1 m exactly.  Returns the
+    (1, 1) Hessian and c1 m times the curvature's error: its last doubling
+    difference, floored at its rounding scale.
     """
     if t.d != 1:
         raise ValueError(f"f_tilt_hessian needs a d = 1 torus, got d = {t.d}")
     u = np.atleast_1d(np.asarray(u, dtype=float))
     ps, k = scale_to_unit(p, beta)
-    compact = compact_anharmonicity(ps)
-    if compact is not None and compact[1] <= compact[0]:
-        g = np.zeros_like
-    else:
-
-        def g(s):
-            return ps.v(s) - 0.5 * s * s
-
-    _log_e, kappa, info = conditioning_tilt_curvature(g, bond_args(t, np.zeros(t.volume), k * u).ravel())
+    _log_e, kappa, info = conditioning_tilt_curvature(ps.g, bond_args(t, np.zeros(t.volume), k * u).ravel())
     m_c1 = t.volume * p.c1
     return np.array([[m_c1 * kappa]]), float(m_c1 * info["curvature_error"])
 

@@ -1,11 +1,12 @@
 """Interaction potentials V = V0 + g0: built-in families, curvature certificates, norms.
 
 Each potential is a convex base V0 (curvature in [c1, c2]) plus a perturbation g0
-whose curvature is bounded below by -c0.  A ``Potential`` stores V, the pair
-(V, V') and V'' once, plus only the g0 terms the smallness conditions read: g0''
-always, and g0' and g0 only where their norms ||g0'||_L2 and ||g0||_L1 are
-finite.  Leaving one out declares that norm divergent.  V0 itself is never
-stored; its curvature is V'' - g0''.  Built-in families:
+whose curvature is bounded below by -c0.  A ``Potential`` stores the anharmonic
+part g = V - c1 s^2/2, the pair (V, V') and V'' once, plus only the g0 terms the
+smallness conditions read: g0'' always, and g0' and g0 only where their norms
+||g0'||_L2 and ||g0||_L1 are finite.  Leaving one out declares that norm
+divergent.  V0 itself is never stored; its curvature is V'' - g0''.  Built-in
+families:
 
   gaussian    V0(s) = s^2/2,                       g0 = 0
   example_a   V0(s) = s^2,                         g0(s) = a - log(s^2 + a),  0 < a < 1
@@ -62,12 +63,14 @@ class DivergentNormError(ValueError):
 
 @dataclass(frozen=True)
 class Potential:
-    """V = V0 + g0 as the triple (V, (V, V'), V''), g0'' and the curvature constants.
+    """V = V0 + g0 as the triple (g, (V, V'), V''), g0'' and the curvature constants.
 
-    The middle entry is the fused pass: it returns V and V' from shared
-    intermediates, bitwise the V of the first entry, so a sampler step reads
-    both from one call (``v_dv``); ``dv`` is its second half.  V alone serves
-    callers that need no derivative, such as the quadrature integrands.
+    The first entry is the anharmonic part g(s) = V(s) - c1 s^2/2, in closed
+    form: the quadrature integrands, the Monte Carlo weights and the lattice's
+    anharmonic energy read it (``g``), and ``v`` is derived from it.  The
+    middle entry is the fused pass: it returns V and V' from shared
+    intermediates, bitwise ``v`` in the raw families, so a sampler step reads
+    both from one call (``v_dv``); ``dv`` is its second half.
 
     c1 <= V0'' = V'' - g0'' <= c2 and g0'' >= -c0 hold on the certification grid;
     g0'' <= 0 may fail on a set where the excess is certified absorbable (see
@@ -76,7 +79,7 @@ class Potential:
     """
 
     family: str
-    vfun: tuple[Callable, Callable, Callable]  # (V, s -> (V, V'), V'')
+    vfun: tuple[Callable, Callable, Callable]  # (g, s -> (V, V'), V'')
     d2g0: Callable
     c0: float
     c1: float
@@ -89,8 +92,12 @@ class Potential:
     # support [lo, hi] of the non-quadratic part when compact, else None
     g0_support: tuple | None = None
 
-    def v(self, s):
+    def g(self, s):
         return self.vfun[0](s)
+
+    def v(self, s):
+        s = _as_array(s)
+        return self.c1 * s * s / 2.0 + self.g(s)
 
     def v_dv(self, s):
         return self.vfun[1](s)
@@ -152,11 +159,7 @@ def gaussian_potential() -> Potential:
 
     return Potential(
         family="gaussian",
-        vfun=(
-            lambda s: _as_array(s) ** 2 / 2.0,
-            v_dv,
-            lambda s: np.ones_like(_as_array(s)),
-        ),
+        vfun=(zero, v_dv, lambda s: np.ones_like(_as_array(s))),
         d2g0=zero,
         c0=0.0,
         c1=1.0,
@@ -178,9 +181,9 @@ def example_a(a: float) -> Potential:
         raise InvalidPotentialError(f"example_a requires 0 < a < 1, got {a}")
     ra = math.sqrt(a)
 
-    def v(s):
+    def g(s):
         s = _as_array(s)
-        return s**2 + (a - np.log(s * s + a))
+        return a - np.log(s * s + a)
 
     def v_dv(s):
         s = _as_array(s)
@@ -200,7 +203,7 @@ def example_a(a: float) -> Potential:
 
     return Potential(
         family="example_a",
-        vfun=(v, v_dv, d2v),
+        vfun=(g, v_dv, d2v),
         d2g0=d2g0,
         c0=2.0 / a,
         c1=2.0,
@@ -252,11 +255,7 @@ def example_b(delta: float) -> Potential:
 
     return Potential(
         family="example_b",
-        vfun=(
-            lambda s: _as_array(s) ** 2 / 2.0 + g0(s),
-            v_dv,
-            lambda s: 1.0 + d2g0(s),
-        ),
+        vfun=(g0, v_dv, lambda s: 1.0 + d2g0(s)),
         d2g0=d2g0,
         c0=6.0 / 5.0,
         c1=1.0,
@@ -296,11 +295,11 @@ def example_c(p: float, k1: float, k2: float) -> Potential:
         s, w1 = _weights(s)
         return -w1 * (1.0 - w1) * kap**2 * s * s
 
-    def v(s):
+    def g(s):
         s = _as_array(s)
         z = np.clip(kap * s * s / 2.0, 0.0, 700.0)
-        # V = k2 s^2/2 - log(q + p e^{-kap s^2/2})
-        return k2 * s * s / 2.0 - np.log(q + p * np.exp(-z))
+        # V = k2 s^2/2 - log(q + p e^{-kap s^2/2}), and c1 = k2
+        return -np.log(q + p * np.exp(-z))
 
     def v_dv(s):
         s = _as_array(s)
@@ -317,7 +316,7 @@ def example_c(p: float, k1: float, k2: float) -> Potential:
 
     return Potential(
         family="example_c",
-        vfun=(v, v_dv, lambda s: v0pp(s) + g0pp(s)),
+        vfun=(g, v_dv, lambda s: v0pp(s) + g0pp(s)),
         d2g0=g0pp,
         c0=p * kap / q,
         c1=k2,

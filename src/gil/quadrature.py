@@ -2,9 +2,10 @@
 
 Everything here evaluates log E[exp(-G(psi + phi))] for phi a pinned Gaussian
 field with Dirichlet weight exp(-||grad phi||^2 / (2 scale)), psi a base field
-(zero by default, or a batch of them, one per row) and G an anharmonic bond
-energy (lattice.anharmonic_g).  log_expectation picks one route from its input
-alone, with no fallback between routes:
+(zero by default, or a batch of them, one per row) and G the anharmonic bond
+energy, the sum of the closed-form Potential.g over the bonds
+(lattice.anharmonic_g).  log_expectation picks one route from its input alone,
+with no fallback between routes:
 
   exact         a pure Gaussian (zero anharmonicity): log E = 0.
   mayer         compactly supported anharmonicity, any d, at most
@@ -19,9 +20,10 @@ alone, with no fallback between routes:
                 so one call serves a whole batch of base fields.
   conditioning  d = 1, any other input, any m, scale and base field: the m
                 bond gradients are iid N(0, scale) conditioned to sum to zero,
-                so log E is one convolution at zero, evaluated with FFTs on a
-                periodic grid that doubles until converged.  The same grids
-                give log E's curvature in a uniform bond shift
+                so log E is one convolution at zero: forward FFTs on a
+                periodic grid that doubles until converged, and one sum over
+                the half spectrum for the value at zero.  The same grids give
+                log E's curvature in a uniform bond shift
                 (conditioning_tilt_curvature), the d = 1 tilt Hessian.
   gh            d >= 2 otherwise: tensor-product Gauss-Hermite in
                 gff.ModeBasis, the eigenbasis of the pinned form that
@@ -77,26 +79,21 @@ class QuadratureError(RuntimeError):
 
 
 def compact_anharmonicity(p: Potential):
-    """Return (lo, hi, h) when V(s) - s^2/2 is compactly supported, else None.
+    """Return (lo, hi, p.g) when the anharmonic part g = V - s^2/2 is compactly supported, else None.
 
-    h is the scalar anharmonicity; the certificate checks |h| <= 1e-10 on a probe
-    grid outside the declared support and requires c1 = c2 = 1.
+    The certificate checks |g| <= 1e-10 on a probe grid outside the declared
+    support and requires c1 = c2 = 1.
     """
     if p.g0_support is None or abs(p.c1 - 1.0) > 1e-12 or abs(p.c2 - 1.0) > 1e-12:
         return None
     lo, hi = p.g0_support
-
-    def h(s):
-        s = np.asarray(s, dtype=float)
-        return p.v(s) - s * s / 2.0
-
     width = max(hi - lo, 1.0)
     probes = np.concatenate(
         [np.linspace(lo - 6 * width, lo - 1e-9, 64), np.linspace(hi + 1e-9, hi + 6 * width, 64)]
     )
-    if np.max(np.abs(h(probes))) > 1e-10:
+    if np.max(np.abs(p.g(probes))) > 1e-10:
         return None
-    return lo, hi, h
+    return lo, hi, p.g
 
 
 # ---------------------------------------------------------------------------
@@ -154,16 +151,29 @@ def gh_log_expectation_doubling(gfun, t: Torus, scale: float):
 # conditioning backend (d = 1)
 
 
+def _at_zero(X: np.ndarray, n: int) -> tuple[float, float]:
+    """irfft(X, n)[0] for a half spectrum X, n even, as the O(n) sum (Re X_0 + 2 sum_{0<k<n/2} Re X_k + Re X_{n/2}) / n.
+
+    Returns it and its rounding scale, eps times the same sum of the |Re X_k|.
+    """
+    re = X.real
+    size = np.abs(re)
+    total = re[0] + 2.0 * re[1:-1].sum() + re[-1]
+    return float(total) / n, np.finfo(float).eps * float(size[0] + 2.0 * size[1:-1].sum() + size[-1]) / n
+
+
 def _conditioning_excess(g, shifts: np.ndarray, scale: float):
     """Yield (n, rho0, rho) on the grids n = COND_MIN_POINTS, 2 COND_MIN_POINTS, ..., COND_MAX_POINTS.
 
     K = f_1 * ... * f_m with f_b(e) = N(e) exp(-g(shifts[b] + e)) and e_b iid
     N(0, scale); K_G = N^{*m} is its value at g = 0.  Each f_b is sampled on one
-    periodic grid centred on e = 0 and the convolution is a product of FFTs;
-    writing f_b = N + r_b, the excess D = prod F_b - G^m is accumulated bond by
+    periodic grid centred on e = 0 and transformed once; the value at e = 0 of
+    a convolution is a sum over the product of the transforms (_at_zero).
+    Writing f_b = N + r_b, the excess D = prod F_b - G^m is accumulated bond by
     bond, so ratios to K_G keep their relative precision when g is small.
     Bonds with equal shifts share one transform.  rho0 = D(0) / K_G(0), and
-    rho(j) = D^(j)(0) / K_G(0) from the same spectrum times (i w)^j.  Raises
+    rho(j) = D^(j)(0) / K_G(0) from the same spectrum times (i w)^j, each as a
+    (value, rounding scale) pair.  Raises
     QuadratureError on a non-finite integrand or unless 1 + rho0 is finite and
     positive: at large beta and m the excess cancels K_G to rounding, which a
     Cramer-tilted grid (centred on the tilted density's mean) would serve; that
@@ -190,17 +200,21 @@ def _conditioning_excess(g, shifts: np.ndarray, scale: float):
             for _ in range(count):
                 D = D * G + P * R
                 P = P * F
-        # both circular convolutions at e = 0: index 0 of the inverse transforms
-        k_gauss = np.fft.irfft(G**m, n)[0]
-        rho0 = float(np.fft.irfft(D, n)[0] / k_gauss)
-        if not (math.isfinite(rho0) and rho0 > -1.0):
-            raise QuadratureError(f"conditioning backend: K(0) / K_G(0) = 1 + {rho0!r} is not finite and positive")
+        k_gauss, k_round = _at_zero(G**m, n)
+
+        def ratio(X):  # an at-zero sum over K_G(0), and its rounding scale
+            val, val_round = _at_zero(X, n)
+            return val / k_gauss, (val_round + abs(val) * k_round / k_gauss) / k_gauss
+
+        rho0 = ratio(D)
+        if not (math.isfinite(rho0[0]) and rho0[0] > -1.0):
+            raise QuadratureError(f"conditioning backend: K(0) / K_G(0) = 1 + {rho0[0]!r} is not finite and positive")
 
         def rho(j):  # called before the next grid is built
             iw = 2j * math.pi * np.fft.rfftfreq(n, step)
             if j % 2:
                 iw[-1] = 0.0  # the Nyquist bin of an odd derivative
-            return float(np.fft.irfft(iw**j * D, n)[0] / k_gauss)
+            return ratio(iw**j * D)
 
         yield n, rho0, rho
         n *= 2
@@ -219,7 +233,7 @@ def conditioning_log_expectation(g, shifts: np.ndarray, scale: float = 1.0) -> t
     _conditioning_excess does, at COND_MAX_POINTS among others.
     """
     prev = None
-    for n, rho0, _rho in _conditioning_excess(g, shifts, scale):
+    for n, (rho0, _round), _rho in _conditioning_excess(g, shifts, scale):
         cur = math.log1p(rho0)
         if prev is not None and abs(cur - prev) < EXACT_TOL:
             return cur, {"error": abs(cur - prev), "points": n}
@@ -238,20 +252,30 @@ def conditioning_tilt_curvature(g, shifts: np.ndarray, scale: float = 1.0) -> tu
     scale 1 and zero base field, the d = 1 tilt free energy has
     f''(u) = c1 m kappa.  The grid doubles until both log E and kappa move by
     less than EXACT_TOL; returns (log E, kappa, {"error", "curvature_error",
-    "points"}), the errors being the last doubling differences, and raises
-    QuadratureError like conditioning_log_expectation.
+    "points"}) and raises QuadratureError like conditioning_log_expectation.
+    Each error is the last doubling difference floored at the ratios' rounding
+    carried through log1p and the kappa formula: 0 only for g = 0.
     """
     m = np.asarray(shifts).size
     prev = None
-    for n, rho0, rho in _conditioning_excess(g, shifts, scale):
-        ratio = rho(1) / (1.0 + rho0)
-        cur = (math.log1p(rho0), (1.0 / scale - m * rho(2)) / (1.0 + rho0) + m * ratio * ratio)
+    for n, (rho0, round0), rho in _conditioning_excess(g, shifts, scale):
+        (rho1, round1), (rho2, round2) = rho(1), rho(2)
+        q = 1.0 + rho0
+        ratio = rho1 / q
+        head = (1.0 / scale - m * rho2) / q
+        cur = (math.log1p(rho0), head + m * ratio * ratio)
         if not math.isfinite(cur[1]):
             raise QuadratureError("conditioning backend: curvature is not finite")
         if prev is not None:
             err = abs(cur[0] - prev[0]), abs(cur[1] - prev[1])
             if max(err) < EXACT_TOL:
-                return cur[0], cur[1], {"error": err[0], "curvature_error": err[1], "points": n}
+                # each ratio's rounding times |d kappa / d rho_j|, and the formulas' own last
+                # roundings unless D = 0 made them exact
+                last = 2.0 * np.finfo(float).eps * (round0 > 0.0)
+                floor = (abs(head) + 2.0 * m * ratio * ratio) * round0 + 2.0 * m * abs(ratio) * round1 + m * round2
+                floors = round0 / q + last * abs(cur[0]), floor / q + last * abs(cur[1])
+                info = {"error": max(err[0], floors[0]), "curvature_error": max(err[1], floors[1]), "points": n}
+                return cur[0], cur[1], info
         prev = cur
 
 
@@ -427,11 +451,7 @@ def log_expectation(
             vals, pruned = mayer_log_expectation(field_bond_map(t, scale), shifts, h, (lo, hi))
             return shaped(vals), {"method": "mayer", "error": pruned}
     if t.d == 1:
-
-        def g(s):
-            return p.v(s) - 0.5 * s * s
-
-        out = [conditioning_log_expectation(g, shifts, scale) for shifts in bond_args(t, rows, u)]
+        out = [conditioning_log_expectation(p.g, shifts, scale) for shifts in bond_args(t, rows, u)]
         info = {k: max(i[k] for _, i in out) for k in ("error", "points")}
         return shaped([v for v, _ in out]), {"method": "conditioning", **info}
     out = []

@@ -17,12 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditions import cbar, scale_to_unit, check_conditions
-from .gff import poincare_constant, sample_gff
-from .lattice import Torus, Field, anharmonic_g, bond_args, grad_all, grad_norm_sq, pinned
+from .gff import poincare_constant
+from .lattice import Torus, Field, bond_args, grad_all, grad_norm_sq, pinned
 from .mcmc import ChainConfig, Estimate, Target, make_h1_target, fluctuation_hessian, stream, _block_slices, _jackknife
 from .oracle import ORACLE_ERROR, f_tilt, f_tilt_hessian, hessian_fd, renorm_iterated_g
 from .potentials import Potential, norms
-from .quadrature import ORACLE_MAX_DOF, log_expectation
+from .quadrature import ORACLE_MAX_DOF, QuadratureError, field_bond_map, log_expectation
 
 __all__ = [
     "DecompositionPlan",
@@ -114,7 +114,8 @@ def estimate_r1g(
 ) -> Estimate:
     """(R1 G)(u, psi) by quadrature (oracle) or importance-free Monte Carlo (mc).
 
-    The mc route draws the small-scale layer exactly, stabilizes -log mean
+    The mc route draws the small-scale layer's bond gradients exactly, as
+    latent normals times quadrature.field_bond_map, stabilizes -log mean
     exp(-G) with a max shift, and reports a delete-one jackknife error.
     """
     t = plan.torus
@@ -124,8 +125,8 @@ def estimate_r1g(
         return Estimate(value=val, std_error=ORACLE_ERROR, n_effective=math.inf, method="oracle")
     if method != "mc":
         raise ValueError(f"method must be 'oracle' or 'mc', got {method}")
-    draws = sample_gff(t, plan.lam, stream(seed, purpose="r1g"), n_samples)
-    w = -anharmonic_g(t, u, psi.values + draws, plan.potential)
+    z = stream(seed, purpose="r1g").standard_normal((n_samples, t.n_dof))
+    w = -plan.potential.g(z @ field_bond_map(t, plan.lam).T + bond_args(t, psi.values, u).ravel()).sum(axis=1)
     shift = w.max()
     if not math.isfinite(shift):
         raise FloatingPointError("all Monte Carlo weights underflowed; rescale the problem")
@@ -227,10 +228,11 @@ def verify_theorem(
 ) -> list[TheoremRow]:
     """Check min eig D^2 f(u) >= (c1/2) |T| - tol on each grid tilt.
 
-    method "auto" takes the oracle up to ORACLE_MAX_DOF free coordinates and
-    chains beyond.  Oracle rows in d = 1 come from one conditioning pass per
+    method "auto" takes the oracle in d = 1 and up to ORACLE_MAX_DOF free
+    coordinates, chains beyond, and chains for a d = 1 row whose conditioning
+    pass raises QuadratureError when cfg is given (without it the error propagates).  Oracle rows in d = 1 come from one conditioning pass per
     tilt (oracle.f_tilt_hessian, whatever the potential) and report its
-    doubling difference as std_error; in d >= 2 they are Richardson FD
+    error as std_error; in d >= 2 they are Richardson FD
     Hessians of f_tilt, the u-dependent part of the quadrature free energy,
     reporting 10 ORACLE_ERROR.  Chain rows use the fluctuation
     identity in the unit frame mapped back by
@@ -241,20 +243,27 @@ def verify_theorem(
     nr = norms(p, 1e-8)
     in_hyp = check_conditions(beta, t.d, p, nr).satisfied["fcond"]
     bound = 0.5 * p.c1 * t.volume
-    if method == "auto":
-        method = "oracle" if t.n_dof <= ORACLE_MAX_DOF else "chain"
+    auto = method == "auto"
+    if auto:
+        method = "oracle" if t.d == 1 or t.n_dof <= ORACLE_MAX_DOF else "chain"
     if method not in ("oracle", "chain"):
         raise ValueError(f"method must be 'auto', 'oracle' or 'chain', got {method!r}")
     rows = []
     ps, k = scale_to_unit(p, beta)
     for j, u in enumerate(u_grid):
         u = np.atleast_1d(np.asarray(u, dtype=float))
+        row_method = method
         if method == "oracle" and t.d == 1:
-            H, se = f_tilt_hessian(u, p, t, beta)
+            try:
+                H, se = f_tilt_hessian(u, p, t, beta)
+            except QuadratureError:
+                if not auto or cfg is None:
+                    raise
+                row_method = "chain"
         elif method == "oracle":
             H = hessian_fd(lambda uu: f_tilt(uu, p, t, beta), u, h=1e-3)
             se = 10.0 * ORACLE_ERROR
-        else:
+        if row_method == "chain":
             if cfg is None:
                 raise ValueError("chain method requires a ChainConfig")
             est = fluctuation_hessian(k * u, ps, t, cfg, tilt=j)
@@ -274,7 +283,7 @@ def verify_theorem(
                 min_eig=min_eig,
                 bound=bound,
                 margin=margin,
-                method=method,
+                method=row_method,
                 std_error=se,
                 in_hypothesis=in_hyp,
                 verdict=verdict,

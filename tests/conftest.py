@@ -6,7 +6,7 @@ import pytest
 
 from gil.conditions import check_conditions, scale_to_unit
 from gil.gff import pinned_form
-from gil.lattice import Field, Torus, anharmonic_g, bond_args, bond_divergence, grad_all, grad_norm_sq, pinned
+from gil.lattice import Field, Torus, bond_args, bond_divergence, grad_all, grad_norm_sq, pinned
 from gil.mcmc import ChainConfig
 from gil.potentials import example_a, example_b, example_c, gaussian_potential, norms
 
@@ -86,9 +86,13 @@ def grad_h(t: Torus, u, phi, p) -> np.ndarray:
 
 
 def induced_h1_energy(t: Torus, p, u, psi_values, theta_dof, lam: float) -> float:
-    """H1(theta) = G(u, psi + theta) + ||grad theta||^2 / (2 lam), theta pinned."""
+    """H1(theta) = G(u, psi + theta) + ||grad theta||^2 / (2 lam), theta pinned.
+
+    G sums V(s) - s^2/2 formed here, as the h1 target does for any c1.
+    """
     theta = pinned(theta_dof)
-    return float(anharmonic_g(t, u, psi_values + theta, p)) + grad_norm_sq(t, theta) / (2.0 * lam)
+    arg = bond_args(t, psi_values + theta, u)
+    return float(np.sum(p.v(arg) - arg * arg / 2.0)) + grad_norm_sq(t, theta) / (2.0 * lam)
 
 
 def induced_h1_grad(t: Torus, p, u, psi_values, theta_dof, lam: float) -> np.ndarray:

@@ -373,6 +373,30 @@ def test_hessian_oracle_far_past_threshold_exit_three(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("gil hessian: quadrature failed: conditioning backend")
 
 
+def test_hessian_auto_takes_the_spectral_row_in_d1(tmp_path):
+    # m = 8 is past Mayer's reach, but in d = 1 the conditioning pass serves any m
+    cfg = _example_a_half_threshold(1, 8, [0.5])
+    outs = []
+    for method in ("auto", "oracle"):
+        path = write(tmp_path / f"{method}.json", dict(cfg, method=method))
+        outs.append(tmp_path / f"{method}.csv")
+        assert run_cli(["hessian", "--config", path, "--out", outs[-1]]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert outs[0].read_text().strip().split("\n")[1].split(",")[4] == "oracle"
+
+
+def test_hessian_auto_falls_back_to_chains_where_conditioning_fails(tmp_path):
+    # the 1000x threshold, m = 64 config that exits 3 under method oracle
+    cfg = _example_a_half_threshold(1, 64, [0.5])
+    cfg = dict(cfg, beta=2000.0 * cfg["beta"], chain={"n_steps": 400, "burn_in": 100, "n_chains": 2})
+    path = write(tmp_path / "c.json", cfg)
+    out = tmp_path / "h.csv"
+    assert run_cli(["hessian", "--config", path, "--out", out]) == 0
+    rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+    assert len(rows) == 1
+    assert rows[0][4] == "chain" and rows[0][6] == "out-of-hypothesis"
+
+
 def test_hessian_oracle_in_hypothesis_d1(tmp_path):
     # d = 1, m = 6 (5 free coordinates) in hypothesis: the conditioning route serves the oracle
     path = write(tmp_path / "c.json", _example_a_half_threshold(1, 6, [0.5]))

@@ -15,7 +15,7 @@ from gil.oracle import (
     renorm_joint_g,
 )
 from gil.potentials import example_a, example_b, gaussian_potential, norms
-from gil.quadrature import QuadratureError, gh_log_expectation_doubling
+from gil.quadrature import QuadratureError, _conditioning_excess, gh_log_expectation_doubling
 from gil.renorm import DecompositionPlan, estimate_r1g
 
 from conftest import pinned_covariance
@@ -135,6 +135,27 @@ def test_f_tilt_hessian_matches_richardson_stencil(family, m, u, factor, kappa):
     assert math.isfinite(err) and 0.0 <= err <= 1e-8 * H[0, 0]
     if kappa is not None:
         assert H[0, 0] / (m * p.c1) == pytest.approx(kappa, abs=1e-10)
+
+
+def test_f_tilt_hessian_error_floors_at_rounding():
+    # at 100x the threshold kappa agrees on the 1024- and 2048-point grids, so
+    # the doubling difference alone is 0; the reported error is the rounding
+    # scale of the at-zero sums instead, which bounds how kappa moves on finer grids
+    p, m, u = example_a(0.5), 8, 0.3
+    beta = 100.0 * check_conditions(1.0, 1, p, norms(p)).beta_max_fcond
+    t = Torus(1, m)
+    H, err = f_tilt_hessian([u], p, t, beta)
+    ps, k = scale_to_unit(p, beta)
+    kappas = []
+    for n, (rho0, _), rho in _conditioning_excess(ps.g, np.full(m, k * u), 1.0):
+        if n >= 4096:
+            ratio = rho(1)[0] / (1.0 + rho0)
+            kappas.append((1.0 - m * rho(2)[0]) / (1.0 + rho0) + m * ratio * ratio)
+        if n == 16384:
+            break
+    assert err > 0.0
+    assert err >= m * p.c1 * (max(kappas) - min(kappas))
+    assert abs(H[0, 0] - m * p.c1 * kappas[-1]) <= err
 
 
 def test_f_tilt_hessian_gaussian_exact(pot_gauss):

@@ -267,19 +267,43 @@ def _dv_unfused_formula(family, s):
 @pytest.mark.parametrize("beta", [None, 0.058, 0.116])
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_fused_pair_matches_standalone_v_and_unfused_dv(family, beta):
-    # the fused pass returns V bitwise and V' bitwise as computed on its own,
-    # except example_c, whose posterior weight comes from the exponential V takes
-    p, k = FAMILIES[family](), 1.0
+    # the fused pass returns V' bitwise as computed on its own, except
+    # example_c, whose posterior weight comes from the exponential V takes.
+    # Its V is bitwise the derived c1 s^2/2 + g in the raw frame; a scaled
+    # copy's g is bitwise beta g(s/k), and there the fused beta V(s/k) and the
+    # derived s^2/2 + beta g(s/k) round apart by a few ulps
+    raw = FAMILIES[family]()
+    p, k = raw, 1.0
     if beta is not None:
-        p, k = scale_to_unit(p, beta)
+        p, k = scale_to_unit(raw, beta)
     s = k * np.concatenate([np.linspace(-6.0, 6.0, 4001), [0.0, 0.25, 0.5, 1e-300, -1e-300, 1e6, -1e6]])
     v, dv = p.v_dv(s)
-    assert np.array_equal(v, p.v(s))
+    if beta is None:
+        assert np.array_equal(v, p.v(s))
+        assert np.array_equal(p.v(list(s[:5])), v[:5])  # v takes any array-like
+    else:
+        assert np.array_equal(p.g(s), beta * raw.g(s / k))
+        assert np.all(np.abs(v - p.v(s)) <= 4.0 * np.finfo(float).eps * (s * s / 2.0 + np.abs(v)))
     expected = _dv_unfused_formula(family, s / k) * ((1.0 if beta is None else beta) / k)
     if family == "example_c":
         np.testing.assert_allclose(dv, expected, rtol=1e-15, atol=0.0)
     else:
         assert np.array_equal(dv, expected)
+
+
+@pytest.mark.parametrize("beta", [None, 0.058, 0.116])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_anharmonic_part_is_v_less_its_quadratic(family, beta):
+    # g = V - c1 s^2/2 in closed form: the fused V less the quadratic part
+    # agrees to a few ulps of the larger of the two
+    p = FAMILIES[family]()
+    k = 1.0
+    if beta is not None:
+        p, k = scale_to_unit(p, beta)
+    s = k * np.concatenate([np.linspace(-6.0, 6.0, 4001), [0.0, 0.25, 0.5, 1e-300, -1e-300, 1e6, -1e6]])
+    v = p.v_dv(s)[0]
+    quadratic = p.c1 * s * s / 2.0
+    assert np.all(np.abs(p.g(s) - (v - quadratic)) <= 4.0 * np.finfo(float).eps * (quadratic + np.abs(v)))
 
 
 def test_family_parameter_validation():

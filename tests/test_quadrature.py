@@ -15,6 +15,7 @@ from gil.quadrature import (
     MAYER_POINTS,
     ORACLE_MAX_DOF,
     QuadratureError,
+    _at_zero,
     _gh_rule,
     compact_anharmonicity,
     conditioning_log_expectation,
@@ -156,6 +157,21 @@ def test_conditioning_curvature_in_hypothesis_example_a():
         assert curvatures[-1] == pytest.approx(expected, abs=2e-5)
     # the finite-m curvature rises toward its m -> infinity limit 1.99690
     assert curvatures[0] < curvatures[1] < curvatures[2] < 1.99690
+
+
+@pytest.mark.parametrize("nyquist", [True, False])
+@pytest.mark.parametrize("n", [2**10, 2**11, 2**12, 2**13, 2**14])
+def test_at_zero_sum_is_the_inverse_transform_at_zero(n, nyquist):
+    # one sum over the half spectrum replaces irfft(X, n)[0], to a few ulps of sum|X| / n
+    rng = np.random.default_rng(n + nyquist)
+    X = rng.standard_normal(n // 2 + 1) + 1j * rng.standard_normal(n // 2 + 1)
+    if not nyquist:
+        X[-1] = 0.0
+    val, rounding = _at_zero(X, n)
+    size = np.abs(X).sum() / n
+    assert abs(val - np.fft.irfft(X, n)[0]) <= 4.0 * np.finfo(float).eps * size
+    # the rounding scale is that of the sum of Re X_k, which the imaginary parts do not enter
+    assert 0.0 < rounding <= 2.0 * np.finfo(float).eps * np.abs(X.real).sum() / n
 
 
 @pytest.mark.parametrize(

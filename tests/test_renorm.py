@@ -5,9 +5,11 @@ import pytest
 
 from gil.conditions import check_conditions, scale_to_unit
 from gil.gff import sample_gff
-from gil.lattice import Field, Torus, anharmonic_g, grad_norm_sq
+from gil.lattice import Field, Torus, anharmonic_g, bond_args, grad_norm_sq
 from gil.mcmc import ChainConfig, _block_slices, stream
+from gil.oracle import f_tilt, hessian_fd
 from gil.potentials import example_a, example_c, gaussian_potential, norms
+from gil.quadrature import QuadratureError, field_bond_map
 from gil.renorm import (
     DecompositionPlan,
     certify_h1_convexity,
@@ -105,6 +107,29 @@ def test_estimate_r1g_mc_matches_oracle(scaled_b):
     assert mc.std_error > 0
 
 
+def _r1g_weights(plan, u, psi, n, seed):
+    """The r1g Monte Carlo weights -G two ways from one stream: in bond coordinates, and from site fields."""
+    t = plan.torus
+    z = stream(seed, purpose="r1g").standard_normal((n, t.n_dof))
+    bonds = z @ field_bond_map(t, plan.lam).T + bond_args(t, psi.values, u).ravel()
+    sites = psi.values + sample_gff(t, plan.lam, stream(seed, purpose="r1g"), n)
+    return -plan.potential.g(bonds).sum(axis=1), -anharmonic_g(t, u, sites, plan.potential)
+
+
+@pytest.mark.parametrize("d,m", [(1, 3), (2, 2)])
+def test_estimate_r1g_bond_draws_match_site_fields(scaled_b, d, m):
+    # the latent normals times field_bond_map are the bond gradients of the
+    # fields sample_gff draws from the same normals
+    t = Torus(d, m)
+    plan = DecompositionPlan.from_potential(scaled_b[0], t)
+    psi = Field.from_dof(t, 0.3 * np.random.default_rng(1).standard_normal(t.n_dof))
+    w_bond, w_site = _r1g_weights(plan, [0.3] * d, psi, 20_000, 5)
+    assert np.max(np.abs(w_bond - w_site)) <= 1e-13 * np.max(np.abs(w_site))
+    est = estimate_r1g(plan, [0.3] * d, psi, "mc", n_samples=20_000, seed=5)
+    shift = w_site.max()
+    assert est.value == pytest.approx(-(shift + math.log(np.mean(np.exp(w_site - shift)))), rel=1e-13)
+
+
 def test_estimate_r1g_jackknife_matches_leave_one_out_loop(scaled_b):
     # the estimator works on block sums of the weights; the reference re-averages
     # the sample with each block deleted, so the samples past the last whole
@@ -115,7 +140,7 @@ def test_estimate_r1g_jackknife_matches_leave_one_out_loop(scaled_b):
     psi = Field.from_dof(t, np.array([0.4, -0.2]))
     n = 2_003
     est = estimate_r1g(plan, [0.3], psi, "mc", n_samples=n, seed=5)
-    w = -anharmonic_g(t, [0.3], psi.values + sample_gff(t, plan.lam, stream(5, purpose="r1g"), n), ps)
+    w, _ = _r1g_weights(plan, np.array([0.3]), psi, n, 5)
 
     def neg_log_mean(ws):
         return -(w.max() + math.log(np.mean(np.exp(ws - w.max()))))
@@ -207,8 +232,10 @@ def test_verify_theorem_oracle_d2_keeps_the_stencil(pot_b):
     # d >= 2 oracle rows are still the h = 1e-3 Richardson stencil of f_tilt
     # (Mayer here), bit for bit, with the nominal error 10 ORACLE_ERROR
     beta = check_conditions(1.0, 2, pot_b, norms(pot_b)).beta_max_fcond / 2.0
-    row = verify_theorem(pot_b, beta, Torus(2, 2), [[0.3, 0.1]], method="oracle")[0]
-    assert row.min_eig == 4.000284357171442
+    t = Torus(2, 2)
+    row = verify_theorem(pot_b, beta, t, [[0.3, 0.1]], method="oracle")[0]
+    stencil = hessian_fd(lambda uu: f_tilt(uu, pot_b, t, beta), [0.3, 0.1], h=1e-3)
+    assert row.min_eig == float(np.linalg.eigvalsh(stencil)[0])
     assert row.std_error == 1e-7
 
 
@@ -221,6 +248,14 @@ def test_verify_theorem_out_of_hypothesis_labeled():
     rows = verify_theorem(pc, beta, Torus(1, 3), [[0.0]])
     assert rows[0].verdict == "out-of-hypothesis"
     assert not rows[0].in_hypothesis
+
+
+def test_verify_theorem_auto_without_chains_keeps_the_quadrature_error(pot_a):
+    # 1000x the d = 1 threshold at m = 64 the conditioning pass fails; with no
+    # ChainConfig there is no chain to fall back to, so auto raises what it hit
+    beta = 1000.0 * check_conditions(1.0, 1, pot_a, norms(pot_a)).beta_max_fcond
+    with pytest.raises(QuadratureError, match="conditioning backend"):
+        verify_theorem(pot_a, beta, Torus(1, 64), [[0.5]], method="auto")
 
 
 def test_verify_theorem_chain_method(pot_b, beta_half_b):

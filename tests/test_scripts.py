@@ -35,3 +35,13 @@ def test_decomposition_demo_on_one_dof_torus():
     proc = _run("run_decomposition_demo.py", "--m", 2)
     assert proc.returncode == 0, proc.stderr
     assert sum("iterated map" in line for line in proc.stdout.splitlines()) == 2
+
+
+def test_hessian_sweep_labels_quadrature_errors_and_goes_on(tmp_path):
+    # at 1000x the threshold and m = 64 every conditioning pass raises
+    # QuadratureError: those rows are labelled and the sweep writes them all
+    out = tmp_path / "sweep.csv"
+    proc = _run("run_hessian_sweep.py", "--family", "example_a", "--m", 64, "--factors", "0.5,1000", "--out", out)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [(r[1], r[-1]) for r in rows] == [("0.5", "pass")] * 4 + [("1000.0", "quadrature-error")] * 4
