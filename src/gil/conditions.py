@@ -8,15 +8,14 @@ primary high-temperature condition reads
 with ||.||_- the concave-part L1 norm from the potentials module.  Two alternative
 conditions use lower-order norms of g0.  ``scale_to_unit`` reduces any (beta, V0,
 g0) to the normalized setting beta = 1, c1 = 1 that the decomposition pipeline
-assumes.
+assumes, as the family's own closed forms with beta and k = sqrt(beta c1)
+folded into their constants.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, replace
 
 from .potentials import Potential, NormReport
 
@@ -115,41 +114,26 @@ def check_conditions(beta: float, d: int, p: Potential, nr: NormReport) -> Condi
 def scale_to_unit(p: Potential, beta: float) -> tuple[Potential, float]:
     """Rescale (V0, g0) at inverse temperature beta to the beta = 1, c1 = 1 frame.
 
-    Returns the scaled potential and tilt_scale = sqrt(beta c1); tilts map as
-    u -> tilt_scale * u.  The scaled constants are (c0/c1, 1, c2/c1), the
-    anharmonic part maps as g -> beta g(s / tilt_scale), and the concave-part
-    norm picks up the factor sqrt(beta c1)/c1.
+    Returns the scaled potential and tilt_scale k = sqrt(beta c1); tilts map as
+    u -> k u.  The scaled potential is beta V(s / k), evaluated by the family's
+    own closed forms with beta and k folded into their constants (Potential.frame),
+    so it costs no more per point than the raw family.  The constants are
+    (c0/c1, 1, c2/c1), the anharmonic part maps as g -> beta g(s / k), and the
+    concave-part norm picks up the factor sqrt(beta c1)/c1.
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
+    if p.frame is None:
+        raise ValueError(f"potential {p.family!r} has no closed forms to rescale")
     k = math.sqrt(beta * p.c1)
-    c1 = p.c1
-
-    def _scale0(f):
-        return lambda s: beta * f(np.asarray(s, dtype=float) / k)
-
-    def _scale1(f):
-        return lambda s: (beta / k) * f(np.asarray(s, dtype=float) / k)
-
-    def _scale2(f):
-        return lambda s: f(np.asarray(s, dtype=float) / k) / c1
-
-    g, v_dv, d2v = p.vfun
-
-    def scaled_v_dv(s):
-        y, dy = v_dv(np.asarray(s, dtype=float) / k)
-        return beta * y, (beta / k) * dy
-
-    scaled = Potential(
+    scaled = replace(
+        p.frame(beta, k),
         family=f"scaled:{p.family}",
-        vfun=(_scale0(g), scaled_v_dv, _scale2(d2v)),
-        d2g0=_scale2(p.d2g0),
-        c0=p.c0 / c1,
+        c0=p.c0 / p.c1,
         c1=1.0,
-        c2=p.c2 / c1,
-        g0=None if p.g0 is None else _scale0(p.g0),
-        dg0=None if p.dg0 is None else _scale1(p.dg0),
+        c2=p.c2 / p.c1,
         g0pp_breakpoints=tuple(x * k for x in p.g0pp_breakpoints),
         g0_support=None if p.g0_support is None else (p.g0_support[0] * k, p.g0_support[1] * k),
+        frame=lambda b, kk: p.frame(beta * b, k * kk),
     )
     return scaled, k

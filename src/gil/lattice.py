@@ -25,6 +25,7 @@ __all__ = [
     "grad_all",
     "pinned",
     "bond_args",
+    "bond_kernel",
     "bond_divergence",
     "grad_norm_sq",
     "anharmonic_g",
@@ -112,14 +113,35 @@ def bond_args(t: Torus, values: np.ndarray, u) -> np.ndarray:
     return grad_all(t, values) + np.asarray(u, dtype=float)[..., :, None]
 
 
+def bond_kernel(t: Torus, shift):
+    """Dof vectors X[..., V - 1] -> (grad, grad + shift), each [..., d, V]; grad is bitwise grad_all(pinned(X)).
+
+    A zero-padded site buffer and shift as a full array are laid out once per leading shape of X, so
+    a call is one copy, one gather, an in-place subtract and one same-shape add (single-threaded).
+    """
+    layouts = {}
+
+    def kernel(X):
+        lead = X.shape[:-1]
+        if lead not in layouts:
+            layouts[lead] = np.zeros(lead + (t.volume,)), np.broadcast_to(shift, lead + (t.d, t.volume)).copy()
+        pad, full_shift = layouts[lead]
+        pad[..., 1:] = X
+        grad = pad.take(t.forward, axis=-1)
+        grad -= pad[..., None, :]
+        return grad, grad + full_shift
+
+    return kernel
+
+
 def bond_divergence(t: Torus, w: np.ndarray) -> np.ndarray:
     """Adjoint of grad_all on dof vectors: sum_i [w_i(x - e_i) - w_i(x)] over non-origin x.
 
     w[..., d, V] -> [..., V - 1]; the derivative of sum w(grad phi) with respect to phi.
     One gather over the flattened bonds, then a sum over the axes in order i = 0, 1, ...
     """
-    behind = w.reshape(w.shape[:-2] + (-1,)).take(t.backward_flat, axis=-1)
-    return (behind - w).sum(axis=-2)[..., 1:]
+    diff = w.reshape(w.shape[:-2] + (-1,)).take(t.backward_flat, axis=-1) - w
+    return sum((diff[..., i, 1:] for i in range(1, t.d)), diff[..., 0, 1:])
 
 
 def grad_norm_sq(t: Torus, values: np.ndarray) -> float:

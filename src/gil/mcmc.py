@@ -2,7 +2,8 @@
 
 One sampler advances all rows of a job -- chains, thermodynamic-integration
 nodes -- as a single (n_rows, n_dof) state with one batched energy-and-gradient
-call per step.  Everything else is per row: a Langevin proposal with Metropolis
+call per step, lean in numpy calls (lattice.bond_kernel, one fused potential pass, no state
+copy when every row accepts or none does).  Everything else is per row: a Langevin proposal with Metropolis
 correction, a step size tuned toward 57.4% acceptance during burn-in and frozen
 afterwards, a finite-difference gradient check, a post burn-in acceptance guard,
 and a noise stream from SeedSequence((seed, tilt, node, chain)) drawn in
@@ -16,7 +17,7 @@ The free-energy estimators (fluctuation identity, thermodynamic integration) run
 their own rows; the lemma checks (Fourier bounds, Poincare variance bound) read
 a sample array, so one chain run serves both.  Estimators carry batch-means or
 jackknife standard errors with at least 20 blocks; nothing is reported as a bare
-point estimate.  Their passes over samples (the V'' sums of the fluctuation
+point estimate.  Their passes over samples (the D_u H and V'' sums of the fluctuation
 identity, the phases cos/sin(k grad theta)) run in slices sized to stay in cache.
 """
 
@@ -29,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .conditions import cbar
-from .lattice import Torus, Field, bond_args, bond_divergence, grad_all, pinned
+from .lattice import Torus, Field, bond_args, bond_divergence, bond_kernel
 from .potentials import Potential, norms
 
 __all__ = [
@@ -53,7 +54,7 @@ __all__ = [
 
 MIN_BLOCKS = 20
 NOISE_CHUNK = 64  # steps of noise drawn at once per row; fixed, so streams do not depend on the batch
-SLICE_VALUES = 2**15  # values per slice of a batched pass over samples or shifts, so its arrays stay in cache
+SLICE_VALUES = 2**13  # values per slice of a batched pass over samples or shifts, so its arrays stay in cache
 # purpose words of the streams drawn outside any chain row
 AUX_STREAMS = {"observables": 0xB5, "probes": 0xC0, "r1g": 0x51}
 
@@ -116,10 +117,10 @@ class Target:
 
     energy_grad maps X[..., rows, n_dof] to (E[..., rows], G[..., rows, n_dof]);
     it may append a per-row observable O[..., rows, k] computed from the same
-    arrays (D_u H for Gibbs targets), which the sampler keeps beside each kept
-    sample.  Leading axes before the row axis are batches of states per row (the
-    gradient check sends all shifted states at once), so per-row parameters such
-    as tilts u[rows, d] broadcast from the right, and each row is summed over its
+    arrays (D_u H for Gibbs targets that ask for it), kept beside each kept sample;
+    all are new arrays, which the sampler keeps as its state.  Leading axes before the row axis
+    are batches of states per row (the gradient check sends all shifted states at once), so per-row
+    parameters such as tilts u[rows, d] broadcast from the right, and each row is summed over its
     own trailing axes, bitwise the same with or without leading axes.
     """
 
@@ -145,34 +146,36 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
     return a.reshape(a.shape[:-2] + (-1,)).sum(axis=-1)
 
 
-def make_gibbs_target(t: Torus, p: Potential, u, beta: float) -> Target:
+def make_gibbs_target(t: Torus, p: Potential, u, beta: float, observable: bool = False) -> Target:
     """Target exp(-beta H(u, .)) over pinned fields; u[d] for all rows or u[rows, d] per row.
 
-    The observable is D_u H = sum_x V'(u_i + grad_i phi(x)), read off the V' array.
+    With observable, energy_grad also returns D_u H = sum_x V'(u_i + grad_i phi(x)),
+    read off the V' array (for thermodynamic integration).  At beta = 1 nothing is multiplied by beta.
     """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
+    bonds = bond_kernel(t, np.atleast_1d(np.asarray(u, dtype=float))[..., :, None])
 
     def energy_grad(X):
-        v, vp = p.v_dv(bond_args(t, pinned(X), u))
-        return beta * _row_sum(v), beta * bond_divergence(t, vp), vp.sum(axis=-1)
+        v, vp = p.v_dv(bonds(X)[1])
+        E, G = _row_sum(v), bond_divergence(t, vp)
+        if beta != 1.0:
+            E, G = beta * E, beta * G
+        return (E, G, vp.sum(axis=-1)) if observable else (E, G)
 
     hint = 0.5 / math.sqrt(beta * (p.c2 * 2.0 * t.d) + 1.0)
     return Target(energy_grad=energy_grad, n_dof=t.n_dof, step_hint=hint)
 
 
 def make_h1_target(t: Torus, p: Potential, u, psi_values: np.ndarray, lam: float) -> Target:
-    """Induced target exp(-H1(theta)), H1 = G(u, psi + theta) + ||grad theta||^2/(2 lam)."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    psi_values = np.asarray(psi_values, dtype=float)
+    """Induced target exp(-H1(theta)), H1 = G(u, psi + theta) + ||grad theta||^2/(2 lam), G summing p.g (c1 = 1)."""
+    if abs(p.c1 - 1.0) > 1e-12:
+        raise ValueError("make_h1_target requires a unit-scaled potential (c1 = 1)")
+    bonds = bond_kernel(t, bond_args(t, psi_values, np.atleast_1d(np.asarray(u, dtype=float))))
 
     def energy_grad(X):
-        theta = pinned(X)
-        arg = bond_args(t, psi_values + theta, u)
-        v, vp = p.v_dv(arg)
-        gt = grad_all(t, theta)
-        # G(u, psi + theta) as the sum of V - s^2/2, from the bond arguments built once
-        energy = _row_sum(v - arg * arg / 2.0) + _row_sum(gt * gt) / (2.0 * lam)
-        return energy, bond_divergence(t, (vp - arg) + gt / lam)
+        gt, arg = bonds(X)
+        g, dg = p.g_dg(arg)
+        energy = _row_sum(g) + _row_sum(gt * gt) / (2.0 * lam)
+        return energy, bond_divergence(t, dg + gt / lam)
 
     hint = 0.5 / math.sqrt(2.0 * t.d / lam + 1.0)
     return Target(energy_grad=energy_grad, n_dof=t.n_dof, step_hint=hint)
@@ -185,11 +188,6 @@ class ChainResult:
     step_size: float               # frozen value
     row: tuple                     # (tilt, node, chain) stream key
     observable: np.ndarray         # (n_kept, k) target observable at each kept sample, k = 0 if none
-
-
-def _fused(target: Target, X: np.ndarray):
-    E, G, *O = target.energy_grad(X)
-    return E, G, (O[0] if O else np.zeros((len(X), 0)))
 
 
 def _label(row) -> str:
@@ -234,18 +232,19 @@ def run_chains(
     rngs = [stream(cfg.seed, row) for row in rows]
     _fd_gradient_check(target, np.stack([0.1 * rng.standard_normal(n) for rng in rngs]), rows)
     X = np.zeros((n_rows, n))
-    # the sampler owns its state arrays: an accepted move overwrites them in place
-    E, G, O = (np.array(a, dtype=float) for a in _fused(target, X))
+    # the state, rebound to the proposal's arrays when every row accepts, overwritten row by row when some do
+    E, G, *O = (np.array(a, dtype=float) for a in target.energy_grad(X))
     if E.shape != (n_rows,):
         raise ValueError(f"target returned {E.shape} energies for {n_rows} rows")
     h = np.full(n_rows, float(cfg.step_size if cfg.step_size is not None else target.step_hint))
     tune = cfg.step_size is None
     n_kept = cfg.n_steps - cfg.burn_in
     samples = np.empty((n_rows, n_kept if keep_samples else 0, n))
-    kept_obs = np.empty((n_rows, n_kept, O.shape[1]))
+    kept_obs = np.empty((n_rows, n_kept, O[0].shape[1] if O else 0))
     window = np.zeros(n_rows)
     accepted = np.zeros(n_rows)
-    hc, hh, drift = h[:, None], h * h, 0.5 * h[:, None] ** 2
+    # drift h^2/2 laid out over the dof, so the step's products need no broadcast
+    hc, hh, drift = h[:, None], h * h, np.repeat(0.5 * h[:, None] ** 2, n, axis=1)
     for step in range(cfg.n_steps):
         c = step % NOISE_CHUNK
         if c == 0:
@@ -256,22 +255,24 @@ def run_chains(
             h_xi = hc * xi_chunk
         Y = X - drift * G
         Y += h_xi[c]
-        EY, GY, OY = _fused(target, Y)
+        EY, GY, *OY = target.energy_grad(Y)
         diff = Y - drift * GY
         np.subtract(X, diff, out=diff)
         diff *= diff
         log_q_rev = -0.5 * diff.sum(axis=-1) / hh
         acc = log_u_chunk[c] < (E - EY) + (log_q_rev - log_q_fwd[c])
-        acc_rows = acc[:, None]
-        np.copyto(X, Y, where=acc_rows)
-        np.copyto(E, EY, where=acc)
-        np.copyto(G, GY, where=acc_rows)
-        np.copyto(O, OY, where=acc_rows)
+        n_acc = np.count_nonzero(acc)
+        if n_acc == n_rows:
+            X, E, G, O = Y, EY, GY, OY
+        elif n_acc:
+            np.copyto(E, EY, where=acc)
+            for old, new in zip((X, G, *O), (Y, GY, *OY)):
+                np.copyto(old, new, where=acc[:, None])
         if step < cfg.burn_in:
             window += acc
             if tune and (step + 1) % 25 == 0:
                 h = h * np.exp(0.4 * (window / 25.0 - 0.574))
-                hc, hh, drift = h[:, None], h * h, 0.5 * h[:, None] ** 2
+                hc, hh, drift = h[:, None], h * h, np.repeat(0.5 * h[:, None] ** 2, n, axis=1)
                 np.multiply(hc, xi_chunk[c + 1 :], out=h_xi[c + 1 :])
                 window[:] = 0.0
             continue
@@ -279,7 +280,8 @@ def run_chains(
         j = step - cfg.burn_in
         if keep_samples:
             samples[:, j] = X
-        kept_obs[:, j] = O
+        if O:
+            kept_obs[:, j] = O[0]
     rate = accepted / n_kept
     for r in np.flatnonzero((rate < 0.10) | (rate > 0.95)):
         raise StepSizeError(f"{_label(rows[r])}: acceptance rate {rate[r]:.3f} outside [0.10, 0.95]; adjust step_size")
@@ -299,16 +301,16 @@ def _block_slices(n: int, min_blocks: int = MIN_BLOCKS):
     return [(j * b, (j + 1) * b) for j in range(nb)]
 
 
-def _jackknife(statistic, blocks: list[tuple], totals: tuple | None = None):
+def _jackknife(statistic, columns: Sequence[np.ndarray], totals: tuple | None = None):
     """Delete-one block jackknife of statistic over per-block sufficient statistics.
 
-    blocks[j] holds block j's sums; totals defaults to their sequential sums.
-    Returns (statistic(*totals), std error), the error elementwise over the
-    statistic's shape from the leave-one-out values statistic(*(totals - block)).
+    columns[i][j] holds block j's i-th sum; totals defaults to their sequential sums.
+    Returns (statistic(*totals), std error), the error elementwise over the statistic's
+    shape from the leave-one-out values statistic(*(totals - columns)), one call over all blocks.
     """
     if totals is None:
-        totals = tuple(sum(col) for col in zip(*blocks))
-    jk = np.stack([np.asarray(statistic(*(tot - b for tot, b in zip(totals, blk)))) for blk in blocks])
+        totals = tuple(sum(col) for col in columns)
+    jk = np.asarray(statistic(*(tot - col for tot, col in zip(totals, columns))))
     J = jk.shape[0]
     se = np.sqrt((J - 1) / J * np.sum((jk - jk.mean(axis=0)) ** 2, axis=0))
     return statistic(*totals), se
@@ -338,36 +340,43 @@ def _block_mean_se(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # free-energy Hessian via the fluctuation identity
 
 
+def _fluctuation_sums(t: Torus, p: Potential, u: np.ndarray, samples: np.ndarray):
+    """D_u H = sum_x V' and diag D_u^2 H = sum_x V'' at each sample (c1 = 1), [n, d] each, in cache-sized slices."""
+    bonds, step = bond_kernel(t, u[:, None]), max(1, SLICE_VALUES // (t.d * t.volume))
+    sums = [((s + p.g_dg(s)[1]).sum(axis=-1), p.d2v(s).sum(axis=-1))
+            for s in (bonds(samples[a : a + step])[1] for a in range(0, len(samples), step))]
+    return tuple(np.concatenate(col) for col in zip(*sums))
+
+
 def fluctuation_hessian(u, p: Potential, t: Torus, cfg: ChainConfig, tilt: int = 0) -> Estimate:
     """D^2 f(u) = <D_u^2 H> - var(D_u H) at beta = 1 for a unit-scaled potential.
 
-    D_u H_i = sum_x V'(u_i + grad_i phi(x)) is the Gibbs target's observable,
-    D_u^2 H is diagonal with entries sum_x V''(u_i + grad_i phi(x)).  The
-    covariance term uses the unbiased estimator; errors come from a delete-one
-    jackknife over >= 20 blocks.  Chains are rows (tilt, 0, chain).
+    D_u H_i = sum_x V'(u_i + grad_i phi(x)) and the diagonal D_u^2 H, sum_x V''(...),
+    are summed in one post-pass over the kept samples.  The covariance term uses
+    the unbiased estimator; errors come from a delete-one jackknife over >= 20 blocks.
+    Chains are rows (tilt, 0, chain).
     """
     if abs(p.c1 - 1.0) > 1e-12:
         raise ValueError("fluctuation_hessian requires a unit-scaled potential; call scale_to_unit first")
     u = np.atleast_1d(np.asarray(u, dtype=float))
     results = run_chains(make_gibbs_target(t, p, u, beta=1.0), cfg, [(tilt, 0, c) for c in range(cfg.n_chains)])
 
-    blocks = []  # (sum_s1, sum_outer, sum_s2, count)
-    step = max(1, SLICE_VALUES // (t.d * t.volume))  # samples per V'' slice
+    blocks, obs = [], []  # (sum_s1, sum_outer, sum_s2, count) per block; D_u H per chain
     for r in results:
-        s1 = r.observable
-        s2 = np.concatenate([p.d2v(bond_args(t, pinned(r.samples[a : a + step]), u)).sum(axis=-1)
-                             for a in range(0, len(s1), step)])
+        s1, s2 = _fluctuation_sums(t, p, u, r.samples)
+        obs.append(s1)
         for a, b in _block_slices(len(s1)):
             sl1, sl2 = s1[a:b], s2[a:b]
             blocks.append((sl1.sum(axis=0), sl1.T @ sl1, sl2.sum(axis=0), b - a))
 
     def statistic(sum1, outer, sum2, n):
+        n = np.asarray(n, dtype=float)[..., None]
         m1 = sum1 / n
-        cov = (outer - n * np.outer(m1, m1)) / (n - 1)
-        return np.diag(sum2 / n) - cov
+        cov = (outer - n[..., None] * (m1[..., :, None] * m1[..., None, :])) / (n[..., None] - 1)
+        return np.eye(len(u)) * (sum2 / n)[..., None, :] - cov
 
-    full, se = _jackknife(statistic, blocks)
-    _, _, n_eff = batch_means(np.concatenate([r.observable for r in results]))
+    full, se = _jackknife(statistic, [np.array(col) for col in zip(*blocks)])
+    _, _, n_eff = batch_means(np.concatenate(obs))
     return Estimate(value=full, std_error=se, n_effective=n_eff, method="chain")
 
 
@@ -378,22 +387,23 @@ def fluctuation_hessian(u, p: Potential, t: Torus, cfg: ChainConfig, tilt: int =
 def _phase_stats(gv: np.ndarray, k: np.ndarray):
     """Batch-means mean and error of cos/sin(k * gv) over the samples gv, as batch_means gives them.
 
-    cos and sin are formed one block of samples at a time over all k, and the
-    effective sample size that batch_means would add is not computed.
+    cos and sin are formed once per distinct |k| (cos(-x) = cos(x) and sin(-x) = -sin(x)
+    bitwise), one block of samples at a time, and the effective sample size is not computed.
     """
+    abs_k, where = np.unique(np.abs(k), return_inverse=True)
     n = len(gv)
     if n < 2 * MIN_BLOCKS:
-        phase = np.outer(gv, k)
+        phase = np.outer(gv, abs_k)
         (re, se_re, _), (im, se_im, _) = batch_means(np.cos(phase)), batch_means(np.sin(phase))
-        return re, im, se_re, se_im
-    slices = _block_slices(n)
-    re_blocks, im_blocks = np.empty((2, len(slices), len(k)))
-    for j, (a, b) in enumerate(slices):
-        phase = np.outer(gv[a:b], k)
-        re_blocks[j] = np.cos(phase).mean(axis=0)
-        im_blocks[j] = np.sin(phase).mean(axis=0)
-    (re, se_re), (im, se_im) = _block_mean_se(re_blocks), _block_mean_se(im_blocks)
-    return re, im, se_re, se_im
+    else:
+        slices = _block_slices(n)
+        re_blocks, im_blocks = np.empty((2, len(slices), len(abs_k)))
+        for j, (a, b) in enumerate(slices):
+            phase = np.outer(gv[a:b], abs_k)
+            re_blocks[j] = np.cos(phase).mean(axis=0)
+            im_blocks[j] = np.sin(phase).mean(axis=0)
+        (re, se_re), (im, se_im) = _block_mean_se(re_blocks), _block_mean_se(im_blocks)
+    return re[where], np.sign(k) * im[where], se_re[where], se_im[where]
 
 
 @dataclass(frozen=True)
@@ -425,10 +435,11 @@ class L1NormBoundReport:
 
 
 def fourier_k_grid(t: Torus, cb: float, k_max: float | None = None, n_points: int = 401) -> np.ndarray:
-    """Symmetric k grid of the Fourier bounds; by default out to the integral bound's scale 4 sqrt(12 d cbar)."""
+    """Symmetric k grid of the Fourier bounds, its own mirror bitwise; by default out to 4 sqrt(12 d cbar)."""
     if k_max is None:
         k_max = 4.0 * math.sqrt(12.0 * t.d * cb)
-    return np.linspace(-k_max, k_max, n_points)
+    k = np.linspace(-k_max, k_max, n_points)
+    return (k - k[::-1]) / 2.0
 
 
 def _envelope_tail(c: float, k_max: float) -> float:
@@ -549,7 +560,7 @@ def poincare_variance_check(samples: np.ndarray, delta: float, observables: list
         gsq = np.sum(np.asarray(obs.grad(samples), dtype=float) ** 2, axis=1)
         v_full, v_se = _jackknife(
             lambda s1, s2, m: (s2 - s1 * s1 / m) / (m - 1),
-            [(vals[a:b].sum(), (vals[a:b] ** 2).sum(), b - a) for a, b in _block_slices(n)],
+            [np.array(col) for col in zip(*((vals[a:b].sum(), (vals[a:b] ** 2).sum(), b - a) for a, b in _block_slices(n)))],
         )
         g_mean, g_se, _ = batch_means(gsq)
         variances.append(v_full)
@@ -589,7 +600,7 @@ def thermodynamic_integration(
     s_nodes = 0.5 * (x + 1.0)
     nc = cfg.n_chains
     rows = [(tilt, j, c) for j in range(n_nodes) for c in range(nc)]
-    target = make_gibbs_target(t, p, np.repeat(s_nodes, nc)[:, None] * u, beta)
+    target = make_gibbs_target(t, p, np.repeat(s_nodes, nc)[:, None] * u, beta, observable=True)
     results = run_chains(target, cfg, rows, keep_samples=False)
     total, var = 0.0, 0.0
     for j, wj in enumerate(0.5 * w):

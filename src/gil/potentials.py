@@ -27,7 +27,7 @@ constants keep the excess on the g0 side).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -63,14 +63,15 @@ class DivergentNormError(ValueError):
 
 @dataclass(frozen=True)
 class Potential:
-    """V = V0 + g0 as the triple (g, (V, V'), V''), g0'' and the curvature constants.
+    """V = V0 + g0 as the triple (g, (g, g'), g''), g0'' and the curvature constants.
 
-    The first entry is the anharmonic part g(s) = V(s) - c1 s^2/2, in closed
-    form: the quadrature integrands, the Monte Carlo weights and the lattice's
-    anharmonic energy read it (``g``), and ``v`` is derived from it.  The
-    middle entry is the fused pass: it returns V and V' from shared
-    intermediates, bitwise ``v`` in the raw families, so a sampler step reads
-    both from one call (``v_dv``); ``dv`` is its second half.
+    g(s) = V(s) - c1 s^2/2 is the anharmonic part in closed form, which the
+    quadrature integrands, the Monte Carlo weights and the lattice's anharmonic
+    energy read.  The middle entry is the fused pass, g and g' from shared
+    intermediates (``g_dg``); V, V' and V'' add c1 s^2/2, c1 s and c1 to it.
+    ``frame(b, k)`` returns the family with b and k folded into its closed
+    forms, which evaluate s -> b V(s / k); its constants, breakpoints and support
+    are the family's until scale_to_unit maps them.
 
     c1 <= V0'' = V'' - g0'' <= c2 and g0'' >= -c0 hold on the certification grid;
     g0'' <= 0 may fail on a set where the excess is certified absorbable (see
@@ -79,7 +80,7 @@ class Potential:
     """
 
     family: str
-    vfun: tuple[Callable, Callable, Callable]  # (g, s -> (V, V'), V'')
+    vfun: tuple[Callable, Callable, Callable]  # (g, s -> (g, g'), g'')
     d2g0: Callable
     c0: float
     c1: float
@@ -91,22 +92,28 @@ class Potential:
     g0pp_breakpoints: tuple = ()
     # support [lo, hi] of the non-quadratic part when compact, else None
     g0_support: tuple | None = None
+    frame: Callable | None = None  # (b, k) -> the family's Potential evaluating s -> b V(s / k)
 
     def g(self, s):
         return self.vfun[0](s)
 
-    def v(self, s):
-        s = _as_array(s)
-        return self.c1 * s * s / 2.0 + self.g(s)
-
-    def v_dv(self, s):
+    def g_dg(self, s):
         return self.vfun[1](s)
 
+    def v_dv(self, s):
+        s = _as_array(s)
+        g, dg = self.vfun[1](s)
+        c1s = s if self.c1 == 1.0 else self.c1 * s  # no multiply in the unit frame
+        return c1s * s / 2.0 + g, c1s + dg
+
+    def v(self, s):
+        return self.v_dv(s)[0]
+
     def dv(self, s):
-        return self.vfun[1](s)[1]
+        return self.v_dv(s)[1]
 
     def d2v(self, s):
-        return self.vfun[2](s)
+        return self.c1 + self.vfun[2](s)
 
 
 @dataclass(frozen=True)
@@ -152,14 +159,10 @@ def _as_array(s):
 def gaussian_potential() -> Potential:
     """Quadratic potential V(s) = s^2/2 with no perturbation."""
     zero = lambda s: np.zeros_like(_as_array(s))
-
-    def v_dv(s):
-        s = np.array(s, dtype=float)
-        return s * s / 2.0, s
-
+    # b (s/k)^2/2 is quadratic in every frame: g = 0, so each frame is this potential
     return Potential(
         family="gaussian",
-        vfun=(zero, v_dv, lambda s: np.ones_like(_as_array(s))),
+        vfun=(zero, lambda s: (zero(s), zero(s)), zero),
         d2g0=zero,
         c0=0.0,
         c1=1.0,
@@ -167,6 +170,7 @@ def gaussian_potential() -> Potential:
         g0=zero,
         dg0=zero,
         g0_support=(0.0, 0.0),
+        frame=lambda b, k: gaussian_potential(),
     )
 
 
@@ -181,36 +185,34 @@ def example_a(a: float) -> Potential:
         raise InvalidPotentialError(f"example_a requires 0 < a < 1, got {a}")
     ra = math.sqrt(a)
 
-    def g(s):
-        s = _as_array(s)
-        return a - np.log(s * s + a)
+    def frame(b, k):
+        # b V(s/k) = (b/k^2) s^2 + b g0(y) with y = s/k and q = y^2 + a; g0 is all of g
+        dgk, d2gk = -2.0 * b / k, 2.0 * b / (k * k)
 
-    def v_dv(s):
-        s = _as_array(s)
-        q = s * s + a
-        return s * s + (a - np.log(q)), 2.0 * s + -2.0 * s / q
+        def yq(s):
+            y = _as_array(s) / k
+            return y, y * y + a
 
-    def d2v(s):
-        return 2.0 + d2g0(s)
+        def g_dg(s):
+            y, q = yq(s)
+            return b * (a - np.log(q)), dgk * y / q
 
-    def dg0(s):
-        s = _as_array(s)
-        return -2.0 * s / (s * s + a)
+        def d2g0(s):
+            y, q = yq(s)
+            return d2gk * (y * y - a) / q**2
 
-    def d2g0(s):
-        s = _as_array(s)
-        return (2.0 * s * s - 2.0 * a) / (s * s + a) ** 2
+        return Potential(
+            family="example_a",
+            vfun=(lambda s: b * (a - np.log(yq(s)[1])), g_dg, d2g0),
+            d2g0=d2g0,
+            c0=2.0 / a,
+            c1=2.0,
+            c2=2.0,
+            dg0=lambda s: dgk * np.divide(*yq(s)),
+            g0pp_breakpoints=(-ra, ra),
+        )
 
-    return Potential(
-        family="example_a",
-        vfun=(g, v_dv, d2v),
-        d2g0=d2g0,
-        c0=2.0 / a,
-        c1=2.0,
-        c2=2.0,
-        dg0=dg0,
-        g0pp_breakpoints=(-ra, ra),
-    )
+    return replace(frame(1.0, 1.0), frame=frame)
 
 
 def example_b(delta: float) -> Potential:
@@ -222,49 +224,50 @@ def example_b(delta: float) -> Potential:
     """
     if not 0.0 < delta < 1.0:
         raise InvalidPotentialError(f"example_b requires 0 < delta < 1, got {delta}")
-    c = 4.0 / delta**4
     r5 = math.sqrt(5.0)
     # interior sign changes of g0'': roots of 5 s^2 - 5 delta s + delta^2
     s_lo = delta * (5.0 - r5) / 10.0
     s_hi = delta * (5.0 + r5) / 10.0
 
-    # r = s (delta - s) clipped at 0 vanishes exactly off [0, delta], so no mask
-    # is needed; integer powers as products: numpy's float power costs several
-    # times more
-    def _clipped(s):
-        s = _as_array(s)
-        return s, np.maximum(s * (delta - s), 0.0)
+    def frame(b, k):
+        # b V(s/k) is the dent on [0, dk], dk = k delta: the example_b form at delta' = dk when b = k^2
+        dk, c = k * delta, 4.0 * b / (k**2 * (k * delta) ** 4)
 
-    def g0(s):
-        _, r = _clipped(s)
-        return -c * r * r * r
+        # r = s (dk - s) clipped at 0 vanishes exactly off [0, dk], so no mask
+        # is needed; integer powers as products: numpy's float power costs several
+        # times more
+        def clipped(s):
+            s = _as_array(s)
+            return s, np.maximum(s * (dk - s), 0.0)
 
-    def dg0(s):
-        s, r = _clipped(s)
-        return -c * 3.0 * r * r * (delta - 2.0 * s)
+        def g0(s):
+            _, r = clipped(s)
+            return -c * r * r * r
 
-    def d2g0(s):
-        s = _as_array(s)
-        # clipping the product 6 s (delta - s), not r, rounds g0'' as the unclipped formula does
-        w = np.maximum(6.0 * s * (delta - s), 0.0)
-        return -c * (w * (5.0 * s * s - 5.0 * delta * s + delta * delta))
+        def g_dg(s):
+            s, r = clipped(s)
+            return -c * r * r * r, -c * 3.0 * r * r * (dk - 2.0 * s)
 
-    def v_dv(s):
-        s, r = _clipped(s)
-        return s**2 / 2.0 + -c * r * r * r, s + -c * 3.0 * r * r * (delta - 2.0 * s)
+        def d2g0(s):
+            s = _as_array(s)
+            # clipping the product 6 s (dk - s), not r, rounds g0'' as the unclipped formula does
+            w = np.maximum(6.0 * s * (dk - s), 0.0)
+            return -c * (w * (5.0 * s * s - 5.0 * dk * s + dk * dk))
 
-    return Potential(
-        family="example_b",
-        vfun=(g0, v_dv, lambda s: 1.0 + d2g0(s)),
-        d2g0=d2g0,
-        c0=6.0 / 5.0,
-        c1=1.0,
-        c2=1.0,
-        g0=g0,
-        dg0=dg0,
-        g0pp_breakpoints=(0.0, s_lo, s_hi, delta),
-        g0_support=(0.0, delta),
-    )
+        return Potential(
+            family="example_b",
+            vfun=(g0, g_dg, d2g0),
+            d2g0=d2g0,
+            c0=6.0 / 5.0,
+            c1=1.0,
+            c2=1.0,
+            g0=g0,
+            dg0=lambda s: g_dg(s)[1],
+            g0pp_breakpoints=(0.0, s_lo, s_hi, delta),
+            g0_support=(0.0, delta),
+        )
+
+    return replace(frame(1.0, 1.0), frame=frame)
 
 
 def example_c(p: float, k1: float, k2: float) -> Potential:
@@ -279,50 +282,45 @@ def example_c(p: float, k1: float, k2: float) -> Potential:
         raise InvalidPotentialError(f"example_c requires 0<p<1, 0<k2<k1, got {(p, k1, k2)}")
     q = 1.0 - p
     kap = k1 - k2
-
-    def _weights(s):
-        # stable posterior weight of component 1: w1 = p E1 / (p E1 + q E2)
-        s = _as_array(s)
-        z = np.clip(kap * s * s / 2.0, 0.0, 700.0)
-        w1 = p / (p + q * np.exp(z))
-        return s, w1
-
-    def v0pp(s):
-        s, w1 = _weights(s)
-        return w1 * k1 + (1.0 - w1) * k2
-
-    def g0pp(s):
-        s, w1 = _weights(s)
-        return -w1 * (1.0 - w1) * kap**2 * s * s
-
-    def g(s):
-        s = _as_array(s)
-        z = np.clip(kap * s * s / 2.0, 0.0, 700.0)
-        # V = k2 s^2/2 - log(q + p e^{-kap s^2/2}), and c1 = k2
-        return -np.log(q + p * np.exp(-z))
-
-    def v_dv(s):
-        s = _as_array(s)
-        z = np.clip(kap * s * s / 2.0, 0.0, 700.0)
-        pe = p * np.exp(-z)
-        # the posterior weight w1 = p e^{-z} / (p e^{-z} + q) from the same exponential as V
-        w1 = pe / (pe + q)
-        return k2 * s * s / 2.0 - np.log(q + pe), s * (w1 * k1 + (1.0 - w1) * k2)
-
     # -g0'' is a bump of width r = 1/sqrt(k1 - k2) at the origin; breakpoints on a
     # doubling ladder of r keep the norms' panels on it however stiff k1 is
     r = 1.0 / math.sqrt(kap)
     ladder = tuple(r * 2.0**j for j in range(5))
 
-    return Potential(
-        family="example_c",
-        vfun=(g, v_dv, lambda s: v0pp(s) + g0pp(s)),
-        d2g0=g0pp,
-        c0=p * kap / q,
-        c1=k2,
-        c2=p * k1 + q * k2,
-        g0pp_breakpoints=(*(-x for x in reversed(ladder)), 0.0, *ladder),
-    )
+    def frame(b, k):
+        # b V(s/k) = (b k2/k^2) s^2/2 - b log(q + p e^{-z}), z = kp s^2/2 with kp = kap/k^2;
+        # w1 = p e^{-z} / (p e^{-z} + q) is the posterior weight of component 1
+        kp = kap / (k * k)
+
+        def pe(s):
+            return p * np.exp(-np.clip(kp * s * s / 2.0, 0.0, 700.0))
+
+        def g_dg(s):
+            s = _as_array(s)
+            e = pe(s)
+            return -b * np.log(q + e), b * kp * s * (e / (e + q))
+
+        def d2g0(s):
+            s = _as_array(s)
+            e = pe(s)
+            w1 = e / (e + q)
+            return -b * kp * kp * (w1 * (1.0 - w1)) * s * s
+
+        def d2g(s):
+            e = pe(_as_array(s))
+            return b * kp * (e / (e + q)) + d2g0(s)
+
+        return Potential(
+            family="example_c",
+            vfun=(lambda s: -b * np.log(q + pe(_as_array(s))), g_dg, d2g),
+            d2g0=d2g0,
+            c0=p * kap / q,
+            c1=k2,
+            c2=p * k1 + q * k2,
+            g0pp_breakpoints=(*(-x for x in reversed(ladder)), 0.0, *ladder),
+        )
+
+    return replace(frame(1.0, 1.0), frame=frame)
 
 
 # ---------------------------------------------------------------------------

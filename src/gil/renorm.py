@@ -131,12 +131,11 @@ def estimate_r1g(
     if not math.isfinite(shift):
         raise FloatingPointError("all Monte Carlo weights underflowed; rescale the problem")
     e = np.exp(w - shift)
-    full, se = _jackknife(
-        lambda total, n: -(shift + math.log(total / n)),
-        [(e[a:b].sum(), b - a) for a, b in _block_slices(n_samples)],
-        totals=(e.sum(), n_samples),
-    )
-    return Estimate(value=full, std_error=float(se), n_effective=float(n_samples), method="mc")
+    total, nb = e.sum(), len(_block_slices(n_samples))
+    # the blocks' sums in one call (pairwise, as e[a:b].sum()), and all leave-one-out values at once
+    sums = e[: nb * (n_samples // nb)].reshape(nb, -1).sum(axis=1)
+    _, se = _jackknife(lambda tot, n: -(shift + np.log(tot / n)), (sums, np.full(nb, n_samples // nb)), (total, n_samples))
+    return Estimate(value=-(shift + math.log(total / n_samples)), std_error=float(se), n_effective=float(n_samples), method="mc")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -89,6 +90,20 @@ def test_scale_to_unit_identity_at_unit_frame(pot_b):
     assert k == 1.0
     s = np.linspace(-1, 1, 21)
     np.testing.assert_allclose(ps.v(s), pot_b.v(s), atol=1e-14)
+
+
+def test_scale_to_unit_composes_and_needs_closed_forms(pot_a):
+    # a unit-frame copy rescales through the family's closed forms: scaling at
+    # 0.3 and then at 0.5 is the scaling at 0.15
+    ps, k = scale_to_unit(pot_a, 0.3)
+    twice, k2 = scale_to_unit(ps, 0.5)
+    direct, k_direct = scale_to_unit(pot_a, 0.15)
+    s = np.linspace(-3.0, 3.0, 61)
+    assert k * k2 == pytest.approx(k_direct, rel=1e-15)
+    assert (twice.c0, twice.c1, twice.c2) == (direct.c0, direct.c1, direct.c2)
+    np.testing.assert_allclose(twice.v_dv(s), direct.v_dv(s), rtol=1e-14, atol=1e-15)
+    with pytest.raises(ValueError, match="closed forms"):
+        scale_to_unit(replace(pot_a, frame=None), 0.3)
 
 
 def test_scaled_constants_and_curvature_grid(pot_a):

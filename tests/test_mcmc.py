@@ -16,6 +16,7 @@ from gil.mcmc import (
     Target,
     _envelope_tail,
     _fd_gradient_check,
+    _fluctuation_sums,
     _phase_stats,
     batch_means,
     fluctuation_hessian,
@@ -207,22 +208,27 @@ def test_run_chains_matches_reference_loop(scaled_b):
 
 
 def test_batched_targets_match_single_field_energies(pot_a):
-    # each row of a batched call agrees with the single-field lattice functions
+    # each row of a batched call agrees with the single-field lattice functions;
+    # the Gibbs target in the raw frame at beta 0.7, the induced h1 target (which
+    # sums the anharmonic part g, so needs c1 = 1) in the unit frame
     t = Torus(2, 3)
     rng = np.random.default_rng(2)
     X = rng.standard_normal((5, t.n_dof))
     tilts = rng.standard_normal((5, 2))
     psi = np.concatenate([[0.0], rng.standard_normal(t.n_dof)])
-    E, G, O = make_gibbs_target(t, pot_a, tilts, 0.7).energy_grad(X)
-    E1, G1 = make_h1_target(t, pot_a, tilts, psi, 0.4).energy_grad(X)
+    E, G, O = make_gibbs_target(t, pot_a, tilts, 0.7, observable=True).energy_grad(X)
+    unit_a, _ = scale_to_unit(pot_a, 0.7)
+    E1, G1 = make_h1_target(t, unit_a, tilts, psi, 0.4).energy_grad(X)
+    with pytest.raises(ValueError, match="unit-scaled"):
+        make_h1_target(t, pot_a, tilts, psi, 0.4)
     for r in range(5):
         vals = Field.from_dof(t, X[r]).values
         assert E[r] == pytest.approx(0.7 * hamiltonian(t, tilts[r], vals, pot_a), rel=1e-12)
         np.testing.assert_allclose(G[r], 0.7 * grad_h(t, tilts[r], vals, pot_a), rtol=1e-12, atol=1e-12)
         bonds = vals[t.forward] - vals + tilts[r][:, None]
         np.testing.assert_allclose(O[r], pot_a.dv(bonds).sum(axis=1), rtol=1e-12)
-        assert E1[r] == pytest.approx(induced_h1_energy(t, pot_a, tilts[r], psi, X[r], 0.4), rel=1e-12)
-        np.testing.assert_allclose(G1[r], induced_h1_grad(t, pot_a, tilts[r], psi, X[r], 0.4), rtol=1e-12, atol=1e-12)
+        assert E1[r] == pytest.approx(induced_h1_energy(t, unit_a, tilts[r], psi, X[r], 0.4), rel=1e-12)
+        np.testing.assert_allclose(G1[r], induced_h1_grad(t, unit_a, tilts[r], psi, X[r], 0.4), rtol=1e-12, atol=1e-12)
 
 
 def test_row_samples_independent_of_batch(scaled_b):
@@ -288,6 +294,25 @@ def test_fluctuation_hessian_gaussian_exact(pot_gauss):
         est = fluctuation_hessian([0.4], pot_gauss, t, cfg)
         np.testing.assert_allclose(est.value, m * np.eye(1), atol=1e-10)
         assert float(np.max(est.std_error)) < 1e-10
+
+
+def test_fluctuation_post_pass_matches_in_run_observable(scaled_b, monkeypatch):
+    # D_u H summed in fluctuation_hessian's post-pass over the kept samples
+    # equals, bit for bit, the observable the Gibbs target forms in-run at each
+    # kept state; slices of 7 samples leave an uneven last one
+    import gil.mcmc
+
+    ps, k = scaled_b
+    t = Torus(2, 3)
+    u = k * np.array([0.3, 0.1])
+    monkeypatch.setattr(gil.mcmc, "SLICE_VALUES", 7 * t.d * t.volume)
+    cfg = ChainConfig(n_steps=400, burn_in=100, seed=3)
+    for r in run_chains(make_gibbs_target(t, ps, u, 1.0, observable=True), cfg):
+        s1, s2 = _fluctuation_sums(t, ps, u, r.samples)
+        assert np.array_equal(s1, r.observable)
+        assert s2.shape == s1.shape
+        bonds = [(Field.from_dof(t, x).values[t.forward] - Field.from_dof(t, x).values) + u[:, None] for x in r.samples[:3]]
+        np.testing.assert_allclose(s2[:3], [ps.d2v(b).sum(axis=1) for b in bonds], rtol=1e-13)
 
 
 def test_fluctuation_hessian_requires_unit_scale():

@@ -268,27 +268,58 @@ def _dv_unfused_formula(family, s):
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_fused_pair_matches_standalone_v_and_unfused_dv(family, beta):
     # the fused pass returns V' bitwise as computed on its own, except
-    # example_c, whose posterior weight comes from the exponential V takes.
-    # Its V is bitwise the derived c1 s^2/2 + g in the raw frame; a scaled
-    # copy's g is bitwise beta g(s/k), and there the fused beta V(s/k) and the
-    # derived s^2/2 + beta g(s/k) round apart by a few ulps
+    # example_c, whose posterior weight comes from the exponential g takes.
+    # Its V is bitwise the derived c1 s^2/2 + g in every frame.  A scaled copy
+    # evaluates the family's closed forms with beta and k folded into their
+    # constants, so its g and V' round apart from beta g(s/k) and
+    # (beta/k) V'(s/k): by at most 4 eps of s^2/2 + |V| and of |s| + |V'|
     raw = FAMILIES[family]()
     p, k = raw, 1.0
     if beta is not None:
         p, k = scale_to_unit(raw, beta)
     s = k * np.concatenate([np.linspace(-6.0, 6.0, 4001), [0.0, 0.25, 0.5, 1e-300, -1e-300, 1e6, -1e6]])
     v, dv = p.v_dv(s)
+    eps = np.finfo(float).eps
+    assert np.array_equal(v, p.v(s))
     if beta is None:
-        assert np.array_equal(v, p.v(s))
         assert np.array_equal(p.v(list(s[:5])), v[:5])  # v takes any array-like
     else:
-        assert np.array_equal(p.g(s), beta * raw.g(s / k))
-        assert np.all(np.abs(v - p.v(s)) <= 4.0 * np.finfo(float).eps * (s * s / 2.0 + np.abs(v)))
+        assert np.all(np.abs(p.g(s) - beta * raw.g(s / k)) <= 4.0 * eps * (s * s / 2.0 + np.abs(v)))
     expected = _dv_unfused_formula(family, s / k) * ((1.0 if beta is None else beta) / k)
     if family == "example_c":
         np.testing.assert_allclose(dv, expected, rtol=1e-15, atol=0.0)
-    else:
+    elif beta is None:
         assert np.array_equal(dv, expected)
+    else:
+        assert np.all(np.abs(dv - expected) <= 4.0 * eps * (np.abs(s) + np.abs(dv)))
+
+
+@pytest.mark.parametrize("beta", [8e-4, 0.058, 0.116])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_unit_frame_closed_forms_match_the_scaled_raw_family(family, beta):
+    # the unit frame's g, V, V' and V'' against beta g(s/k), beta V(s/k),
+    # (beta/k) V'(s/k) and V''(s/k)/c1, within 4 eps of the quadratic part's
+    # term plus the value.  example_b's g0'' = -c w (5 y^2 - 5 delta y + delta^2)
+    # has terms up to ~30 times its value, which set its rounding in either frame
+    raw = FAMILIES[family]()
+    p, k = scale_to_unit(raw, beta)
+    s = k * np.concatenate([np.linspace(-6.0, 6.0, 4001), [0.0, 0.25, 0.5, 1e-300, -1e-300, 1e6, -1e6]])
+    y = s / k
+    v, dv = p.v_dv(s)
+    raw_v, raw_dv = raw.v_dv(y)
+    d2v_ref = raw.d2v(y) / raw.c1
+    terms = 1.0 + np.abs(d2v_ref)
+    if family == "example_b":
+        w = 4.0 / 0.5**4 * np.maximum(6.0 * y * (0.5 - y), 0.0)
+        terms += w * (5.0 * y * y + 5.0 * 0.5 * np.abs(y) + 0.5 * 0.5)
+    quadratic = s * s / 2.0 + np.abs(v)
+    for got, ref, scale in (
+        (p.g(s), beta * raw.g(y), quadratic),
+        (v, beta * raw_v, quadratic),
+        (dv, (beta / k) * raw_dv, np.abs(s) + np.abs(dv)),
+        (p.d2v(s), d2v_ref, terms),
+    ):
+        assert np.all(np.abs(got - ref) <= 4.0 * np.finfo(float).eps * scale)
 
 
 @pytest.mark.parametrize("beta", [None, 0.058, 0.116])

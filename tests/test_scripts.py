@@ -45,3 +45,14 @@ def test_hessian_sweep_labels_quadrature_errors_and_goes_on(tmp_path):
     assert proc.returncode == 0, proc.stderr
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert [(r[1], r[-1]) for r in rows] == [("0.5", "pass")] * 4 + [("1000.0", "quadrature-error")] * 4
+
+
+def test_chain_step_timing_prints_every_target_and_size():
+    # the default 2000 steps leave the raw-frame target enough burn-in to tune its step size
+    proc = _run("time_chain_step.py", "--repeats", 1)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "target,n_dof,us_per_step"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(r[0], r[1]) for r in rows] == [(t, n) for n in ("7", "63", "255") for t in ("gibbs_unit", "gibbs_raw", "h1")]
+    assert all(float(r[2]) > 0.0 for r in rows)
