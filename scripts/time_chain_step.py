@@ -5,11 +5,13 @@ Times run_chains on example_b(0.5) at half its primary-condition threshold,
 tilt 0.5 on every axis, for three targets: the unit-frame Gibbs target (the
 chain Hessian rows), the raw-frame Gibbs target at that beta (gil sample) and
 the induced h1 target (gil verify-lemma).  Sizes are n_dof 7 (d=1, m=8), 63
-(d=2, m=8) and 255 (d=2, m=16), each an ensemble of --rows rows.  A figure is
-the fastest of --repeats runs divided by its steps; the gradient check and the
-burn-in tuning are included.  Prints CSV: target,n_dof,us_per_step.
+(d=2, m=8) and 255 (d=2, m=16), each an ensemble of ROWS rows (the
+hessian_chain shape) run for STEPS steps, which gives the raw-frame target
+enough burn-in to tune its step.  A figure is the fastest of --repeats runs
+divided by its steps; the gradient check and the burn-in tuning are included.
+Prints CSV: target,n_dof,us_per_step.
 
-Usage: python scripts/time_chain_step.py [--steps 2000] [--repeats 5] [--rows 2]
+Usage: python scripts/time_chain_step.py [--repeats 5]
 """
 
 import argparse
@@ -24,6 +26,7 @@ from gil.potentials import example_b, norms
 from gil.renorm import DecompositionPlan, induced_h1
 
 SIZES = ((1, 8), (2, 8), (2, 16))
+STEPS, ROWS = 2000, 2
 
 
 def targets(t: Torus) -> dict:
@@ -40,12 +43,10 @@ def targets(t: Torus) -> dict:
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--steps", type=int, default=2000)
     ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--rows", type=int, default=2)
     args = ap.parse_args()
 
-    cfg = ChainConfig(n_steps=args.steps, burn_in=args.steps // 2, n_chains=args.rows, seed=0)
+    cfg = ChainConfig(n_steps=STEPS, burn_in=STEPS // 2, n_chains=ROWS, seed=0)
     print("target,n_dof,us_per_step")
     for d, m in SIZES:
         t = Torus(d, m)
@@ -55,7 +56,7 @@ def main():
                 start = time.perf_counter()
                 run_chains(target, cfg)
                 best = min(best, time.perf_counter() - start)
-            print(f"{name},{t.n_dof},{1e6 * best / args.steps:.1f}", flush=True)
+            print(f"{name},{t.n_dof},{1e6 * best / STEPS:.1f}", flush=True)
 
 
 if __name__ == "__main__":

@@ -343,7 +343,7 @@ def _block_mean_se(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _fluctuation_sums(t: Torus, p: Potential, u: np.ndarray, samples: np.ndarray):
     """D_u H = sum_x V' and diag D_u^2 H = sum_x V'' at each sample (c1 = 1), [n, d] each, in cache-sized slices."""
     bonds, step = bond_kernel(t, u[:, None]), max(1, SLICE_VALUES // (t.d * t.volume))
-    sums = [((s + p.g_dg(s)[1]).sum(axis=-1), p.d2v(s).sum(axis=-1))
+    sums = [(p.dv(s).sum(axis=-1), p.d2v(s).sum(axis=-1))
             for s in (bonds(samples[a : a + step])[1] for a in range(0, len(samples), step))]
     return tuple(np.concatenate(col) for col in zip(*sums))
 

@@ -69,9 +69,9 @@ class Potential:
     quadrature integrands, the Monte Carlo weights and the lattice's anharmonic
     energy read.  The middle entry is the fused pass, g and g' from shared
     intermediates (``g_dg``); V, V' and V'' add c1 s^2/2, c1 s and c1 to it.
-    ``frame(b, k)`` returns the family with b and k folded into its closed
-    forms, which evaluate s -> b V(s / k); its constants, breakpoints and support
-    are the family's until scale_to_unit maps them.
+    ``frame(b, k)`` folds b and k into the closed forms (g, g_dg, g'', g0, g0',
+    g0'') of s -> b V(s / k) but keeps the family's constants, breakpoints and
+    support: its v, dv and d2v are b V(s / k) only after scale_to_unit maps them.
 
     c1 <= V0'' = V'' - g0'' <= c2 and g0'' >= -c0 hold on the certification grid;
     g0'' <= 0 may fail on a set where the excess is certified absorbable (see
@@ -92,7 +92,7 @@ class Potential:
     g0pp_breakpoints: tuple = ()
     # support [lo, hi] of the non-quadratic part when compact, else None
     g0_support: tuple | None = None
-    frame: Callable | None = None  # (b, k) -> the family's Potential evaluating s -> b V(s / k)
+    frame: Callable | None = None  # (b, k) -> the family with b V(s / k)'s closed forms, its own constants
 
     def g(self, s):
         return self.vfun[0](s)
@@ -110,7 +110,8 @@ class Potential:
         return self.v_dv(s)[0]
 
     def dv(self, s):
-        return self.v_dv(s)[1]
+        s = _as_array(s)  # V' as v_dv forms it, without the V terms
+        return (s if self.c1 == 1.0 else self.c1 * s) + self.vfun[1](s)[1]
 
     def d2v(self, s):
         return self.c1 + self.vfun[2](s)
@@ -190,7 +191,7 @@ def example_a(a: float) -> Potential:
         dgk, d2gk = -2.0 * b / k, 2.0 * b / (k * k)
 
         def yq(s):
-            y = _as_array(s) / k
+            y = _as_array(s) if k == 1.0 else _as_array(s) / k  # no divide in the raw family
             return y, y * y + a
 
         def g_dg(s):

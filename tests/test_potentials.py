@@ -269,7 +269,7 @@ def _dv_unfused_formula(family, s):
 def test_fused_pair_matches_standalone_v_and_unfused_dv(family, beta):
     # the fused pass returns V' bitwise as computed on its own, except
     # example_c, whose posterior weight comes from the exponential g takes.
-    # Its V is bitwise the derived c1 s^2/2 + g in every frame.  A scaled copy
+    # Its V and V' are bitwise p.v and p.dv in every frame.  A scaled copy
     # evaluates the family's closed forms with beta and k folded into their
     # constants, so its g and V' round apart from beta g(s/k) and
     # (beta/k) V'(s/k): by at most 4 eps of s^2/2 + |V| and of |s| + |V'|
@@ -280,7 +280,7 @@ def test_fused_pair_matches_standalone_v_and_unfused_dv(family, beta):
     s = k * np.concatenate([np.linspace(-6.0, 6.0, 4001), [0.0, 0.25, 0.5, 1e-300, -1e-300, 1e6, -1e6]])
     v, dv = p.v_dv(s)
     eps = np.finfo(float).eps
-    assert np.array_equal(v, p.v(s))
+    assert np.array_equal(v, p.v(s)) and np.array_equal(dv, p.dv(s))
     if beta is None:
         assert np.array_equal(p.v(list(s[:5])), v[:5])  # v takes any array-like
     else:

@@ -48,7 +48,7 @@ def test_hessian_sweep_labels_quadrature_errors_and_goes_on(tmp_path):
 
 
 def test_chain_step_timing_prints_every_target_and_size():
-    # the default 2000 steps leave the raw-frame target enough burn-in to tune its step size
+    # its 2000 steps leave the raw-frame target enough burn-in to tune its step size
     proc = _run("time_chain_step.py", "--repeats", 1)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
