@@ -9,7 +9,7 @@ estimator.
 from .conditions import ConditionReport, cbar, check_conditions, scale_to_unit
 from .gff import ModeBasis, poincare_constant, sample_gff, spectrum
 from .lattice import Field, Torus, grad_all
-from .mcmc import ChainConfig, Estimate, Observable, Target, fluctuation_hessian, run_chains
+from .mcmc import ChainConfig, Estimate, Target, fluctuation_hessian, run_chains
 from .oracle import free_energy, hessian_fd
 from .potentials import (
     NormReport,

@@ -38,7 +38,6 @@ from .mcmc import (
     ChainConfig,
     Estimate,
     GradientMismatchError,
-    Observable,
     StepSizeError,
     batch_means,
     fourier_k_grid,
@@ -242,18 +241,11 @@ def cmd_verify_lemma(cfg: dict, out: str, seed: int) -> int:
     rep = verify_l1norm_bounds(ps, t, us, psi, samples, plan.lam, k_grid)
 
     delta = plan.cbar * poincare_constant(t)
-    rng = stream(seed, purpose="observables")
-    obs = []
-    for j in range(cfg.get("observables", 5)):
-        if j < t.n_dof:
-            v = np.zeros(t.n_dof)
-            v[j] = 1.0
-        else:
-            v = rng.standard_normal(t.n_dof)
-        obs.append(
-            Observable(value=lambda S, v=v: S @ v, grad=lambda S, v=v: np.broadcast_to(v, S.shape), name=f"linear_{j}")
-        )
-    var_rep = poincare_variance_check(samples, delta, obs)
+    # linear observables: unit vectors first, then observables-stream normals
+    directions = np.eye(cfg.get("observables", 5), t.n_dof)
+    n_random = max(len(directions) - t.n_dof, 0)
+    directions[t.n_dof :] = stream(seed, purpose="observables").standard_normal((n_random, t.n_dof))
+    var_rep = poincare_variance_check(samples, delta, directions)
 
     payload = {
         "input": {"potential": cfg["potential"], "beta": beta, "d": t.d, "m": t.m, "u": u.tolist()},

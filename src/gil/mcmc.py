@@ -14,11 +14,13 @@ evaluates all shifted states X +- h e_j in a few calls, with the shifts as a
 leading axis (see Target).  A row's arithmetic is elementwise or a sum over its
 own trailing axes, so its samples are bitwise the same alone or in any ensemble.
 The free-energy estimators (fluctuation identity, thermodynamic integration) run
-their own rows; the lemma checks (Fourier bounds, Poincare variance bound) read
-a sample array, so one chain run serves both.  Estimators carry batch-means or
-jackknife standard errors with at least 20 blocks; nothing is reported as a bare
-point estimate.  Their passes over samples (the D_u H and V'' sums of the fluctuation
-identity, the phases cos/sin(k grad theta)) run in slices sized to stay in cache.
+their own rows; the lemma checks (Fourier bounds, Poincare variance bound on
+linear observables, given as direction rows) read a sample array, so one chain
+run serves both.  Estimators carry batch-means or jackknife standard errors from
+one block layout, _blocks, with at least 20 blocks, each block statistic one
+reduction over that view; nothing is reported as a bare point estimate.  Their
+passes over samples (the D_u H and V'' sums of the fluctuation identity, the
+phases cos/sin(k grad theta)) run in slices sized to stay in cache.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ __all__ = [
     "ChainConfig",
     "Estimate",
     "Target",
-    "Observable",
     "StepSizeError",
     "GradientMismatchError",
     "make_gibbs_target",
@@ -127,18 +128,6 @@ class Target:
     energy_grad: Callable
     n_dof: int
     step_hint: float = 0.3
-
-
-@dataclass(frozen=True)
-class Observable:
-    """Scalar observable with gradient, for variance-bound checks.
-
-    Batched over samples: value maps S[n, n_dof] to [n], grad maps it to [n, n_dof].
-    """
-
-    value: Callable
-    grad: Callable
-    name: str = ""
 
 
 def _row_sum(a: np.ndarray) -> np.ndarray:
@@ -294,11 +283,14 @@ def run_chains(
 # error bars
 
 
-def _block_slices(n: int, min_blocks: int = MIN_BLOCKS):
-    nb = max(min_blocks, int(math.sqrt(n)))
-    nb = min(nb, n)
-    b = n // nb
-    return [(j * b, (j + 1) * b) for j in range(nb)]
+def _blocks(x: np.ndarray) -> np.ndarray:
+    """x[:nb b] viewed as blocks [nb, b, ...] of its leading axis, the tail dropped.
+
+    nb = min(n, max(MIN_BLOCKS, floor(sqrt n))) blocks of b = n // nb samples: every error bar's block layout.
+    """
+    n = len(x)
+    nb = min(n, max(MIN_BLOCKS, math.isqrt(n)))
+    return x[: nb * (n // nb)].reshape(nb, n // nb, *x.shape[1:])
 
 
 def _jackknife(statistic, columns: Sequence[np.ndarray], totals: tuple | None = None):
@@ -324,7 +316,7 @@ def batch_means(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         mean = x.mean(axis=0)
         se = x.std(axis=0, ddof=1) / math.sqrt(n)
         return mean, se, float(n)
-    mean, se = _block_mean_se(np.stack([x[a:b].mean(axis=0) for a, b in _block_slices(n)]))
+    mean, se = _block_mean_se(_blocks(x).mean(axis=1))
     var_x = x.var(axis=0, ddof=1)
     var_mean = np.maximum(se**2, 1e-300)
     n_eff = float(np.min(np.atleast_1d(var_x / var_mean)))
@@ -361,13 +353,12 @@ def fluctuation_hessian(u, p: Potential, t: Torus, cfg: ChainConfig, tilt: int =
     u = np.atleast_1d(np.asarray(u, dtype=float))
     results = run_chains(make_gibbs_target(t, p, u, beta=1.0), cfg, [(tilt, 0, c) for c in range(cfg.n_chains)])
 
-    blocks, obs = [], []  # (sum_s1, sum_outer, sum_s2, count) per block; D_u H per chain
+    columns, obs = [], []  # per chain: block sums of s1, their outer products, of s2, block sizes; D_u H
     for r in results:
         s1, s2 = _fluctuation_sums(t, p, u, r.samples)
         obs.append(s1)
-        for a, b in _block_slices(len(s1)):
-            sl1, sl2 = s1[a:b], s2[a:b]
-            blocks.append((sl1.sum(axis=0), sl1.T @ sl1, sl2.sum(axis=0), b - a))
+        b1 = _blocks(s1)
+        columns.append((b1.sum(axis=1), b1.mT @ b1, _blocks(s2).sum(axis=1), np.full(len(b1), b1.shape[1])))
 
     def statistic(sum1, outer, sum2, n):
         n = np.asarray(n, dtype=float)[..., None]
@@ -375,7 +366,7 @@ def fluctuation_hessian(u, p: Potential, t: Torus, cfg: ChainConfig, tilt: int =
         cov = (outer - n[..., None] * (m1[..., :, None] * m1[..., None, :])) / (n[..., None] - 1)
         return np.eye(len(u)) * (sum2 / n)[..., None, :] - cov
 
-    full, se = _jackknife(statistic, [np.array(col) for col in zip(*blocks)])
+    full, se = _jackknife(statistic, [np.concatenate(col) for col in zip(*columns)])
     _, _, n_eff = batch_means(np.concatenate(obs))
     return Estimate(value=full, std_error=se, n_effective=n_eff, method="chain")
 
@@ -396,10 +387,10 @@ def _phase_stats(gv: np.ndarray, k: np.ndarray):
         phase = np.outer(gv, abs_k)
         (re, se_re, _), (im, se_im, _) = batch_means(np.cos(phase)), batch_means(np.sin(phase))
     else:
-        slices = _block_slices(n)
-        re_blocks, im_blocks = np.empty((2, len(slices), len(abs_k)))
-        for j, (a, b) in enumerate(slices):
-            phase = np.outer(gv[a:b], abs_k)
+        blocks = _blocks(gv)
+        re_blocks, im_blocks = np.empty((2, len(blocks), len(abs_k)))
+        for j, block in enumerate(blocks):
+            phase = np.outer(block, abs_k)
             re_blocks[j] = np.cos(phase).mean(axis=0)
             im_blocks[j] = np.sin(phase).mean(axis=0)
         (re, se_re), (im, se_im) = _block_mean_se(re_blocks), _block_mean_se(im_blocks)
@@ -543,42 +534,31 @@ class VarianceBoundReport:
     ok: bool
 
 
-def poincare_variance_check(samples: np.ndarray, delta: float, observables: list[Observable]) -> VarianceBoundReport:
-    """Check var(G) <= <|DG|^2> / delta + 4 SE for each observable on samples[n, n_dof].
+def poincare_variance_check(samples: np.ndarray, delta: float, directions: np.ndarray) -> VarianceBoundReport:
+    """Check var(v . theta) <= |v|^2 / delta + 4 SE for each row v of directions[k, n_dof] on samples[n, n_dof].
 
     delta must be a certified lower bound on the Hessian of the target the
-    samples come from; variances use a delete-one jackknife over blocks.
+    samples come from, so the bound is exact (bound_se 0); variances use a
+    delete-one jackknife over blocks.  Row j is reported as linear_j.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if not observables:
-        raise ValueError("at least one observable is required")
-    n = samples.shape[0]
-    variances, var_se, bounds, bound_se = [], [], [], []
-    for obs in observables:
-        vals = np.asarray(obs.value(samples), dtype=float)
-        gsq = np.sum(np.asarray(obs.grad(samples), dtype=float) ** 2, axis=1)
-        v_full, v_se = _jackknife(
-            lambda s1, s2, m: (s2 - s1 * s1 / m) / (m - 1),
-            [np.array(col) for col in zip(*((vals[a:b].sum(), (vals[a:b] ** 2).sum(), b - a) for a, b in _block_slices(n)))],
-        )
-        g_mean, g_se, _ = batch_means(gsq)
-        variances.append(v_full)
-        var_se.append(v_se)
-        bounds.append(float(g_mean) / delta)
-        bound_se.append(float(g_se) / delta)
-    variances = np.asarray(variances)
-    var_se = np.asarray(var_se)
-    bounds = np.asarray(bounds)
-    bound_se = np.asarray(bound_se)
-    ok = bool(np.all(variances <= bounds + 4.0 * np.hypot(var_se, bound_se)))
+    directions = np.asarray(directions, dtype=float)
+    if len(directions) == 0:
+        raise ValueError("at least one direction is required")
+    blocks = _blocks((directions @ samples.T).T)  # the samples axis contiguous, so block sums are pairwise
+    variances, var_se = _jackknife(
+        lambda s1, s2, m: (s2 - s1 * s1 / m) / (m - 1),
+        (blocks.sum(axis=1), (blocks * blocks).sum(axis=1), np.full((len(blocks), 1), blocks.shape[1])),
+    )
+    bounds = np.sum(directions * directions, axis=1) / delta
     return VarianceBoundReport(
-        names=tuple(o.name for o in observables),
+        names=tuple(f"linear_{j}" for j in range(len(directions))),
         variances=variances,
         variance_se=var_se,
         bounds=bounds,
-        bound_se=bound_se,
-        ok=ok,
+        bound_se=np.zeros(len(bounds)),
+        ok=bool(np.all(variances <= bounds + 4.0 * var_se)),
     )
 
 

@@ -19,10 +19,10 @@ import numpy as np
 from .conditions import cbar, scale_to_unit, check_conditions
 from .gff import poincare_constant
 from .lattice import Torus, Field, bond_args, grad_all, grad_norm_sq, pinned
-from .mcmc import ChainConfig, Estimate, Target, make_h1_target, fluctuation_hessian, stream, _block_slices, _jackknife
+from .mcmc import ChainConfig, Estimate, Target, make_h1_target, fluctuation_hessian, stream, _blocks, _jackknife
 from .oracle import ORACLE_ERROR, f_tilt, f_tilt_hessian, hessian_fd, renorm_iterated_g
 from .potentials import Potential, norms
-from .quadrature import ORACLE_MAX_DOF, QuadratureError, field_bond_map, log_expectation
+from .quadrature import QuadratureError, field_bond_map, log_expectation
 
 __all__ = [
     "DecompositionPlan",
@@ -131,10 +131,10 @@ def estimate_r1g(
     if not math.isfinite(shift):
         raise FloatingPointError("all Monte Carlo weights underflowed; rescale the problem")
     e = np.exp(w - shift)
-    total, nb = e.sum(), len(_block_slices(n_samples))
-    # the blocks' sums in one call (pairwise, as e[a:b].sum()), and all leave-one-out values at once
-    sums = e[: nb * (n_samples // nb)].reshape(nb, -1).sum(axis=1)
-    _, se = _jackknife(lambda tot, n: -(shift + np.log(tot / n)), (sums, np.full(nb, n_samples // nb)), (total, n_samples))
+    total, blocks = e.sum(), _blocks(e)
+    # the blocks' sums in one call (pairwise, as a slice's sum), and all leave-one-out values at once
+    counts = np.full(len(blocks), blocks.shape[1])
+    _, se = _jackknife(lambda tot, n: -(shift + np.log(tot / n)), (blocks.sum(axis=1), counts), (total, n_samples))
     return Estimate(value=-(shift + math.log(total / n_samples)), std_error=float(se), n_effective=float(n_samples), method="mc")
 
 
@@ -227,11 +227,12 @@ def verify_theorem(
 ) -> list[TheoremRow]:
     """Check min eig D^2 f(u) >= (c1/2) |T| - tol on each grid tilt.
 
-    method "auto" takes the oracle in d = 1 and up to ORACLE_MAX_DOF free
-    coordinates, chains beyond, and chains for a d = 1 row whose conditioning
-    pass raises QuadratureError when cfg is given (without it the error propagates).  Oracle rows in d = 1 come from one conditioning pass per
-    tilt (oracle.f_tilt_hessian, whatever the potential) and report its
-    error as std_error; in d >= 2 they are Richardson FD
+    method "auto" takes the oracle, and chains for a row whose oracle raises
+    QuadratureError when cfg is given (without it the error propagates); beyond
+    Mayer's and GH's reach the oracle raises before any evaluation, and a pure
+    Gaussian takes the exact route in every d.  Oracle rows in d = 1 come from
+    one conditioning pass per tilt (oracle.f_tilt_hessian, whatever the
+    potential) and report its error as std_error; in d >= 2 they are Richardson FD
     Hessians of f_tilt, the u-dependent part of the quadrature free energy,
     reporting 10 ORACLE_ERROR.  Chain rows use the fluctuation
     identity in the unit frame mapped back by
@@ -242,26 +243,23 @@ def verify_theorem(
     nr = norms(p, 1e-8)
     in_hyp = check_conditions(beta, t.d, p, nr).satisfied["fcond"]
     bound = 0.5 * p.c1 * t.volume
-    auto = method == "auto"
-    if auto:
-        method = "oracle" if t.d == 1 or t.n_dof <= ORACLE_MAX_DOF else "chain"
-    if method not in ("oracle", "chain"):
+    if method not in ("auto", "oracle", "chain"):
         raise ValueError(f"method must be 'auto', 'oracle' or 'chain', got {method!r}")
     rows = []
     ps, k = scale_to_unit(p, beta)
     for j, u in enumerate(u_grid):
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        row_method = method
-        if method == "oracle" and t.d == 1:
+        row_method = "chain" if method == "chain" else "oracle"
+        if row_method == "oracle":
             try:
-                H, se = f_tilt_hessian(u, p, t, beta)
+                if t.d == 1:
+                    H, se = f_tilt_hessian(u, p, t, beta)
+                else:
+                    H, se = hessian_fd(lambda uu: f_tilt(uu, p, t, beta), u, h=1e-3), 10.0 * ORACLE_ERROR
             except QuadratureError:
-                if not auto or cfg is None:
+                if method != "auto" or cfg is None:
                     raise
                 row_method = "chain"
-        elif method == "oracle":
-            H = hessian_fd(lambda uu: f_tilt(uu, p, t, beta), u, h=1e-3)
-            se = 10.0 * ORACLE_ERROR
         if row_method == "chain":
             if cfg is None:
                 raise ValueError("chain method requires a ChainConfig")

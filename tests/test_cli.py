@@ -342,10 +342,12 @@ def _example_a_half_threshold(d, m, u):
     return {"potential": {"family": "example_a", "a": 0.5}, "d": d, "m": m, "beta": beta, "seed": 7, "u_grid": [u]}
 
 
-@pytest.mark.parametrize("command", ["free-energy", "hessian"])
-def test_quadrature_failure_exit_three(tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    "command, extra", [("free-energy", {}), ("hessian", {"method": "oracle"})], ids=["free-energy", "hessian"]
+)
+def test_quadrature_failure_exit_three(tmp_path, capsys, command, extra):
     # in hypothesis at d = 2 the needle of g escapes every GH grid up to the order cap
-    path = write(tmp_path / "c.json", _example_a_half_threshold(2, 2, [0.5, 0.5]))
+    path = write(tmp_path / "c.json", dict(_example_a_half_threshold(2, 2, [0.5, 0.5]), **extra))
     assert run_cli([command, "--config", path, "--out", tmp_path / "o.csv"]) == 3
     err = capsys.readouterr().err.strip().split("\n")
     assert len(err) == 1
@@ -395,6 +397,15 @@ def test_hessian_auto_falls_back_to_chains_where_conditioning_fails(tmp_path):
     rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
     assert len(rows) == 1
     assert rows[0][4] == "chain" and rows[0][6] == "out-of-hypothesis"
+
+
+def test_hessian_auto_falls_back_to_chains_in_d2(tmp_path):
+    # the GH oracle does not converge on this d = 2 row, so auto writes a chain row
+    chain = {"n_steps": 1_500, "burn_in": 300, "n_chains": 2}
+    path = write(tmp_path / "c.json", dict(_example_a_half_threshold(2, 2, [0.3, 0.1]), chain=chain))
+    assert run_cli(["hessian", "--config", path, "--out", tmp_path / "h.csv"]) == 0
+    rows = (tmp_path / "h.csv").read_text().strip().split("\n")[1:]
+    assert [r.split(",")[5] for r in rows] == ["chain"]
 
 
 def test_hessian_oracle_in_hypothesis_d1(tmp_path):

@@ -11,9 +11,9 @@ from gil.mcmc import (
     NOISE_CHUNK,
     ChainConfig,
     GradientMismatchError,
-    Observable,
     StepSizeError,
     Target,
+    _blocks,
     _envelope_tail,
     _fd_gradient_check,
     _fluctuation_sums,
@@ -398,10 +398,6 @@ def test_monte_carlo_rate(pot_gauss):
     assert e5 < e4 / 1.5  # and by a clear factor
 
 
-def _linear(v, name):
-    return Observable(value=lambda S: S @ v, grad=lambda S: np.broadcast_to(v, S.shape), name=name)
-
-
 def test_poincare_variance_check_gaussian_linear(pot_gauss):
     # exact variance (v, C v) obeys (1/delta) |v|^2 with strictness off the
     # minimal eigenvector
@@ -409,10 +405,9 @@ def test_poincare_variance_check_gaussian_linear(pot_gauss):
     delta = poincare_constant(t)
     target = make_gibbs_target(t, pot_gauss, [0.0], 1.0)
     rng = np.random.default_rng(31)
-    vs = [rng.standard_normal(t.n_dof) for _ in range(3)]
-    obs = [_linear(v, f"v{j}") for j, v in enumerate(vs)]
+    vs = rng.standard_normal((3, t.n_dof))
     cfg = ChainConfig(n_steps=30_000, burn_in=3_000, seed=37, n_chains=2)
-    rep = poincare_variance_check(np.concatenate([r.samples for r in run_chains(target, cfg)]), delta, obs)
+    rep = poincare_variance_check(np.concatenate([r.samples for r in run_chains(target, cfg)]), delta, vs)
     assert rep.ok
     C = pinned_covariance(t)
     for j, v in enumerate(vs):
@@ -421,8 +416,54 @@ def test_poincare_variance_check_gaussian_linear(pot_gauss):
 
 def test_poincare_variance_check_needs_observables():
     # an empty list would report ok with nothing checked
-    with pytest.raises(ValueError):
-        poincare_variance_check(np.zeros((100, 2)), 1.0, [])
+    for empty in ([], np.zeros((0, 2))):
+        with pytest.raises(ValueError):
+            poincare_variance_check(np.zeros((100, 2)), 1.0, empty)
+
+
+def test_poincare_variance_check_bounds_are_exact():
+    # delta certifies the Hessian, so the bound of a linear observable is |v|^2 / delta, without error
+    # (integer entries, so |v|^2 is exact in any summation order)
+    vs = np.random.default_rng(5).integers(-3, 4, (4, 3)).astype(float)
+    rep = poincare_variance_check(np.random.default_rng(6).standard_normal((500, 3)), 0.7, vs)
+    assert np.array_equal(rep.bounds, np.array([float(v @ v) / 0.7 for v in vs]))
+    assert np.array_equal(rep.bound_se, np.zeros(4))
+    assert rep.names == ("linear_0", "linear_1", "linear_2", "linear_3")
+
+
+@pytest.mark.parametrize("n", [5_003, 37])
+def test_poincare_variance_check_matches_per_direction_jackknife(n):
+    # one projection and one blocked jackknife for all directions, against a loop
+    # over directions and blocks of the delete-one unbiased variance of the
+    # samples in whole blocks
+    rng = np.random.default_rng(n)
+    samples, vs = rng.standard_normal((n, 6)), rng.standard_normal((5, 6))
+    rep = poincare_variance_check(samples, 1.0, vs)
+    nb = min(n, max(20, math.isqrt(n)))
+    b = n // nb
+    for j, v in enumerate(vs):
+        x = samples[: nb * b] @ v
+        jk = np.array([np.var(np.delete(x, np.s_[i * b : (i + 1) * b]), ddof=1) for i in range(nb)])
+        se = math.sqrt((nb - 1) / nb * np.sum((jk - jk.mean()) ** 2))
+        assert rep.variances[j] == pytest.approx(np.var(x, ddof=1), rel=1e-12)
+        assert rep.variance_se[j] == pytest.approx(se, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [14_000, 5_003, 37])
+@pytest.mark.parametrize("width", [None, 1, 2])
+def test_blocks_match_slice_loop(n, width):
+    # block sums, means and outer products over the blocked view are bitwise those
+    # of explicit slices: nb = min(n, max(20, floor(sqrt n))) blocks of n // nb, tail dropped
+    x = np.random.default_rng(n).standard_normal(n if width is None else (n, width))
+    nb = min(n, max(20, math.isqrt(n)))
+    b = n // nb
+    slices = [x[i * b : (i + 1) * b] for i in range(nb)]
+    blocks = _blocks(x)
+    assert blocks.shape == (nb, b) + x.shape[1:]
+    assert np.array_equal(blocks.sum(axis=1), np.stack([s.sum(axis=0) for s in slices]))
+    assert np.array_equal(blocks.mean(axis=1), np.stack([s.mean(axis=0) for s in slices]))
+    if width is not None:
+        assert np.array_equal(blocks.mT @ blocks, np.stack([s.T @ s for s in slices]))
 
 
 def test_auxiliary_streams_differ_from_chain_rows():
@@ -442,9 +483,10 @@ def test_auxiliary_streams_differ_from_chain_rows():
 def test_poincare_variance_check_constant_observable(pot_gauss, quick_chain):
     t = Torus(1, 3)
     target = make_gibbs_target(t, pot_gauss, [0.0], 1.0)
-    obs = [Observable(value=lambda S: np.full(len(S), 1.25), grad=np.zeros_like, name="const")]
-    rep = poincare_variance_check(np.concatenate([r.samples for r in run_chains(target, quick_chain)]), 1.0, obs)
-    assert rep.ok and rep.variances[0] == pytest.approx(0.0, abs=1e-12)
+    # the zero direction: a constant observable, with variance and bound 0
+    samples = np.concatenate([r.samples for r in run_chains(target, quick_chain)])
+    rep = poincare_variance_check(samples, 1.0, np.zeros((1, 2)))
+    assert rep.ok and rep.variances[0] == 0.0 and rep.bounds[0] == 0.0
 
 
 def test_thermodynamic_integration_gaussian(pot_gauss):
