@@ -8,7 +8,7 @@ one conditioning pass (the oracle serves any m); a row whose pass raises
 QuadratureError is written with verdict quadrature-error and the sweep goes on.
 
 Usage: python scripts/run_hessian_sweep.py [--m 3] [--family example_b] [--delta 0.5]
-       [--factors 0.25,0.5,1,2,4] [--out sweep.csv]
+       [--a 0.5] [--factors 0.25,0.5,1,2,4] [--out sweep.csv]
 """
 
 import argparse

@@ -61,11 +61,12 @@ def f_tilt_hessian(u, p: Potential, t: Torus, beta: float) -> tuple[np.ndarray, 
     """D^2 f(u) on a d = 1 torus from one conditioning pass, and its error.
 
     In the unit frame f''(u) = c1 m kappa(k u), with kappa from
-    quadrature.conditioning_tilt_curvature, so no finite difference of f is
-    taken; any potential takes this route, compact ones included.  A pure
-    Gaussian has g = 0, hence D = 0 and f'' = c1 m exactly.  Returns the
-    (1, 1) Hessian and c1 m times the curvature's error: its last doubling
-    difference, floored at its rounding scale.
+    quadrature.conditioning_tilt_curvature, the doubling loop that also gives
+    log_expectation its d = 1 log E, so no finite difference of f is taken;
+    any potential takes this route, compact ones included.  A pure Gaussian
+    has g = 0, hence D = 0 and f'' = c1 m exactly.  Returns the (1, 1) Hessian
+    and c1 m times the curvature's error: its last doubling difference,
+    floored at its rounding scale.
     """
     if t.d != 1:
         raise ValueError(f"f_tilt_hessian needs a d = 1 torus, got d = {t.d}")

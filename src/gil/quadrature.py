@@ -21,10 +21,11 @@ with no fallback between routes:
   conditioning  d = 1, any other input, any m, scale and base field: the m
                 bond gradients are iid N(0, scale) conditioned to sum to zero,
                 so log E is one convolution at zero: forward FFTs on a
-                periodic grid that doubles until converged, and one sum over
-                the half spectrum for the value at zero.  The same grids give
-                log E's curvature in a uniform bond shift
-                (conditioning_tilt_curvature), the d = 1 tilt Hessian.
+                periodic grid and one sum over the half spectrum.  One
+                doubling loop (conditioning_tilt_curvature) gives log E and
+                its curvature in a uniform bond shift, the d = 1 tilt Hessian,
+                and stops once both converge; log E's error is floored at
+                rounding.
   gh            d >= 2 otherwise: tensor-product Gauss-Hermite in
                 gff.ModeBasis, the eigenbasis of the pinned form that
                 sample_gff also draws in, with node doubling from
@@ -50,7 +51,6 @@ __all__ = [
     "compact_anharmonicity",
     "gh_log_expectation",
     "gh_log_expectation_doubling",
-    "conditioning_log_expectation",
     "conditioning_tilt_curvature",
     "mayer_log_expectation",
     "log_expectation",
@@ -162,104 +162,73 @@ def _at_zero(X: np.ndarray, n: int) -> tuple[float, float]:
     return float(total) / n, np.finfo(float).eps * float(size[0] + 2.0 * size[1:-1].sum() + size[-1]) / n
 
 
-def _conditioning_excess(g, shifts: np.ndarray, scale: float):
-    """Yield (n, rho0, rho) on the grids n = COND_MIN_POINTS, 2 COND_MIN_POINTS, ..., COND_MAX_POINTS.
+def _conditioning_grid(g, shifts: np.ndarray, counts: np.ndarray, scale: float, n: int):
+    """The excess ratios (rho0, rho1, rho2) on the n-point grid, each a (value, rounding scale) pair.
 
-    K = f_1 * ... * f_m with f_b(e) = N(e) exp(-g(shifts[b] + e)) and e_b iid
-    N(0, scale); K_G = N^{*m} is its value at g = 0.  Each f_b is sampled on one
-    periodic grid centred on e = 0 and transformed once; the value at e = 0 of
-    a convolution is a sum over the product of the transforms (_at_zero).
-    Writing f_b = N + r_b, the excess D = prod F_b - G^m is accumulated bond by
-    bond, so ratios to K_G keep their relative precision when g is small.
-    Bonds with equal shifts share one transform.  rho0 = D(0) / K_G(0), and
-    rho(j) = D^(j)(0) / K_G(0) from the same spectrum times (i w)^j, each as a
-    (value, rounding scale) pair.  Raises
-    QuadratureError on a non-finite integrand or unless 1 + rho0 is finite and
-    positive: at large beta and m the excess cancels K_G to rounding, which a
-    Cramer-tilted grid (centred on the tilted density's mean) would serve; that
-    grid is not built.  Raises QuadratureError when asked for a grid beyond
-    COND_MAX_POINTS: its consumers stop once they converge.
+    K = f_1 * ... * f_m with f_b(e) = N(e) exp(-g(s_b + e)), e_b iid N(0, scale)
+    and counts[i] bonds at the distinct shift shifts[i]; K_G = N^{*m} is K at
+    g = 0.  Each distinct f_b is sampled on one periodic grid centred on e = 0
+    and transformed once, and the excess D = prod F_b - G^m is accumulated bond
+    by bond (f_b = N + r_b), so ratios to K_G keep their relative precision when
+    g is small.  rho_j = D^(j)(0) / K_G(0) are the at-zero sums (_at_zero) of
+    Re D, -w Im D and -w^2 Re D, the real parts of (i w)^j D, over K_G(0).
+    Raises QuadratureError on a non-finite integrand or unless 1 + rho0 is
+    finite and positive: at large beta and m the excess cancels K_G to
+    rounding, which a Cramer-tilted grid (centred on the tilted density's mean)
+    would serve; that grid is not built.
     """
-    shifts = np.asarray(shifts, dtype=float).ravel()
-    m = len(shifts)
-    width = COND_WIDTH * math.sqrt(scale * max(m, 4))
-    n = COND_MIN_POINTS
-    while n <= COND_MAX_POINTS:
-        step = width / n
-        e = step * ((np.arange(n) + n // 2) % n - n // 2)  # index 0 at e = 0
-        gauss = np.exp(-0.5 * e * e / scale) * step / math.sqrt(2.0 * math.pi * scale)
-        G = np.fft.rfft(gauss)
-        P, D = np.ones_like(G), np.zeros_like(G)  # prod_{b<j} F_b and its excess over G^j
-        for shift, count in zip(*np.unique(shifts, return_counts=True)):
-            with np.errstate(all="ignore"):
-                r = gauss * np.expm1(-g(shift + e))
-            if not np.all(np.isfinite(r)):
-                raise QuadratureError("conditioning backend: integrand is not finite")
-            R = np.fft.rfft(r)
-            F = G + R
-            for _ in range(count):
-                D = D * G + P * R
-                P = P * F
-        k_gauss, k_round = _at_zero(G**m, n)
+    m = int(counts.sum())
+    step = COND_WIDTH * math.sqrt(scale * max(m, 4)) / n
+    e = step * ((np.arange(n) + n // 2) % n - n // 2)  # index 0 at e = 0
+    gauss = np.exp(-0.5 * e * e / scale) * step / math.sqrt(2.0 * math.pi * scale)
+    G = np.fft.rfft(gauss)
+    P, D = np.ones_like(G), np.zeros_like(G)  # prod_{b<j} F_b and its excess over G^j
+    for shift, count in zip(shifts, counts):
+        with np.errstate(all="ignore"):
+            r = gauss * np.expm1(-g(shift + e))
+        if not np.all(np.isfinite(r)):
+            raise QuadratureError("conditioning backend: integrand is not finite")
+        R = np.fft.rfft(r)
+        F = G + R
+        for _ in range(count):
+            D = D * G + P * R
+            P = P * F
+    k_gauss, k_round = _at_zero(G**m, n)
 
-        def ratio(X):  # an at-zero sum over K_G(0), and its rounding scale
-            val, val_round = _at_zero(X, n)
-            return val / k_gauss, (val_round + abs(val) * k_round / k_gauss) / k_gauss
+    def ratio(X):  # an at-zero sum over K_G(0), and its rounding scale
+        val, val_round = _at_zero(X, n)
+        return val / k_gauss, (val_round + abs(val) * k_round / k_gauss) / k_gauss
 
-        rho0 = ratio(D)
-        if not (math.isfinite(rho0[0]) and rho0[0] > -1.0):
-            raise QuadratureError(f"conditioning backend: K(0) / K_G(0) = 1 + {rho0[0]!r} is not finite and positive")
-
-        def rho(j):  # called before the next grid is built
-            iw = 2j * math.pi * np.fft.rfftfreq(n, step)
-            if j % 2:
-                iw[-1] = 0.0  # the Nyquist bin of an odd derivative
-            return ratio(iw**j * D)
-
-        yield n, rho0, rho
-        n *= 2
-    raise QuadratureError(f"conditioning backend: no convergence below {EXACT_TOL} at {COND_MAX_POINTS} grid points")
-
-
-def conditioning_log_expectation(g, shifts: np.ndarray, scale: float = 1.0) -> tuple[float, dict]:
-    """log E[exp(-sum_b g(shifts[b] + e_b))] for e iid N(0, scale) conditioned on sum(e) = 0.
-
-    On the d = 1 torus these are the bond gradients of the pinned field, so the
-    m - 1 dimensional integral is the convolution K = f_1 * ... * f_m at zero
-    over its Gaussian value K_G(0), with f_b(e) = N(e) exp(-g(shifts[b] + e)),
-    and log E = log1p(rho0) on the grids of _conditioning_excess.  The grid
-    doubles until two successive values differ by less than EXACT_TOL; returns
-    (log E, {"error", "points"}) and raises QuadratureError where
-    _conditioning_excess does, at COND_MAX_POINTS among others.
-    """
-    prev = None
-    for n, (rho0, _round), _rho in _conditioning_excess(g, shifts, scale):
-        cur = math.log1p(rho0)
-        if prev is not None and abs(cur - prev) < EXACT_TOL:
-            return cur, {"error": abs(cur - prev), "points": n}
-        prev = cur
+    rho0 = ratio(D)
+    if not (math.isfinite(rho0[0]) and rho0[0] > -1.0):
+        raise QuadratureError(f"conditioning backend: K(0) / K_G(0) = 1 + {rho0[0]!r} is not finite and positive")
+    w = 2.0 * math.pi * np.fft.rfftfreq(n, step)  # Im D is 0 in the real Nyquist bin
+    return rho0, ratio(-w * D.imag), ratio(-(w * w) * D.real)
 
 
 def conditioning_tilt_curvature(g, shifts: np.ndarray, scale: float = 1.0) -> tuple[float, float, dict]:
-    """log E as in conditioning_log_expectation and its curvature in a uniform bond shift.
+    """log E[exp(-sum_b g(shifts[b] + e_b))] for e iid N(0, scale) with sum(e) = 0, and its tilt curvature.
 
-    Shifting every bond by t and substituting e_b -> e_b - t moves the shift
-    onto the point where the convolution is evaluated:
-    log E(t) = m t^2 / (2 scale) + log K(m t) + const.  The curvature returned
-    is kappa = 1/scale - (log E)''(0) / m = -m (log K)''(0), which is
-    (1/scale - m rho2) / (1 + rho0) + m (rho1 / (1 + rho0))^2 in the excess
-    ratios of _conditioning_excess: no g' or g'' and no second transform.  At
-    scale 1 and zero base field, the d = 1 tilt free energy has
-    f''(u) = c1 m kappa.  The grid doubles until both log E and kappa move by
+    On the d = 1 torus these e_b are the pinned field's bond gradients, and
+    log E = log1p(rho0) in the ratios of _conditioning_grid.  Shifting every
+    bond by t moves the shift onto the point where K is evaluated:
+    log E(t) = m t^2 / (2 scale) + log K(m t) + const.  So the curvature
+    kappa = 1/scale - (log E)''(0) / m = -m (log K)''(0) is
+    (1/scale - m rho2) / (1 + rho0) + m (rho1 / (1 + rho0))^2, and at scale 1
+    and zero base field the d = 1 tilt free energy has f''(u) = c1 m kappa.
+    The grid doubles from COND_MIN_POINTS until log E and kappa both move by
     less than EXACT_TOL; returns (log E, kappa, {"error", "curvature_error",
-    "points"}) and raises QuadratureError like conditioning_log_expectation.
-    Each error is the last doubling difference floored at the ratios' rounding
-    carried through log1p and the kappa formula: 0 only for g = 0.
+    "points"}).  Each error is the last doubling difference floored at the
+    ratios' rounding carried through log1p and the kappa formula: 0 only for
+    g = 0.  Raises QuadratureError where _conditioning_grid does, on a
+    non-finite kappa, and beyond COND_MAX_POINTS.
     """
-    m = np.asarray(shifts).size
+    shifts, counts = np.unique(np.asarray(shifts, dtype=float), return_counts=True)
+    m = int(counts.sum())
     prev = None
-    for n, (rho0, round0), rho in _conditioning_excess(g, shifts, scale):
-        (rho1, round1), (rho2, round2) = rho(1), rho(2)
+    n = COND_MIN_POINTS
+    while n <= COND_MAX_POINTS:
+        (rho0, round0), (rho1, round1), (rho2, round2) = _conditioning_grid(g, shifts, counts, scale, n)
         q = 1.0 + rho0
         ratio = rho1 / q
         head = (1.0 / scale - m * rho2) / q
@@ -277,6 +246,8 @@ def conditioning_tilt_curvature(g, shifts: np.ndarray, scale: float = 1.0) -> tu
                 info = {"error": max(err[0], floors[0]), "curvature_error": max(err[1], floors[1]), "points": n}
                 return cur[0], cur[1], info
         prev = cur
+        n *= 2
+    raise QuadratureError(f"conditioning backend: no convergence below {EXACT_TOL} at {COND_MAX_POINTS} grid points")
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +422,9 @@ def log_expectation(
             vals, pruned = mayer_log_expectation(field_bond_map(t, scale), shifts, h, (lo, hi))
             return shaped(vals), {"method": "mayer", "error": pruned}
     if t.d == 1:
-        out = [conditioning_log_expectation(p.g, shifts, scale) for shifts in bond_args(t, rows, u)]
-        info = {k: max(i[k] for _, i in out) for k in ("error", "points")}
-        return shaped([v for v, _ in out]), {"method": "conditioning", **info}
+        out = [conditioning_tilt_curvature(p.g, shifts, scale) for shifts in bond_args(t, rows, u)]
+        info = {k: max(i[k] for *_, i in out) for k in ("error", "points")}
+        return shaped([v for v, *_ in out]), {"method": "conditioning", **info}
     out = []
     for row in rows:
         val, converged, delta, order = gh_log_expectation_doubling(

@@ -11,6 +11,7 @@ map, and drives the end-to-end convexity verification of the free energy.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -35,6 +36,8 @@ __all__ = [
     "verify_theorem",
     "TheoremRow",
 ]
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -228,11 +231,12 @@ def verify_theorem(
     """Check min eig D^2 f(u) >= (c1/2) |T| - tol on each grid tilt.
 
     method "auto" takes the oracle, and chains for a row whose oracle raises
-    QuadratureError when cfg is given (without it the error propagates); beyond
-    Mayer's and GH's reach the oracle raises before any evaluation, and a pure
-    Gaussian takes the exact route in every d.  Oracle rows in d = 1 come from
-    one conditioning pass per tilt (oracle.f_tilt_hessian, whatever the
-    potential) and report its error as std_error; in d >= 2 they are Richardson FD
+    QuadratureError when cfg is given (without it the error propagates); each
+    such row logs one warning.  Beyond Mayer's and GH's reach the oracle raises
+    before any evaluation, and a pure Gaussian takes the exact route in every
+    d.  Oracle rows in d = 1 come from one conditioning pass per tilt
+    (oracle.f_tilt_hessian, whatever the potential) and report its error as
+    std_error; in d >= 2 they are Richardson FD
     Hessians of f_tilt, the u-dependent part of the quadrature free energy,
     reporting 10 ORACLE_ERROR.  Chain rows use the fluctuation
     identity in the unit frame mapped back by
@@ -256,9 +260,10 @@ def verify_theorem(
                     H, se = f_tilt_hessian(u, p, t, beta)
                 else:
                     H, se = hessian_fd(lambda uu: f_tilt(uu, p, t, beta), u, h=1e-3), 10.0 * ORACLE_ERROR
-            except QuadratureError:
+            except QuadratureError as exc:
                 if method != "auto" or cfg is None:
                     raise
+                log.warning("verify_theorem: grid tilt %d (u = %s) recomputed on chains: %s", j, u.tolist(), exc)
                 row_method = "chain"
         if row_method == "chain":
             if cfg is None:

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import time
 
@@ -399,13 +400,18 @@ def test_hessian_auto_falls_back_to_chains_where_conditioning_fails(tmp_path):
     assert rows[0][4] == "chain" and rows[0][6] == "out-of-hypothesis"
 
 
-def test_hessian_auto_falls_back_to_chains_in_d2(tmp_path):
+def test_hessian_auto_falls_back_to_chains_in_d2(tmp_path, caplog):
     # the GH oracle does not converge on this d = 2 row, so auto writes a chain row
+    # and logs one warning naming the row and the oracle's error
     chain = {"n_steps": 1_500, "burn_in": 300, "n_chains": 2}
     path = write(tmp_path / "c.json", dict(_example_a_half_threshold(2, 2, [0.3, 0.1]), chain=chain))
-    assert run_cli(["hessian", "--config", path, "--out", tmp_path / "h.csv"]) == 0
+    with caplog.at_level(logging.WARNING, logger="gil.renorm"):
+        assert run_cli(["hessian", "--config", path, "--out", tmp_path / "h.csv"]) == 0
     rows = (tmp_path / "h.csv").read_text().strip().split("\n")[1:]
     assert [r.split(",")[5] for r in rows] == ["chain"]
+    records = [r for r in caplog.records if r.name == "gil.renorm"]
+    assert [r.levelname for r in records] == ["WARNING"]
+    assert "grid tilt 0" in records[0].getMessage() and "GH did not converge" in records[0].getMessage()
 
 
 def test_hessian_oracle_in_hypothesis_d1(tmp_path):

@@ -15,7 +15,7 @@ from gil.oracle import (
     renorm_joint_g,
 )
 from gil.potentials import example_a, example_b, gaussian_potential, norms
-from gil.quadrature import QuadratureError, _conditioning_excess, gh_log_expectation_doubling
+from gil.quadrature import QuadratureError, _conditioning_grid, gh_log_expectation_doubling
 from gil.renorm import DecompositionPlan, estimate_r1g
 
 from conftest import pinned_covariance
@@ -147,12 +147,10 @@ def test_f_tilt_hessian_error_floors_at_rounding():
     H, err = f_tilt_hessian([u], p, t, beta)
     ps, k = scale_to_unit(p, beta)
     kappas = []
-    for n, (rho0, _), rho in _conditioning_excess(ps.g, np.full(m, k * u), 1.0):
-        if n >= 4096:
-            ratio = rho(1)[0] / (1.0 + rho0)
-            kappas.append((1.0 - m * rho(2)[0]) / (1.0 + rho0) + m * ratio * ratio)
-        if n == 16384:
-            break
+    for n in (4096, 8192, 16384):
+        (rho0, _), (rho1, _), (rho2, _) = _conditioning_grid(ps.g, np.array([k * u]), np.array([m]), 1.0, n)
+        ratio = rho1 / (1.0 + rho0)
+        kappas.append((1.0 - m * rho2) / (1.0 + rho0) + m * ratio * ratio)
     assert err > 0.0
     assert err >= m * p.c1 * (max(kappas) - min(kappas))
     assert abs(H[0, 0] - m * p.c1 * kappas[-1]) <= err

@@ -4,21 +4,23 @@ import numpy as np
 import pytest
 from scipy.special import roots_hermitenorm
 
-from gil.conditions import scale_to_unit
+from gil.conditions import check_conditions, scale_to_unit
 from gil.gff import ModeBasis, pinned_form
 from gil.lattice import Torus, anharmonic_g, bond_args
 from gil.oracle import hessian_fd
-from gil.potentials import example_a, example_b, gaussian_potential
+from gil.potentials import example_a, example_b, gaussian_potential, norms
 from gil.quadrature import (
+    COND_MIN_POINTS,
+    EXACT_TOL,
     GH_PRUNE,
     GL_ORDER,
     MAYER_POINTS,
     ORACLE_MAX_DOF,
     QuadratureError,
     _at_zero,
+    _conditioning_grid,
     _gh_rule,
     compact_anharmonicity,
-    conditioning_log_expectation,
     conditioning_tilt_curvature,
     field_bond_map,
     gh_log_expectation,
@@ -74,7 +76,7 @@ def test_conditioning_matches_gh_on_smooth():
     # the quadratic G of _quadratic_gfun is g(s) = (eps/2) s^2 at the shift u on every bond
     t = Torus(1, 3)
     gh = gh_log_expectation(_quadratic_gfun(t, 0.25, np.array([0.3])), t, 1.0, order=32)
-    val, info = conditioning_log_expectation(lambda s: 0.125 * s * s, np.full(3, 0.3))
+    val, _, info = conditioning_tilt_curvature(lambda s: 0.125 * s * s, np.full(3, 0.3))
     assert val == pytest.approx(gh, abs=1e-12)
     assert info["error"] < 1e-12
 
@@ -103,7 +105,7 @@ def test_conditioning_matches_mayer_example_b(scaled_b, m, u):
     assert info["method"] == "mayer"
     _lo, _hi, h = compact_anharmonicity(ps)
     g, calls = _counted(h)
-    val, info = conditioning_log_expectation(g, bond_args(t, np.zeros(t.volume), tilt))
+    val, _, info = conditioning_tilt_curvature(g, bond_args(t, np.zeros(t.volume), tilt))
     assert val == pytest.approx(val_mayer, abs=1e-12)
     assert info["error"] < 1e-12
     # every bond has the tilt as its shift: one g call per grid size
@@ -124,7 +126,7 @@ def test_conditioning_matches_mayer_with_base_field(scaled_b, m, scale):
     _lo, _hi, h = compact_anharmonicity(ps)
     shifts = bond_args(t, psi, tilt).ravel()
     assert len(np.unique(shifts)) == m
-    val, _ = conditioning_log_expectation(h, shifts, scale)
+    val, _, _ = conditioning_tilt_curvature(h, shifts, scale)
     assert val == pytest.approx(val_mayer, abs=1e-12)
 
 
@@ -189,20 +191,41 @@ def test_at_zero_sum_is_the_inverse_transform_at_zero(n, nyquist):
 )
 @pytest.mark.parametrize("m", [2, 3])
 def test_conditioning_raises_instead_of_unconverged_value(g, message, m):
-    for route in (conditioning_log_expectation, conditioning_tilt_curvature):
-        with pytest.raises(QuadratureError, match=message):
-            route(g, np.zeros(m))
+    with pytest.raises(QuadratureError, match=message):
+        conditioning_tilt_curvature(g, np.zeros(m))
 
 
-def test_tilt_curvature_log_e_is_the_conditioning_value(scaled_b):
-    # both stop on the same grids' log E; the curvature may need more doublings
-    ps, k = scaled_b
-    shifts = np.array([0.1, 0.3, -0.2, 0.3]) * k
-    val, info = conditioning_log_expectation(lambda s: ps.v(s) - 0.5 * s * s, shifts)
-    log_e, kappa, cinfo = conditioning_tilt_curvature(lambda s: ps.v(s) - 0.5 * s * s, shifts)
-    assert log_e == pytest.approx(val, abs=2e-12)
-    assert cinfo["points"] >= info["points"]
-    assert max(cinfo["error"], cinfo["curvature_error"]) < 1e-12
+@pytest.mark.parametrize("m", [3, 4])
+def test_conditioning_stops_where_log_e_alone_converges(m):
+    # the benchmark's d = 1 free energies: the doubling that also waits for kappa
+    # stops on the first grid where log E alone moves by less than EXACT_TOL, so a
+    # caller that needs only log E pays for no extra grid
+    ps, k = scale_to_unit(example_a(0.5), 8.031904623282352e-4)
+    t = Torus(1, m)
+    val, info = log_expectation(t, ps, np.array([0.5 * k]))
+    assert info["method"] == "conditioning"
+    shifts, counts = np.unique(bond_args(t, np.zeros(t.volume), [0.5 * k]), return_counts=True)
+    n, prev = COND_MIN_POINTS, None
+    while True:
+        cur = math.log1p(_conditioning_grid(ps.g, shifts, counts, 1.0, n)[0][0])
+        if prev is not None and abs(cur - prev) < EXACT_TOL:
+            break
+        prev, n = cur, 2 * n
+    assert info["points"] == n == 8192
+    assert val == cur
+
+
+def test_conditioning_log_e_error_floors_at_rounding():
+    # at 100x the threshold log E agrees on successive grids to the last bit; the
+    # error is the rounding scale of the at-zero sums carried through log1p, not 0
+    p, m, u = example_a(0.5), 8, 0.3
+    ps, k = scale_to_unit(p, 100.0 * check_conditions(1.0, 1, p, norms(p)).beta_max_fcond)
+    t = Torus(1, m)
+    val, info = log_expectation(t, ps, np.array([k * u]))
+    assert info["method"] == "conditioning" and val != 0.0
+    assert 0.0 < info["error"] < 1e-14
+    log_e, _, cinfo = conditioning_tilt_curvature(ps.g, np.full(m, k * u))
+    assert (val, info["error"], info["points"]) == (log_e, cinfo["error"], cinfo["points"])
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.4])
@@ -270,7 +293,7 @@ def test_mayer_matches_conditioning(scaled_b):
     val_mayer, info = log_expectation(t, ps, u)
     assert info["method"] == "mayer"
     _lo, _hi, h = compact_anharmonicity(ps)
-    val, _ = conditioning_log_expectation(h, bond_args(t, np.zeros(t.volume), u))
+    val, _, _ = conditioning_tilt_curvature(h, bond_args(t, np.zeros(t.volume), u))
     assert val_mayer == pytest.approx(val, abs=5e-9)
 
 
@@ -349,7 +372,7 @@ def test_mayer_degenerate_subsets_handled(scaled_b):
     val, info = log_expectation(t, ps, u)
     assert info["method"] == "mayer"
     _lo, _hi, h = compact_anharmonicity(ps)
-    ref, _ = conditioning_log_expectation(h, bond_args(t, np.zeros(t.volume), u))
+    ref, _, _ = conditioning_tilt_curvature(h, bond_args(t, np.zeros(t.volume), u))
     assert val == pytest.approx(ref, abs=1e-9)
 
 

@@ -56,3 +56,14 @@ def test_chain_step_timing_prints_every_target_and_size():
     rows = [line.split(",") for line in lines[1:]]
     assert [(r[0], r[1]) for r in rows] == [(t, n) for n in ("7", "63", "255") for t in ("gibbs_unit", "gibbs_raw", "h1")]
     assert all(float(r[2]) > 0.0 for r in rows)
+
+
+def test_oracle_route_timing_prints_every_route():
+    proc = _run("time_oracle_routes.py", "--repeats", 1)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "route,config,points,ms_per_call"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [r[0] for r in rows] == ["conditioning"] * 4 + ["mayer"] * 2 + ["gh", "f_tilt_hessian"]
+    assert [int(r[2]) for r in rows[:4]] == [8192, 16384, 32768, 131072] and rows[6][2] == "32"
+    assert all(float(r[3]) > 0.0 for r in rows)
