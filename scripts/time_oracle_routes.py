@@ -4,12 +4,14 @@
 Times quadrature.log_expectation in the unit frame at the tilt u on every axis,
 one config per row of ROUTES: the conditioning route on example_a(0.5) at the
 benchmark's beta (m = 3, 8, 64) and on example_b(0.5) at half its d = 1
-threshold (m = 8); Mayer on example_b(0.5) at half its threshold on
+threshold (m = 8, 64); Mayer on example_b(0.5) at half its threshold on
 Torus(1, 5) and Torus(2, 2); GH on example_c(0.05, 2, 1) at half its d = 2
-threshold on Torus(2, 2).  The last row times oracle.f_tilt_hessian, one
-conditioning pass for the d = 1 tilt Hessian.  A figure is the fastest of
+threshold on Torus(2, 2).  The last rows time oracle.f_tilt_hessian, one
+conditioning pass for the d = 1 tilt Hessian, one per row of HESSIANS: on
+example_a(0.5) at m = 8 and on example_b(0.5) at the benchmark's hessian_mayer
+config (m = 5, u = 0, half its d = 1 threshold).  A figure is the fastest of
 --repeats calls.  points is the conditioning grid size or the GH order; Mayer
-and the Hessian row report neither and write 0.
+and the Hessian rows report neither and write 0.
 Prints CSV: route,config,points,ms_per_call.
 
 Usage: python scripts/time_oracle_routes.py [--repeats 5]
@@ -35,11 +37,13 @@ ROUTES = (
     ("conditioning", "a", 1, 8, BETA_A),
     ("conditioning", "a", 1, 64, BETA_A),
     ("conditioning", "b", 1, 8, None),
+    ("conditioning", "b", 1, 64, None),
     ("mayer", "b", 1, 5, None),
     ("mayer", "b", 2, 2, None),
     ("gh", "c", 2, 2, None),
 )
-HESSIAN = ("a", 1, 8, BETA_A)
+# (family, d, m, beta as in ROUTES, u)
+HESSIANS = (("a", 1, 8, BETA_A, U), ("b", 1, 5, None, 0.0))
 
 
 def setup(family: str, d: int, beta):
@@ -72,10 +76,10 @@ def main():
         assert info["method"] == route, (route, info["method"])
         points = info.get("points", info.get("order", 0))
         print(f"{route},{family}_d{d}_m{m}_beta{beta:.4g},{points},{ms:.3f}", flush=True)
-    family, d, m, beta = HESSIAN
-    p, beta = setup(family, d, beta)
-    ms, _ = best_ms(lambda: f_tilt_hessian([U], p, Torus(d, m), beta), args.repeats)
-    print(f"f_tilt_hessian,{family}_d{d}_m{m}_beta{beta:.4g},0,{ms:.3f}", flush=True)
+    for family, d, m, beta, u in HESSIANS:
+        p, beta = setup(family, d, beta)
+        ms, _ = best_ms(lambda: f_tilt_hessian([u], p, Torus(d, m), beta), args.repeats)
+        print(f"f_tilt_hessian,{family}_d{d}_m{m}_beta{beta:.4g}_u{u:g},0,{ms:.3f}", flush=True)
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ from .potentials import Potential
 from .quadrature import (
     GH_TOL,
     QuadratureError,
+    compact_anharmonicity,
     conditioning_tilt_curvature,
     gh_log_expectation_doubling,
     log_expectation,
@@ -63,7 +64,7 @@ def f_tilt_hessian(u, p: Potential, t: Torus, beta: float) -> tuple[np.ndarray, 
     In the unit frame f''(u) = c1 m kappa(k u), with kappa from
     quadrature.conditioning_tilt_curvature, the doubling loop that also gives
     log_expectation its d = 1 log E, so no finite difference of f is taken;
-    any potential takes this route, compact ones included.  A pure Gaussian
+    any potential takes this route, a compact one with its support.  A pure Gaussian
     has g = 0, hence D = 0 and f'' = c1 m exactly.  Returns the (1, 1) Hessian
     and c1 m times the curvature's error: its last doubling difference,
     floored at its rounding scale.
@@ -72,7 +73,9 @@ def f_tilt_hessian(u, p: Potential, t: Torus, beta: float) -> tuple[np.ndarray, 
         raise ValueError(f"f_tilt_hessian needs a d = 1 torus, got d = {t.d}")
     u = np.atleast_1d(np.asarray(u, dtype=float))
     ps, k = scale_to_unit(p, beta)
-    _log_e, kappa, info = conditioning_tilt_curvature(ps.g, bond_args(t, np.zeros(t.volume), k * u).ravel())
+    compact = compact_anharmonicity(ps)
+    shifts = bond_args(t, np.zeros(t.volume), k * u).ravel()
+    _log_e, kappa, info = conditioning_tilt_curvature(ps.g, shifts, 1.0, None if compact is None else compact[:2])
     m_c1 = t.volume * p.c1
     return np.array([[m_c1 * kappa]]), float(m_c1 * info["curvature_error"])
 

@@ -20,12 +20,13 @@ with no fallback between routes:
                 so one call serves a whole batch of base fields.
   conditioning  d = 1, any other input, any m, scale and base field: the m
                 bond gradients are iid N(0, scale) conditioned to sum to zero,
-                so log E is one convolution at zero: forward FFTs on a
-                periodic grid and one sum over the half spectrum.  One
-                doubling loop (conditioning_tilt_curvature) gives log E and
-                its curvature in a uniform bond shift, the d = 1 tilt Hessian,
-                and stops once both converge; log E's error is floored at
-                rounding.
+                so log E is one convolution at zero: per-bond transforms on
+                a periodic grid (rffts of samples, or for compact g exact
+                Gauss-Legendre transforms over the support) and one sum over
+                the half spectrum.  One doubling loop
+                (conditioning_tilt_curvature) gives log E and its curvature
+                in a uniform bond shift, the d = 1 tilt Hessian, and stops
+                once both errors, floored at rounding, are below EXACT_TOL.
   gh            d >= 2 otherwise: tensor-product Gauss-Hermite in
                 gff.ModeBasis, the eigenbasis of the pinned form that
                 sample_gff also draws in, with node doubling from
@@ -72,6 +73,8 @@ Y_CLIP = 9.0  # standard-normal tail beyond this contributes < 1e-18
 COND_MIN_POINTS = 2**10
 COND_MAX_POINTS = 2**20
 COND_WIDTH = 18.0  # conditioning grid width over sqrt(scale * max(m, 4)): the circular wrap is below 1e-16
+COND_PANEL_STEPS = 8.0  # a compact bond's GL_ORDER-node panels span at most this many grid steps: 4 turns at Nyquist
+COND_EXACT_VALUES = 2**20  # most frequencies times nodes of one exact bond transform (grows as n^2); beyond, sample
 
 
 class QuadratureError(RuntimeError):
@@ -162,33 +165,61 @@ def _at_zero(X: np.ndarray, n: int) -> tuple[float, float]:
     return float(total) / n, np.finfo(float).eps * float(size[0] + 2.0 * size[1:-1].sum() + size[-1]) / n
 
 
-def _conditioning_grid(g, shifts: np.ndarray, counts: np.ndarray, scale: float, n: int):
+def _compact_transform(g, shift: float, support, scale: float, w: np.ndarray, panels: int) -> np.ndarray:
+    """int N(e) expm1(-g(shift + e)) exp(-i w e) de at the frequencies w, N the N(0, scale) density.
+
+    The integrand vanishes off [lo - shift, hi - shift] for g's support
+    (lo, hi); cut to +-Y_CLIP sqrt(scale), inside the grid's window, that is
+    split into `panels` equal Gauss-Legendre panels, so the C^2 edges are
+    panel ends.  An empty cut has zero weights and gives 0.
+    """
+    cut = Y_CLIP * math.sqrt(scale)
+    lo = max(support[0] - shift, -cut)
+    width = max(min(support[1] - shift, cut) - lo, 0.0) / panels
+    x, wt = _gl_rule(GL_ORDER)
+    e = (lo + width * (np.arange(panels)[:, None] + 0.5 * (x + 1.0))).ravel()
+    f = np.tile(0.5 * width * wt, panels) * np.exp(-0.5 * e * e / scale) * np.expm1(-g(shift + e))
+    phase = np.multiply.outer(w, e)
+    return (np.cos(phase) @ f - 1j * (np.sin(phase, out=phase) @ f)) / math.sqrt(2.0 * math.pi * scale)
+
+
+def _conditioning_grid(g, shifts: np.ndarray, counts: np.ndarray, scale: float, n: int, support=None):
     """The excess ratios (rho0, rho1, rho2) on the n-point grid, each a (value, rounding scale) pair.
 
     K = f_1 * ... * f_m with f_b(e) = N(e) exp(-g(s_b + e)), e_b iid N(0, scale)
     and counts[i] bonds at the distinct shift shifts[i]; K_G = N^{*m} is K at
-    g = 0.  Each distinct f_b is sampled on one periodic grid centred on e = 0
-    and transformed once, and the excess D = prod F_b - G^m is accumulated bond
-    by bond (f_b = N + r_b), so ratios to K_G keep their relative precision when
-    g is small.  rho_j = D^(j)(0) / K_G(0) are the at-zero sums (_at_zero) of
-    Re D, -w Im D and -w^2 Re D, the real parts of (i w)^j D, over K_G(0).
-    Raises QuadratureError on a non-finite integrand or unless 1 + rho0 is
-    finite and positive: at large beta and m the excess cancels K_G to
-    rounding, which a Cramer-tilted grid (centred on the tilted density's mean)
-    would serve; that grid is not built.
+    g = 0.  On one periodic grid centred on e = 0 the excess D = prod F_b - G^m
+    is accumulated bond by bond (f_b = N + r_b), so ratios to K_G keep their
+    relative precision when g is small.  G and each distinct R_b are the rffts
+    of N's and r_b's samples; given g's compact support (lo, hi), where r_b's
+    C^2 edges make the samples converge as O(step^4), R_b is instead r_b's
+    exact transform at the rfft frequencies (_compact_transform, panels of at
+    most COND_PANEL_STEPS steps) while its product holds COND_EXACT_VALUES.
+    rho_j = D^(j)(0) / K_G(0) are the at-zero sums (_at_zero) of Re D, -w Im D
+    and -w^2 Re D, the real parts of (i w)^j D, over K_G(0).  Raises
+    QuadratureError on a non-finite integrand or unless 1 + rho0 is finite and
+    positive: at large beta and m the excess cancels K_G to rounding, which a
+    Cramer-tilted grid (centred on the tilted density's mean) would serve;
+    that grid is not built.
     """
     m = int(counts.sum())
     step = COND_WIDTH * math.sqrt(scale * max(m, 4)) / n
     e = step * ((np.arange(n) + n // 2) % n - n // 2)  # index 0 at e = 0
     gauss = np.exp(-0.5 * e * e / scale) * step / math.sqrt(2.0 * math.pi * scale)
     G = np.fft.rfft(gauss)
+    w = 2.0 * math.pi * np.fft.rfftfreq(n, step)  # Im D is 0 in the real Nyquist bin
+    width = 0.0 if support is None else min(support[1] - support[0], 2.0 * Y_CLIP * math.sqrt(scale))
+    panels = math.ceil(width / (COND_PANEL_STEPS * step))
+    exact = 0 < len(w) * panels * GL_ORDER <= COND_EXACT_VALUES
     P, D = np.ones_like(G), np.zeros_like(G)  # prod_{b<j} F_b and its excess over G^j
     for shift, count in zip(shifts, counts):
         with np.errstate(all="ignore"):
-            r = gauss * np.expm1(-g(shift + e))
-        if not np.all(np.isfinite(r)):
+            if exact:
+                R = _compact_transform(g, shift, support, scale, w, panels)
+            else:
+                R = np.fft.rfft(gauss * np.expm1(-g(shift + e)))
+        if not np.all(np.isfinite(R)):
             raise QuadratureError("conditioning backend: integrand is not finite")
-        R = np.fft.rfft(r)
         F = G + R
         for _ in range(count):
             D = D * G + P * R
@@ -202,33 +233,33 @@ def _conditioning_grid(g, shifts: np.ndarray, counts: np.ndarray, scale: float, 
     rho0 = ratio(D)
     if not (math.isfinite(rho0[0]) and rho0[0] > -1.0):
         raise QuadratureError(f"conditioning backend: K(0) / K_G(0) = 1 + {rho0[0]!r} is not finite and positive")
-    w = 2.0 * math.pi * np.fft.rfftfreq(n, step)  # Im D is 0 in the real Nyquist bin
     return rho0, ratio(-w * D.imag), ratio(-(w * w) * D.real)
 
 
-def conditioning_tilt_curvature(g, shifts: np.ndarray, scale: float = 1.0) -> tuple[float, float, dict]:
+def conditioning_tilt_curvature(g, shifts: np.ndarray, scale: float = 1.0, support=None) -> tuple[float, float, dict]:
     """log E[exp(-sum_b g(shifts[b] + e_b))] for e iid N(0, scale) with sum(e) = 0, and its tilt curvature.
 
     On the d = 1 torus these e_b are the pinned field's bond gradients, and
-    log E = log1p(rho0) in the ratios of _conditioning_grid.  Shifting every
-    bond by t moves the shift onto the point where K is evaluated:
+    log E = log1p(rho0) in the ratios of _conditioning_grid, which takes g's
+    compact support (lo, hi) when there is one.  Shifting every bond by t
+    moves the shift onto the point where K is evaluated:
     log E(t) = m t^2 / (2 scale) + log K(m t) + const.  So the curvature
     kappa = 1/scale - (log E)''(0) / m = -m (log K)''(0) is
     (1/scale - m rho2) / (1 + rho0) + m (rho1 / (1 + rho0))^2, and at scale 1
     and zero base field the d = 1 tilt free energy has f''(u) = c1 m kappa.
-    The grid doubles from COND_MIN_POINTS until log E and kappa both move by
-    less than EXACT_TOL; returns (log E, kappa, {"error", "curvature_error",
-    "points"}).  Each error is the last doubling difference floored at the
-    ratios' rounding carried through log1p and the kappa formula: 0 only for
-    g = 0.  Raises QuadratureError where _conditioning_grid does, on a
-    non-finite kappa, and beyond COND_MAX_POINTS.
+    Each error is the doubling difference from the last grid floored at the
+    ratios' rounding carried through log1p and the kappa formula (0 only for
+    g = 0).  The grid doubles from COND_MIN_POINTS until both errors are below
+    EXACT_TOL; returns (log E, kappa, {"error", "curvature_error", "points"}).
+    Raises QuadratureError where _conditioning_grid does, on a non-finite
+    kappa, and beyond COND_MAX_POINTS.
     """
     shifts, counts = np.unique(np.asarray(shifts, dtype=float), return_counts=True)
     m = int(counts.sum())
     prev = None
     n = COND_MIN_POINTS
     while n <= COND_MAX_POINTS:
-        (rho0, round0), (rho1, round1), (rho2, round2) = _conditioning_grid(g, shifts, counts, scale, n)
+        (rho0, round0), (rho1, round1), (rho2, round2) = _conditioning_grid(g, shifts, counts, scale, n, support)
         q = 1.0 + rho0
         ratio = rho1 / q
         head = (1.0 / scale - m * rho2) / q
@@ -236,15 +267,14 @@ def conditioning_tilt_curvature(g, shifts: np.ndarray, scale: float = 1.0) -> tu
         if not math.isfinite(cur[1]):
             raise QuadratureError("conditioning backend: curvature is not finite")
         if prev is not None:
-            err = abs(cur[0] - prev[0]), abs(cur[1] - prev[1])
+            # each ratio's rounding times |d kappa / d rho_j|, and the formulas' own last
+            # roundings unless D = 0 made them exact
+            last = 2.0 * np.finfo(float).eps * (round0 > 0.0)
+            floor = (abs(head) + 2.0 * m * ratio * ratio) * round0 + 2.0 * m * abs(ratio) * round1 + m * round2
+            floors = round0 / q + last * abs(cur[0]), floor / q + last * abs(cur[1])
+            err = [max(abs(now - before), low) for now, before, low in zip(cur, prev, floors)]
             if max(err) < EXACT_TOL:
-                # each ratio's rounding times |d kappa / d rho_j|, and the formulas' own last
-                # roundings unless D = 0 made them exact
-                last = 2.0 * np.finfo(float).eps * (round0 > 0.0)
-                floor = (abs(head) + 2.0 * m * ratio * ratio) * round0 + 2.0 * m * abs(ratio) * round1 + m * round2
-                floors = round0 / q + last * abs(cur[0]), floor / q + last * abs(cur[1])
-                info = {"error": max(err[0], floors[0]), "curvature_error": max(err[1], floors[1]), "points": n}
-                return cur[0], cur[1], info
+                return cur[0], cur[1], {"error": err[0], "curvature_error": err[1], "points": n}
         prev = cur
         n *= 2
     raise QuadratureError(f"conditioning backend: no convergence below {EXACT_TOL} at {COND_MAX_POINTS} grid points")
@@ -422,7 +452,8 @@ def log_expectation(
             vals, pruned = mayer_log_expectation(field_bond_map(t, scale), shifts, h, (lo, hi))
             return shaped(vals), {"method": "mayer", "error": pruned}
     if t.d == 1:
-        out = [conditioning_tilt_curvature(p.g, shifts, scale) for shifts in bond_args(t, rows, u)]
+        support = None if compact is None else compact[:2]
+        out = [conditioning_tilt_curvature(p.g, shifts, scale, support) for shifts in bond_args(t, rows, u)]
         info = {k: max(i[k] for *_, i in out) for k in ("error", "points")}
         return shaped([v for v, *_ in out]), {"method": "conditioning", **info}
     out = []

@@ -424,6 +424,21 @@ def test_hessian_oracle_in_hypothesis_d1(tmp_path):
     assert rows[0][4] == "oracle" and rows[0][6] == "pass"
 
 
+def test_hessian_oracle_example_b_at_m512(tmp_path):
+    # sampled on the grid, example_b's C^2 support edges keep the conditioning
+    # doubling from converging by its 2^20-point cap at m = 512; transformed
+    # exactly, its compact bonds converge on a 2048-point grid
+    p = build_potential({"family": "example_b", "delta": 0.5})
+    beta = check_conditions(1.0, 1, p, norms(p)).beta_max_fcond / 2.0
+    cfg = {"potential": {"family": "example_b", "delta": 0.5}, "d": 1, "m": 512, "beta": beta, "seed": 7}
+    path = write(tmp_path / "c.json", dict(cfg, u_grid=[[0.3]], method="oracle"))
+    out = tmp_path / "h.csv"
+    assert run_cli(["hessian", "--config", path, "--out", out]) == 0
+    rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+    assert len(rows) == 1
+    assert rows[0][4] == "oracle" and rows[0][6] == "pass"
+
+
 def test_seed_override_changes_output(tmp_path):
     cfg = dict(BASE, u=[0.2], chain={"n_steps": 2000, "burn_in": 500, "n_chains": 1})
     path = write(tmp_path / "c.json", cfg)

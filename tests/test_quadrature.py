@@ -8,9 +8,11 @@ from gil.conditions import check_conditions, scale_to_unit
 from gil.gff import ModeBasis, pinned_form
 from gil.lattice import Torus, anharmonic_g, bond_args
 from gil.oracle import hessian_fd
-from gil.potentials import example_a, example_b, gaussian_potential, norms
+from gil.potentials import example_a, example_b, example_c, gaussian_potential, norms
 from gil.quadrature import (
     COND_MIN_POINTS,
+    COND_PANEL_STEPS,
+    COND_WIDTH,
     EXACT_TOL,
     GH_PRUNE,
     GL_ORDER,
@@ -18,6 +20,7 @@ from gil.quadrature import (
     ORACLE_MAX_DOF,
     QuadratureError,
     _at_zero,
+    _compact_transform,
     _conditioning_grid,
     _gh_rule,
     compact_anharmonicity,
@@ -95,7 +98,8 @@ def _counted(g):
 # integrates over the exact intersection of both supports: no C^2 support edge
 # falls inside its Gauss-Legendre interval.  For u below the support's upper end
 # 0.17 both bonds can sit in the support (u = 0.15); u = 0.2 leaves the pair term
-# exactly zero.
+# exactly zero.  Each case runs without g's support (g sampled on the grid) and
+# with it (compact bonds transformed exactly).
 @pytest.mark.parametrize("m,u", [(2, 0.15), (2, 0.2), (3, 0.15)])
 def test_conditioning_matches_mayer_example_b(scaled_b, m, u):
     ps, _ = scaled_b
@@ -103,13 +107,16 @@ def test_conditioning_matches_mayer_example_b(scaled_b, m, u):
     tilt = np.array([u])
     val_mayer, info = log_expectation(t, ps, tilt)
     assert info["method"] == "mayer"
-    _lo, _hi, h = compact_anharmonicity(ps)
-    g, calls = _counted(h)
-    val, _, info = conditioning_tilt_curvature(g, bond_args(t, np.zeros(t.volume), tilt))
-    assert val == pytest.approx(val_mayer, abs=1e-12)
-    assert info["error"] < 1e-12
-    # every bond has the tilt as its shift: one g call per grid size
-    assert len(calls) <= 11 and calls[-1] == info["points"]
+    lo, hi, h = compact_anharmonicity(ps)
+    for support in (None, (lo, hi)):
+        g, calls = _counted(h)
+        val, _, info = conditioning_tilt_curvature(g, bond_args(t, np.zeros(t.volume), tilt), 1.0, support)
+        assert val == pytest.approx(val_mayer, abs=1e-12)
+        assert info["error"] < 1e-12
+        # every bond has the tilt as its shift: one g call per grid size, on the
+        # grid's points when sampled and on the panels' nodes when transformed exactly
+        assert len(calls) == round(math.log2(info["points"] / COND_MIN_POINTS)) + 1 <= 11
+        assert support is not None or calls[-1] == info["points"]
 
 
 @pytest.mark.parametrize("m", [3, 4, 5])
@@ -123,11 +130,79 @@ def test_conditioning_matches_mayer_with_base_field(scaled_b, m, scale):
     psi[1:] = 0.05 * np.random.default_rng(m).standard_normal(t.n_dof)
     val_mayer, info = log_expectation(t, ps, tilt, scale, psi_values=psi)
     assert info["method"] == "mayer"
-    _lo, _hi, h = compact_anharmonicity(ps)
+    lo, hi, h = compact_anharmonicity(ps)
     shifts = bond_args(t, psi, tilt).ravel()
     assert len(np.unique(shifts)) == m
-    val, _, _ = conditioning_tilt_curvature(h, shifts, scale)
-    assert val == pytest.approx(val_mayer, abs=1e-12)
+    for support in (None, (lo, hi)):
+        val, _, _ = conditioning_tilt_curvature(h, shifts, scale, support)
+        assert val == pytest.approx(val_mayer, abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def example_b_frames(pot_b):
+    # example_b(0.5) in the unit frame at 0.5x, 10x and 100x its d = 1 threshold
+    beta = check_conditions(1.0, 1, pot_b, norms(pot_b)).beta_max_fcond
+    return {f: scale_to_unit(pot_b, f * beta) for f in (0.5, 10.0, 100.0)}
+
+
+@pytest.mark.parametrize("u", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("m", [5, 8, 64])
+@pytest.mark.parametrize("factor", [0.5, 10.0, 100.0])
+def test_compact_route_matches_sampled_route_example_b(example_b_frames, factor, m, u):
+    # the exact transforms of the compact bonds and the sampled grid converge to
+    # the same log E and kappa; the sampled grid needs 2^15 to 2^19 points here,
+    # the exact one stops at 2048 to 4096 wherever its product fits one slab.  At
+    # 100x, m = 8, u = 0.3 the dent is 1.7 wide, 68 steps of the 2048-point
+    # grid: one fixed 64-node panel does not resolve exp(-i w e) at Nyquist there
+    ps, k = example_b_frames[factor]
+    lo, hi, h = compact_anharmonicity(ps)
+    shifts = np.full(m, k * u)
+    log_e, kappa, info = conditioning_tilt_curvature(h, shifts, 1.0, (lo, hi))
+    ref_log_e, ref_kappa, ref_info = conditioning_tilt_curvature(h, shifts)
+    assert log_e == pytest.approx(ref_log_e, abs=1e-11)
+    assert kappa == pytest.approx(ref_kappa, abs=1e-11)
+    assert max(info["error"], info["curvature_error"]) < EXACT_TOL
+    assert info["points"] <= 4096 < ref_info["points"]
+
+
+def test_compact_transform_resolves_nyquist(example_b_frames):
+    # the 1.7-wide dent at 100x on the m = 8, 2048-point grid: panels of at most
+    # COND_PANEL_STEPS steps agree to rounding, at every rfft frequency up to
+    # Nyquist, with 4x as many panels; panels 4x wider miss there by 1e-4
+    ps, k = example_b_frames[100.0]
+    lo, hi, h = compact_anharmonicity(ps)
+    m, n, shift = 8, 2048, 0.3 * k
+    step = COND_WIDTH * math.sqrt(max(m, 4)) / n
+    w = 2.0 * math.pi * np.fft.rfftfreq(n, step)
+    panels = math.ceil((hi - lo) / (COND_PANEL_STEPS * step))
+
+    def transform(count):
+        return _compact_transform(h, shift, (lo, hi), 1.0, w, count)
+
+    got, ref = transform(panels), transform(4 * panels)
+    assert np.max(np.abs(got - ref)) < 1e-15
+    assert np.max(np.abs(transform(panels // 4) - ref)) > 1e-6
+    # the rfft of the integrand's samples differs from the transform by O(step^4)
+    e = step * ((np.arange(n) + n // 2) % n - n // 2)
+    sampled = np.fft.rfft(step * np.exp(-0.5 * e * e) / math.sqrt(2.0 * math.pi) * np.expm1(-h(shift + e)))
+    assert np.max(np.abs(sampled - ref)) > 1e-9
+
+
+def test_conditioning_refuses_to_stop_above_its_rounding_floor():
+    # at 100x the d = 1 threshold of example_c the excess cancels K_G to about
+    # 1e-10: the 1024- and 2048-point grids agree below EXACT_TOL, but the rounding
+    # floor of log E is far above it, so the doubling goes on and raises instead of
+    # returning log E with an error of 1.3e-10
+    p = example_c(0.05, 2.0, 1.0)
+    ps, k = scale_to_unit(p, 100.0 * check_conditions(1.0, 1, p, norms(p)).beta_max_fcond)
+    t, scale = Torus(1, 8), 0.4
+    psi = np.zeros(t.volume)
+    psi[1:] = 0.05 * np.random.default_rng(0).standard_normal(t.n_dof)
+    shifts, counts = np.unique(bond_args(t, psi, [k]).ravel(), return_counts=True)
+    (rho0, round0), _, _ = _conditioning_grid(ps.g, shifts, counts, scale, 2048)
+    assert round0 / (1.0 + rho0) > 100.0 * EXACT_TOL
+    with pytest.raises(QuadratureError, match="no convergence"):
+        log_expectation(t, ps, np.array([k]), scale, psi_values=psi)
 
 
 def test_conditioning_matches_reference_example_a(conditioning_reference):
