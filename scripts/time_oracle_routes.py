@@ -9,9 +9,14 @@ Torus(1, 5) and Torus(2, 2); GH on example_c(0.05, 2, 1) at half its d = 2
 threshold on Torus(2, 2).  The last rows time oracle.f_tilt_hessian, one
 conditioning pass for the d = 1 tilt Hessian, one per row of HESSIANS: on
 example_a(0.5) at m = 8 and on example_b(0.5) at the benchmark's hessian_mayer
-config (m = 5, u = 0, half its d = 1 threshold).  A figure is the fastest of
---repeats calls.  points is the conditioning grid size or the GH order; Mayer
-and the Hessian rows report neither and write 0.
+config (m = 5, u = 0, half its d = 1 threshold).  The two criterion-5 rows
+use the benchmark's decomposition config, unit example_b(0.5) at half its d = 1
+threshold on Torus(1, 3) with the DecompositionPlan lambda and u = 0.3:
+oracle.renorm_iterated_g (GH outer layer, Mayer inner layer) and one
+renorm.estimate_r1g Monte Carlo of 100000 samples at the base field with dof
+(0.4, -0.2).  A figure is the fastest of --repeats calls.  points is the
+conditioning grid size or the GH order; Mayer, the Hessian and the
+criterion-5 rows report neither and write 0.
 Prints CSV: route,config,points,ms_per_call.
 
 Usage: python scripts/time_oracle_routes.py [--repeats 5]
@@ -23,10 +28,11 @@ import time
 import numpy as np
 
 from gil.conditions import check_conditions, scale_to_unit
-from gil.lattice import Torus
-from gil.oracle import f_tilt_hessian
+from gil.lattice import Field, Torus
+from gil.oracle import f_tilt_hessian, renorm_iterated_g
 from gil.potentials import example_a, example_b, example_c, norms
 from gil.quadrature import log_expectation
+from gil.renorm import DecompositionPlan, estimate_r1g
 
 BETA_A = 8.031904623282352e-4  # the benchmark's in-hypothesis example_a(0.5) free energies
 U = 0.5
@@ -80,6 +86,15 @@ def main():
         p, beta = setup(family, d, beta)
         ms, _ = best_ms(lambda: f_tilt_hessian([u], p, Torus(d, m), beta), args.repeats)
         print(f"f_tilt_hessian,{family}_d{d}_m{m}_beta{beta:.4g}_u{u:g},0,{ms:.3f}", flush=True)
+    p, beta = setup("b", 1, None)
+    t = Torus(1, 3)
+    plan = DecompositionPlan.from_potential(scale_to_unit(p, beta)[0], t)
+    config = f"b_d1_m3_beta{beta:.4g}_lam{plan.lam:.4g}_u0.3"
+    ms, _ = best_ms(lambda: renorm_iterated_g(plan.potential, plan.lam, [0.3], t), args.repeats)
+    print(f"renorm_iterated_g,{config},0,{ms:.3f}", flush=True)
+    psi = Field.from_dof(t, np.array([0.4, -0.2]))
+    ms, _ = best_ms(lambda: estimate_r1g(plan, [0.3], psi, "mc", n_samples=100_000), args.repeats)
+    print(f"r1g_mc,{config},0,{ms:.3f}", flush=True)
 
 
 if __name__ == "__main__":

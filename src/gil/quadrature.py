@@ -213,17 +213,17 @@ def _conditioning_grid(g, shifts: np.ndarray, counts: np.ndarray, scale: float, 
     exact = 0 < len(w) * panels * GL_ORDER <= COND_EXACT_VALUES
     P, D = np.ones_like(G), np.zeros_like(G)  # prod_{b<j} F_b and its excess over G^j
     for shift, count in zip(shifts, counts):
-        with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"):  # an overflowing excess is caught by the rho0 check below
             if exact:
                 R = _compact_transform(g, shift, support, scale, w, panels)
             else:
                 R = np.fft.rfft(gauss * np.expm1(-g(shift + e)))
-        if not np.all(np.isfinite(R)):
-            raise QuadratureError("conditioning backend: integrand is not finite")
-        F = G + R
-        for _ in range(count):
-            D = D * G + P * R
-            P = P * F
+            if not np.all(np.isfinite(R)):
+                raise QuadratureError("conditioning backend: integrand is not finite")
+            F = G + R
+            for _ in range(count):
+                D = D * G + P * R
+                P = P * F
     k_gauss, k_round = _at_zero(G**m, n)
 
     def ratio(X):  # an at-zero sum over K_G(0), and its rounding scale
@@ -321,7 +321,9 @@ def _subset_moment(geometry, sigma: np.ndarray, shifts: np.ndarray, f, lo: float
     lines only; dependent bonds are evaluated on the full grid.  In a rank-1
     subset every bond is a multiple of the one coordinate, so the interval is
     the exact intersection of all members' supports.  The grid is summed in
-    slabs of at most MAYER_POINTS points per row.
+    slabs of at most MAYER_POINTS points per row.  Where the box is empty or a
+    dependent argument (affine on the box: centre +- radius) misses [lo, hi] by
+    more than a rounding pad, f is 0 at every node: such rows get 0, no grid.
     """
     I, D, M, R, norm = geometry
     n, r = shifts.shape[0], len(I)
@@ -332,10 +334,19 @@ def _subset_moment(geometry, sigma: np.ndarray, shifts: np.ndarray, f, lo: float
         ends = s_I[:, :, None] + (np.array([lo, hi]) - shifts[:, D, None]) / M[None, :, :]  # (n, |D|, 2)
         a = np.maximum(a, ends.min(axis=2).max(axis=1, keepdims=True))
         b = np.minimum(b, ends.max(axis=2).min(axis=1, keepdims=True))
-    if not np.any(np.all(b > a, axis=1)):
-        return np.zeros(n)
+    keep = (b > a).all(axis=1)
+    if len(D):
+        centre = shifts[:, D] + ((a + b) / 2.0 - s_I) @ M.T
+        radius = (b - a) / 2.0 @ np.abs(M).T
+        pad = 1e-9 * (1.0 + np.abs(centre) + radius)
+        keep &= (np.abs(centre - (lo + hi) / 2.0) <= radius + (hi - lo) / 2.0 + pad).all(axis=1)
+    if not keep.all():
+        out = np.zeros(n)
+        if keep.any():
+            out[keep] = _subset_moment(geometry, sigma, shifts[keep], f, lo, hi)
+        return out
     x, w = _gl_rule(GL_ORDER)
-    half = np.maximum(b - a, 0.0)[..., None] / 2.0
+    half = (b - a)[..., None] / 2.0
     s = (a + b)[..., None] / 2.0 + half * x  # (n, r, GL_ORDER)
     y = s - s_I[..., None]
     fac = half * w * f(s)
@@ -347,12 +358,16 @@ def _subset_moment(geometry, sigma: np.ndarray, shifts: np.ndarray, f, lo: float
         ys = [y[:, 0, sl]] + [y[:, k] for k in range(1, r)]
         # exp(-|R y|^2 / 2) as one factor per row of R: row j couples axes
         # j..r-1, so the grid grows one axis at a time and each factor is <= 1
+        # (formed in place: the halving is exact, so q q (-0.5) is -0.5 q q bitwise)
         vals = 1.0
         for j in reversed(range(r)):
             q = sum(R[j, k] * axis(ys[k], k) for k in range(j, r))
-            vals = vals * axis(fac[:, j, sl] if j == 0 else fac[:, j], j) * np.exp(-0.5 * q * q)
+            q *= q
+            q *= -0.5
+            vals = vals * axis(fac[:, j, sl] if j == 0 else fac[:, j], j)
+            vals *= np.exp(q, out=q)
         for i, d in enumerate(D):
-            vals = vals * f(shifts[:, d].reshape((n,) + (1,) * r) + sum(M[i, k] * axis(ys[k], k) for k in range(r)))
+            vals *= f(shifts[:, d].reshape((n,) + (1,) * r) + sum(M[i, k] * axis(ys[k], k) for k in range(r)))
         return vals.reshape(n, -1).sum(axis=1)
 
     step = max(1, MAYER_POINTS // GL_ORDER ** (r - 1))
@@ -367,11 +382,12 @@ def mayer_log_expectation(
     F (B, n) maps latent standard-normal coordinates to the per-bond arguments
     zeta; shifts (N, B) holds one base field's bond shifts per row.  Every
     subset of bonds is one Gaussian moment, integrated in bond coordinates by
-    _subset_moment.  The subset geometry and the pruning bounds depend on F
-    alone, so they are computed once for all rows; rows go through in chunks of
-    at most MAYER_POINTS grid points.  Returns (values (N,), rigorous bound on
-    the pruned mass, at most EXACT_TOL); exact up to pruning and the
-    Gauss-Legendre rule.
+    _subset_moment, which skips the rows that the subset's box or one of its
+    dependent bonds proves zero.  The subset geometry and the pruning bounds
+    depend on F alone, so they are computed once for all rows; rows go through
+    in chunks of at most MAYER_POINTS grid points.  Returns (values (N,),
+    rigorous bound on the pruned mass, at most EXACT_TOL); exact up to pruning
+    and the Gauss-Legendre rule.
     """
     lo, hi = support
     shifts = np.asarray(shifts, dtype=float)

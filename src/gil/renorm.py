@@ -119,7 +119,8 @@ def estimate_r1g(
 
     The mc route draws the small-scale layer's bond gradients exactly, as
     latent normals times quadrature.field_bond_map, stabilizes -log mean
-    exp(-G) with a max shift, and reports a delete-one jackknife error.
+    exp(-G) with a max shift, and reports a delete-one jackknife error.  Bond
+    arguments are (bonds, samples), so shift and bond sum run on the long axis.
     """
     t = plan.torus
     u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -129,7 +130,9 @@ def estimate_r1g(
     if method != "mc":
         raise ValueError(f"method must be 'oracle' or 'mc', got {method}")
     z = stream(seed, purpose="r1g").standard_normal((n_samples, t.n_dof))
-    w = -plan.potential.g(z @ field_bond_map(t, plan.lam).T + bond_args(t, psi.values, u).ravel()).sum(axis=1)
+    args = field_bond_map(t, plan.lam) @ z.T
+    args += bond_args(t, psi.values, u).reshape(-1, 1)
+    w = -plan.potential.g(args).sum(axis=0)
     shift = w.max()
     if not math.isfinite(shift):
         raise FloatingPointError("all Monte Carlo weights underflowed; rescale the problem")

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -154,6 +155,18 @@ def test_f_tilt_hessian_error_floors_at_rounding():
     assert err > 0.0
     assert err >= m * p.c1 * (max(kappas) - min(kappas))
     assert abs(H[0, 0] - m * p.c1 * kappas[-1]) <= err
+
+
+@pytest.mark.parametrize("factor, m", [(1000.0, 512), (1e4, 64)])
+def test_f_tilt_hessian_overflowing_excess_raises_without_warnings(pot_b, factor, m):
+    # far out of hypothesis the excess D overflows to inf and then nan while it is
+    # accumulated; the labelled error comes from the rho0 check, with no numpy
+    # RuntimeWarning printed on the way there
+    beta = factor * check_conditions(1.0, 1, pot_b, norms(pot_b)).beta_max_fcond
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match="not finite and positive"):
+            f_tilt_hessian([0.3], pot_b, Torus(1, m), beta)
 
 
 def test_f_tilt_hessian_gaussian_exact(pot_gauss):

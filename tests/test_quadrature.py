@@ -6,7 +6,7 @@ from scipy.special import roots_hermitenorm
 
 from gil.conditions import check_conditions, scale_to_unit
 from gil.gff import ModeBasis, pinned_form
-from gil.lattice import Torus, anharmonic_g, bond_args
+from gil.lattice import Torus, anharmonic_g, bond_args, pinned
 from gil.oracle import hessian_fd
 from gil.potentials import example_a, example_b, example_c, gaussian_potential, norms
 from gil.quadrature import (
@@ -359,6 +359,52 @@ def test_mayer_batch_equals_rows(scaled_b):
     rows = [log_expectation(t, ps, tilt, 0.4, psi_values=row)[0] for row in psi]
     assert all(isinstance(v, float) for v in rows)
     np.testing.assert_allclose(batch, rows, rtol=0.0, atol=1e-15)
+    # batches that mix rows a subset skips (an empty box, or a dependent bond that
+    # misses the support) with rows it integrates: the integrated rows do not
+    # depend on their batch either, bitwise.  On Torus(1, 3) the three-bond
+    # subset's arguments sum to 3u, so below u = hi the base fields that narrow
+    # the boxes skip some rows, and above it every row
+    lo, hi, h = compact_anharmonicity(ps)
+    rng = np.random.default_rng(6)
+    for t, tilts in ((Torus(1, 3), (0.9 * hi, 1.1 * hi)), (Torus(2, 2), (0.9 * hi,))):
+        F = field_bond_map(t, 0.05)
+        psi = pinned(np.geomspace(0.02, 2.0, 9)[:, None] * rng.standard_normal((9, t.n_dof)))
+        for u in tilts:
+            shifts = bond_args(t, psi, np.full(t.d, u)).reshape(len(psi), -1)
+            grids = []
+
+            def counting(s):
+                if np.ndim(s) == 3 and np.shape(s)[1:] == (GL_ORDER, GL_ORDER):
+                    grids.append(len(s))
+                return h(s)
+
+            batch, _ = mayer_log_expectation(F, shifts, counting, (lo, hi))
+            rows = [mayer_log_expectation(F, row[None], h, (lo, hi))[0][0] for row in shifts]
+            np.testing.assert_array_equal(batch, rows)
+            if t.d == 1:  # the only full-grid call is the three-bond subset's, on its kept rows
+                assert len(grids) == (u < hi) and all(0 < kept < len(psi) for kept in grids)
+
+
+def test_mayer_skips_rows_a_dependent_bond_proves_zero(scaled_b):
+    # on Torus(1, 3) the bond gradients sum to 0, so at tilt 0.3 the three-bond
+    # subset's arguments sum to 0.9 > 3 hi: its dependent bond misses the support
+    # on every row, the subset is 0, and h never sees its (rows, 24, 24) grid
+    ps, _ = scaled_b
+    lo, hi, h = compact_anharmonicity(ps)
+    assert 0.9 > 3.0 * hi
+    t = Torus(1, 3)
+    psi = pinned(0.5 * np.random.default_rng(3).standard_normal((5, t.n_dof)))
+    shifts = bond_args(t, psi, [0.3]).reshape(len(psi), -1)
+    shapes = []
+
+    def counting(s):
+        shapes.append(np.shape(s))
+        return h(s)
+
+    vals, pruned = mayer_log_expectation(field_bond_map(t, 5.0 / 12.0), shifts, counting, (lo, hi))
+    assert pruned < EXACT_TOL and np.all(vals != 0.0)
+    assert (len(psi), 2, GL_ORDER) in shapes  # the pair subsets, on their node lines
+    assert not any(len(s) == 3 and s[1:] == (GL_ORDER, GL_ORDER) for s in shapes)
 
 
 def test_mayer_matches_conditioning(scaled_b):

@@ -64,7 +64,8 @@ def test_oracle_route_timing_prints_every_route():
     lines = proc.stdout.splitlines()
     assert lines[0] == "route,config,points,ms_per_call"
     rows = [line.split(",") for line in lines[1:]]
-    assert [r[0] for r in rows] == ["conditioning"] * 5 + ["mayer"] * 2 + ["gh"] + ["f_tilt_hessian"] * 2
+    routes = ["conditioning"] * 5 + ["mayer"] * 2 + ["gh"] + ["f_tilt_hessian"] * 2
+    assert [r[0] for r in rows] == routes + ["renorm_iterated_g", "r1g_mc"]
     # example_a's sampled grids; example_b's compact bonds are transformed exactly and stop on a small grid
     assert [int(r[2]) for r in rows[:3]] == [8192, 16384, 32768] and rows[7][2] == "32"
     assert all(int(r[2]) <= 4096 for r in rows[3:5])
