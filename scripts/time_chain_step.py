@@ -15,7 +15,13 @@ Usage: python scripts/time_chain_step.py [--repeats 5]
 """
 
 import argparse
+import os
 import time
+
+# one BLAS thread, set before numpy loads, as bench/benchenv.py does: the
+# figures time gil's own code, not a thread pool
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+os.environ["OMP_NUM_THREADS"] = "1"
 
 import numpy as np
 

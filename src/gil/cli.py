@@ -42,6 +42,7 @@ from .mcmc import (
     batch_means,
     fourier_k_grid,
     make_gibbs_target,
+    pooled,
     run_chains,
     poincare_variance_check,
     stream,
@@ -237,7 +238,7 @@ def cmd_verify_lemma(cfg: dict, out: str, seed: int) -> int:
 
     # one chain run on the induced target feeds both lemma checks
     results = run_chains(induced_h1(plan, us, psi), _chain_config(cfg, seed))
-    samples = np.concatenate([r.samples for r in results])
+    samples = pooled([r.samples for r in results])
     rep = verify_l1norm_bounds(ps, t, us, psi, samples, plan.lam, k_grid)
 
     delta = plan.cbar * poincare_constant(t)
@@ -275,7 +276,7 @@ def cmd_sample(cfg: dict, out: str, seed: int) -> int:
     p, t, beta = _setup(cfg)
     u = np.asarray(cfg["u"], dtype=float)
     results = run_chains(make_gibbs_target(t, p, u, beta), _chain_config(cfg, seed))
-    est = Estimate(*batch_means(np.concatenate([r.samples for r in results])), method="chain")
+    est = Estimate(*batch_means(pooled([r.samples for r in results])), method="chain")
     final = Field.from_dof(t, results[-1].samples[-1])
     payload = {
         "input": {"potential": cfg["potential"], "beta": beta, "d": t.d, "m": t.m, "u": u.tolist()},

@@ -13,13 +13,18 @@ again for the rest of a chunk when burn-in tuning moves h.  The gradient check
 evaluates all shifted states X +- h e_j in a few calls, with the shifts as a
 leading axis (see Target).  A row's arithmetic is elementwise or a sum over its
 own trailing axes, so its samples are bitwise the same alone or in any ensemble.
-The free-energy estimators (fluctuation identity, thermodynamic integration) run
-their own rows; the lemma checks (Fourier bounds, Poincare variance bound on
-linear observables, given as direction rows) read a sample array, so one chain
-run serves both.  Estimators carry batch-means or jackknife standard errors from
+A run keeps only what its estimators read: the kept states, the target's
+observable alone, or per-state values reduced from the states chunk by chunk
+during the run, so memory need not grow as steps x dof.  The free-energy
+estimators (fluctuation identity, thermodynamic integration) run their own rows
+and store no states: D_u H is the Gibbs target's observable, and the fluctuation
+identity's V'' sums are reduced in-run.  The lemma checks (Fourier bounds,
+Poincare variance bound on linear observables, given as direction rows) read a
+sample array, the rows of one run pooled without a copy, so one chain run serves
+both.  Estimators carry batch-means or jackknife standard errors from
 one block layout, _blocks, with at least 20 blocks, each block statistic one
 reduction over that view; nothing is reported as a bare point estimate.  Their
-passes over samples (the D_u H and V'' sums of the fluctuation identity, the
+passes over samples or states (the V'' sums, the batch-means variance, the
 phases cos/sin(k grad theta)) run in slices sized to stay in cache.
 """
 
@@ -44,6 +49,7 @@ __all__ = [
     "make_gibbs_target",
     "make_h1_target",
     "run_chains",
+    "pooled",
     "stream",
     "batch_means",
     "fluctuation_hessian",
@@ -172,7 +178,15 @@ def make_h1_target(t: Torus, p: Potential, u, psi_values: np.ndarray, lam: float
 
 @dataclass
 class ChainResult:
-    samples: np.ndarray            # (n_kept, n_dof)
+    """One row of a run_chains call.
+
+    samples holds what the call's keep asked for: under "states" the kept states
+    (n_kept, n_dof), under None nothing (0, n_dof), under a function its values
+    at each kept state (n_kept, q).  samples and observable are this row of
+    buffers that all rows of the call share.
+    """
+
+    samples: np.ndarray            # (n_kept, n_dof), (0, n_dof) or (n_kept, q)
     acceptance: float              # post burn-in
     step_size: float               # frozen value
     row: tuple                     # (tilt, node, chain) stream key
@@ -208,14 +222,23 @@ def _fd_gradient_check(target: Target, X: np.ndarray, rows: list) -> None:
 
 
 def run_chains(
-    target: Target, cfg: ChainConfig, rows: Sequence[tuple] | None = None, keep_samples: bool = True
+    target: Target, cfg: ChainConfig, rows: Sequence[tuple] | None = None, keep="states"
 ) -> list[ChainResult]:
     """Lockstep MALA over rows keyed (tilt, node, chain); default rows (0, 0, c) for c < n_chains.
 
     Row r draws from stream(cfg.seed, rows[r]): first a 0.1 N(0, 1) point for
     the gradient check, then, per chunk of steps, normals (k, n_dof) and uniforms (k,).
-    With keep_samples False only the target's observable is kept (samples are (0, n_dof)).
+    keep says what each row's samples hold: with "states" the kept states
+    themselves, (n_kept, n_dof); with None nothing, (0, n_dof), only the target's
+    observable being kept; with a function mapping kept states X[rows, k, n_dof]
+    to per-state values [rows, k, q], those values, (n_kept, q).  The function is
+    called on one reused buffer of NOISE_CHUNK kept states whenever it fills and
+    at the end of the run, so the states themselves are never all held.  Every
+    row's samples, and its observable, is row r of one [rows, n_kept, ...] buffer
+    (see pooled).
     """
+    if not (keep is None or callable(keep) or keep == "states"):
+        raise ValueError(f"keep must be 'states', None or a function of kept states, got {keep!r}")
     rows = [(0, 0, c) for c in range(cfg.n_chains)] if rows is None else [tuple(r) for r in rows]
     n_rows, n = len(rows), target.n_dof
     rngs = [stream(cfg.seed, row) for row in rows]
@@ -228,7 +251,12 @@ def run_chains(
     h = np.full(n_rows, float(cfg.step_size if cfg.step_size is not None else target.step_hint))
     tune = cfg.step_size is None
     n_kept = cfg.n_steps - cfg.burn_in
-    samples = np.empty((n_rows, n_kept if keep_samples else 0, n))
+    reduce = keep if callable(keep) else None
+    if reduce is None:
+        samples = np.empty((n_rows, 0 if keep is None else n_kept, n))
+    else:
+        # kept states wait in a chunk buffer that reduce empties; its values' width is known at its first call
+        samples, chunk = None, np.empty((n_rows, min(NOISE_CHUNK, n_kept), n))
     kept_obs = np.empty((n_rows, n_kept, O[0].shape[1] if O else 0))
     window = np.zeros(n_rows)
     accepted = np.zeros(n_rows)
@@ -267,16 +295,39 @@ def run_chains(
             continue
         accepted += acc
         j = step - cfg.burn_in
-        if keep_samples:
-            samples[:, j] = X
         if O:
             kept_obs[:, j] = O[0]
+        if reduce is not None:
+            i = j % NOISE_CHUNK
+            chunk[:, i] = X
+            if i == NOISE_CHUNK - 1 or j == n_kept - 1:
+                values = reduce(chunk[:, : i + 1])
+                if samples is None:
+                    samples = np.empty((n_rows, n_kept, values.shape[-1]))
+                samples[:, j - i : j + 1] = values
+        elif keep is not None:
+            samples[:, j] = X
     rate = accepted / n_kept
     for r in np.flatnonzero((rate < 0.10) | (rate > 0.95)):
         raise StepSizeError(f"{_label(rows[r])}: acceptance rate {rate[r]:.3f} outside [0.10, 0.95]; adjust step_size")
     return [
         ChainResult(samples[r], float(rate[r]), float(h[r]), rows[r], kept_obs[r]) for r in range(n_rows)
     ]
+
+
+def pooled(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """Per-row arrays [n, ...] stacked along their first axis, row after row.
+
+    When they are, in order, all the rows of one buffer, as the samples or the
+    observables of one run_chains call are, the result is that buffer reshaped:
+    no copy.  Otherwise it is their concatenation, the same values.
+    """
+    buf = arrays[0].base
+    if buf is not None and buf.shape[0] == len(arrays) and all(
+        a.base is buf and a.__array_interface__ == row.__array_interface__ for a, row in zip(arrays, buf)
+    ):
+        return buf.reshape(-1, *buf.shape[2:])
+    return np.concatenate(arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +368,34 @@ def batch_means(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         se = x.std(axis=0, ddof=1) / math.sqrt(n)
         return mean, se, float(n)
     mean, se = _block_mean_se(_blocks(x).mean(axis=1))
-    var_x = x.var(axis=0, ddof=1)
+    var_x = _sample_var(x)
     var_mean = np.maximum(se**2, 1e-300)
     n_eff = float(np.min(np.atleast_1d(var_x / var_mean)))
     return mean, se, min(n_eff, float(n))
+
+
+def _sample_var(x: np.ndarray) -> np.ndarray:
+    """x.var(axis=0, ddof=1) bit for bit, its squared deviations formed in cache-sized slices of x.
+
+    A sum along a slow axis adds rows in order, so it continues exactly when each
+    slice's sum starts from the running total, put in as the slice's first row.
+    With one value per sample numpy sums pairwise instead, so there x.var is
+    taken whole; its temporary is only as large as x.
+    """
+    n, width = len(x), x[0].size
+    if width == 1:
+        return x.var(axis=0, ddof=1)
+    flat = x.reshape(n, width)
+    mean = flat.sum(axis=0) / n
+    step = max(1, SLICE_VALUES // width)
+    buf, total = np.empty((min(step, n) + 1, width)), np.zeros(width)
+    for a in range(0, n, step):
+        dev = buf[1 : min(step, n - a) + 1]
+        np.subtract(flat[a : a + step], mean, out=dev)
+        dev *= dev
+        buf[0] = total
+        total = buf[: len(dev) + 1].sum(axis=0)
+    return (total / (n - 1)).reshape(x.shape[1:])
 
 
 def _block_mean_se(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -332,33 +407,35 @@ def _block_mean_se(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # free-energy Hessian via the fluctuation identity
 
 
-def _fluctuation_sums(t: Torus, p: Potential, u: np.ndarray, samples: np.ndarray):
-    """D_u H = sum_x V' and diag D_u^2 H = sum_x V'' at each sample (c1 = 1), [n, d] each, in cache-sized slices."""
-    bonds, step = bond_kernel(t, u[:, None]), max(1, SLICE_VALUES // (t.d * t.volume))
-    sums = [(p.dv(s).sum(axis=-1), p.d2v(s).sum(axis=-1))
-            for s in (bonds(samples[a : a + step])[1] for a in range(0, len(samples), step))]
-    return tuple(np.concatenate(col) for col in zip(*sums))
-
-
 def fluctuation_hessian(u, p: Potential, t: Torus, cfg: ChainConfig, tilt: int = 0) -> Estimate:
     """D^2 f(u) = <D_u^2 H> - var(D_u H) at beta = 1 for a unit-scaled potential.
 
-    D_u H_i = sum_x V'(u_i + grad_i phi(x)) and the diagonal D_u^2 H, sum_x V''(...),
-    are summed in one post-pass over the kept samples.  The covariance term uses
+    D_u H_i = sum_x V'(u_i + grad_i phi(x)) is the Gibbs target's observable, and
+    the diagonal D_u^2 H, sum_x V''(...), is reduced from the kept states during
+    the run, in cache-sized slices; no state is stored.  The covariance term uses
     the unbiased estimator; errors come from a delete-one jackknife over >= 20 blocks.
     Chains are rows (tilt, 0, chain).
     """
     if abs(p.c1 - 1.0) > 1e-12:
         raise ValueError("fluctuation_hessian requires a unit-scaled potential; call scale_to_unit first")
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    results = run_chains(make_gibbs_target(t, p, u, beta=1.0), cfg, [(tilt, 0, c) for c in range(cfg.n_chains)])
+    bonds, step = bond_kernel(t, u[:, None]), max(1, SLICE_VALUES // (t.d * t.volume))
 
-    columns, obs = [], []  # per chain: block sums of s1, their outer products, of s2, block sizes; D_u H
+    def d2v_sums(X):
+        """sum_x V''(u_i + grad_i phi(x)) at each kept state: X[rows, k, n_dof] -> [rows, k, d]."""
+        out = np.empty(X.shape[:-1] + (t.d,))
+        for r in range(len(X)):
+            for a in range(0, X.shape[1], step):
+                out[r, a : a + step] = p.d2v(bonds(X[r, a : a + step])[1]).sum(axis=-1)
+        return out
+
+    target = make_gibbs_target(t, p, u, beta=1.0, observable=True)
+    results = run_chains(target, cfg, [(tilt, 0, c) for c in range(cfg.n_chains)], keep=d2v_sums)
+
+    columns = []  # per chain: block sums of D_u H, their outer products, of D_u^2 H, block sizes
     for r in results:
-        s1, s2 = _fluctuation_sums(t, p, u, r.samples)
-        obs.append(s1)
-        b1 = _blocks(s1)
-        columns.append((b1.sum(axis=1), b1.mT @ b1, _blocks(s2).sum(axis=1), np.full(len(b1), b1.shape[1])))
+        b1 = _blocks(r.observable)
+        columns.append((b1.sum(axis=1), b1.mT @ b1, _blocks(r.samples).sum(axis=1), np.full(len(b1), b1.shape[1])))
 
     def statistic(sum1, outer, sum2, n):
         n = np.asarray(n, dtype=float)[..., None]
@@ -367,7 +444,7 @@ def fluctuation_hessian(u, p: Potential, t: Torus, cfg: ChainConfig, tilt: int =
         return np.eye(len(u)) * (sum2 / n)[..., None, :] - cov
 
     full, se = _jackknife(statistic, [np.concatenate(col) for col in zip(*columns)])
-    _, _, n_eff = batch_means(np.concatenate(obs))
+    _, _, n_eff = batch_means(pooled([r.observable for r in results]))
     return Estimate(value=full, std_error=se, n_effective=n_eff, method="chain")
 
 
@@ -452,7 +529,7 @@ def verify_l1norm_bounds(
     """Estimate A(k) = <exp(i k grad_1 theta(0))> from samples and test the Fourier bounds.
 
     samples[n, n_dof] are theta draws from the induced convex target at (u, psi,
-    lam), e.g. the concatenated rows of run_chains(make_h1_target(...)).  The
+    lam), e.g. the pooled rows of run_chains(make_h1_target(...)).  The
     same samples estimate A(k) and A(-k) = conj A(k).
 
     Checks, each within 4 standard errors:
@@ -581,7 +658,7 @@ def thermodynamic_integration(
     nc = cfg.n_chains
     rows = [(tilt, j, c) for j in range(n_nodes) for c in range(nc)]
     target = make_gibbs_target(t, p, np.repeat(s_nodes, nc)[:, None] * u, beta, observable=True)
-    results = run_chains(target, cfg, rows, keep_samples=False)
+    results = run_chains(target, cfg, rows, keep=None)
     total, var = 0.0, 0.0
     for j, wj in enumerate(0.5 * w):
         mean, se, _ = batch_means(np.concatenate([r.observable for r in results[j * nc : (j + 1) * nc]]))

@@ -207,42 +207,53 @@ def test_tilt_streams_do_not_collide(tmp_path):
     assert rows[0][0] != rows[0][1]
 
 
-def test_sample_runs_its_chains_once(tmp_path, monkeypatch):
+def _record_chains_and_reads(monkeypatch, *estimators):
+    """Wrap run_chains and the named gil.cli estimators; return the results of each run and the sample arrays read."""
     import gil.cli
     import gil.mcmc
 
-    calls = []
+    runs, reads = [], []
     real = gil.mcmc.run_chains
 
     def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+        runs.append(real(*args, **kwargs))
+        return runs[-1]
 
     monkeypatch.setattr(gil.mcmc, "run_chains", counted)
     monkeypatch.setattr(gil.cli, "run_chains", counted)
+    for name, arg in estimators:
+        def reading(*args, _real=getattr(gil.cli, name), _arg=arg):
+            reads.append(args[_arg])
+            return _real(*args)
+
+        monkeypatch.setattr(gil.cli, name, reading)
+    return runs, reads
+
+
+def _assert_pooled_views(runs, reads):
+    # the estimators read one array, a view of the run's chain buffer rows in order
+    (results,) = runs
+    samples = [r.samples for r in results]
+    for arr in reads:
+        assert all(np.shares_memory(arr, s) for s in samples)
+        assert np.array_equal(arr, np.concatenate(samples))
+
+
+def test_sample_runs_its_chains_once(tmp_path, monkeypatch):
+    runs, reads = _record_chains_and_reads(monkeypatch, ("batch_means", 0))
     cfg = dict(BASE, u=[0.2], chain={"n_steps": 1000, "burn_in": 200, "n_chains": 2})
     path = write(tmp_path / "c.json", cfg)
     out = tmp_path / "s.json"
     assert run_cli(["sample", "--config", path, "--out", out]) == 0
-    assert len(calls) == 1
+    assert len(runs) == 1 and len(reads) == 1
+    _assert_pooled_views(runs, reads)
     rep = json.loads(out.read_text())
     assert len(rep["acceptance"]) == 2 and len(rep["mean_field"]["value"]) == 2
 
 
 def test_verify_lemma_runs_its_chains_once(tmp_path, monkeypatch):
     # the Fourier bounds and the variance bound read the same induced chains
-    import gil.cli
-    import gil.mcmc
-
-    calls = []
-    real = gil.mcmc.run_chains
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(gil.mcmc, "run_chains", counted)
-    monkeypatch.setattr(gil.cli, "run_chains", counted)
+    runs, reads = _record_chains_and_reads(monkeypatch, ("verify_l1norm_bounds", 4), ("poincare_variance_check", 0))
     cfg = dict(
         BASE,
         potential={"family": "example_b", "delta": 0.5},
@@ -253,7 +264,8 @@ def test_verify_lemma_runs_its_chains_once(tmp_path, monkeypatch):
     )
     path = write(tmp_path / "c.json", cfg)
     assert run_cli(["verify-lemma", "--config", path, "--out", tmp_path / "o.json"]) in (0, 2)
-    assert len(calls) == 1
+    assert len(runs) == 1 and len(reads) == 2
+    _assert_pooled_views(runs, reads)
 
 
 @pytest.mark.parametrize(

@@ -16,13 +16,14 @@ from gil.mcmc import (
     _blocks,
     _envelope_tail,
     _fd_gradient_check,
-    _fluctuation_sums,
     _phase_stats,
+    _sample_var,
     batch_means,
     fluctuation_hessian,
     make_gibbs_target,
     make_h1_target,
     poincare_variance_check,
+    pooled,
     run_chains,
     stream,
     thermodynamic_integration,
@@ -191,7 +192,9 @@ def _reference_chains(target, cfg, rows):
 def test_run_chains_matches_reference_loop(scaled_b):
     # samples, observables, acceptance and frozen step size agree bit for bit,
     # with a tuning update inside a noise chunk (step 75 of chunk 64..127) and
-    # with a fixed step size
+    # with a fixed step size; a keep function reduced chunk by chunk (110 and
+    # 130 kept states: uneven last chunks) gives its values at every kept
+    # state, and keep=None keeps no state
     ps, k = scaled_b
     t = Torus(2, 3)
     tilts = k * np.array([[0.0, 0.0], [0.25, 0.1], [0.5, 0.5]])
@@ -205,6 +208,14 @@ def test_run_chains_matches_reference_loop(scaled_b):
                 assert np.array_equal(res.samples, samples[r])
                 assert np.array_equal(res.observable, observable[r])
                 assert res.acceptance == rate[r] and res.step_size == h[r]
+            reduce = lambda X: np.stack([X.sum(axis=-1), np.abs(X).max(axis=-1)], axis=-1)
+            for res, values in zip(run_chains(target, cfg, rows, keep=reduce), reduce(samples)):
+                assert np.array_equal(res.samples, values)
+            for r, res in enumerate(run_chains(target, cfg, rows, keep=None)):
+                assert res.samples.shape == (0, t.n_dof)
+                assert np.array_equal(res.observable, observable[r])
+    with pytest.raises(ValueError, match="keep"):
+        run_chains(target, cfg, rows, keep="state")
 
 
 def test_batched_targets_match_single_field_energies(pot_a):
@@ -276,6 +287,29 @@ def test_phase_stats_match_batch_means(n):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("shape", [(5_003, 255), (400, 2), (300, 2, 3), (9_000, 1), (700,)])
+def test_sample_var_matches_numpy_var(shape, monkeypatch):
+    # formed slice by slice, bit for bit numpy's variance: slices of 3, 382 and
+    # 127 rows at 255, 2 and 6 values per row, each with an uneven last slice
+    import gil.mcmc
+
+    monkeypatch.setattr(gil.mcmc, "SLICE_VALUES", 3 * 255)
+    x = np.random.default_rng(len(shape)).standard_normal(shape) * 3.0 + 1.7
+    assert np.array_equal(_sample_var(x), x.var(axis=0, ddof=1))
+
+
+def test_pooled_views_one_run_and_concatenates_otherwise(quick_chain):
+    t = Torus(1, 4)
+    results = run_chains(make_gibbs_target(t, gaussian_potential(), [0.2], 1.0), quick_chain)
+    samples = [r.samples for r in results]
+    pool = pooled(samples)
+    assert np.shares_memory(pool, samples[0]) and np.shares_memory(pool, samples[-1])
+    assert np.array_equal(pool, np.concatenate(samples))
+    for other in (samples[::-1], samples[:1], [s.copy() for s in samples]):
+        assert np.array_equal(pooled(other), np.concatenate(other))
+        assert not np.shares_memory(pooled(other), samples[0])
+
+
 def test_batch_means_iid():
     rng = np.random.default_rng(0)
     x = rng.standard_normal(20_000)
@@ -296,10 +330,14 @@ def test_fluctuation_hessian_gaussian_exact(pot_gauss):
         assert float(np.max(est.std_error)) < 1e-10
 
 
-def test_fluctuation_post_pass_matches_in_run_observable(scaled_b, monkeypatch):
-    # D_u H summed in fluctuation_hessian's post-pass over the kept samples
-    # equals, bit for bit, the observable the Gibbs target forms in-run at each
-    # kept state; slices of 7 samples leave an uneven last one
+def test_fluctuation_hessian_streams_what_stored_samples_give(scaled_b, monkeypatch):
+    # the V'' sums reduced chunk by chunk during the run give, bit for bit, the
+    # value, error and effective size of the same estimator fed from stored
+    # states; 300 kept states leave an uneven last chunk of NOISE_CHUNK and
+    # slices of 7 states an uneven last slice.  The stored states also pin both
+    # sums, D_u H (the in-run observable) and sum V'', to the plain formulas
+    import dataclasses
+
     import gil.mcmc
 
     ps, k = scaled_b
@@ -307,12 +345,46 @@ def test_fluctuation_post_pass_matches_in_run_observable(scaled_b, monkeypatch):
     u = k * np.array([0.3, 0.1])
     monkeypatch.setattr(gil.mcmc, "SLICE_VALUES", 7 * t.d * t.volume)
     cfg = ChainConfig(n_steps=400, burn_in=100, seed=3)
-    for r in run_chains(make_gibbs_target(t, ps, u, 1.0, observable=True), cfg):
-        s1, s2 = _fluctuation_sums(t, ps, u, r.samples)
-        assert np.array_equal(s1, r.observable)
-        assert s2.shape == s1.shape
-        bonds = [(Field.from_dof(t, x).values[t.forward] - Field.from_dof(t, x).values) + u[:, None] for x in r.samples[:3]]
-        np.testing.assert_allclose(s2[:3], [ps.d2v(b).sum(axis=1) for b in bonds], rtol=1e-13)
+    assert (cfg.n_steps - cfg.burn_in) % NOISE_CHUNK
+    streamed = fluctuation_hessian(u, ps, t, cfg)
+
+    real = gil.mcmc.run_chains
+
+    def stored(target, cfg, rows, keep):
+        results = real(target, cfg, rows)
+        values = keep(np.stack([r.samples for r in results]))
+        for r, v in zip(results, values):
+            for x, s1, s2 in zip(r.samples[:3], r.observable, v):
+                vals = Field.from_dof(t, x).values
+                bonds = vals[t.forward] - vals + u[:, None]
+                np.testing.assert_allclose(s1, ps.dv(bonds).sum(axis=1), rtol=1e-13)
+                np.testing.assert_allclose(s2, ps.d2v(bonds).sum(axis=1), rtol=1e-13)
+        return [dataclasses.replace(r, samples=v) for r, v in zip(results, values)]
+
+    monkeypatch.setattr(gil.mcmc, "run_chains", stored)
+    post = fluctuation_hessian(u, ps, t, cfg)
+    assert np.array_equal(streamed.value, post.value)
+    assert np.array_equal(streamed.std_error, post.std_error)
+    assert streamed.n_effective == post.n_effective
+
+
+def test_fluctuation_hessian_memory_does_not_grow_with_steps(scaled_b):
+    # no kept state is stored: at 255 dof, 6000 more steps add well under the
+    # 12 MB that one row of stored states would take
+    import tracemalloc
+
+    ps, k = scaled_b
+    t = Torus(2, 16)
+    peaks = []
+    for n_steps in (2000, 8000):
+        cfg = ChainConfig(n_steps=n_steps, burn_in=1000, seed=1, n_chains=1)
+        tracemalloc.start()
+        try:
+            fluctuation_hessian(k * np.array([0.5, 0.5]), ps, t, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 2**20, peaks
 
 
 def test_fluctuation_hessian_requires_unit_scale():
