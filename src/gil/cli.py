@@ -38,8 +38,8 @@ from .mcmc import (
     ChainConfig,
     Estimate,
     GradientMismatchError,
+    PooledBatchMeans,
     StepSizeError,
-    batch_means,
     fourier_k_grid,
     make_gibbs_target,
     pooled,
@@ -235,18 +235,22 @@ def cmd_verify_lemma(cfg: dict, out: str, seed: int) -> int:
     psi = Field(t, np.asarray(cfg.get("psi", np.zeros(t.volume)), dtype=float))
     plan = DecompositionPlan.from_potential(ps, t, cfg.get("lambda"))
     k_grid = fourier_k_grid(t, plan.cbar, **cfg["k_grid"])
-
-    # one chain run on the induced target feeds both lemma checks
-    results = run_chains(induced_h1(plan, us, psi), _chain_config(cfg, seed))
-    samples = pooled([r.samples for r in results])
-    rep = verify_l1norm_bounds(ps, t, us, psi, samples, plan.lam, k_grid)
-
-    delta = plan.cbar * poincare_constant(t)
     # linear observables: unit vectors first, then observables-stream normals
     directions = np.eye(cfg.get("observables", 5), t.n_dof)
     n_random = max(len(directions) - t.n_dof, 0)
     directions[t.n_dof :] = stream(seed, purpose="observables").standard_normal((n_random, t.n_dof))
-    var_rep = poincare_variance_check(samples, delta, directions)
+    bond = t.forward[0, 0] - 1  # grad_1 theta(0): the origin is pinned to zero
+
+    def lemma_values(X):
+        """What the two lemma checks read of each kept state: the bond, then the projections."""
+        return np.concatenate([X[..., bond : bond + 1], X @ directions.T], axis=-1)
+
+    # one chain run on the induced target feeds both lemma checks
+    results = run_chains(induced_h1(plan, us, psi), _chain_config(cfg, seed), keep=lemma_values)
+    values = pooled([r.samples for r in results])
+    rep = verify_l1norm_bounds(ps, t, us, psi, values[:, 0], plan.lam, k_grid)
+    delta = plan.cbar * poincare_constant(t)
+    var_rep = poincare_variance_check(values[:, 1:], delta, directions)
 
     payload = {
         "input": {"potential": cfg["potential"], "beta": beta, "d": t.d, "m": t.m, "u": u.tolist()},
@@ -275,9 +279,11 @@ def cmd_verify_lemma(cfg: dict, out: str, seed: int) -> int:
 def cmd_sample(cfg: dict, out: str, seed: int) -> int:
     p, t, beta = _setup(cfg)
     u = np.asarray(cfg["u"], dtype=float)
-    results = run_chains(make_gibbs_target(t, p, u, beta), _chain_config(cfg, seed))
-    est = Estimate(*batch_means(pooled([r.samples for r in results])), method="chain")
-    final = Field.from_dof(t, results[-1].samples[-1])
+    ccfg = _chain_config(cfg, seed)
+    means = PooledBatchMeans(ccfg.n_chains, ccfg.n_steps - ccfg.burn_in)
+    results = run_chains(make_gibbs_target(t, p, u, beta), ccfg, keep=means)
+    est = Estimate(*means.result(), method="chain")
+    final = Field.from_dof(t, results[-1].state)
     payload = {
         "input": {"potential": cfg["potential"], "beta": beta, "d": t.d, "m": t.m, "u": u.tolist()},
         "checkpoint": {"d": t.d, "m": t.m, "values": final.values.tolist()},

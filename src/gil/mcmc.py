@@ -15,17 +15,18 @@ leading axis (see Target).  A row's arithmetic is elementwise or a sum over its
 own trailing axes, so its samples are bitwise the same alone or in any ensemble.
 A run keeps only what its estimators read: the kept states, the target's
 observable alone, or per-state values reduced from the states chunk by chunk
-during the run, so memory need not grow as steps x dof.  The free-energy
-estimators (fluctuation identity, thermodynamic integration) run their own rows
-and store no states: D_u H is the Gibbs target's observable, and the fluctuation
-identity's V'' sums are reduced in-run.  The lemma checks (Fourier bounds,
-Poincare variance bound on linear observables, given as direction rows) read a
-sample array, the rows of one run pooled without a copy, so one chain run serves
-both.  Estimators carry batch-means or jackknife standard errors from
-one block layout, _blocks, with at least 20 blocks, each block statistic one
-reduction over that view; nothing is reported as a bare point estimate.  Their
-passes over samples or states (the V'' sums, the batch-means variance, the
-phases cos/sin(k grad theta)) run in slices sized to stay in cache.
+during the run, so memory need not grow as steps x dof.  No estimator here or
+in gil.cli stores states: D_u H is the Gibbs target's observable (fluctuation
+identity, thermodynamic integration); the fluctuation identity's V'' sums and
+the lemma checks' inputs (the bond grad_1 theta(0) for the Fourier bounds, the
+projections on direction rows for the Poincare variance bound) are per-state
+values taken in-run; PooledBatchMeans sums the blocks of the pooled kept
+states as they arrive (gil sample's mean field).  Estimators carry batch-means
+or jackknife standard errors from one block layout, _blocks, with at least 20
+blocks, each block statistic one reduction over that view; nothing is reported
+as a bare point estimate.  Their passes over samples or states (the V'' sums,
+the batch-means variance, the phases cos/sin(k grad theta)) run in slices
+sized to stay in cache.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ __all__ = [
     "pooled",
     "stream",
     "batch_means",
+    "PooledBatchMeans",
     "fluctuation_hessian",
     "fourier_k_grid",
     "verify_l1norm_bounds",
@@ -182,8 +184,10 @@ class ChainResult:
 
     samples holds what the call's keep asked for: under "states" the kept states
     (n_kept, n_dof), under None nothing (0, n_dof), under a function its values
-    at each kept state (n_kept, q).  samples and observable are this row of
-    buffers that all rows of the call share.
+    at each kept state (n_kept, q), q = 0 for a function that keeps nothing per
+    state (PooledBatchMeans).  samples and observable are this row of buffers
+    that all rows of the call share; state is the row's state after the last
+    step, its last kept state, under any keep.
     """
 
     samples: np.ndarray            # (n_kept, n_dof), (0, n_dof) or (n_kept, q)
@@ -191,6 +195,7 @@ class ChainResult:
     step_size: float               # frozen value
     row: tuple                     # (tilt, node, chain) stream key
     observable: np.ndarray         # (n_kept, k) target observable at each kept sample, k = 0 if none
+    state: np.ndarray              # (n_dof,) final state
 
 
 def _label(row) -> str:
@@ -232,10 +237,11 @@ def run_chains(
     themselves, (n_kept, n_dof); with None nothing, (0, n_dof), only the target's
     observable being kept; with a function mapping kept states X[rows, k, n_dof]
     to per-state values [rows, k, q], those values, (n_kept, q).  The function is
-    called on one reused buffer of NOISE_CHUNK kept states whenever it fills and
-    at the end of the run, so the states themselves are never all held.  Every
+    called, in step order, on one reused buffer of NOISE_CHUNK kept states
+    whenever it fills and at the end of the run, so the states themselves are
+    never all held; it may also reduce them itself (PooledBatchMeans).  Every
     row's samples, and its observable, is row r of one [rows, n_kept, ...] buffer
-    (see pooled).
+    (see pooled); every row's final state is row r of the last state.
     """
     if not (keep is None or callable(keep) or keep == "states"):
         raise ValueError(f"keep must be 'states', None or a function of kept states, got {keep!r}")
@@ -311,7 +317,7 @@ def run_chains(
     for r in np.flatnonzero((rate < 0.10) | (rate > 0.95)):
         raise StepSizeError(f"{_label(rows[r])}: acceptance rate {rate[r]:.3f} outside [0.10, 0.95]; adjust step_size")
     return [
-        ChainResult(samples[r], float(rate[r]), float(h[r]), rows[r], kept_obs[r]) for r in range(n_rows)
+        ChainResult(samples[r], float(rate[r]), float(h[r]), rows[r], kept_obs[r], X[r]) for r in range(n_rows)
     ]
 
 
@@ -334,14 +340,16 @@ def pooled(arrays: Sequence[np.ndarray]) -> np.ndarray:
 # error bars
 
 
-def _blocks(x: np.ndarray) -> np.ndarray:
-    """x[:nb b] viewed as blocks [nb, b, ...] of its leading axis, the tail dropped.
-
-    nb = min(n, max(MIN_BLOCKS, floor(sqrt n))) blocks of b = n // nb samples: every error bar's block layout.
-    """
-    n = len(x)
+def _block_layout(n: int) -> tuple[int, int]:
+    """nb = min(n, max(MIN_BLOCKS, floor(sqrt n))) blocks of b = n // nb samples: every error bar's block layout."""
     nb = min(n, max(MIN_BLOCKS, math.isqrt(n)))
-    return x[: nb * (n // nb)].reshape(nb, n // nb, *x.shape[1:])
+    return nb, n // nb
+
+
+def _blocks(x: np.ndarray) -> np.ndarray:
+    """x[:nb b] viewed as blocks [nb, b, ...] of its leading axis (see _block_layout), the tail dropped."""
+    nb, b = _block_layout(len(x))
+    return x[: nb * b].reshape(nb, b, *x.shape[1:])
 
 
 def _jackknife(statistic, columns: Sequence[np.ndarray], totals: tuple | None = None):
@@ -359,19 +367,86 @@ def _jackknife(statistic, columns: Sequence[np.ndarray], totals: tuple | None = 
     return statistic(*totals), se
 
 
+def _batch_layout(n: int) -> tuple[int, int]:
+    """batch_means' blocks of n samples: _block_layout's, or n blocks of one below 2 MIN_BLOCKS samples."""
+    return (n, 1) if n < 2 * MIN_BLOCKS else _block_layout(n)
+
+
+def _batch_estimate(sums: np.ndarray, b: int, n: int, var_x) -> tuple[np.ndarray, np.ndarray, float]:
+    """Mean, std error and effective sample size from the sums [nb, ...] of blocks of b of n samples.
+
+    With b > 1 the effective sample size is var_x, the variance of all n samples,
+    over the squared error (at most n); with blocks of one it is n.
+    """
+    mean, se = _block_mean_se(sums / b)
+    if b == 1:
+        return mean, se, float(n)
+    n_eff = float(np.min(np.atleast_1d(var_x / np.maximum(se**2, 1e-300))))
+    return mean, se, min(n_eff, float(n))
+
+
 def batch_means(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Batch-means mean, std error and effective sample size along axis 0."""
+    """Batch-means mean, std error and effective sample size along axis 0 (see _batch_layout)."""
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
-    if n < 2 * MIN_BLOCKS:
-        mean = x.mean(axis=0)
-        se = x.std(axis=0, ddof=1) / math.sqrt(n)
-        return mean, se, float(n)
-    mean, se = _block_mean_se(_blocks(x).mean(axis=1))
-    var_x = _sample_var(x)
-    var_mean = np.maximum(se**2, 1e-300)
-    n_eff = float(np.min(np.atleast_1d(var_x / var_mean)))
-    return mean, se, min(n_eff, float(n))
+    nb, b = _batch_layout(n)
+    sums = x[: nb * b].reshape(nb, b, *x.shape[1:]).sum(axis=1)
+    return _batch_estimate(sums, b, n, _sample_var(x) if b > 1 else None)
+
+
+class PooledBatchMeans:
+    """batch_means of the pooled kept states of one run_chains(..., keep=means) call, reduced in-run.
+
+    For n_rows rows of n_kept kept states it keeps nothing per state.  result()
+    gives batch_means' mean and error bit for bit: each block of the pooled
+    layout is summed as batch_means sums it once its b states have arrived (a
+    block straddling two rows holds the later row's states until the earlier
+    row's last ones come, at the end of the run).  The effective sample size
+    agrees to rounding: its variance comes from deviations from the first state.
+    """
+
+    def __init__(self, n_rows: int, n_kept: int):
+        self.n_kept, self.n = n_kept, n_rows * n_kept
+        self.nb, self.b = _batch_layout(self.n)
+        self.seen = 0   # kept states of each row reduced so far
+        self.open = {}  # block -> [states buffer (b, n_dof), states in it]
+        self.sums = self.shift = self.dev = None
+
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        rows, k, n_dof = X.shape
+        if rows * self.n_kept != self.n:
+            raise ValueError(f"{rows} rows of kept states, expected {self.n // self.n_kept}")
+        if self.sums is None:
+            self.sums, self.shift, self.dev = np.empty((self.nb, n_dof)), X[0, 0].copy(), np.zeros((2, n_dof))
+        b, end = self.b, self.nb * self.b
+        for r in range(rows):
+            first = r * self.n_kept + self.seen  # pooled index of X[r, 0]
+            a = 0
+            while a < k and first + a < end:
+                blk, lo = divmod(first + a, b)
+                take = min(b - lo, k - a)
+                if blk not in self.open:
+                    self.open[blk] = [np.empty((b, n_dof)), 0]
+                block = self.open[blk]
+                block[0][lo : lo + take] = X[r, a : a + take]
+                block[1] += take
+                if block[1] == b:
+                    self.sums[blk] = self.open.pop(blk)[0].sum(axis=0)
+                a += take
+        d = X - self.shift
+        self.dev[0] += d.sum(axis=(0, 1))
+        d *= d
+        self.dev[1] += d.sum(axis=(0, 1))
+        self.seen += k
+        return np.empty((rows, k, 0))
+
+    def result(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """Mean, std error and effective sample size of the pooled kept states."""
+        if self.seen != self.n_kept:
+            raise ValueError(f"{self.seen} of {self.n_kept} kept states per row reduced")
+        s1, s2 = self.dev
+        var = (s2 - s1 * s1 / self.n) / (self.n - 1) if self.b > 1 else None
+        return _batch_estimate(self.sums, self.b, self.n, var)
 
 
 def _sample_var(x: np.ndarray) -> np.ndarray:
@@ -522,14 +597,16 @@ def verify_l1norm_bounds(
     t: Torus,
     u,
     psi: Field,
-    samples: np.ndarray,
+    gv: np.ndarray,
     lam: float | None = None,
     k_grid=None,
 ) -> L1NormBoundReport:
-    """Estimate A(k) = <exp(i k grad_1 theta(0))> from samples and test the Fourier bounds.
+    """Estimate A(k) = <exp(i k grad_1 theta(0))> from samples gv and test the Fourier bounds.
 
-    samples[n, n_dof] are theta draws from the induced convex target at (u, psi,
-    lam), e.g. the pooled rows of run_chains(make_h1_target(...)).  The
+    gv[n] is the bond grad_1 theta(0) = theta(e_1), dof t.forward[0, 0] - 1 (the
+    origin is pinned to zero), at n theta draws from the induced convex target
+    at (u, psi, lam): the pooled values of a run_chains(make_h1_target(...))
+    keep function that takes that column, or the column of stored states.  The
     same samples estimate A(k) and A(-k) = conj A(k).
 
     Checks, each within 4 standard errors:
@@ -550,7 +627,6 @@ def verify_l1norm_bounds(
     env_const = 12.0 * t.d * cb
     k = np.asarray(fourier_k_grid(t, cb) if k_grid is None else k_grid, dtype=float)
 
-    gv = samples[:, t.forward[0, 0] - 1]  # grad_1 theta(0): the origin is pinned to zero
     re, im, se_re, se_im = _phase_stats(gv, k)
     abs_a = np.hypot(re, im)
     se_abs = np.hypot(se_re, se_im)
@@ -611,19 +687,24 @@ class VarianceBoundReport:
     ok: bool
 
 
-def poincare_variance_check(samples: np.ndarray, delta: float, directions: np.ndarray) -> VarianceBoundReport:
-    """Check var(v . theta) <= |v|^2 / delta + 4 SE for each row v of directions[k, n_dof] on samples[n, n_dof].
+def poincare_variance_check(projections: np.ndarray, delta: float, directions: np.ndarray) -> VarianceBoundReport:
+    """Check var(v . theta) <= |v|^2 / delta + 4 SE for each row v of directions[k, n_dof].
 
-    delta must be a certified lower bound on the Hessian of the target the
-    samples come from, so the bound is exact (bound_se 0); variances use a
-    delete-one jackknife over blocks.  Row j is reported as linear_j.
+    projections[n, k] holds v . theta for each direction at n samples theta:
+    the pooled values of a run_chains keep function X @ directions.T, or
+    stored states times directions.T.  delta must be a certified lower bound on
+    the Hessian of the target the samples come from, so the bound is exact
+    (bound_se 0); variances use a delete-one jackknife over blocks.  Row j is
+    reported as linear_j.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     directions = np.asarray(directions, dtype=float)
     if len(directions) == 0:
         raise ValueError("at least one direction is required")
-    blocks = _blocks((directions @ samples.T).T)  # the samples axis contiguous, so block sums are pairwise
+    if np.shape(projections)[1:] != (len(directions),):
+        raise ValueError(f"projections of shape {np.shape(projections)} for {len(directions)} directions")
+    blocks = _blocks(np.asfortranarray(projections))  # the samples axis contiguous, so block sums are pairwise
     variances, var_se = _jackknife(
         lambda s1, s2, m: (s2 - s1 * s1 / m) / (m - 1),
         (blocks.sum(axis=1), (blocks * blocks).sum(axis=1), np.full((len(blocks), 1), blocks.shape[1])),

@@ -207,65 +207,111 @@ def test_tilt_streams_do_not_collide(tmp_path):
     assert rows[0][0] != rows[0][1]
 
 
-def _record_chains_and_reads(monkeypatch, *estimators):
-    """Wrap run_chains and the named gil.cli estimators; return the results of each run and the sample arrays read."""
+def _record_chains(monkeypatch):
+    """Wrap run_chains where gil.cli calls it; return the list of each call's results."""
     import gil.cli
-    import gil.mcmc
 
-    runs, reads = [], []
-    real = gil.mcmc.run_chains
+    runs, real = [], gil.cli.run_chains
 
-    def counted(*args, **kwargs):
+    def recorded(*args, **kwargs):
         runs.append(real(*args, **kwargs))
         return runs[-1]
 
-    monkeypatch.setattr(gil.mcmc, "run_chains", counted)
-    monkeypatch.setattr(gil.cli, "run_chains", counted)
-    for name, arg in estimators:
-        def reading(*args, _real=getattr(gil.cli, name), _arg=arg):
-            reads.append(args[_arg])
-            return _real(*args)
-
-        monkeypatch.setattr(gil.cli, name, reading)
-    return runs, reads
+    monkeypatch.setattr(gil.cli, "run_chains", recorded)
+    return runs
 
 
-def _assert_pooled_views(runs, reads):
-    # the estimators read one array, a view of the run's chain buffer rows in order
-    (results,) = runs
-    samples = [r.samples for r in results]
-    for arr in reads:
-        assert all(np.shares_memory(arr, s) for s in samples)
-        assert np.array_equal(arr, np.concatenate(samples))
+LEMMA = dict(
+    BASE,
+    potential={"family": "example_b", "delta": 0.5},
+    beta=0.116,
+    u=[0.1],
+    k_grid={"n_points": 41},
+    chain={"n_steps": 1000, "burn_in": 200, "n_chains": 2},
+)
 
 
 def test_sample_runs_its_chains_once(tmp_path, monkeypatch):
-    runs, reads = _record_chains_and_reads(monkeypatch, ("batch_means", 0))
+    # one run, which keeps nothing per state (n_dof is 2): the mean field is reduced during the run
+    runs = _record_chains(monkeypatch)
     cfg = dict(BASE, u=[0.2], chain={"n_steps": 1000, "burn_in": 200, "n_chains": 2})
-    path = write(tmp_path / "c.json", cfg)
     out = tmp_path / "s.json"
-    assert run_cli(["sample", "--config", path, "--out", out]) == 0
-    assert len(runs) == 1 and len(reads) == 1
-    _assert_pooled_views(runs, reads)
+    assert run_cli(["sample", "--config", write(tmp_path / "c.json", cfg), "--out", out]) == 0
+    (results,) = runs
+    assert all(r.samples.shape == (800, 0) for r in results)
     rep = json.loads(out.read_text())
     assert len(rep["acceptance"]) == 2 and len(rep["mean_field"]["value"]) == 2
+    assert rep["checkpoint"]["values"] == [0.0, *results[-1].state]
 
 
 def test_verify_lemma_runs_its_chains_once(tmp_path, monkeypatch):
-    # the Fourier bounds and the variance bound read the same induced chains
-    runs, reads = _record_chains_and_reads(monkeypatch, ("verify_l1norm_bounds", 4), ("poincare_variance_check", 0))
-    cfg = dict(
-        BASE,
-        potential={"family": "example_b", "delta": 0.5},
-        beta=0.116,
-        u=[0.1],
-        k_grid={"n_points": 41},
-        chain={"n_steps": 1000, "burn_in": 200, "n_chains": 2},
-    )
-    path = write(tmp_path / "c.json", cfg)
-    assert run_cli(["verify-lemma", "--config", path, "--out", tmp_path / "o.json"]) in (0, 2)
-    assert len(runs) == 1 and len(reads) == 2
-    _assert_pooled_views(runs, reads)
+    # the Fourier bounds and the variance bound read the same induced chains,
+    # which keep the one bond and the 5 projections, not the states (n_dof is 2)
+    runs = _record_chains(monkeypatch)
+    assert run_cli(["verify-lemma", "--config", write(tmp_path / "c.json", LEMMA), "--out", tmp_path / "o.json"]) in (0, 2)
+    (results,) = runs
+    assert all(r.samples.shape == (800, 6) for r in results)
+
+
+def test_verify_lemma_streams_what_stored_states_give(tmp_path, monkeypatch):
+    # on the same seed, the estimators fed from the values kept in-run agree with
+    # the same estimators fed from stored states: the Fourier checks bit for bit,
+    # the variance bound (projected per chunk rather than in one product) to rounding
+    import gil.cli
+    from gil.mcmc import poincare_variance_check, pooled, run_chains, verify_l1norm_bounds
+
+    calls = {}
+
+    def stored(*args, **kwargs):
+        calls["states"] = pooled([r.samples for r in run_chains(*args)])
+        return run_chains(*args, **kwargs)
+
+    def recording(name):
+        def call(*args):
+            calls[name] = args
+            return getattr(gil.mcmc, name)(*args)
+
+        return call
+
+    monkeypatch.setattr(gil.cli, "run_chains", stored)
+    for name in ("verify_l1norm_bounds", "poincare_variance_check"):
+        monkeypatch.setattr(gil.cli, name, recording(name))
+    out = tmp_path / "o.json"
+    assert run_cli(["verify-lemma", "--config", write(tmp_path / "c.json", LEMMA), "--out", out]) in (0, 2)
+    rep = json.loads(out.read_text())
+
+    states = calls["states"]
+    ps, t, us, psi, _, lam, k_grid = calls["verify_l1norm_bounds"]
+    _, delta, directions = calls["poincare_variance_check"]
+    fourier = verify_l1norm_bounds(ps, t, us, psi, states[:, t.forward[0, 0] - 1], lam, k_grid)
+    variance = poincare_variance_check(states @ directions.T, delta, directions)
+    for key, value in rep["characteristic_bounds"].items():
+        assert value == getattr(fourier, key), key
+    for key in ("variances", "variance_se", "bounds"):
+        np.testing.assert_allclose(rep["variance_bound"][key], getattr(variance, key), rtol=1e-13, atol=0.0)
+    assert rep["variance_bound"]["ok"] == variance.ok
+
+
+@pytest.mark.parametrize("command", ["sample", "verify-lemma"])
+def test_chain_commands_store_no_states(tmp_path, command):
+    # on d = 2, m = 16 with 2 x 3000 kept steps, stored states would take
+    # 2 * 3000 * 255 * 8 bytes; the command's traced heap stays below a quarter
+    # of that (a first short run loads what the command imports lazily)
+    import tracemalloc
+
+    cfg = dict(LEMMA, d=2, m=16, beta=0.058, u=[0.5, 0.5], chain={"n_steps": 300, "burn_in": 100, "n_chains": 2})
+    if command == "sample":
+        cfg = {k: v for k, v in cfg.items() if k != "k_grid"}
+    path, out = tmp_path / "c.json", tmp_path / "o.json"
+    assert run_cli([command, "--config", write(path, cfg), "--out", out]) == 0
+    write(path, dict(cfg, chain={"n_steps": 3100, "burn_in": 100, "n_chains": 2}))
+    tracemalloc.start()
+    try:
+        assert run_cli([command, "--config", path, "--out", out]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 3000 * 255 * 8 / 4
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from gil.mcmc import (
     NOISE_CHUNK,
     ChainConfig,
     GradientMismatchError,
+    PooledBatchMeans,
     StepSizeError,
     Target,
     _blocks,
@@ -206,6 +207,7 @@ def test_run_chains_matches_reference_loop(scaled_b):
             results = run_chains(target, cfg, rows)
             for r, res in enumerate(results):
                 assert np.array_equal(res.samples, samples[r])
+                assert np.array_equal(res.state, samples[r, -1])
                 assert np.array_equal(res.observable, observable[r])
                 assert res.acceptance == rate[r] and res.step_size == h[r]
             reduce = lambda X: np.stack([X.sum(axis=-1), np.abs(X).max(axis=-1)], axis=-1)
@@ -308,6 +310,55 @@ def test_pooled_views_one_run_and_concatenates_otherwise(quick_chain):
     for other in (samples[::-1], samples[:1], [s.copy() for s in samples]):
         assert np.array_equal(pooled(other), np.concatenate(other))
         assert not np.shares_memory(pooled(other), samples[0])
+
+
+@pytest.mark.parametrize("shape", [(5_003, 3), (1_000, 1), (700,), (39, 2), (25,)])
+def test_batch_means_matches_plain_formula(shape):
+    # bit for bit: the mean and error of the block means, or of the samples
+    # themselves below 2 * MIN_BLOCKS, and n_eff = var / SE^2 capped at n
+    x = np.random.default_rng(len(shape)).standard_normal(shape) * 2.0 + 0.3
+    n = shape[0]
+    mean, se, n_eff = batch_means(x)
+    if n < 40:
+        assert np.array_equal(mean, x.mean(axis=0)) and np.array_equal(se, x.std(axis=0, ddof=1) / math.sqrt(n))
+        assert n_eff == n
+        return
+    means = _blocks(x).mean(axis=1)
+    assert np.array_equal(mean, means.mean(axis=0))
+    assert np.array_equal(se, means.std(axis=0, ddof=1) / math.sqrt(len(means)))
+    assert n_eff == min(float(np.min(x.var(axis=0, ddof=1) / se**2)), n)
+
+
+@pytest.mark.parametrize(
+    "m,n_chains,n_kept",
+    [
+        (4, 3, 12),     # 36 pooled states: blocks of one, below 2 * MIN_BLOCKS
+        (4, 1, 30),     # one chain
+        (4, 2, 1_000),  # not a multiple of NOISE_CHUNK; blocks of 31 over 2000 states, the tail dropped
+        (4, 3, 150),    # blocks of 21 straddle both row boundaries (150 = 7 * 21 + 3, 300 = 14 * 21 + 6)
+        (2, 2, 500),    # one dof: numpy sums each block of 32 pairwise, as the streamed blocks are summed
+    ],
+)
+def test_pooled_batch_means_streams_what_stored_states_give(pot_gauss, m, n_chains, n_kept):
+    # on the same seed, the in-run reduction gives batch_means of the pooled
+    # stored states: mean and error bit for bit, n_eff to rounding; it keeps
+    # nothing per state, and each row's final state is its last kept state
+    t = Torus(1, m)
+    target = make_gibbs_target(t, pot_gauss, [0.3], 1.0)
+    cfg = ChainConfig(n_steps=n_kept + 200, burn_in=200, n_chains=n_chains, seed=3)
+    stored = run_chains(target, cfg)
+    means = PooledBatchMeans(n_chains, n_kept)
+    with pytest.raises(ValueError, match="reduced"):
+        means.result()
+    streamed = run_chains(target, cfg, keep=means)
+    mean, se, n_eff = means.result()
+    ref_mean, ref_se, ref_n_eff = batch_means(pooled([r.samples for r in stored]))
+    assert np.array_equal(mean, ref_mean) and np.array_equal(se, ref_se)
+    assert n_eff == pytest.approx(ref_n_eff, rel=1e-12, abs=0.0)
+    assert not means.open
+    for s, r in zip(streamed, stored):
+        assert s.samples.shape == (n_kept, 0)
+        assert np.array_equal(s.state, r.samples[-1])
 
 
 def test_batch_means_iid():
@@ -418,9 +469,9 @@ def _h1_samples(t, p, lam, cfg):
 
 def test_characteristic_a_at_zero_and_bounded(pot_gauss, quick_chain):
     t = Torus(1, 3)
-    samples = _h1_samples(t, pot_gauss, 0.5, quick_chain)
+    gv = _h1_samples(t, pot_gauss, 0.5, quick_chain)[:, t.forward[0, 0] - 1]
     k = np.array([0.0, 0.7, 1.5, 3.0])
-    rep = verify_l1norm_bounds(pot_gauss, t, [0.0], Field.zeros(t), samples, 0.5, k)
+    rep = verify_l1norm_bounds(pot_gauss, t, [0.0], Field.zeros(t), gv, 0.5, k)
     assert rep.abs_a[0] == 1.0 and rep.se_abs[0] == 0.0
     assert np.all(rep.abs_a <= 1.0 + 4.0 * rep.se_abs)
 
@@ -444,9 +495,9 @@ def test_characteristic_a_gaussian_closed_form(pot_gauss):
     t = Torus(1, 3)
     lam = 0.5
     cfg = ChainConfig(n_steps=60_000, burn_in=5_000, seed=29, n_chains=2)
-    samples = _h1_samples(t, pot_gauss, lam, cfg)
+    gv = _h1_samples(t, pot_gauss, lam, cfg)[:, t.forward[0, 0] - 1]
     k = np.array([0.5, 1.0, 2.0])
-    rep = verify_l1norm_bounds(pot_gauss, t, [0.0], Field.zeros(t), samples, lam, k)
+    rep = verify_l1norm_bounds(pot_gauss, t, [0.0], Field.zeros(t), gv, lam, k)
     var = lam * (t.volume - 1) / (t.d * t.volume)
     exact = np.exp(-k * k * var / 2.0)
     np.testing.assert_allclose(rep.abs_a, exact, atol=4 * np.max(rep.se_abs) + 1e-3)
@@ -479,7 +530,7 @@ def test_poincare_variance_check_gaussian_linear(pot_gauss):
     rng = np.random.default_rng(31)
     vs = rng.standard_normal((3, t.n_dof))
     cfg = ChainConfig(n_steps=30_000, burn_in=3_000, seed=37, n_chains=2)
-    rep = poincare_variance_check(np.concatenate([r.samples for r in run_chains(target, cfg)]), delta, vs)
+    rep = poincare_variance_check(np.concatenate([r.samples for r in run_chains(target, cfg)]) @ vs.T, delta, vs)
     assert rep.ok
     C = pinned_covariance(t)
     for j, v in enumerate(vs):
@@ -490,14 +541,16 @@ def test_poincare_variance_check_needs_observables():
     # an empty list would report ok with nothing checked
     for empty in ([], np.zeros((0, 2))):
         with pytest.raises(ValueError):
-            poincare_variance_check(np.zeros((100, 2)), 1.0, empty)
+            poincare_variance_check(np.zeros((100, 0)), 1.0, empty)
+    with pytest.raises(ValueError, match="projections"):
+        poincare_variance_check(np.zeros((100, 2)), 1.0, np.eye(3))
 
 
 def test_poincare_variance_check_bounds_are_exact():
     # delta certifies the Hessian, so the bound of a linear observable is |v|^2 / delta, without error
     # (integer entries, so |v|^2 is exact in any summation order)
     vs = np.random.default_rng(5).integers(-3, 4, (4, 3)).astype(float)
-    rep = poincare_variance_check(np.random.default_rng(6).standard_normal((500, 3)), 0.7, vs)
+    rep = poincare_variance_check(np.random.default_rng(6).standard_normal((500, 3)) @ vs.T, 0.7, vs)
     assert np.array_equal(rep.bounds, np.array([float(v @ v) / 0.7 for v in vs]))
     assert np.array_equal(rep.bound_se, np.zeros(4))
     assert rep.names == ("linear_0", "linear_1", "linear_2", "linear_3")
@@ -510,7 +563,7 @@ def test_poincare_variance_check_matches_per_direction_jackknife(n):
     # samples in whole blocks
     rng = np.random.default_rng(n)
     samples, vs = rng.standard_normal((n, 6)), rng.standard_normal((5, 6))
-    rep = poincare_variance_check(samples, 1.0, vs)
+    rep = poincare_variance_check(samples @ vs.T, 1.0, vs)
     nb = min(n, max(20, math.isqrt(n)))
     b = n // nb
     for j, v in enumerate(vs):
@@ -557,7 +610,7 @@ def test_poincare_variance_check_constant_observable(pot_gauss, quick_chain):
     target = make_gibbs_target(t, pot_gauss, [0.0], 1.0)
     # the zero direction: a constant observable, with variance and bound 0
     samples = np.concatenate([r.samples for r in run_chains(target, quick_chain)])
-    rep = poincare_variance_check(samples, 1.0, np.zeros((1, 2)))
+    rep = poincare_variance_check(samples @ np.zeros((2, 1)), 1.0, np.zeros((1, 2)))
     assert rep.ok and rep.variances[0] == 0.0 and rep.bounds[0] == 0.0
 
 

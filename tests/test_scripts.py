@@ -70,3 +70,14 @@ def test_oracle_route_timing_prints_every_route():
     assert [int(r[2]) for r in rows[:3]] == [8192, 16384, 32768] and rows[7][2] == "32"
     assert all(int(r[2]) <= 4096 for r in rows[3:5])
     assert all(float(r[3]) > 0.0 for r in rows)
+
+
+def test_peak_memory_prints_every_command():
+    # chains at a tenth of the benchmark's lengths, each command in two fresh processes
+    proc = _run("peak_memory.py", "--scale", 0.1)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "command,ru_maxrss_mb,heap_peak_mb"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [r[0] for r in rows] == ["hessian", "verify-lemma", "sample"]
+    assert all(float(r[1]) > float(r[2]) > 0.0 for r in rows)
