@@ -16,17 +16,19 @@ with no fallback between routes:
                 the rest, and tensor Gauss-Legendre runs over the independent
                 bonds' arguments, whose support edges are the rule's end
                 points.  Subsets are pruned by rigorous magnitude bounds.  The
-                geometry and the pruning depend on the torus and scale alone,
-                so one call serves a whole batch of base fields.
+                geometry and the pruning depend on the torus and scale alone:
+                a subset's geometry is kept across calls, and one call serves
+                a whole batch of base fields, in grid slabs of SLAB_VALUES.
   conditioning  d = 1, any other input, any m, scale and base field: the m
                 bond gradients are iid N(0, scale) conditioned to sum to zero,
                 so log E is one convolution at zero: per-bond transforms on
                 a periodic grid (rffts of samples, or for compact g exact
-                Gauss-Legendre transforms over the support) and one sum over
-                the half spectrum.  One doubling loop
-                (conditioning_tilt_curvature) gives log E and its curvature
-                in a uniform bond shift, the d = 1 tilt Hessian, and stops
-                once both errors, floored at rounding, are below EXACT_TOL.
+                Gauss-Legendre transforms over the support, in frequency
+                slices of SLAB_VALUES) and one sum over the half spectrum.
+                One doubling loop (conditioning_tilt_curvature) gives log E
+                and its curvature in a uniform bond shift, the d = 1 tilt
+                Hessian, and stops once both errors, floored at rounding, are
+                below EXACT_TOL.
   gh            d >= 2 otherwise: tensor-product Gauss-Hermite in
                 gff.ModeBasis, the eigenbasis of the pinned form that
                 sample_gff also draws in, with node doubling from
@@ -67,7 +69,7 @@ GH_MAX_ORDER = 128
 GH_POINT_CAP = 20_000_000  # tensor grids beyond this are declared non-convergent
 GH_PRUNE = 1e-18  # tensor nodes below this fraction of the largest weight are dropped
 GL_ORDER = 24
-MAYER_POINTS = 2**20  # Mayer grid points (rows times nodes) held at once
+SLAB_VALUES = 2**16  # values one slab of an oracle route holds: Mayer grid points, phase entries, r1g's working set
 Y_CLIP = 9.0  # standard-normal tail beyond this contributes < 1e-18
 
 COND_MIN_POINTS = 2**10
@@ -171,7 +173,9 @@ def _compact_transform(g, shift: float, support, scale: float, w: np.ndarray, pa
     The integrand vanishes off [lo - shift, hi - shift] for g's support
     (lo, hi); cut to +-Y_CLIP sqrt(scale), inside the grid's window, that is
     split into `panels` equal Gauss-Legendre panels, so the C^2 edges are
-    panel ends.  An empty cut has zero weights and gives 0.
+    panel ends.  An empty cut has zero weights and gives 0.  The phase matrix
+    (frequencies x nodes) is formed in slices of at most SLAB_VALUES entries
+    (one frequency per slice beyond that many nodes).
     """
     cut = Y_CLIP * math.sqrt(scale)
     lo = max(support[0] - shift, -cut)
@@ -179,8 +183,12 @@ def _compact_transform(g, shift: float, support, scale: float, w: np.ndarray, pa
     x, wt = _gl_rule(GL_ORDER)
     e = (lo + width * (np.arange(panels)[:, None] + 0.5 * (x + 1.0))).ravel()
     f = np.tile(0.5 * width * wt, panels) * np.exp(-0.5 * e * e / scale) * np.expm1(-g(shift + e))
-    phase = np.multiply.outer(w, e)
-    return (np.cos(phase) @ f - 1j * (np.sin(phase, out=phase) @ f)) / math.sqrt(2.0 * math.pi * scale)
+    out = np.empty(len(w), dtype=complex)
+    rows = max(1, SLAB_VALUES // len(e))
+    for k in range(0, len(w), rows):
+        phase = np.multiply.outer(w[k : k + rows], e)
+        out[k : k + rows] = np.cos(phase) @ f - 1j * (np.sin(phase, out=phase) @ f)
+    return out / math.sqrt(2.0 * math.pi * scale)
 
 
 def _conditioning_grid(g, shifts: np.ndarray, counts: np.ndarray, scale: float, n: int, support=None):
@@ -312,6 +320,15 @@ def _bond_coordinates(F: np.ndarray, S: np.ndarray):
     return I, D, F[D] @ F[I].T @ Cinv, np.linalg.cholesky(Cinv).T, norm
 
 
+@lru_cache(maxsize=1024)
+def _subset_geometry(F_bytes: bytes, shape: tuple, S: tuple):
+    """_bond_coordinates of the subset S for the F with these bytes and shape, computed once, read-only."""
+    geometry = _bond_coordinates(np.frombuffer(F_bytes).reshape(shape), np.array(S))
+    for a in geometry[:4]:
+        a.flags.writeable = False
+    return geometry
+
+
 def _subset_moment(geometry, sigma: np.ndarray, shifts: np.ndarray, f, lo: float, hi: float) -> np.ndarray:
     """E[prod_{b in S} f(shift_b + zeta_b)] for each row of shifts (n, B).
 
@@ -321,7 +338,9 @@ def _subset_moment(geometry, sigma: np.ndarray, shifts: np.ndarray, f, lo: float
     lines only; dependent bonds are evaluated on the full grid.  In a rank-1
     subset every bond is a multiple of the one coordinate, so the interval is
     the exact intersection of all members' supports.  The grid is summed in
-    slabs of at most MAYER_POINTS points per row.  Where the box is empty or a
+    slabs of at most SLAB_VALUES points: whole rows, or where one row's
+    GL_ORDER^r points are more, runs of its axis-0 nodes (a rank-5 slab is one
+    node, GL_ORDER^4 points).  Where the box is empty or a
     dependent argument (affine on the box: centre +- radius) misses [lo, hi] by
     more than a rounding pad, f is 0 at every node: such rows get 0, no grid.
     """
@@ -351,11 +370,11 @@ def _subset_moment(geometry, sigma: np.ndarray, shifts: np.ndarray, f, lo: float
     y = s - s_I[..., None]
     fac = half * w * f(s)
 
-    def axis(v, j):  # (n, k) nodes as axis j of the tensor grid
-        return v.reshape((n,) + (1,) * j + (-1,) + (1,) * (r - 1 - j))
+    def axis(v, j):  # (rows, k) nodes as axis j of the tensor grid
+        return v.reshape((len(v),) + (1,) * j + (-1,) + (1,) * (r - 1 - j))
 
-    def moment(sl):  # the grid's slab with axis-0 nodes sl
-        ys = [y[:, 0, sl]] + [y[:, k] for k in range(1, r)]
+    def moment(rows, sl):  # the slab of the rows' grids with axis-0 nodes sl
+        ys = [y[rows, 0, sl]] + [y[rows, k] for k in range(1, r)]
         # exp(-|R y|^2 / 2) as one factor per row of R: row j couples axes
         # j..r-1, so the grid grows one axis at a time and each factor is <= 1
         # (formed in place: the halving is exact, so q q (-0.5) is -0.5 q q bitwise)
@@ -364,14 +383,19 @@ def _subset_moment(geometry, sigma: np.ndarray, shifts: np.ndarray, f, lo: float
             q = sum(R[j, k] * axis(ys[k], k) for k in range(j, r))
             q *= q
             q *= -0.5
-            vals = vals * axis(fac[:, j, sl] if j == 0 else fac[:, j], j)
+            vals = vals * axis(fac[rows, j, sl] if j == 0 else fac[rows, j], j)
             vals *= np.exp(q, out=q)
         for i, d in enumerate(D):
-            vals *= f(shifts[:, d].reshape((n,) + (1,) * r) + sum(M[i, k] * axis(ys[k], k) for k in range(r)))
-        return vals.reshape(n, -1).sum(axis=1)
+            vals *= f(axis(shifts[rows, d, None], 0) + sum(M[i, k] * axis(ys[k], k) for k in range(r)))
+        return vals.reshape(len(vals), -1).sum(axis=1)
 
-    step = max(1, MAYER_POINTS // GL_ORDER ** (r - 1))
-    return norm * sum(moment(slice(k, k + step)) for k in range(0, GL_ORDER, step))
+    size = max(1, SLAB_VALUES // GL_ORDER**r)  # whole rows per slab
+    step = max(1, SLAB_VALUES // GL_ORDER ** (r - 1))  # else axis-0 nodes of one row
+    out = np.empty(n)
+    for i in range(0, n, size):
+        rows = slice(i, i + size)
+        out[rows] = norm * sum(moment(rows, slice(k, k + step)) for k in range(0, GL_ORDER, step))
+    return out
 
 
 def mayer_log_expectation(
@@ -384,10 +408,12 @@ def mayer_log_expectation(
     subset of bonds is one Gaussian moment, integrated in bond coordinates by
     _subset_moment, which skips the rows that the subset's box or one of its
     dependent bonds proves zero.  The subset geometry and the pruning bounds
-    depend on F alone, so they are computed once for all rows; rows go through
-    in chunks of at most MAYER_POINTS grid points.  Returns (values (N,),
-    rigorous bound on the pruned mass, at most EXACT_TOL); exact up to pruning
-    and the Gauss-Legendre rule.
+    depend on F alone, so they are computed once for all rows, and each
+    subset's geometry is cached per F across calls.  Rows go through in
+    chunks whose four node-line arrays hold SLAB_VALUES values, and
+    _subset_moment sums each chunk's grid in slabs of SLAB_VALUES points.
+    Returns (values (N,), rigorous bound on the pruned mass, at most
+    EXACT_TOL); exact up to pruning and the Gauss-Legendre rule.
     """
     lo, hi = support
     shifts = np.asarray(shifts, dtype=float)
@@ -404,16 +430,17 @@ def mayer_log_expectation(
     # per-bond hit probability bound P(zeta_b in support); correlations between
     # bonds are unknown, so a subset bound may use only the single smallest one
     p_hit = np.minimum(1.0, (hi - lo) / sigma / math.sqrt(2.0 * math.pi))
+    key = (np.asarray(F, dtype=float).tobytes(), F.shape)
     total, pruned = np.zeros(N), 0.0
     for size in range(1, B + 1):
         for S in itertools.combinations(range(B), size):
-            S = np.array(S)
-            bound = bmax**size * float(np.min(p_hit[S]))
+            bound = bmax**size * float(np.min(p_hit[list(S)]))
             if bound < EXACT_TOL / (2.0**B):
                 pruned += bound
                 continue
-            geometry = _bond_coordinates(F, S)
-            rows = max(1, MAYER_POINTS // GL_ORDER ** len(geometry[0]))
+            geometry = _subset_geometry(*key, S)
+            # s, y, fac and f(s) in _subset_moment: four (rows, rank, GL_ORDER) node-line arrays
+            rows = max(1, SLAB_VALUES // (4 * GL_ORDER * len(geometry[0])))
             for start in range(0, N, rows):
                 total[start : start + rows] += _subset_moment(geometry, sigma, shifts[start : start + rows], f, lo, hi)
     if np.any(total <= -1.0):

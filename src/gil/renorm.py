@@ -23,7 +23,7 @@ from .lattice import Torus, Field, bond_args, grad_all, grad_norm_sq, pinned
 from .mcmc import ChainConfig, Estimate, Target, make_h1_target, fluctuation_hessian, stream, _blocks, _jackknife
 from .oracle import ORACLE_ERROR, f_tilt, f_tilt_hessian, hessian_fd, renorm_iterated_g
 from .potentials import Potential, norms
-from .quadrature import QuadratureError, field_bond_map, log_expectation
+from .quadrature import SLAB_VALUES, QuadratureError, field_bond_map, log_expectation
 
 __all__ = [
     "DecompositionPlan",
@@ -119,8 +119,11 @@ def estimate_r1g(
 
     The mc route draws the small-scale layer's bond gradients exactly, as
     latent normals times quadrature.field_bond_map, stabilizes -log mean
-    exp(-G) with a max shift, and reports a delete-one jackknife error.  Bond
-    arguments are (bonds, samples), so shift and bond sum run on the long axis.
+    exp(-G) with a max shift, and reports a delete-one jackknife error.  It
+    goes through the samples in slices of SLAB_VALUES / 4 bond arguments,
+    whatever the torus, each drawn in turn from the one stream as (bonds,
+    samples), so shift and bond sum run on the long axis, and keeps only the
+    n_samples weights.  Raises ValueError for fewer than two samples.
     """
     t = plan.torus
     u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -129,14 +132,22 @@ def estimate_r1g(
         return Estimate(value=val, std_error=ORACLE_ERROR, n_effective=math.inf, method="oracle")
     if method != "mc":
         raise ValueError(f"method must be 'oracle' or 'mc', got {method}")
-    z = stream(seed, purpose="r1g").standard_normal((n_samples, t.n_dof))
-    args = field_bond_map(t, plan.lam) @ z.T
-    args += bond_args(t, psi.values, u).reshape(-1, 1)
-    w = -plan.potential.g(args).sum(axis=0)
+    if n_samples < 2:
+        raise ValueError(f"estimate_r1g: n_samples must be at least 2 for an error bar, got {n_samples}")
+    rng = stream(seed, purpose="r1g")
+    F = field_bond_map(t, plan.lam)
+    shifts = bond_args(t, psi.values, u).reshape(-1, 1)
+    w = np.empty(n_samples)
+    size = max(1, SLAB_VALUES // (4 * len(F)))  # g's evaluation holds about four (bonds, samples) arrays
+    for k in range(0, n_samples, size):
+        args = F @ rng.standard_normal((min(size, n_samples - k), t.n_dof)).T
+        args += shifts
+        w[k : k + size] = -plan.potential.g(args).sum(axis=0)
     shift = w.max()
     if not math.isfinite(shift):
         raise FloatingPointError("all Monte Carlo weights underflowed; rescale the problem")
-    e = np.exp(w - shift)
+    w -= shift
+    e = np.exp(w, out=w)
     total, blocks = e.sum(), _blocks(e)
     # the blocks' sums in one call (pairwise, as a slice's sum), and all leave-one-out values at once
     counts = np.full(len(blocks), blocks.shape[1])

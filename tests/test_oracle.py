@@ -262,6 +262,25 @@ def test_renorm_iterated_one_inner_call_per_gh_order(scaled_b, monkeypatch):
     assert all(len(shape) == 2 and shape[1] == t.volume for shape in inner)
 
 
+def test_renorm_iterated_heap_stays_in_slabs(scaled_b):
+    # the criterion-5 call: GH order 32 hands the inner Mayer layer 716 base
+    # fields, whose rank-2 grids (GL_ORDER^2 points a row) took 6.65 MB of heap
+    # in one chunk; in slabs of SLAB_VALUES points it stays below 3 MB (a first
+    # call fills the rule and geometry caches)
+    import tracemalloc
+
+    ps, _ = scaled_b
+    t = Torus(1, 3)
+    renorm_iterated_g(ps, 5.0 / 12.0, [0.3], t)
+    tracemalloc.start()
+    try:
+        renorm_iterated_g(ps, 5.0 / 12.0, [0.3], t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
+
+
 def test_renorm_g_zero_for_gaussian(pot_gauss):
     t = Torus(1, 3)
     plan = DecompositionPlan.from_potential(pot_gauss, t, lam=0.5)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import roots_hermitenorm
 
+import gil.quadrature
 from gil.conditions import check_conditions, scale_to_unit
 from gil.gff import ModeBasis, pinned_form
 from gil.lattice import Torus, anharmonic_g, bond_args, pinned
@@ -16,13 +17,15 @@ from gil.quadrature import (
     EXACT_TOL,
     GH_PRUNE,
     GL_ORDER,
-    MAYER_POINTS,
     ORACLE_MAX_DOF,
+    SLAB_VALUES,
+    Y_CLIP,
     QuadratureError,
     _at_zero,
     _compact_transform,
     _conditioning_grid,
     _gh_rule,
+    _subset_geometry,
     compact_anharmonicity,
     conditioning_tilt_curvature,
     field_bond_map,
@@ -188,6 +191,28 @@ def test_compact_transform_resolves_nyquist(example_b_frames):
     assert np.max(np.abs(sampled - ref)) > 1e-9
 
 
+def test_compact_transform_slices_match_one_shot_product(example_b_frames):
+    # the Nyquist test's grid: 1025 frequencies x 216 nodes span four slices of
+    # SLAB_VALUES phase entries, the last one partial.  Each frequency is its own
+    # row's dot products, but BLAS takes a slice's last rows by another kernel
+    # path, so a few values move (2.6e-18 measured): within 1e-15 of sum |f|,
+    # the rounding scale of every dot product
+    ps, k = example_b_frames[100.0]
+    lo, hi, h = compact_anharmonicity(ps)
+    n, shift, scale, panels = 2048, 0.3 * k, 1.0, 9
+    w = 2.0 * math.pi * np.fft.rfftfreq(n, COND_WIDTH * math.sqrt(8.0) / n)
+    x, wt = np.polynomial.legendre.leggauss(GL_ORDER)
+    a = max(lo - shift, -Y_CLIP * math.sqrt(scale))
+    width = (min(hi - shift, Y_CLIP * math.sqrt(scale)) - a) / panels
+    e = (a + width * (np.arange(panels)[:, None] + 0.5 * (x + 1.0))).ravel()
+    f = np.tile(0.5 * width * wt, panels) * np.exp(-0.5 * e * e / scale) * np.expm1(-h(shift + e))
+    phase = np.multiply.outer(w, e)
+    assert phase.size > 3 * SLAB_VALUES and len(w) % (SLAB_VALUES // len(e))
+    ref = (np.cos(phase) @ f - 1j * (np.sin(phase) @ f)) / math.sqrt(2.0 * math.pi * scale)
+    got = _compact_transform(h, shift, (lo, hi), scale, w, panels)
+    assert np.max(np.abs(got - ref)) <= 1e-15 * np.abs(f).sum() / math.sqrt(2.0 * math.pi * scale)
+
+
 def test_conditioning_refuses_to_stop_above_its_rounding_floor():
     # at 100x the d = 1 threshold of example_c the excess cancels K_G to about
     # 1e-10: the 1024- and 2048-point grids agree below EXACT_TOL, but the rounding
@@ -345,12 +370,13 @@ def test_mayer_largest_grid_matches_conditioning_reference(conditioning_referenc
 
 
 def test_mayer_batch_equals_rows(scaled_b):
-    # at m = 5 the rank-4 subsets fit MAYER_POINTS // GL_ORDER^4 = 3 rows per
-    # chunk, so 7 base fields span three chunks; each row's value must not
-    # depend on the batch it came in
+    # at m = 5 a rank-3 subset's grid slab holds SLAB_VALUES // GL_ORDER^3 = 4
+    # rows and a rank-4 subset's row, GL_ORDER^4 points, is summed in slabs of 4
+    # axis-0 nodes, so 7 base fields span two slabs at rank 3 and 42 at rank 4;
+    # each row's value must not depend on the batch it came in
     ps, _ = scaled_b
     t = Torus(1, 5)
-    assert MAYER_POINTS // GL_ORDER**4 == 3
+    assert SLAB_VALUES // GL_ORDER**3 == 4 and SLAB_VALUES < GL_ORDER**4
     psi = np.zeros((7, t.volume))
     psi[:, 1:] = 0.1 * np.random.default_rng(5).standard_normal((7, t.n_dof))
     tilt = np.array([0.12])
@@ -383,6 +409,36 @@ def test_mayer_batch_equals_rows(scaled_b):
             np.testing.assert_array_equal(batch, rows)
             if t.d == 1:  # the only full-grid call is the three-bond subset's, on its kept rows
                 assert len(grids) == (u < hi) and all(0 < kept < len(psi) for kept in grids)
+
+
+def test_mayer_builds_each_subset_geometry_once_per_map(scaled_b, monkeypatch):
+    # a subset's geometry depends on F alone: a second call with the same F and
+    # other base fields builds none, bitwise as the first, and a new F builds its own
+    ps, _ = scaled_b
+    lo, hi, h = compact_anharmonicity(ps)
+    t = Torus(2, 2)
+    psi = pinned(0.3 * np.random.default_rng(4).standard_normal((2, 2, t.n_dof)))
+    shifts = bond_args(t, psi, [0.1, 0.2]).reshape(2, 2, -1)
+    built, original = [], gil.quadrature._bond_coordinates
+
+    def counting(F, S):
+        built.append(tuple(S))
+        return original(F, S)
+
+    monkeypatch.setattr(gil.quadrature, "_bond_coordinates", counting)
+    _subset_geometry.cache_clear()
+    try:
+        F = field_bond_map(t, 0.4)
+        first = mayer_log_expectation(F, shifts[0], h, (lo, hi))[0]
+        n_subsets = len(built)
+        assert n_subsets > 100 and len(set(built)) == n_subsets
+        mayer_log_expectation(F.copy(), shifts[1], h, (lo, hi))
+        assert len(built) == n_subsets
+        np.testing.assert_array_equal(mayer_log_expectation(F, shifts[0], h, (lo, hi))[0], first)
+        mayer_log_expectation(field_bond_map(t, 0.3), shifts[0], h, (lo, hi))
+        assert len(built) > n_subsets
+    finally:
+        _subset_geometry.cache_clear()
 
 
 def test_mayer_skips_rows_a_dependent_bond_proves_zero(scaled_b):

@@ -9,7 +9,7 @@ from gil.lattice import Field, Torus, anharmonic_g, bond_args, grad_norm_sq
 from gil.mcmc import ChainConfig, stream
 from gil.oracle import f_tilt, hessian_fd
 from gil.potentials import example_a, example_c, gaussian_potential, norms
-from gil.quadrature import QuadratureError, field_bond_map
+from gil.quadrature import SLAB_VALUES, QuadratureError, field_bond_map
 from gil.renorm import (
     DecompositionPlan,
     certify_h1_convexity,
@@ -150,6 +150,59 @@ def test_estimate_r1g_jackknife_matches_leave_one_out_loop(scaled_b):
     jk = np.array([neg_log_mean(np.delete(w, np.s_[j * b : (j + 1) * b])) for j in range(nb)])
     assert est.value == neg_log_mean(w)
     assert est.std_error == pytest.approx(math.sqrt((len(jk) - 1) / len(jk) * np.sum((jk - jk.mean()) ** 2)), rel=1e-9)
+
+
+@pytest.mark.parametrize("d,m,n", [(1, 3, 12_001), (2, 2, 5_001)])
+def test_estimate_r1g_slices_match_one_shot(scaled_b, d, m, n):
+    # n spans two whole slices of SLAB_VALUES // (4 bonds) samples and a
+    # partial third; the one-shot formula draws every normal at once
+    t = Torus(d, m)
+    plan = DecompositionPlan.from_potential(scaled_b[0], t)
+    psi = Field.from_dof(t, 0.3 * np.random.default_rng(1).standard_normal(t.n_dof))
+    u = [0.3] * d
+    F = field_bond_map(t, plan.lam)
+    size = SLAB_VALUES // (4 * len(F))
+    assert 2 * size < n < 3 * size
+    z = stream(7, purpose="r1g").standard_normal((n, t.n_dof))
+    w = -plan.potential.g(F @ z.T + bond_args(t, psi.values, u).reshape(-1, 1)).sum(axis=0)
+    shift = w.max()
+    e = np.exp(w - shift)
+    nb = max(20, math.isqrt(n))
+    b = n // nb
+    jk = -(shift + np.log((e.sum() - e[: nb * b].reshape(nb, b).sum(axis=1)) / (n - b)))
+    est = estimate_r1g(plan, u, psi, "mc", n_samples=n, seed=7)
+    assert est.value == -(shift + math.log(e.sum() / n))
+    assert est.std_error == math.sqrt((nb - 1) / nb * np.sum((jk - jk.mean()) ** 2))
+
+
+def test_estimate_r1g_heap_does_not_grow_with_torus_or_samples(scaled_b):
+    # only the n_samples weights are kept: at 10^5 samples on Torus(1, 3) the
+    # traced heap stays below 2 MB (8.4 MB with every bond argument held), it
+    # grows by about the weights' 8 bytes per added sample, and on Torus(2, 8),
+    # 128 bonds, it stays below 2 MB too (341 MB held at once)
+    import tracemalloc
+
+    ps, _ = scaled_b
+    peaks = {}
+    for t, n in ((Torus(1, 3), 100_000), (Torus(1, 3), 200_000), (Torus(2, 8), 100_000)):
+        plan = DecompositionPlan.from_potential(ps, t)
+        psi = Field.from_dof(t, 0.3 * np.random.default_rng(1).standard_normal(t.n_dof))
+        estimate_r1g(plan, [0.3] * t.d, psi, "mc", n_samples=1_000)
+        tracemalloc.start()
+        try:
+            estimate_r1g(plan, [0.3] * t.d, psi, "mc", n_samples=n)
+            peaks[t.d, n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[1, 100_000] < 2 * 2**20 and peaks[2, 100_000] < 2 * 2**20, peaks
+    assert peaks[1, 200_000] - peaks[1, 100_000] < 12 * 100_000, peaks
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_estimate_r1g_needs_two_samples(scaled_b, n):
+    plan = DecompositionPlan.from_potential(scaled_b[0], Torus(1, 3))
+    with pytest.raises(ValueError, match="n_samples must be at least 2"):
+        estimate_r1g(plan, [0.3], Field.zeros(Torus(1, 3)), "mc", n_samples=n)
 
 
 def test_estimate_r1g_rejects_unknown_method(scaled_b):

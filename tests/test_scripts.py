@@ -73,11 +73,11 @@ def test_oracle_route_timing_prints_every_route():
 
 
 def test_peak_memory_prints_every_command():
-    # chains at a tenth of the benchmark's lengths, each command in two fresh processes
+    # chains at a tenth of the benchmark's lengths, each command or call in two fresh processes
     proc = _run("peak_memory.py", "--scale", 0.1)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "command,ru_maxrss_mb,heap_peak_mb"
     rows = [line.split(",") for line in lines[1:]]
-    assert [r[0] for r in rows] == ["hessian", "verify-lemma", "sample"]
+    assert [r[0] for r in rows] == ["hessian", "verify-lemma", "sample", "renorm_iterated_g", "r1g_mc"]
     assert all(float(r[1]) > float(r[2]) > 0.0 for r in rows)
