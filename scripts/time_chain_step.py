@@ -1,15 +1,21 @@
 #!/usr/bin/env python3
-"""Microseconds per MALA chain step, per target and size.
+"""Microseconds per MALA chain step, per target and size, and the target's share.
 
 Times run_chains on example_b(0.5) at half its primary-condition threshold,
 tilt 0.5 on every axis, for three targets: the unit-frame Gibbs target (the
 chain Hessian rows), the raw-frame Gibbs target at that beta (gil sample) and
 the induced h1 target (gil verify-lemma).  Sizes are n_dof 7 (d=1, m=8), 63
 (d=2, m=8) and 255 (d=2, m=16), each an ensemble of ROWS rows (the
-hessian_chain shape) run for STEPS steps, which gives the raw-frame target
-enough burn-in to tune its step.  A figure is the fastest of --repeats runs
-divided by its steps; the gradient check and the burn-in tuning are included.
-Prints CSV: target,n_dof,us_per_step.
+hessian_chain shape).  At n_dof 7 a fourth target, ti, is gil free-energy's
+thermodynamic-integration ensemble: the raw-frame Gibbs target with its D_u H
+observable, TI_ROWS rows (32 path nodes x 2 chains) tilted along the path.
+Each is run for STEPS steps, which gives the raw-frame target enough burn-in
+to tune its step.  us_per_step is the fastest of --repeats runs divided by its
+steps, the gradient check and the burn-in tuning included; energy_grad_us is
+the fastest of --repeats timings of CALLS calls of the target alone on a
+(rows, n_dof) state, per call, so us_per_step - energy_grad_us is the
+sampler's own share of a step.
+Prints CSV: target,n_dof,rows,us_per_step,energy_grad_us.
 
 Usage: python scripts/time_chain_step.py [--repeats 5]
 """
@@ -32,19 +38,34 @@ from gil.potentials import example_b, norms
 from gil.renorm import DecompositionPlan, induced_h1
 
 SIZES = ((1, 8), (2, 8), (2, 16))
-STEPS, ROWS = 2000, 2
+STEPS, ROWS, TI_ROWS, CALLS = 2000, 2, 64, 2000
 
 
 def targets(t: Torus) -> dict:
+    """name -> (target, rows) at this torus."""
     p = example_b(0.5)
     beta = check_conditions(1.0, t.d, p, norms(p)).beta_max_fcond / 2.0
     ps, k = scale_to_unit(p, beta)
     u = np.full(t.d, 0.5)
-    return {
-        "gibbs_unit": make_gibbs_target(t, ps, k * u, 1.0),
-        "gibbs_raw": make_gibbs_target(t, p, u, beta),
-        "h1": induced_h1(DecompositionPlan.from_potential(ps, t), k * u, Field.zeros(t)),
+    out = {
+        "gibbs_unit": (make_gibbs_target(t, ps, k * u, 1.0), ROWS),
+        "gibbs_raw": (make_gibbs_target(t, p, u, beta), ROWS),
+        "h1": (induced_h1(DecompositionPlan.from_potential(ps, t), k * u, Field.zeros(t)), ROWS),
     }
+    if t.d == 1:
+        x, _ = np.polynomial.legendre.leggauss(TI_ROWS // 2)
+        tilts = np.repeat(0.5 * (x + 1.0), 2)[:, None] * u
+        out["ti"] = (make_gibbs_target(t, p, tilts, beta, observable=True), TI_ROWS)
+    return out
+
+
+def best_of(repeats: int, call) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 def main():
@@ -52,17 +73,20 @@ def main():
     ap.add_argument("--repeats", type=int, default=5)
     args = ap.parse_args()
 
-    cfg = ChainConfig(n_steps=STEPS, burn_in=STEPS // 2, n_chains=ROWS, seed=0)
-    print("target,n_dof,us_per_step")
+    print("target,n_dof,rows,us_per_step,energy_grad_us")
     for d, m in SIZES:
         t = Torus(d, m)
-        for name, target in targets(t).items():
-            best = float("inf")
-            for _ in range(args.repeats):
-                start = time.perf_counter()
-                run_chains(target, cfg)
-                best = min(best, time.perf_counter() - start)
-            print(f"{name},{t.n_dof},{1e6 * best / STEPS:.1f}", flush=True)
+        for name, (target, rows) in targets(t).items():
+            cfg = ChainConfig(n_steps=STEPS, burn_in=STEPS // 2, n_chains=rows, seed=0)
+            step = best_of(args.repeats, lambda: run_chains(target, cfg)) / STEPS
+            X = 0.1 * np.random.default_rng(0).standard_normal((rows, t.n_dof))
+
+            def calls():
+                for _ in range(CALLS):
+                    target.energy_grad(X)
+
+            call = best_of(args.repeats, calls) / CALLS
+            print(f"{name},{t.n_dof},{rows},{1e6 * step:.1f},{1e6 * call:.1f}", flush=True)
 
 
 if __name__ == "__main__":

@@ -140,8 +140,12 @@ def bond_divergence(t: Torus, w: np.ndarray) -> np.ndarray:
     w[..., d, V] -> [..., V - 1]; the derivative of sum w(grad phi) with respect to phi.
     One gather over the flattened bonds, then a sum over the axes in order i = 0, 1, ...
     """
-    diff = w.reshape(w.shape[:-2] + (-1,)).take(t.backward_flat, axis=-1) - w
-    return sum((diff[..., i, 1:] for i in range(1, t.d)), diff[..., 0, 1:])
+    diff = w.reshape(w.shape[:-2] + (-1,)).take(t.backward_flat, axis=-1)
+    diff -= w
+    out = diff[..., 0, 1:]
+    for i in range(1, t.d):
+        out = out + diff[..., i, 1:]
+    return out
 
 
 def grad_norm_sq(t: Torus, values: np.ndarray) -> float:

@@ -9,7 +9,11 @@ afterwards, a finite-difference gradient check, a post burn-in acceptance guard,
 and a noise stream from SeedSequence((seed, tilt, node, chain)) drawn in
 fixed-size chunks of steps; `stream` derives that and every auxiliary stream.
 The step's noise products h xi and log q(Y | X) are formed once per chunk, and
-again for the rest of a chunk when burn-in tuning moves h.  The gradient check
+again for the rest of a chunk when burn-in tuning moves h.  The proposal mean
+X - (h^2/2) grad E(X) is carried from the reverse term of the step that
+accepted X (recomputed where tuning moves h), and reductions call the ufuncs
+and C count_nonzero directly: each numpy call costs about a microsecond at
+these sizes, and no chain moves by a bit.  The gradient check
 evaluates all shifted states X +- h e_j in a few calls, with the shifts as a
 leading axis (see Target).  A row's arithmetic is elementwise or a sum over its
 own trailing axes, so its samples are bitwise the same alone or in any ensemble.
@@ -36,6 +40,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy._core.multiarray import count_nonzero  # np.count_nonzero without its Python wrapper
 
 from .conditions import cbar
 from .lattice import Torus, Field, bond_args, bond_divergence, bond_kernel
@@ -140,7 +145,7 @@ class Target:
 
 def _row_sum(a: np.ndarray) -> np.ndarray:
     """Sum of each row's (d, V) bond array: [..., d, V] -> [...]."""
-    return a.reshape(a.shape[:-2] + (-1,)).sum(axis=-1)
+    return np.add.reduce(a.reshape(a.shape[:-2] + (-1,)), axis=-1)
 
 
 def make_gibbs_target(t: Torus, p: Potential, u, beta: float, observable: bool = False) -> Target:
@@ -155,8 +160,9 @@ def make_gibbs_target(t: Torus, p: Potential, u, beta: float, observable: bool =
         v, vp = p.v_dv(bonds(X)[1])
         E, G = _row_sum(v), bond_divergence(t, vp)
         if beta != 1.0:
-            E, G = beta * E, beta * G
-        return (E, G, vp.sum(axis=-1)) if observable else (E, G)
+            E *= beta
+            G *= beta
+        return (E, G, np.add.reduce(vp, axis=-1)) if observable else (E, G)
 
     hint = 0.5 / math.sqrt(beta * (p.c2 * 2.0 * t.d) + 1.0)
     return Target(energy_grad=energy_grad, n_dof=t.n_dof, step_hint=hint)
@@ -171,8 +177,12 @@ def make_h1_target(t: Torus, p: Potential, u, psi_values: np.ndarray, lam: float
     def energy_grad(X):
         gt, arg = bonds(X)
         g, dg = p.g_dg(arg)
-        energy = _row_sum(g) + _row_sum(gt * gt) / (2.0 * lam)
-        return energy, bond_divergence(t, dg + gt / lam)
+        energy = _row_sum(gt * gt)
+        energy /= 2.0 * lam
+        energy += _row_sum(g)
+        gt /= lam
+        gt += dg  # the bond weight dg + gt / lam
+        return energy, bond_divergence(t, gt)
 
     hint = 0.5 / math.sqrt(2.0 * t.d / lam + 1.0)
     return Target(energy_grad=energy_grad, n_dof=t.n_dof, step_hint=hint)
@@ -264,42 +274,44 @@ def run_chains(
         # kept states wait in a chunk buffer that reduce empties; its values' width is known at its first call
         samples, chunk = None, np.empty((n_rows, min(NOISE_CHUNK, n_kept), n))
     kept_obs = np.empty((n_rows, n_kept, O[0].shape[1] if O else 0))
-    window = np.zeros(n_rows)
-    accepted = np.zeros(n_rows)
-    # drift h^2/2 laid out over the dof, so the step's products need no broadcast
-    hc, hh, drift = h[:, None], h * h, np.repeat(0.5 * h[:, None] ** 2, n, axis=1)
+    accs = np.empty((cfg.n_steps, n_rows), dtype=bool)  # every step's acceptances, counted when read
+    # drift h^2/2 laid out over the dof, so the step's products need no broadcast; mu = X - drift G is the
+    # proposal mean, carried from the reverse term of the step that accepted X; -2 h^2 scales log q exactly
+    hc, hh2, drift = h[:, None], -2.0 * h * h, np.repeat(0.5 * h[:, None] ** 2, n, axis=1)
+    mu = X - drift * G
     for step in range(cfg.n_steps):
         c = step % NOISE_CHUNK
         if c == 0:
             k = min(NOISE_CHUNK, cfg.n_steps - step)
             xi_chunk = np.stack([rng.standard_normal((k, n)) for rng in rngs], axis=1)
             log_u_chunk = np.log1p(-np.stack([rng.random(k) for rng in rngs], axis=1))
-            log_q_fwd = -0.5 * (xi_chunk * xi_chunk).sum(axis=-1)
+            log_q_fwd = -0.5 * np.add.reduce(xi_chunk * xi_chunk, axis=-1)
             h_xi = hc * xi_chunk
-        Y = X - drift * G
-        Y += h_xi[c]
+        Y = mu + h_xi[c]
         EY, GY, *OY = target.energy_grad(Y)
-        diff = Y - drift * GY
-        np.subtract(X, diff, out=diff)
+        mu_Y = Y - drift * GY
+        diff = X - mu_Y
         diff *= diff
-        log_q_rev = -0.5 * diff.sum(axis=-1) / hh
-        acc = log_u_chunk[c] < (E - EY) + (log_q_rev - log_q_fwd[c])
-        n_acc = np.count_nonzero(acc)
+        log_a = (E - EY) + (np.add.reduce(diff, axis=-1) / hh2 - log_q_fwd[c])
+        acc = np.less(log_u_chunk[c], log_a, out=accs[step])
+        n_acc = count_nonzero(acc)
         if n_acc == n_rows:
-            X, E, G, O = Y, EY, GY, OY
-        elif n_acc:
+            X, E, G, O, mu = Y, EY, GY, OY, mu_Y
+        elif n_acc > 2:
             np.copyto(E, EY, where=acc)
-            for old, new in zip((X, G, *O), (Y, GY, *OY)):
+            for old, new in zip((X, G, mu, *O), (Y, GY, mu_Y, *OY)):
                 np.copyto(old, new, where=acc[:, None])
+        elif n_acc:  # one or two rows, copied row by row: cheaper than masked copies
+            for r in acc.nonzero()[0]:
+                for old, new in zip((E, X, G, mu, *O), (EY, Y, GY, mu_Y, *OY)):
+                    old[r] = new[r]
         if step < cfg.burn_in:
-            window += acc
             if tune and (step + 1) % 25 == 0:
-                h = h * np.exp(0.4 * (window / 25.0 - 0.574))
-                hc, hh, drift = h[:, None], h * h, np.repeat(0.5 * h[:, None] ** 2, n, axis=1)
+                h = h * np.exp(0.4 * (np.add.reduce(accs[step - 24 : step + 1]) / 25.0 - 0.574))
+                hc, hh2, drift = h[:, None], -2.0 * h * h, np.repeat(0.5 * h[:, None] ** 2, n, axis=1)
+                mu = X - drift * G
                 np.multiply(hc, xi_chunk[c + 1 :], out=h_xi[c + 1 :])
-                window[:] = 0.0
             continue
-        accepted += acc
         j = step - cfg.burn_in
         if O:
             kept_obs[:, j] = O[0]
@@ -313,7 +325,7 @@ def run_chains(
                 samples[:, j - i : j + 1] = values
         elif keep is not None:
             samples[:, j] = X
-    rate = accepted / n_kept
+    rate = np.add.reduce(accs[cfg.burn_in :]) / n_kept
     for r in np.flatnonzero((rate < 0.10) | (rate > 0.95)):
         raise StepSizeError(f"{_label(rows[r])}: acceptance rate {rate[r]:.3f} outside [0.10, 0.95]; adjust step_size")
     return [
@@ -501,7 +513,7 @@ def fluctuation_hessian(u, p: Potential, t: Torus, cfg: ChainConfig, tilt: int =
         out = np.empty(X.shape[:-1] + (t.d,))
         for r in range(len(X)):
             for a in range(0, X.shape[1], step):
-                out[r, a : a + step] = p.d2v(bonds(X[r, a : a + step])[1]).sum(axis=-1)
+                np.add.reduce(p.d2v(bonds(X[r, a : a + step])[1]), axis=-1, out=out[r, a : a + step])
         return out
 
     target = make_gibbs_target(t, p, u, beta=1.0, observable=True)

@@ -104,7 +104,11 @@ class Potential:
         s = _as_array(s)
         g, dg = self.vfun[1](s)
         c1s = s if self.c1 == 1.0 else self.c1 * s  # no multiply in the unit frame
-        return c1s * s / 2.0 + g, c1s + dg
+        v = c1s * s  # then c1s s / 2 + g and c1s + dg, formed in place
+        v /= 2.0
+        v += g
+        dg += c1s
+        return v, dg
 
     def v(self, s):
         return self.v_dv(s)[0]

@@ -339,8 +339,8 @@ def _subset_moment(geometry, sigma: np.ndarray, shifts: np.ndarray, f, lo: float
     subset every bond is a multiple of the one coordinate, so the interval is
     the exact intersection of all members' supports.  The grid is summed in
     slabs of at most SLAB_VALUES points: whole rows, or where one row's
-    GL_ORDER^r points are more, runs of its axis-0 nodes (a rank-5 slab is one
-    node, GL_ORDER^4 points).  Where the box is empty or a
+    GL_ORDER^r points are more, runs of its axis-0 nodes, and where one node's
+    GL_ORDER^(r-1) are more too (rank 5), runs of its axis-1 nodes.  Where the box is empty or a
     dependent argument (affine on the box: centre +- radius) misses [lo, hi] by
     more than a rounding pad, f is 0 at every node: such rows get 0, no grid.
     """
@@ -373,8 +373,8 @@ def _subset_moment(geometry, sigma: np.ndarray, shifts: np.ndarray, f, lo: float
     def axis(v, j):  # (rows, k) nodes as axis j of the tensor grid
         return v.reshape((len(v),) + (1,) * j + (-1,) + (1,) * (r - 1 - j))
 
-    def moment(rows, sl):  # the slab of the rows' grids with axis-0 nodes sl
-        ys = [y[rows, 0, sl]] + [y[rows, k] for k in range(1, r)]
+    def moment(rows, sl):  # the slab of the rows' grids with axis-0 and axis-1 nodes sl[0], sl[1]
+        ys = [y[rows, k, sl[k]] for k in range(r)]
         # exp(-|R y|^2 / 2) as one factor per row of R: row j couples axes
         # j..r-1, so the grid grows one axis at a time and each factor is <= 1
         # (formed in place: the halving is exact, so q q (-0.5) is -0.5 q q bitwise)
@@ -383,18 +383,21 @@ def _subset_moment(geometry, sigma: np.ndarray, shifts: np.ndarray, f, lo: float
             q = sum(R[j, k] * axis(ys[k], k) for k in range(j, r))
             q *= q
             q *= -0.5
-            vals = vals * axis(fac[rows, j, sl] if j == 0 else fac[rows, j], j)
+            vals = vals * axis(fac[rows, j, sl[j]], j)
             vals *= np.exp(q, out=q)
         for i, d in enumerate(D):
             vals *= f(axis(shifts[rows, d, None], 0) + sum(M[i, k] * axis(ys[k], k) for k in range(r)))
         return vals.reshape(len(vals), -1).sum(axis=1)
 
     size = max(1, SLAB_VALUES // GL_ORDER**r)  # whole rows per slab
-    step = max(1, SLAB_VALUES // GL_ORDER ** (r - 1))  # else axis-0 nodes of one row
+    # else runs of axis-0 nodes of one row, and of axis-1 nodes of one axis-0 node
+    step0, step1 = (max(1, SLAB_VALUES * GL_ORDER**j // GL_ORDER**r) for j in (1, 2))
+    runs = [(slice(i, i + step0), slice(j, j + step1)) + (slice(None),) * (r - 2)
+            for i in range(0, GL_ORDER, step0) for j in range(0, GL_ORDER, step1)]
     out = np.empty(n)
     for i in range(0, n, size):
         rows = slice(i, i + size)
-        out[rows] = norm * sum(moment(rows, slice(k, k + step)) for k in range(0, GL_ORDER, step))
+        out[rows] = norm * sum(moment(rows, sl) for sl in runs)
     return out
 
 

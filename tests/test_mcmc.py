@@ -190,6 +190,17 @@ def _reference_chains(target, cfg, rows):
     return np.stack(samples, axis=1), np.stack(observable, axis=1), accepted / (cfg.n_steps - cfg.burn_in), h
 
 
+def _assert_matches_reference(target, cfg, rows):
+    """run_chains against _reference_chains: samples, state, observable, acceptance and step size bit for bit."""
+    samples, observable, rate, h = _reference_chains(target, cfg, rows)
+    for r, res in enumerate(run_chains(target, cfg, rows)):
+        assert np.array_equal(res.samples, samples[r])
+        assert np.array_equal(res.state, samples[r, -1])
+        assert np.array_equal(res.observable, observable[r])
+        assert res.acceptance == rate[r] and res.step_size == h[r]
+    return samples, observable
+
+
 def test_run_chains_matches_reference_loop(scaled_b):
     # samples, observables, acceptance and frozen step size agree bit for bit,
     # with a tuning update inside a noise chunk (step 75 of chunk 64..127) and
@@ -203,13 +214,7 @@ def test_run_chains_matches_reference_loop(scaled_b):
     rows = [(2, 0, 0), (2, 1, 0), (2, 2, 1)]
     for target in (make_gibbs_target(t, ps, tilts, 1.0), make_h1_target(t, ps, tilts, psi, 0.4)):
         for cfg in (ChainConfig(n_steps=200, burn_in=90, seed=8), ChainConfig(n_steps=150, burn_in=20, seed=9, step_size=0.3)):
-            samples, observable, rate, h = _reference_chains(target, cfg, rows)
-            results = run_chains(target, cfg, rows)
-            for r, res in enumerate(results):
-                assert np.array_equal(res.samples, samples[r])
-                assert np.array_equal(res.state, samples[r, -1])
-                assert np.array_equal(res.observable, observable[r])
-                assert res.acceptance == rate[r] and res.step_size == h[r]
+            samples, observable = _assert_matches_reference(target, cfg, rows)
             reduce = lambda X: np.stack([X.sum(axis=-1), np.abs(X).max(axis=-1)], axis=-1)
             for res, values in zip(run_chains(target, cfg, rows, keep=reduce), reduce(samples)):
                 assert np.array_equal(res.samples, values)
@@ -218,6 +223,32 @@ def test_run_chains_matches_reference_loop(scaled_b):
                 assert np.array_equal(res.observable, observable[r])
     with pytest.raises(ValueError, match="keep"):
         run_chains(target, cfg, rows, keep="state")
+
+    # the proposal mean carried from the accepting step is recomputed wherever
+    # tuning moves h: here an update falls on the last step of a noise chunk
+    # (step 1599 = 25 * 64 - 1), so the next chunk starts at the new h
+    cfg = ChainConfig(n_steps=1700, burn_in=1600, seed=12)
+    assert cfg.burn_in % 25 == 0 and cfg.burn_in % NOISE_CHUNK == 0
+    gibbs_obs = make_gibbs_target(t, ps, tilts, 1.0, observable=True)
+    for target in (gibbs_obs, make_h1_target(t, ps, tilts, psi, 0.4)):
+        _assert_matches_reference(target, cfg, rows)
+
+    # four rows, tuned: steps where every row, no row, one or two rows (copied
+    # row by row) and three rows (masked copies) accept all occur.  The
+    # reference calls the target at the start state, then once per step; after
+    # burn-in a row accepted a step when its kept state is that step's proposal
+    four = make_gibbs_target(t, ps, k * np.linspace(0.0, 0.5, 4)[:, None] * np.ones(2), 1.0, observable=True)
+    proposals = []
+
+    def recorded(Y):
+        proposals.append(Y.copy())
+        return four.energy_grad(Y)
+
+    cfg = ChainConfig(n_steps=900, burn_in=600, seed=13)
+    target = Target(energy_grad=recorded, n_dof=t.n_dof, step_hint=four.step_hint)
+    samples, _ = _assert_matches_reference(target, cfg, [(4, j, 0) for j in range(4)])
+    proposed = np.stack(proposals[1 + cfg.burn_in : 1 + cfg.n_steps], axis=1)
+    assert set(np.all(samples == proposed, axis=-1).sum(axis=0).tolist()) == {0, 1, 2, 3, 4}
 
 
 def test_batched_targets_match_single_field_energies(pot_a):

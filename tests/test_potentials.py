@@ -344,3 +344,22 @@ def test_family_parameter_validation():
         example_b(0.0)
     with pytest.raises(InvalidPotentialError):
         example_c(0.5, 1.0, 2.0)  # needs k2 < k1
+
+
+@pytest.mark.parametrize("framed", [False, True])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_closed_forms_take_scalars_and_arrays_alike(family, framed):
+    # v_dv, g_dg, dv and d2v give the same bits on a float, a 0-d array and a
+    # one-element array (the norms' reference quadrature passes floats, the
+    # chains pass arrays), and leave their input as it was
+    p = FAMILIES[family]()
+    if framed:
+        p, _ = scale_to_unit(p, 0.058)
+    for x in (-0.7, 0.0, 0.1, 0.25, 0.4, 1.3):
+        zero_d, one = np.array(x), np.array([x])
+        outs = []
+        for s in (x, zero_d, one):
+            vals = (*p.v_dv(s), *p.g_dg(s), p.dv(s), p.d2v(s))
+            outs.append([np.asarray(v, dtype=float).reshape(-1).tobytes() for v in vals])
+        assert outs[0] == outs[1] == outs[2]
+        assert zero_d == x and one.tolist() == [x]

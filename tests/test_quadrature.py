@@ -576,3 +576,22 @@ def test_mode_basis_diagonalizes_pinned_form():
     mb = ModeBasis.build(t)
     A = pinned_form(t)
     np.testing.assert_allclose(mb.Q @ np.diag(mb.lam) @ mb.Q.T, A, atol=1e-10)
+
+
+def test_mayer_rank5_grid_stays_in_slabs():
+    # a single-row Mayer call on Torus(1, 6) integrates rank-5 subsets, whose
+    # GL_ORDER^4 points per axis-0 node took 12.8 MiB of heap in one slab; runs
+    # of axis-1 nodes keep each slab near SLAB_VALUES points (a first call fills
+    # the rule cache)
+    import tracemalloc
+
+    ps, _ = scale_to_unit(example_b(0.5), 1.0)
+    log_expectation(Torus(1, 3), ps, np.array([0.15]))
+    tracemalloc.start()
+    try:
+        value, info = log_expectation(Torus(1, 6), ps, np.array([0.15]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info["method"] == "mayer" and math.isfinite(value)
+    assert peak < 4 * 2**20

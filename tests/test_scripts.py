@@ -52,10 +52,13 @@ def test_chain_step_timing_prints_every_target_and_size():
     proc = _run("time_chain_step.py", "--repeats", 1)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0] == "target,n_dof,us_per_step"
+    assert lines[0] == "target,n_dof,rows,us_per_step,energy_grad_us"
     rows = [line.split(",") for line in lines[1:]]
-    assert [(r[0], r[1]) for r in rows] == [(t, n) for n in ("7", "63", "255") for t in ("gibbs_unit", "gibbs_raw", "h1")]
-    assert all(float(r[2]) > 0.0 for r in rows)
+    expected = [(t, n, "2") for n in ("7", "63", "255") for t in ("gibbs_unit", "gibbs_raw", "h1")]
+    expected.insert(3, ("ti", "7", "64"))  # the thermodynamic-integration ensemble, at n_dof 7 only
+    assert [tuple(r[:3]) for r in rows] == expected
+    # a step includes one target call, so it takes longer than the call alone
+    assert all(float(r[3]) > float(r[4]) > 0.0 for r in rows)
 
 
 def test_oracle_route_timing_prints_every_route():
