@@ -14,9 +14,13 @@ use the benchmark's decomposition config, unit example_b(0.5) at half its d = 1
 threshold on Torus(1, 3) with the DecompositionPlan lambda and u = 0.3:
 oracle.renorm_iterated_g (GH outer layer, Mayer inner layer) and one
 renorm.estimate_r1g Monte Carlo of 100000 samples at the base field with dof
-(0.4, -0.2).  A figure is the fastest of --repeats calls.  points is the
-conditioning grid size or the GH order; Mayer, the Hessian and the
-criterion-5 rows report neither and write 0.
+(0.4, -0.2).  The norms rows time potentials.norms, all four g0 norms at
+tol 1e-8, once per family, and the verify_theorem row the benchmark's
+hessian_gh config (example_a(0.5), beta = 1, Torus(1, 5), u in {0, 0.5}),
+whose only g0 norm is the concave mass.  A figure is the fastest of
+--repeats calls.  points is the conditioning grid size or the GH order;
+Mayer, the Hessian, the criterion-5, norms and verify_theorem rows report
+neither and write 0.
 Prints CSV: route,config,points,ms_per_call.
 
 Usage: python scripts/time_oracle_routes.py [--repeats 5]
@@ -38,7 +42,7 @@ from gil.lattice import Field, Torus
 from gil.oracle import f_tilt_hessian, renorm_iterated_g
 from gil.potentials import example_a, example_b, example_c, norms
 from gil.quadrature import log_expectation
-from gil.renorm import DecompositionPlan, estimate_r1g
+from gil.renorm import DecompositionPlan, estimate_r1g, verify_theorem
 
 BETA_A = 8.031904623282352e-4  # the benchmark's in-hypothesis example_a(0.5) free energies
 U = 0.5
@@ -101,6 +105,11 @@ def main():
     psi = Field.from_dof(t, np.array([0.4, -0.2]))
     ms, _ = best_ms(lambda: estimate_r1g(plan, [0.3], psi, "mc", n_samples=100_000), args.repeats)
     print(f"r1g_mc,{config},0,{ms:.3f}", flush=True)
+    for family, p in FAMILIES.items():
+        ms, _ = best_ms(lambda: norms(p, 1e-8), args.repeats)
+        print(f"norms,{family}_tol1e-08,0,{ms:.3f}", flush=True)
+    ms, _ = best_ms(lambda: verify_theorem(FAMILIES["a"], 1.0, Torus(1, 5), [[0.0], [0.5]]), args.repeats)
+    print(f"verify_theorem,a_d1_m5_beta1_u0;0.5,0,{ms:.3f}", flush=True)
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ __all__ = [
     "ConditionReport",
     "cbar",
     "check_conditions",
+    "primary_condition",
     "scale_to_unit",
 ]
 
@@ -60,8 +61,18 @@ class ConditionReport:
     norm_error: float
 
 
-def _lhs_fcond(beta: float, d: int, c1: float, cb: float, l1_g0pp: float) -> float:
-    return (4.0 / math.pi) * math.sqrt(12.0 * d * cb) * math.sqrt(beta * c1) / c1 * l1_g0pp
+def primary_condition(beta: float, d: int, p: Potential, l1_g0pp: float) -> tuple[float, bool]:
+    """Left side of the primary condition at ||g0''||_- = l1_g0pp, and whether it is <= 1/2.
+
+    check_conditions reads it at the computed norm and at the norm plus its error;
+    gil hessian's in/out-of-hypothesis label is its verdict, so that command
+    integrates ||g0''||_- alone.
+    """
+    if beta <= 0 or d < 1:
+        raise ValueError(f"need beta > 0 and d >= 1, got beta={beta}, d={d}")
+    c1 = p.c1
+    lhs = (4.0 / math.pi) * math.sqrt(12.0 * d * cbar(p.c0, c1, p.c2)) * math.sqrt(beta * c1) / c1 * l1_g0pp
+    return lhs, lhs <= 0.5
 
 
 def _lhs_9(beta: float, d: int, c1: float, cb: float, l2_g0p: float) -> float:
@@ -77,12 +88,13 @@ def _lhs_11(beta: float, d: int, c1: float, cb: float, l1_g0: float) -> float:
 
 
 def check_conditions(beta: float, d: int, p: Potential, nr: NormReport) -> ConditionReport:
-    """Evaluate the primary and both alternative conditions at (beta, d)."""
-    if beta <= 0 or d < 1:
-        raise ValueError(f"need beta > 0 and d >= 1, got beta={beta}, d={d}")
+    """Evaluate the primary and both alternative conditions at (beta, d) from the full norm report.
+
+    gil check writes it with norms(); see primary_condition for the narrow path.
+    """
+    lf, ok_f = primary_condition(beta, d, p, nr.l1_g0pp)
     cb = cbar(p.c0, p.c1, p.c2)
     c1 = p.c1
-    lf = _lhs_fcond(beta, d, c1, cb, nr.l1_g0pp)
     l9 = _lhs_9(beta, d, c1, cb, nr.l2_g0p)
     l11 = _lhs_11(beta, d, c1, cb, nr.l1_g0)
 
@@ -92,7 +104,7 @@ def check_conditions(beta: float, d: int, p: Potential, nr: NormReport) -> Condi
     bmax_11 = (0.25 / l11) ** (2.0 / 3.0) * beta if 0 < l11 < math.inf else (math.inf if l11 == 0 else 0.0)
 
     eps = nr.quadrature_error
-    lf_p = _lhs_fcond(beta, d, c1, cb, nr.l1_g0pp + eps)
+    ok_fp = primary_condition(beta, d, p, nr.l1_g0pp + eps)[1]
     l9_p = _lhs_9(beta, d, c1, cb, nr.l2_g0p + eps)
     l11_p = _lhs_11(beta, d, c1, cb, nr.l1_g0 + eps)
     return ConditionReport(
@@ -105,8 +117,8 @@ def check_conditions(beta: float, d: int, p: Potential, nr: NormReport) -> Condi
         beta_max_fcond=bmax_f,
         beta_max_9=bmax_9,
         beta_max_11=bmax_11,
-        satisfied={"fcond": lf <= 0.5, "alt_9": l9 <= 0.5, "alt_11": l11 <= 0.25},
-        satisfied_pessimistic={"fcond": lf_p <= 0.5, "alt_9": l9_p <= 0.5, "alt_11": l11_p <= 0.25},
+        satisfied={"fcond": ok_f, "alt_9": l9 <= 0.5, "alt_11": l11 <= 0.25},
+        satisfied_pessimistic={"fcond": ok_fp, "alt_9": l9_p <= 0.5, "alt_11": l11_p <= 0.25},
         norm_error=eps,
     )
 

@@ -44,7 +44,7 @@ from numpy._core.multiarray import count_nonzero  # np.count_nonzero without its
 
 from .conditions import cbar
 from .lattice import Torus, Field, bond_args, bond_divergence, bond_kernel
-from .potentials import Potential, norms
+from .potentials import Potential, norm
 
 __all__ = [
     "ChainConfig",
@@ -507,14 +507,25 @@ def fluctuation_hessian(u, p: Potential, t: Torus, cfg: ChainConfig, tilt: int =
         raise ValueError("fluctuation_hessian requires a unit-scaled potential; call scale_to_unit first")
     u = np.atleast_1d(np.asarray(u, dtype=float))
     bonds, step = bond_kernel(t, u[:, None]), max(1, SLICE_VALUES // (t.d * t.volume))
+    distinct = np.zeros((step, t.n_dof))  # a slice of distinct states, passed whole: bonds keeps one layout
 
     def d2v_sums(X):
-        """sum_x V''(u_i + grad_i phi(x)) at each kept state: X[rows, k, n_dof] -> [rows, k, d]."""
-        out = np.empty(X.shape[:-1] + (t.d,))
-        for r in range(len(X)):
-            for a in range(0, X.shape[1], step):
-                np.add.reduce(p.d2v(bonds(X[r, a : a + step])[1]), axis=-1, out=out[r, a : a + step])
-        return out
+        """sum_x V''(u_i + grad_i phi(x)) at each kept state: X[rows, k, n_dof] -> [rows, k, d].
+
+        A rejected step repeats its state, so each run of equal consecutive states
+        is summed once, slice by slice, and the sums are gathered back.
+        """
+        flat = X.reshape(-1, X.shape[-1])
+        new = np.ones(len(flat), dtype=bool)
+        bits = flat.view(np.uint64)  # a repeat is a bitwise copy
+        np.any(bits[1:] != bits[:-1], axis=1, out=new[1:])
+        starts = np.flatnonzero(new)
+        sums = np.empty((len(starts), t.d))
+        for a in range(0, len(starts), step):
+            idx = starts[a : a + step]
+            flat.take(idx, axis=0, out=distinct[: len(idx)])
+            np.add.reduce(p.d2v(bonds(distinct)[1][: len(idx)]), axis=-1, out=sums[a : a + len(idx)])
+        return sums[np.cumsum(new) - 1].reshape(X.shape[:-1] + (t.d,))
 
     target = make_gibbs_target(t, p, u, beta=1.0, observable=True)
     results = run_chains(target, cfg, [(tilt, 0, c) for c in range(cfg.n_chains)], keep=d2v_sums)
@@ -543,7 +554,9 @@ def _phase_stats(gv: np.ndarray, k: np.ndarray):
     """Batch-means mean and error of cos/sin(k * gv) over the samples gv, as batch_means gives them.
 
     cos and sin are formed once per distinct |k| (cos(-x) = cos(x) and sin(-x) = -sin(x)
-    bitwise), one block of samples at a time, and the effective sample size is not computed.
+    bitwise) and once per run of bitwise equal consecutive samples (a rejected step
+    repeats its state), one block of samples at a time, and gathered back into the
+    block before its mean.  The effective sample size is not computed.
     """
     abs_k, where = np.unique(np.abs(k), return_inverse=True)
     n = len(gv)
@@ -553,10 +566,16 @@ def _phase_stats(gv: np.ndarray, k: np.ndarray):
     else:
         blocks = _blocks(gv)
         re_blocks, im_blocks = np.empty((2, len(blocks), len(abs_k)))
+        trig, gathered = np.empty((2, blocks.shape[1], len(abs_k)))  # one block's phase array each
+        new = np.ones(blocks.shape[1], dtype=bool)
         for j, block in enumerate(blocks):
-            phase = np.outer(block, abs_k)
-            re_blocks[j] = np.cos(phase).mean(axis=0)
-            im_blocks[j] = np.sin(phase).mean(axis=0)
+            bits = block.view(np.uint64)
+            np.not_equal(bits[1:], bits[:-1], out=new[1:])
+            distinct, run = block[new], np.cumsum(new) - 1
+            for f, out in ((np.cos, re_blocks), (np.sin, im_blocks)):
+                phase = np.multiply.outer(distinct, abs_k, out=trig[: len(distinct)])
+                f(phase, out=phase)
+                out[j] = trig.take(run, axis=0, out=gathered).mean(axis=0)
         (re, se_re), (im, se_im) = _block_mean_se(re_blocks), _block_mean_se(im_blocks)
     return re[where], np.sign(k) * im[where], se_re[where], se_im[where]
 
@@ -627,6 +646,7 @@ def verify_l1norm_bounds(
       |<g0''(u_1 + grad_1 psi(0) + grad_1 theta(0))>| <= (2/pi) sqrt(12 d cbar) ||g0''||_L1,
     and, when ||g0'||_L2 is finite, the lower-order variant
       ... <= (1/sqrt(2 pi)) ||g0'||_L2 sqrt(2 (1/3 + (12 d cbar)^2)).
+    Those two are the only g0 norms it integrates (potentials.norm, tol 1e-10).
     """
     if abs(p.c1 - 1.0) > 1e-12:
         raise ValueError("verify_l1norm_bounds requires a unit-scaled potential")
@@ -654,11 +674,11 @@ def verify_l1norm_bounds(
     shift = float(bond_args(t, psi.values, u)[0, 0])
     obs = p.d2g0(shift + gv)
     g_mean, g_se, _ = batch_means(obs)
-    nr = norms(p, 1e-10)
-    bound_l1 = (2.0 / math.pi) * math.sqrt(env_const) * nr.l1_g0pp_abs
+    bound_l1 = (2.0 / math.pi) * math.sqrt(env_const) * norm(p, "l1_g0pp_abs")[0]
     g_ok = abs(float(g_mean)) <= bound_l1 + 4.0 * float(g_se)
-    if math.isfinite(nr.l2_g0p):
-        bound_l2 = nr.l2_g0p / math.sqrt(2.0 * math.pi) * math.sqrt(2.0 * (1.0 / 3.0 + env_const**2))
+    l2_g0p = norm(p, "l2_g0p")[0]
+    if math.isfinite(l2_g0p):
+        bound_l2 = l2_g0p / math.sqrt(2.0 * math.pi) * math.sqrt(2.0 * (1.0 / 3.0 + env_const**2))
         g_ok_l2 = abs(float(g_mean)) <= bound_l2 + 4.0 * float(g_se)
     else:
         bound_l2, g_ok_l2 = None, None

@@ -18,14 +18,16 @@ the line).  The conditioning machinery downstream consumes only the concave side
 the convexity certificates use the lower curvature bound -c0 alone, and ``norms``
 reports l1_g0pp as the L1 mass of the concave part max(-g0'', 0), which equals the
 plain L1 norm for genuinely concave perturbations (that norm is also reported, as
-l1_g0pp_abs).  ``curvature_report`` quantifies the excess and whether reassigning
-it to the quadratic base would move the composite constant max(c0/c1, c2/c1 - 1, 1)
-(for example_a it would not; for example_b it would, which is why the declared
-constants keep the excess on the g0 side).
+l1_g0pp_abs); ``norm`` integrates any one norm alone.  ``curvature_report``
+quantifies the excess and whether reassigning it to the quadratic base would move
+the composite constant max(c0/c1, c2/c1 - 1, 1) (for example_a it would not; for
+example_b it would, which is why the declared constants keep the excess on the g0
+side).
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -42,6 +44,7 @@ __all__ = [
     "example_a",
     "example_b",
     "example_c",
+    "norm",
     "norms",
     "curvature_report",
 ]
@@ -51,6 +54,8 @@ GRID_LO, GRID_HI, GRID_N = -50.0, 50.0, 10_001
 GL_FINE, GL_COARSE = np.polynomial.legendre.leggauss(20), np.polynomial.legendre.leggauss(10)
 PANELS_START = 16  # equal panels per breakpoint-free piece of a segment
 PANEL_CAP = 2048  # panels one segment may evaluate; a non-integrable integrand reaches it
+
+log = logging.getLogger(__name__)
 
 
 class InvalidPotentialError(ValueError):
@@ -127,7 +132,9 @@ class NormReport:
 
     l1_g0pp is the L1 mass of the concave part max(-g0'', 0), the quantity entering
     the smallness conditions; l1_g0pp_abs is the plain L1 norm of g0''.  Divergent
-    norms are reported as math.inf and listed in ``divergent``.
+    norms are reported as math.inf and listed in ``divergent``.  gil check writes
+    the whole report; gil hessian and gil verify-lemma integrate only the fields
+    they read, one ``norm`` each.
     """
 
     l1_g0pp: float
@@ -414,40 +421,50 @@ def _integrate_tail_doubling(f, tol: float, points: Sequence[float] = ()) -> tup
     raise DivergentNormError("tail doubling did not converge within 60 doublings")
 
 
-def norms(p: Potential, tol: float = 1e-10) -> NormReport:
-    """Adaptive Gauss-Legendre panels for the g0 norms, with tail truncation.
+_NORMS = {  # name -> (the g0 term it integrates, the integrand of the term's values)
+    "l1_g0pp": ("d2g0", lambda x: np.maximum(-x, 0.0)),
+    "l1_g0pp_abs": ("d2g0", np.abs),
+    "l2_g0p": ("dg0", np.square),
+    "l1_g0": ("g0", np.abs),
+}
 
-    Norms whose tails diverge are reported as inf rather than raised, so that a
-    report always exists; the divergent entries are named in ``divergent``.  A
-    g0 term the potential leaves out is declared divergent without a tail scan.
+
+def norm(p: Potential, name: str, tol: float = 1e-10) -> tuple[float, float]:
+    """One g0 norm, named as its NormReport field, and its quadrature error bound.
+
+    Adaptive Gauss-Legendre panels with tail doubling (l2_g0p is the square root
+    of the integral of g0'^2; its error bound is that integral's).  A divergent
+    norm is returned as (inf, 0.0) rather than raised and logged at INFO with the
+    reason: the potential stores no such g0 term, its tail does not shrink, or a
+    segment reaches PANEL_CAP.  gil hessian integrates l1_g0pp alone and gil
+    verify-lemma l1_g0pp_abs and l2_g0p; ``norms`` integrates all four.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    pts = p.g0pp_breakpoints
-    err = 0.0
-    divergent = []
+    attr, integrand = _NORMS[name]
+    term = getattr(p, attr)
+    if term is None:
+        reason = f"no {attr} stored"
+    else:
+        try:
+            v, e = _integrate_tail_doubling(lambda s: integrand(term(s)), tol, p.g0pp_breakpoints)
+            return (math.sqrt(v) if name == "l2_g0p" else v), e
+        except DivergentNormError as exc:
+            reason = str(exc)
+    log.info("norm %s of %s is divergent: %s", name, p.family, reason)
+    return math.inf, 0.0
 
-    def _try(term, integrand, name):
-        nonlocal err
-        if term is not None:
-            try:
-                v, e = _integrate_tail_doubling(lambda s: integrand(term(s)), tol, pts)
-                err = max(err, e)
-                return v
-            except DivergentNormError:
-                pass
-        divergent.append(name)
-        return math.inf
 
-    l1_neg = _try(p.d2g0, lambda x: np.maximum(-x, 0.0), "l1_g0pp")
-    l1_abs = _try(p.d2g0, np.abs, "l1_g0pp_abs")
-    l2_sq = _try(p.dg0, np.square, "l2_g0p")
-    l1_g0 = _try(p.g0, np.abs, "l1_g0")
+def norms(p: Potential, tol: float = 1e-10) -> NormReport:
+    """All four g0 norms (see ``norm``), the report gil check writes.
+
+    Norms whose tails diverge are reported as inf rather than raised, so that a
+    report always exists; the divergent entries are named in ``divergent``, and
+    quadrature_error is the largest error bound of the finite ones.
+    """
+    found = {name: norm(p, name, tol) for name in _NORMS}
     return NormReport(
-        l1_g0pp=l1_neg,
-        l2_g0p=math.sqrt(l2_sq) if math.isfinite(l2_sq) else math.inf,
-        l1_g0=l1_g0,
-        quadrature_error=err,
-        l1_g0pp_abs=l1_abs,
-        divergent=tuple(divergent),
+        **{name: v for name, (v, _) in found.items()},
+        quadrature_error=max(e for _, e in found.values()),
+        divergent=tuple(name for name, (v, _) in found.items() if v == math.inf),
     )

@@ -17,12 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import cbar, scale_to_unit, check_conditions
+from .conditions import cbar, primary_condition, scale_to_unit
 from .gff import poincare_constant
 from .lattice import Torus, Field, bond_args, grad_all, grad_norm_sq, pinned
 from .mcmc import ChainConfig, Estimate, Target, make_h1_target, fluctuation_hessian, stream, _blocks, _jackknife
 from .oracle import ORACLE_ERROR, f_tilt, f_tilt_hessian, hessian_fd, renorm_iterated_g
-from .potentials import Potential, norms
+from .potentials import Potential, norm
 from .quadrature import SLAB_VALUES, QuadratureError, field_bond_map, log_expectation
 
 __all__ = [
@@ -255,11 +255,12 @@ def verify_theorem(
     reporting 10 ORACLE_ERROR.  Chain rows use the fluctuation
     identity in the unit frame mapped back by
     D^2 f_beta(u) = c1 D^2 f_1(sqrt(beta c1) u).  Out-of-hypothesis tilts are
-    computed and labeled, never asserted.  Chain rows of grid tilt j use
-    streams (seed, j, 0, chain).
+    computed and labeled, never asserted: the label is the primary condition's
+    verdict, which reads ||g0''||_- alone, so that is the one g0 norm
+    integrated (at tol 1e-8).  Chain rows of grid tilt j use streams
+    (seed, j, 0, chain).
     """
-    nr = norms(p, 1e-8)
-    in_hyp = check_conditions(beta, t.d, p, nr).satisfied["fcond"]
+    in_hyp = primary_condition(beta, t.d, p, norm(p, "l1_g0pp", 1e-8)[0])[1]
     bound = 0.5 * p.c1 * t.volume
     if method not in ("auto", "oracle", "chain"):
         raise ValueError(f"method must be 'auto', 'oracle' or 'chain', got {method!r}")

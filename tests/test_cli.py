@@ -76,6 +76,33 @@ def test_check_gaussian_all_satisfied(tmp_path):
     assert all(rep["report"]["satisfied"].values())
 
 
+@pytest.mark.parametrize("potential", [{"family": "example_a", "a": 0.5}, {"family": "example_c", "p": 0.05, "k1": 2.0, "k2": 1.0}])
+def test_check_writes_all_four_norms(tmp_path, potential):
+    # gil check keeps the full report: every norm, the divergent ones as "inf"
+    # and named, the largest error bound, and all three conditions from it
+    from dataclasses import asdict
+
+    from gil.potentials import norm
+
+    cfg = dict(BASE, potential=potential, beta=1e-3)
+    out = tmp_path / "o.json"
+    run_cli(["check", "--config", write(tmp_path / "c.json", cfg), "--out", out])
+    p = build_potential(potential)
+    found = {name: norm(p, name, 1e-10) for name in ("l1_g0pp", "l1_g0pp_abs", "l2_g0p", "l1_g0")}
+    nr = norms(p, 1e-10)
+    expected = {
+        "input": {"potential": potential, "beta": 1e-3, "d": 1},
+        "norms": {
+            **{name: "inf" if v == math.inf else v for name, (v, _) in found.items()},
+            "quadrature_error": max(e for _, e in found.values()),
+            "divergent": ["l1_g0"] if potential["family"] == "example_a" else ["l2_g0p", "l1_g0"],
+        },
+        "report": json.loads(json.dumps(asdict(check_conditions(1e-3, 1, p, nr))).replace("Infinity", '"inf"')),
+        "condition": "fcond",
+    }
+    assert json.loads(out.read_text()) == expected
+
+
 def test_config_error_exit_one(tmp_path):
     path = write(tmp_path / "c.json", dict(BASE, bogus=1))
     assert run_cli(["check", "--config", path, "--out", tmp_path / "o.json"]) == 1

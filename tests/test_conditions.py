@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gil.conditions import cbar, check_conditions, scale_to_unit
+from gil.conditions import cbar, check_conditions, primary_condition, scale_to_unit
 from gil.potentials import NormReport, example_a, example_b, norms
 
 
@@ -135,6 +135,27 @@ def test_lhs_invariance_under_scaling(beta):
     assert rep_s.lhs_9 == pytest.approx(rep.lhs_9, rel=1e-9)
     assert rep_s.lhs_11 == pytest.approx(rep.lhs_11, rel=1e-9)
     assert rep_s.cbar == pytest.approx(rep.cbar, rel=1e-12)
+
+
+@pytest.mark.parametrize("beta", [1e-3, 1.0])
+def test_primary_condition_is_check_conditions_fcond(pot_a, pot_b, beta):
+    # the narrow path reads the same formula: the same left side, bit for bit,
+    # and the same verdict, at the norm and at the norm plus its error
+    for p in (pot_a, pot_b):
+        nr = norms(p)
+        rep = check_conditions(beta, 2, p, nr)
+        assert primary_condition(beta, 2, p, nr.l1_g0pp) == (rep.lhs_fcond, rep.satisfied["fcond"])
+        eps = nr.quadrature_error
+        assert primary_condition(beta, 2, p, nr.l1_g0pp + eps)[1] == rep.satisfied_pessimistic["fcond"]
+
+
+@pytest.mark.parametrize("beta, d, constants", [(0.0, 1, None), (1.0, 0, None), (1.0, 1, (1.0, 0.0, 1.0)), (1.0, 1, (1.0, 2.0, 1.0))])
+def test_primary_condition_validates_as_check_conditions(pot_b, beta, d, constants):
+    p = pot_b if constants is None else replace(pot_b, c0=constants[0], c1=constants[1], c2=constants[2])
+    with pytest.raises(ValueError):
+        primary_condition(beta, d, p, 1.0)
+    with pytest.raises(ValueError):
+        check_conditions(beta, d, p, norms(pot_b))
 
 
 def test_threshold_self_consistency(pot_b):

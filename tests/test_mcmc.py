@@ -306,12 +306,19 @@ def test_symmetric_target_mean_zero(quick_chain):
     assert np.all(np.abs(mean) < 4 * se)
 
 
-@pytest.mark.parametrize("n", [14_000, 5_003, 37])
-def test_phase_stats_match_batch_means(n):
+@pytest.mark.parametrize(
+    "n, repeats", [*(pytest.param(n, False, id=str(n)) for n in (14_000, 5_003, 37)), pytest.param(14_000, True, id="14000-runs")]
+)
+def test_phase_stats_match_batch_means(n, repeats):
     # block by block over all k, bitwise the batch means of the full phase
     # arrays, at a sample count that the blocks divide unevenly and below the
-    # 2 * MIN_BLOCKS branch
-    gv = np.random.default_rng(n).standard_normal(n)
+    # 2 * MIN_BLOCKS branch, and with runs of repeated values (a rejected step
+    # repeats its state), some crossing block edges and one filling a block
+    rng = np.random.default_rng(n)
+    gv = rng.standard_normal(n)
+    if repeats:
+        gv = np.repeat(gv, rng.integers(1, 6, n))[:n]
+        gv[300:500] = gv[300]
     k = np.linspace(-6.0, 6.0, 401)
     re, im, se_re, se_im = _phase_stats(gv, k)
     mean_c, se_c, _ = batch_means(np.cos(np.outer(gv, k)))
@@ -450,6 +457,36 @@ def test_fluctuation_hessian_streams_what_stored_samples_give(scaled_b, monkeypa
     assert streamed.n_effective == post.n_effective
 
 
+def test_fluctuation_hessian_sums_repeated_states_once(scaled_b, monkeypatch):
+    # a rejected step repeats its state: the V'' sums of a chunk of kept states
+    # from a real run (with its repeats), and of rows that repeat one state
+    # throughout, are bit for bit those of every state taken on its own; slices
+    # of 3 states leave an uneven last slice of distinct states
+    import gil.mcmc
+    from gil.lattice import bond_kernel
+
+    ps, k = scaled_b
+    t = Torus(2, 3)
+    u = k * np.array([0.3, 0.1])
+    monkeypatch.setattr(gil.mcmc, "SLICE_VALUES", 3 * t.d * t.volume)
+    real, keeps = gil.mcmc.run_chains, []
+
+    def spy(target, cfg, rows, keep):
+        keeps.append(keep)
+        return real(target, cfg, rows, keep=keep)
+
+    monkeypatch.setattr(gil.mcmc, "run_chains", spy)
+    cfg = ChainConfig(n_steps=400, burn_in=100, seed=5)
+    fluctuation_hessian(u, ps, t, cfg)
+    chunk = np.stack([r.samples[:NOISE_CHUNK] for r in real(make_gibbs_target(t, ps, u, 1.0), cfg)])
+    assert np.any(np.all(chunk[:, 1:] == chunk[:, :-1], axis=-1))  # the chunk holds repeats
+    still = np.repeat(chunk[:, :1], NOISE_CHUNK, axis=1)
+    kernel = bond_kernel(t, u[:, None])
+    for X in (chunk, still, np.concatenate([chunk[:, :7], still[:, 7:]], axis=1)):
+        alone = [[np.add.reduce(ps.d2v(kernel(x[None])[1]), axis=-1)[0] for x in row] for row in X]
+        assert np.array_equal(keeps[0](X), np.array(alone))
+
+
 def test_fluctuation_hessian_memory_does_not_grow_with_steps(scaled_b):
     # no kept state is stored: at 255 dof, 6000 more steps add well under the
     # 12 MB that one row of stored states would take
@@ -496,6 +533,30 @@ def test_fluctuation_hessian_symmetric(scaled_b):
 def _h1_samples(t, p, lam, cfg):
     target = make_h1_target(t, p, [0.0], np.zeros(t.volume), lam)
     return np.concatenate([r.samples for r in run_chains(target, cfg)])
+
+
+@pytest.mark.parametrize("family", ["b", "c"])
+def test_l1norm_bounds_integrate_two_norms(family, scaled_b, pot_c, monkeypatch):
+    # ||g0''||_L1 and ||g0'||_L2 alone (example_c stores no g0'), and the report
+    # is field for field the one built from the full norm report
+    import dataclasses
+
+    import gil.mcmc
+    import gil.potentials
+
+    ps = scaled_b[0] if family == "b" else scale_to_unit(pot_c, 0.5)[0]
+    t = Torus(1, 3)
+    gv = np.random.default_rng(3).standard_normal(800)
+    real, calls = gil.potentials._integrate_tail_doubling, []
+    monkeypatch.setattr(gil.potentials, "_integrate_tail_doubling", lambda *a: calls.append(a) or real(*a))
+    rep = verify_l1norm_bounds(ps, t, [0.1], Field.zeros(t), gv)
+    assert len(calls) == (2 if family == "b" else 1)
+    nr = gil.potentials.norms(ps)
+    monkeypatch.setattr(gil.mcmc, "norm", lambda p, name, tol=1e-10: (getattr(nr, name), None))
+    full = verify_l1norm_bounds(ps, t, [0.1], Field.zeros(t), gv)
+    for field in dataclasses.fields(rep):
+        assert np.array_equal(getattr(rep, field.name), getattr(full, field.name)), field.name
+    assert (rep.g0pp_bound_l2 is None) == (family == "c")
 
 
 def test_characteristic_a_at_zero_and_bounded(pot_gauss, quick_chain):

@@ -16,6 +16,7 @@ from gil.potentials import (
     example_b,
     example_c,
     gaussian_potential,
+    norm,
     norms,
 )
 
@@ -116,7 +117,32 @@ def test_check_conditions_example_c_stiff_thresholds_finite():
     assert 0.0 < rep.beta_max_fcond < math.inf
 
 
-def test_norms_non_integrable_is_divergent():
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_norms_report_is_its_norms(family):
+    # the full report is the four single norms, bit for bit, and its error the
+    # largest of their error bounds
+    p = FAMILIES[family]()
+    nr = norms(p, 1e-9)
+    found = {name: norm(p, name, 1e-9) for name in ("l1_g0pp", "l1_g0pp_abs", "l2_g0p", "l1_g0")}
+    assert {name: getattr(nr, name) for name in found} == {name: v for name, (v, _) in found.items()}
+    assert nr.quadrature_error == max(e for _, e in found.values())
+    assert nr.divergent == tuple(name for name, (v, e) in found.items() if v == math.inf and e == 0.0)
+
+
+def test_divergent_norms_are_logged(caplog):
+    # no norm is declared divergent silently: the log names the norm and why
+    with caplog.at_level("INFO", logger="gil.potentials"):
+        assert norm(example_a(0.5), "l1_g0") == (math.inf, 0.0)
+        assert norm(example_c(0.05, 2.0, 1.0), "l2_g0p") == (math.inf, 0.0)
+        assert norm(example_a(0.5), "l2_g0p")[0] < math.inf
+    messages = [r.getMessage() for r in caplog.records]
+    assert messages == [
+        "norm l1_g0 of example_a is divergent: no g0 stored",
+        "norm l2_g0p of example_c is divergent: no dg0 stored",
+    ]
+
+
+def test_norms_non_integrable_is_divergent(caplog):
     # g0'' = -1/|s| is not integrable at 0: the panel rule bisects towards the
     # singularity until PANEL_CAP and reports the norm divergent.  The cap stops
     # the bisection long before 1/|s| overflows.
@@ -127,9 +153,10 @@ def test_norms_non_integrable_is_divergent():
         return -1.0 / np.abs(s)
 
     p = Potential(family="singular", vfun=(None, None, None), d2g0=d2g0, c0=1.0, c1=1.0, c2=1.0)
-    with np.errstate(divide="raise", over="raise"):
+    with np.errstate(divide="raise", over="raise"), caplog.at_level("INFO", logger="gil.potentials"):
         nr = norms(p)
     assert nr.l1_g0pp == math.inf and nr.l1_g0pp_abs == math.inf
+    assert sum(f"more than {PANEL_CAP} panels" in r.getMessage() for r in caplog.records) == 2
     assert {"l1_g0pp", "l1_g0pp_abs"} <= set(nr.divergent)
     # two norms read g0'', each stopped in its first segment: at most
     # PANEL_CAP panels of 20 + 10 nodes apiece

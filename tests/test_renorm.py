@@ -294,6 +294,35 @@ def test_verify_theorem_oracle_d2_keeps_the_stencil(pot_b):
     assert row.std_error == 1e-7
 
 
+def test_verify_theorem_integrates_the_concave_mass_alone(monkeypatch):
+    # the benchmark's hessian_gh config: the label reads ||g0''||_- alone, one
+    # tail-doubling integration where the full report takes three (g0 is not
+    # stored), and the rows equal those labelled from the full report
+    import gil.potentials
+    import gil.renorm
+
+    p, t, grid = example_a(0.5), Torus(1, 5), [[0.0], [0.5]]
+    real, calls = gil.potentials._integrate_tail_doubling, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(gil.potentials, "_integrate_tail_doubling", counted)
+    rows = verify_theorem(p, 1.0, t, grid)
+    assert len(calls) == 1
+    nr = norms(p, 1e-8)
+    assert len(calls) == 4
+
+    def full_report(beta, d, p, l1_g0pp):
+        rep = check_conditions(beta, d, p, nr)
+        return rep.lhs_fcond, rep.satisfied["fcond"]
+
+    monkeypatch.setattr(gil.renorm, "primary_condition", full_report)
+    assert verify_theorem(p, 1.0, t, grid) == rows
+    assert [r.verdict for r in rows] == ["out-of-hypothesis"] * 2
+
+
 def test_verify_theorem_out_of_hypothesis_labeled():
     # strongly non-convex mixture at large beta: computed but never asserted
     pc = example_c(0.5, 10.0, 0.2)
