@@ -507,7 +507,9 @@ def fluctuation_hessian(u, p: Potential, t: Torus, cfg: ChainConfig, tilt: int =
         raise ValueError("fluctuation_hessian requires a unit-scaled potential; call scale_to_unit first")
     u = np.atleast_1d(np.asarray(u, dtype=float))
     bonds, step = bond_kernel(t, u[:, None]), max(1, SLICE_VALUES // (t.d * t.volume))
-    distinct = np.zeros((step, t.n_dof))  # a slice of distinct states, passed whole: bonds keeps one layout
+    # a slice of distinct states, evaluated whole (rows past the last distinct state hold
+    # earlier ones) so every call's arrays keep one size: partial slices fragment the heap
+    distinct = np.zeros((step, t.n_dof))
 
     def d2v_sums(X):
         """sum_x V''(u_i + grad_i phi(x)) at each kept state: X[rows, k, n_dof] -> [rows, k, d].
@@ -516,15 +518,15 @@ def fluctuation_hessian(u, p: Potential, t: Torus, cfg: ChainConfig, tilt: int =
         is summed once, slice by slice, and the sums are gathered back.
         """
         flat = X.reshape(-1, X.shape[-1])
+        states = flat.view(f"V{flat[0].nbytes}")[:, 0]  # one raw-bytes value per state: a repeat is a bitwise copy
         new = np.ones(len(flat), dtype=bool)
-        bits = flat.view(np.uint64)  # a repeat is a bitwise copy
-        np.any(bits[1:] != bits[:-1], axis=1, out=new[1:])
+        new[1:] = states[1:] != states[:-1]
         starts = np.flatnonzero(new)
-        sums = np.empty((len(starts), t.d))
+        sums = np.empty((-(-len(starts) // step) * step, t.d))
         for a in range(0, len(starts), step):
             idx = starts[a : a + step]
             flat.take(idx, axis=0, out=distinct[: len(idx)])
-            np.add.reduce(p.d2v(bonds(distinct)[1][: len(idx)]), axis=-1, out=sums[a : a + len(idx)])
+            np.add.reduce(p.d2v(bonds(distinct)[1]), axis=-1, out=sums[a : a + step])
         return sums[np.cumsum(new) - 1].reshape(X.shape[:-1] + (t.d,))
 
     target = make_gibbs_target(t, p, u, beta=1.0, observable=True)
@@ -566,7 +568,7 @@ def _phase_stats(gv: np.ndarray, k: np.ndarray):
     else:
         blocks = _blocks(gv)
         re_blocks, im_blocks = np.empty((2, len(blocks), len(abs_k)))
-        trig, gathered = np.empty((2, blocks.shape[1], len(abs_k)))  # one block's phase array each
+        trig, gathered = (np.empty((blocks.shape[1], len(abs_k))) for _ in range(2))  # one block's phase array each
         new = np.ones(blocks.shape[1], dtype=bool)
         for j, block in enumerate(blocks):
             bits = block.view(np.uint64)
