@@ -35,14 +35,13 @@ from .conditions import check_conditions, scale_to_unit
 from .gff import poincare_constant
 from .lattice import Torus, Field
 from .mcmc import (
+    BlockSums,
     ChainConfig,
     Estimate,
     GradientMismatchError,
-    PooledBatchMeans,
     StepSizeError,
     fourier_k_grid,
     make_gibbs_target,
-    pooled,
     run_chains,
     poincare_variance_check,
     stream,
@@ -247,10 +246,10 @@ def cmd_verify_lemma(cfg: dict, out: str, seed: int) -> int:
 
     # one chain run on the induced target feeds both lemma checks
     results = run_chains(induced_h1(plan, us, psi), _chain_config(cfg, seed), keep=lemma_values)
-    values = pooled([r.samples for r in results])
-    rep = verify_l1norm_bounds(ps, t, us, psi, values[:, 0], plan.lam, k_grid)
+    values = np.asarray([r.samples for r in results])
+    rep = verify_l1norm_bounds(ps, t, us, psi, values[..., 0], plan.lam, k_grid)
     delta = plan.cbar * poincare_constant(t)
-    var_rep = poincare_variance_check(values[:, 1:], delta, directions)
+    var_rep = poincare_variance_check(values[..., 1:], delta, directions)
 
     payload = {
         "input": {"potential": cfg["potential"], "beta": beta, "d": t.d, "m": t.m, "u": u.tolist()},
@@ -280,9 +279,9 @@ def cmd_sample(cfg: dict, out: str, seed: int) -> int:
     p, t, beta = _setup(cfg)
     u = np.asarray(cfg["u"], dtype=float)
     ccfg = _chain_config(cfg, seed)
-    means = PooledBatchMeans(ccfg.n_chains, ccfg.n_steps - ccfg.burn_in)
-    results = run_chains(make_gibbs_target(t, p, u, beta), ccfg, keep=means)
-    est = Estimate(*means.result(), method="chain")
+    sums = BlockSums(ccfg.n_steps - ccfg.burn_in)
+    results = run_chains(make_gibbs_target(t, p, u, beta), ccfg, keep=sums)
+    est = Estimate(*sums.result(), method="chain")
     final = Field.from_dof(t, results[-1].state)
     payload = {
         "input": {"potential": cfg["potential"], "beta": beta, "d": t.d, "m": t.m, "u": u.tolist()},

@@ -24,13 +24,14 @@ in gil.cli stores states: D_u H is the Gibbs target's observable (fluctuation
 identity, thermodynamic integration); the fluctuation identity's V'' sums and
 the lemma checks' inputs (the bond grad_1 theta(0) for the Fourier bounds, the
 projections on direction rows for the Poincare variance bound) are per-state
-values taken in-run; PooledBatchMeans sums the blocks of the pooled kept
-states as they arrive (gil sample's mean field).  Estimators carry batch-means
-or jackknife standard errors from one block layout, _blocks, with at least 20
-blocks, each block statistic one reduction over that view; nothing is reported
-as a bare point estimate.  Their passes over samples or states (the V'' sums,
-the batch-means variance, the phases cos/sin(k grad theta)) run in slices
-sized to stay in cache.
+values taken in-run; BlockSums adds the kept states into each chain's block
+sums as they arrive (gil sample's mean field).  Estimators take one array per
+chain and carry batch-means or jackknife standard errors from one block layout,
+_blocks, which blocks each chain on its own (batch means are consistent only
+for blocks inside one chain) with at least 20 blocks per chain, each block
+statistic one reduction over that view; nothing is reported as a bare point
+estimate.  Their passes over samples or states (the V'' sums, the phases
+cos/sin(k grad theta)) run in slices sized to stay in cache.
 """
 
 from __future__ import annotations
@@ -55,10 +56,9 @@ __all__ = [
     "make_gibbs_target",
     "make_h1_target",
     "run_chains",
-    "pooled",
     "stream",
     "batch_means",
-    "PooledBatchMeans",
+    "BlockSums",
     "fluctuation_hessian",
     "fourier_k_grid",
     "verify_l1norm_bounds",
@@ -195,7 +195,7 @@ class ChainResult:
     samples holds what the call's keep asked for: under "states" the kept states
     (n_kept, n_dof), under None nothing (0, n_dof), under a function its values
     at each kept state (n_kept, q), q = 0 for a function that keeps nothing per
-    state (PooledBatchMeans).  samples and observable are this row of buffers
+    state (BlockSums).  samples and observable are this row of buffers
     that all rows of the call share; state is the row's state after the last
     step, its last kept state, under any keep.
     """
@@ -249,9 +249,9 @@ def run_chains(
     to per-state values [rows, k, q], those values, (n_kept, q).  The function is
     called, in step order, on one reused buffer of NOISE_CHUNK kept states
     whenever it fills and at the end of the run, so the states themselves are
-    never all held; it may also reduce them itself (PooledBatchMeans).  Every
-    row's samples, and its observable, is row r of one [rows, n_kept, ...] buffer
-    (see pooled); every row's final state is row r of the last state.
+    never all held; it may also reduce them itself (BlockSums).  Every row's
+    samples, and its observable, is row r of one [rows, n_kept, ...] buffer;
+    every row's final state is row r of the last state.
     """
     if not (keep is None or callable(keep) or keep == "states"):
         raise ValueError(f"keep must be 'states', None or a function of kept states, got {keep!r}")
@@ -333,21 +333,6 @@ def run_chains(
     ]
 
 
-def pooled(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """Per-row arrays [n, ...] stacked along their first axis, row after row.
-
-    When they are, in order, all the rows of one buffer, as the samples or the
-    observables of one run_chains call are, the result is that buffer reshaped:
-    no copy.  Otherwise it is their concatenation, the same values.
-    """
-    buf = arrays[0].base
-    if buf is not None and buf.shape[0] == len(arrays) and all(
-        a.base is buf and a.__array_interface__ == row.__array_interface__ for a, row in zip(arrays, buf)
-    ):
-        return buf.reshape(-1, *buf.shape[2:])
-    return np.concatenate(arrays)
-
-
 # ---------------------------------------------------------------------------
 # error bars
 
@@ -358,10 +343,14 @@ def _block_layout(n: int) -> tuple[int, int]:
     return nb, n // nb
 
 
-def _blocks(x: np.ndarray) -> np.ndarray:
-    """x[:nb b] viewed as blocks [nb, b, ...] of its leading axis (see _block_layout), the tail dropped."""
-    nb, b = _block_layout(len(x))
-    return x[: nb * b].reshape(nb, b, *x.shape[1:])
+def _blocks(x: np.ndarray, layout=_block_layout) -> np.ndarray:
+    """Chains x[chains, n, ...] in blocks [chains nb, b, ...], chain after chain.
+
+    Each chain's first nb b samples are its own nb blocks of b, (nb, b) =
+    layout(n), its tail dropped, so no block spans two chains.
+    """
+    nb, b = layout(x.shape[1])
+    return x[:, : nb * b].reshape(-1, b, *x.shape[2:])
 
 
 def _jackknife(statistic, columns: Sequence[np.ndarray], totals: tuple | None = None):
@@ -397,92 +386,63 @@ def _batch_estimate(sums: np.ndarray, b: int, n: int, var_x) -> tuple[np.ndarray
     return mean, se, min(n_eff, float(n))
 
 
-def batch_means(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Batch-means mean, std error and effective sample size along axis 0 (see _batch_layout)."""
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    nb, b = _batch_layout(n)
-    sums = x[: nb * b].reshape(nb, b, *x.shape[1:]).sum(axis=1)
-    return _batch_estimate(sums, b, n, _sample_var(x) if b > 1 else None)
+def batch_means(chains: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, float]:
+    """Batch-means mean, std error and effective sample size of chains [n, ...] of one length.
+
+    Each chain is blocked on its own (see _batch_layout and _blocks); the
+    effective sample size's variance is taken over all samples.
+    """
+    x = np.asarray(chains, dtype=float)
+    b = _batch_layout(x.shape[1])[1]
+    sums, flat = _blocks(x, _batch_layout).sum(axis=1), x.reshape(-1, *x.shape[2:])
+    return _batch_estimate(sums, b, len(flat), flat.var(axis=0, ddof=1) if b > 1 else None)
 
 
-class PooledBatchMeans:
-    """batch_means of the pooled kept states of one run_chains(..., keep=means) call, reduced in-run.
+class BlockSums:
+    """batch_means of each row's kept states in one run_chains(..., keep=sums) call, reduced in-run.
 
-    For n_rows rows of n_kept kept states it keeps nothing per state.  result()
-    gives batch_means' mean and error bit for bit: each block of the pooled
-    layout is summed as batch_means sums it once its b states have arrived (a
-    block straddling two rows holds the later row's states until the earlier
-    row's last ones come, at the end of the run).  The effective sample size
-    agrees to rounding: its variance comes from deviations from the first state.
+    For rows of n_kept kept states it keeps nothing per state: each chunk of
+    kept states is added into the rows' block sums [rows, nb, n_dof], split at
+    block edges, and into sums of deviations from each row's first kept state
+    for the variance behind the effective sample size.  result() gives
+    batch_means of the stored per-row states to rounding.
     """
 
-    def __init__(self, n_rows: int, n_kept: int):
-        self.n_kept, self.n = n_kept, n_rows * n_kept
-        self.nb, self.b = _batch_layout(self.n)
-        self.seen = 0   # kept states of each row reduced so far
-        self.open = {}  # block -> [states buffer (b, n_dof), states in it]
+    def __init__(self, n_kept: int):
+        self.n_kept, self.seen = n_kept, 0  # kept states of each row reduced so far
+        self.nb, self.b = _batch_layout(n_kept)
         self.sums = self.shift = self.dev = None
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         rows, k, n_dof = X.shape
-        if rows * self.n_kept != self.n:
-            raise ValueError(f"{rows} rows of kept states, expected {self.n // self.n_kept}")
         if self.sums is None:
-            self.sums, self.shift, self.dev = np.empty((self.nb, n_dof)), X[0, 0].copy(), np.zeros((2, n_dof))
-        b, end = self.b, self.nb * self.b
-        for r in range(rows):
-            first = r * self.n_kept + self.seen  # pooled index of X[r, 0]
-            a = 0
-            while a < k and first + a < end:
-                blk, lo = divmod(first + a, b)
-                take = min(b - lo, k - a)
-                if blk not in self.open:
-                    self.open[blk] = [np.empty((b, n_dof)), 0]
-                block = self.open[blk]
-                block[0][lo : lo + take] = X[r, a : a + take]
-                block[1] += take
-                if block[1] == b:
-                    self.sums[blk] = self.open.pop(blk)[0].sum(axis=0)
-                a += take
+            self.sums, self.dev = np.zeros((rows, self.nb, n_dof)), np.zeros((2, rows, n_dof))
+            self.shift = X[:, :1].copy()
+        a, b, end = 0, self.b, self.nb * self.b
+        while a < k and self.seen + a < end:
+            blk, lo = divmod(self.seen + a, b)
+            take = min(b - lo, k - a)
+            self.sums[:, blk] += X[:, a : a + take].sum(axis=1)
+            a += take
         d = X - self.shift
-        self.dev[0] += d.sum(axis=(0, 1))
+        self.dev[0] += d.sum(axis=1)
         d *= d
-        self.dev[1] += d.sum(axis=(0, 1))
+        self.dev[1] += d.sum(axis=1)
         self.seen += k
         return np.empty((rows, k, 0))
 
     def result(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """Mean, std error and effective sample size of the pooled kept states."""
+        """Mean, std error and effective sample size of all rows' kept states."""
         if self.seen != self.n_kept:
             raise ValueError(f"{self.seen} of {self.n_kept} kept states per row reduced")
-        s1, s2 = self.dev
-        var = (s2 - s1 * s1 / self.n) / (self.n - 1) if self.b > 1 else None
-        return _batch_estimate(self.sums, self.b, self.n, var)
-
-
-def _sample_var(x: np.ndarray) -> np.ndarray:
-    """x.var(axis=0, ddof=1) bit for bit, its squared deviations formed in cache-sized slices of x.
-
-    A sum along a slow axis adds rows in order, so it continues exactly when each
-    slice's sum starts from the running total, put in as the slice's first row.
-    With one value per sample numpy sums pairwise instead, so there x.var is
-    taken whole; its temporary is only as large as x.
-    """
-    n, width = len(x), x[0].size
-    if width == 1:
-        return x.var(axis=0, ddof=1)
-    flat = x.reshape(n, width)
-    mean = flat.sum(axis=0) / n
-    step = max(1, SLICE_VALUES // width)
-    buf, total = np.empty((min(step, n) + 1, width)), np.zeros(width)
-    for a in range(0, n, step):
-        dev = buf[1 : min(step, n - a) + 1]
-        np.subtract(flat[a : a + step], mean, out=dev)
-        dev *= dev
-        buf[0] = total
-        total = buf[: len(dev) + 1].sum(axis=0)
-    return (total / (n - 1)).reshape(x.shape[1:])
+        rows, n, var = len(self.sums), self.n_kept, None
+        if self.b > 1:
+            # all states' squared deviations: each row's about its own mean, then the row means about theirs
+            s1, s2 = self.dev
+            means = self.shift[:, 0] + s1 / n
+            ss = np.sum(s2 - s1 * s1 / n, axis=0) + n * np.sum((means - means.mean(axis=0)) ** 2, axis=0)
+            var = ss / (rows * n - 1)
+        return _batch_estimate(self.sums.reshape(rows * self.nb, -1), self.b, rows * n, var)
 
 
 def _block_mean_se(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -500,8 +460,8 @@ def fluctuation_hessian(u, p: Potential, t: Torus, cfg: ChainConfig, tilt: int =
     D_u H_i = sum_x V'(u_i + grad_i phi(x)) is the Gibbs target's observable, and
     the diagonal D_u^2 H, sum_x V''(...), is reduced from the kept states during
     the run, in cache-sized slices; no state is stored.  The covariance term uses
-    the unbiased estimator; errors come from a delete-one jackknife over >= 20 blocks.
-    Chains are rows (tilt, 0, chain).
+    the unbiased estimator; errors come from a delete-one jackknife over >= 20 blocks
+    of each chain.  Chains are rows (tilt, 0, chain).
     """
     if abs(p.c1 - 1.0) > 1e-12:
         raise ValueError("fluctuation_hessian requires a unit-scaled potential; call scale_to_unit first")
@@ -532,10 +492,10 @@ def fluctuation_hessian(u, p: Potential, t: Torus, cfg: ChainConfig, tilt: int =
     target = make_gibbs_target(t, p, u, beta=1.0, observable=True)
     results = run_chains(target, cfg, [(tilt, 0, c) for c in range(cfg.n_chains)], keep=d2v_sums)
 
-    columns = []  # per chain: block sums of D_u H, their outer products, of D_u^2 H, block sizes
-    for r in results:
-        b1 = _blocks(r.observable)
-        columns.append((b1.sum(axis=1), b1.mT @ b1, _blocks(r.samples).sum(axis=1), np.full(len(b1), b1.shape[1])))
+    observables = np.asarray([r.observable for r in results])
+    b1, b2 = _blocks(observables), _blocks(np.asarray([r.samples for r in results]))
+    # per block: sums of D_u H, their outer products, sums of D_u^2 H, block sizes
+    columns = (b1.sum(axis=1), b1.mT @ b1, b2.sum(axis=1), np.full(len(b1), b1.shape[1]))
 
     def statistic(sum1, outer, sum2, n):
         n = np.asarray(n, dtype=float)[..., None]
@@ -543,8 +503,8 @@ def fluctuation_hessian(u, p: Potential, t: Torus, cfg: ChainConfig, tilt: int =
         cov = (outer - n[..., None] * (m1[..., :, None] * m1[..., None, :])) / (n[..., None] - 1)
         return np.eye(len(u)) * (sum2 / n)[..., None, :] - cov
 
-    full, se = _jackknife(statistic, [np.concatenate(col) for col in zip(*columns)])
-    _, _, n_eff = batch_means(pooled([r.observable for r in results]))
+    full, se = _jackknife(statistic, columns)
+    _, _, n_eff = batch_means(observables)
     return Estimate(value=full, std_error=se, n_effective=n_eff, method="chain")
 
 
@@ -552,8 +512,8 @@ def fluctuation_hessian(u, p: Potential, t: Torus, cfg: ChainConfig, tilt: int =
 # characteristic function and the Fourier bounds
 
 
-def _phase_stats(gv: np.ndarray, k: np.ndarray):
-    """Batch-means mean and error of cos/sin(k * gv) over the samples gv, as batch_means gives them.
+def _phase_stats(gv: Sequence[np.ndarray], k: np.ndarray):
+    """Batch-means mean and error of cos/sin(k * gv) over the chains gv, as batch_means gives them.
 
     cos and sin are formed once per distinct |k| (cos(-x) = cos(x) and sin(-x) = -sin(x)
     bitwise) and once per run of bitwise equal consecutive samples (a rejected step
@@ -561,24 +521,19 @@ def _phase_stats(gv: np.ndarray, k: np.ndarray):
     block before its mean.  The effective sample size is not computed.
     """
     abs_k, where = np.unique(np.abs(k), return_inverse=True)
-    n = len(gv)
-    if n < 2 * MIN_BLOCKS:
-        phase = np.outer(gv, abs_k)
-        (re, se_re, _), (im, se_im, _) = batch_means(np.cos(phase)), batch_means(np.sin(phase))
-    else:
-        blocks = _blocks(gv)
-        re_blocks, im_blocks = np.empty((2, len(blocks), len(abs_k)))
-        trig, gathered = (np.empty((blocks.shape[1], len(abs_k))) for _ in range(2))  # one block's phase array each
-        new = np.ones(blocks.shape[1], dtype=bool)
-        for j, block in enumerate(blocks):
-            bits = block.view(np.uint64)
-            np.not_equal(bits[1:], bits[:-1], out=new[1:])
-            distinct, run = block[new], np.cumsum(new) - 1
-            for f, out in ((np.cos, re_blocks), (np.sin, im_blocks)):
-                phase = np.multiply.outer(distinct, abs_k, out=trig[: len(distinct)])
-                f(phase, out=phase)
-                out[j] = trig.take(run, axis=0, out=gathered).mean(axis=0)
-        (re, se_re), (im, se_im) = _block_mean_se(re_blocks), _block_mean_se(im_blocks)
+    blocks = _blocks(np.asarray(gv, dtype=float), _batch_layout)
+    re_blocks, im_blocks = np.empty((2, len(blocks), len(abs_k)))
+    trig, gathered = (np.empty((blocks.shape[1], len(abs_k))) for _ in range(2))  # one block's phase array each
+    new = np.ones(blocks.shape[1], dtype=bool)
+    for j, block in enumerate(blocks):
+        bits = block.view(np.uint64)
+        np.not_equal(bits[1:], bits[:-1], out=new[1:])
+        distinct, run = block[new], np.cumsum(new) - 1
+        for f, out in ((np.cos, re_blocks), (np.sin, im_blocks)):
+            phase = np.multiply.outer(distinct, abs_k, out=trig[: len(distinct)])
+            f(phase, out=phase)
+            out[j] = trig.take(run, axis=0, out=gathered).mean(axis=0)
+    (re, se_re), (im, se_im) = _block_mean_se(re_blocks), _block_mean_se(im_blocks)
     return re[where], np.sign(k) * im[where], se_re[where], se_im[where]
 
 
@@ -630,17 +585,18 @@ def verify_l1norm_bounds(
     t: Torus,
     u,
     psi: Field,
-    gv: np.ndarray,
+    gv: Sequence[np.ndarray],
     lam: float | None = None,
     k_grid=None,
 ) -> L1NormBoundReport:
-    """Estimate A(k) = <exp(i k grad_1 theta(0))> from samples gv and test the Fourier bounds.
+    """Estimate A(k) = <exp(i k grad_1 theta(0))> from chains gv and test the Fourier bounds.
 
-    gv[n] is the bond grad_1 theta(0) = theta(e_1), dof t.forward[0, 0] - 1 (the
-    origin is pinned to zero), at n theta draws from the induced convex target
-    at (u, psi, lam): the pooled values of a run_chains(make_h1_target(...))
-    keep function that takes that column, or the column of stored states.  The
-    same samples estimate A(k) and A(-k) = conj A(k).
+    Each chain of gv, [n] and all of one length, is the bond grad_1 theta(0) =
+    theta(e_1), dof t.forward[0, 0] - 1 (the origin is pinned to zero), at n
+    theta draws from the induced convex target at (u, psi, lam): one row's values
+    of a run_chains(make_h1_target(...)) keep function that takes that column,
+    or the column of its stored states.  The same samples estimate A(k) and
+    A(-k) = conj A(k).
 
     Checks, each within 4 standard errors:
       |A(k)| <= min(1, 12 d cbar / k^2) pointwise on the grid,
@@ -660,6 +616,7 @@ def verify_l1norm_bounds(
         raise ValueError(f"lambda = {lam} exceeds the convexity guard 1/(2 cbar) = {1/(2*cb)}")
     env_const = 12.0 * t.d * cb
     k = np.asarray(fourier_k_grid(t, cb) if k_grid is None else k_grid, dtype=float)
+    gv = np.asarray(gv, dtype=float)
 
     re, im, se_re, se_im = _phase_stats(gv, k)
     abs_a = np.hypot(re, im)
@@ -721,12 +678,14 @@ class VarianceBoundReport:
     ok: bool
 
 
-def poincare_variance_check(projections: np.ndarray, delta: float, directions: np.ndarray) -> VarianceBoundReport:
+def poincare_variance_check(
+    projections: Sequence[np.ndarray], delta: float, directions: np.ndarray
+) -> VarianceBoundReport:
     """Check var(v . theta) <= |v|^2 / delta + 4 SE for each row v of directions[k, n_dof].
 
-    projections[n, k] holds v . theta for each direction at n samples theta:
-    the pooled values of a run_chains keep function X @ directions.T, or
-    stored states times directions.T.  delta must be a certified lower bound on
+    Each chain of projections, [n, k] and all of one length, holds v . theta for
+    each direction at n samples theta: one row's values of a run_chains keep
+    function X @ directions.T, or its stored states times directions.T.  delta must be a certified lower bound on
     the Hessian of the target the samples come from, so the bound is exact
     (bound_se 0); variances use a delete-one jackknife over blocks.  Row j is
     reported as linear_j.
@@ -736,9 +695,10 @@ def poincare_variance_check(projections: np.ndarray, delta: float, directions: n
     directions = np.asarray(directions, dtype=float)
     if len(directions) == 0:
         raise ValueError("at least one direction is required")
-    if np.shape(projections)[1:] != (len(directions),):
-        raise ValueError(f"projections of shape {np.shape(projections)} for {len(directions)} directions")
-    blocks = _blocks(np.asfortranarray(projections))  # the samples axis contiguous, so block sums are pairwise
+    projections = np.asarray(projections, dtype=float)
+    if projections.shape[2:] != (len(directions),):
+        raise ValueError(f"projections of shape {projections.shape} for {len(directions)} directions")
+    blocks = _blocks(projections)
     variances, var_se = _jackknife(
         lambda s1, s2, m: (s2 - s1 * s1 / m) / (m - 1),
         (blocks.sum(axis=1), (blocks * blocks).sum(axis=1), np.full((len(blocks), 1), blocks.shape[1])),
@@ -776,7 +736,7 @@ def thermodynamic_integration(
     results = run_chains(target, cfg, rows, keep=None)
     total, var = 0.0, 0.0
     for j, wj in enumerate(0.5 * w):
-        mean, se, _ = batch_means(np.concatenate([r.observable for r in results[j * nc : (j + 1) * nc]]))
+        mean, se, _ = batch_means([r.observable for r in results[j * nc : (j + 1) * nc]])
         total += wj * float(np.dot(mean, u))
         var += (wj * float(np.dot(se, np.abs(u)))) ** 2
     return Estimate(value=total, std_error=math.sqrt(var), n_effective=float(n_nodes), method="chain")

@@ -148,7 +148,7 @@ def estimate_r1g(
         raise FloatingPointError("all Monte Carlo weights underflowed; rescale the problem")
     w -= shift
     e = np.exp(w, out=w)
-    total, blocks = e.sum(), _blocks(e)
+    total, blocks = e.sum(), _blocks(e[None])
     # the blocks' sums in one call (pairwise, as a slice's sum), and all leave-one-out values at once
     counts = np.full(len(blocks), blocks.shape[1])
     _, se = _jackknife(lambda tot, n: -(shift + np.log(tot / n)), (blocks.sum(axis=1), counts), (total, n_samples))

@@ -178,8 +178,8 @@ def test_criterion_7_fourier_bounds(b_setting):
     K = 4.0 * math.sqrt(12.0 * t.d * plan.cbar)
     k_grid = np.linspace(-K, K, 401)
     cfg = ChainConfig(n_steps=60_000, burn_in=5_000, n_chains=2, seed=71)
-    samples = np.concatenate([r.samples for r in run_chains(induced_h1(plan, [k * 0.1], Field.zeros(t)), cfg)])
-    rep = verify_l1norm_bounds(ps, t, [k * 0.1], Field.zeros(t), samples[:, t.forward[0, 0] - 1], plan.lam, k_grid)
+    samples = np.stack([r.samples for r in run_chains(induced_h1(plan, [k * 0.1], Field.zeros(t)), cfg)])
+    rep = verify_l1norm_bounds(ps, t, [k * 0.1], Field.zeros(t), samples[..., t.forward[0, 0] - 1], plan.lam, k_grid)
     assert rep.pointwise_ok, f"{rep.n_pointwise_violations} envelope violations"
     assert rep.integral_ok, (rep.integral, rep.integral_bound)
     assert rep.g0pp_ok, (rep.g0pp_mean, rep.g0pp_bound_l1)
@@ -202,13 +202,11 @@ def test_criterion_8_poincare_variance(b_setting):
         obs[t.n_dof :] = rng.standard_normal((5 - t.n_dof, t.n_dof))
         delta_m = poincare_constant(t)
         gauss_target = make_gibbs_target(t, g, np.zeros(1), 1.0)
-        samples_g = np.concatenate([r.samples for r in run_chains(gauss_target, cfg)])
-        rep_g = poincare_variance_check(samples_g @ obs.T, delta_m, obs)
+        rep_g = poincare_variance_check([r.samples @ obs.T for r in run_chains(gauss_target, cfg)], delta_m, obs)
         assert rep_g.ok, ("gaussian", m, rep_g)
         plan = DecompositionPlan.from_potential(ps, t)
         h1 = induced_h1(plan, [k * 0.1], Field.zeros(t))
-        samples_h = np.concatenate([r.samples for r in run_chains(h1, cfg)])
-        rep_h = poincare_variance_check(samples_h @ obs.T, plan.cbar * delta_m, obs)
+        rep_h = poincare_variance_check([r.samples @ obs.T for r in run_chains(h1, cfg)], plan.cbar * delta_m, obs)
         assert rep_h.ok, ("h1", m, rep_h)
     elapsed = time.time() - t0
     assert elapsed < 300

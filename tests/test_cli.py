@@ -282,15 +282,16 @@ def test_verify_lemma_runs_its_chains_once(tmp_path, monkeypatch):
 
 def test_verify_lemma_streams_what_stored_states_give(tmp_path, monkeypatch):
     # on the same seed, the estimators fed from the values kept in-run agree with
-    # the same estimators fed from stored states: the Fourier checks bit for bit,
-    # the variance bound (projected per chunk rather than in one product) to rounding
+    # the same estimators fed from each chain's stored states: the Fourier checks
+    # bit for bit, the variance bound (projected per chunk rather than in one
+    # product) to rounding
     import gil.cli
-    from gil.mcmc import poincare_variance_check, pooled, run_chains, verify_l1norm_bounds
+    from gil.mcmc import poincare_variance_check, run_chains, verify_l1norm_bounds
 
     calls = {}
 
     def stored(*args, **kwargs):
-        calls["states"] = pooled([r.samples for r in run_chains(*args)])
+        calls["states"] = [r.samples for r in run_chains(*args)]
         return run_chains(*args, **kwargs)
 
     def recording(name):
@@ -310,8 +311,8 @@ def test_verify_lemma_streams_what_stored_states_give(tmp_path, monkeypatch):
     states = calls["states"]
     ps, t, us, psi, _, lam, k_grid = calls["verify_l1norm_bounds"]
     _, delta, directions = calls["poincare_variance_check"]
-    fourier = verify_l1norm_bounds(ps, t, us, psi, states[:, t.forward[0, 0] - 1], lam, k_grid)
-    variance = poincare_variance_check(states @ directions.T, delta, directions)
+    fourier = verify_l1norm_bounds(ps, t, us, psi, [x[:, t.forward[0, 0] - 1] for x in states], lam, k_grid)
+    variance = poincare_variance_check([x @ directions.T for x in states], delta, directions)
     for key, value in rep["characteristic_bounds"].items():
         assert value == getattr(fourier, key), key
     for key in ("variances", "variance_se", "bounds"):

@@ -9,22 +9,20 @@ from gil.gff import poincare_constant
 from gil.lattice import Field, Torus
 from gil.mcmc import (
     NOISE_CHUNK,
+    BlockSums,
     ChainConfig,
     GradientMismatchError,
-    PooledBatchMeans,
     StepSizeError,
     Target,
     _blocks,
     _envelope_tail,
     _fd_gradient_check,
     _phase_stats,
-    _sample_var,
     batch_means,
     fluctuation_hessian,
     make_gibbs_target,
     make_h1_target,
     poincare_variance_check,
-    pooled,
     run_chains,
     stream,
     thermodynamic_integration,
@@ -302,7 +300,7 @@ def test_symmetric_target_mean_zero(quick_chain):
     t = Torus(1, 3)
     target = make_gibbs_target(t, pa, [0.0], 1.0)
     results = run_chains(target, ChainConfig(n_steps=30_000, burn_in=3_000, seed=11))
-    mean, se, _ = batch_means(np.concatenate([r.samples for r in results]))
+    mean, se, _ = batch_means([r.samples for r in results])
     assert np.all(np.abs(mean) < 4 * se)
 
 
@@ -311,89 +309,72 @@ def test_symmetric_target_mean_zero(quick_chain):
 )
 def test_phase_stats_match_batch_means(n, repeats):
     # block by block over all k, bitwise the batch means of the full phase
-    # arrays, at a sample count that the blocks divide unevenly and below the
-    # 2 * MIN_BLOCKS branch, and with runs of repeated values (a rejected step
-    # repeats its state), some crossing block edges and one filling a block
+    # arrays of two chains, at a sample count that the blocks divide unevenly
+    # and below the 2 * MIN_BLOCKS branch, and with runs of repeated values (a
+    # rejected step repeats its state), some crossing block edges and one
+    # filling a block
     rng = np.random.default_rng(n)
-    gv = rng.standard_normal(n)
+    gv = rng.standard_normal((2, n))
     if repeats:
-        gv = np.repeat(gv, rng.integers(1, 6, n))[:n]
-        gv[300:500] = gv[300]
+        gv = np.stack([np.repeat(c, rng.integers(1, 6, n))[:n] for c in gv])
+        gv[:, 300:500] = gv[:, 300:301]
     k = np.linspace(-6.0, 6.0, 401)
-    re, im, se_re, se_im = _phase_stats(gv, k)
-    mean_c, se_c, _ = batch_means(np.cos(np.outer(gv, k)))
-    mean_s, se_s, _ = batch_means(np.sin(np.outer(gv, k)))
+    re, im, se_re, se_im = _phase_stats(list(gv), k)
+    mean_c, se_c, _ = batch_means([np.cos(np.outer(c, k)) for c in gv])
+    mean_s, se_s, _ = batch_means([np.sin(np.outer(c, k)) for c in gv])
     for a, b in ((re, mean_c), (se_re, se_c), (im, mean_s), (se_im, se_s)):
         assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("shape", [(5_003, 255), (400, 2), (300, 2, 3), (9_000, 1), (700,)])
-def test_sample_var_matches_numpy_var(shape, monkeypatch):
-    # formed slice by slice, bit for bit numpy's variance: slices of 3, 382 and
-    # 127 rows at 255, 2 and 6 values per row, each with an uneven last slice
-    import gil.mcmc
-
-    monkeypatch.setattr(gil.mcmc, "SLICE_VALUES", 3 * 255)
-    x = np.random.default_rng(len(shape)).standard_normal(shape) * 3.0 + 1.7
-    assert np.array_equal(_sample_var(x), x.var(axis=0, ddof=1))
-
-
-def test_pooled_views_one_run_and_concatenates_otherwise(quick_chain):
-    t = Torus(1, 4)
-    results = run_chains(make_gibbs_target(t, gaussian_potential(), [0.2], 1.0), quick_chain)
-    samples = [r.samples for r in results]
-    pool = pooled(samples)
-    assert np.shares_memory(pool, samples[0]) and np.shares_memory(pool, samples[-1])
-    assert np.array_equal(pool, np.concatenate(samples))
-    for other in (samples[::-1], samples[:1], [s.copy() for s in samples]):
-        assert np.array_equal(pooled(other), np.concatenate(other))
-        assert not np.shares_memory(pooled(other), samples[0])
-
-
-@pytest.mark.parametrize("shape", [(5_003, 3), (1_000, 1), (700,), (39, 2), (25,)])
+@pytest.mark.parametrize("shape", [(1, 5_003, 3), (1, 1_000, 1), (1, 700), (1, 39, 2), (1, 25), (2, 1_003, 3)])
 def test_batch_means_matches_plain_formula(shape):
     # bit for bit: the mean and error of the block means, or of the samples
-    # themselves below 2 * MIN_BLOCKS, and n_eff = var / SE^2 capped at n
+    # themselves below 2 * MIN_BLOCKS, and n_eff = var / SE^2 over all samples,
+    # capped at their number.  shape is (chains, n, ...); two chains at
+    # different offsets give the block means of each chain's own blocks,
+    # concatenated, so no block spans two chains
     x = np.random.default_rng(len(shape)).standard_normal(shape) * 2.0 + 0.3
-    n = shape[0]
-    mean, se, n_eff = batch_means(x)
-    if n < 40:
-        assert np.array_equal(mean, x.mean(axis=0)) and np.array_equal(se, x.std(axis=0, ddof=1) / math.sqrt(n))
-        assert n_eff == n
+    x[1:] += 4.0
+    flat = x.reshape(-1, *shape[2:])
+    mean, se, n_eff = batch_means(list(x))
+    if shape[1] < 40:
+        assert np.array_equal(mean, flat.mean(axis=0))
+        assert np.array_equal(se, flat.std(axis=0, ddof=1) / math.sqrt(len(flat)))
+        assert n_eff == len(flat)
         return
-    means = _blocks(x).mean(axis=1)
+    means = np.concatenate([_blocks(c[None]).mean(axis=1) for c in x])
     assert np.array_equal(mean, means.mean(axis=0))
     assert np.array_equal(se, means.std(axis=0, ddof=1) / math.sqrt(len(means)))
-    assert n_eff == min(float(np.min(x.var(axis=0, ddof=1) / se**2)), n)
+    assert n_eff == min(float(np.min(flat.var(axis=0, ddof=1) / se**2)), len(flat))
 
 
 @pytest.mark.parametrize(
     "m,n_chains,n_kept",
     [
-        (4, 3, 12),     # 36 pooled states: blocks of one, below 2 * MIN_BLOCKS
+        (4, 3, 12),     # blocks of one, below 2 * MIN_BLOCKS
         (4, 1, 30),     # one chain
-        (4, 2, 1_000),  # not a multiple of NOISE_CHUNK; blocks of 31 over 2000 states, the tail dropped
-        (4, 3, 150),    # blocks of 21 straddle both row boundaries (150 = 7 * 21 + 3, 300 = 14 * 21 + 6)
-        (2, 2, 500),    # one dof: numpy sums each block of 32 pairwise, as the streamed blocks are summed
+        (4, 2, 1_000),  # not a multiple of NOISE_CHUNK; 31 blocks of 32 per chain, a tail of 8 dropped
+        (4, 3, 150),    # 20 blocks of 7 per chain, the tail of 3 dropped; blocks split at chunk edges (64 = 9 * 7 + 1)
+        (2, 2, 500),    # one dof
     ],
 )
-def test_pooled_batch_means_streams_what_stored_states_give(pot_gauss, m, n_chains, n_kept):
-    # on the same seed, the in-run reduction gives batch_means of the pooled
-    # stored states: mean and error bit for bit, n_eff to rounding; it keeps
-    # nothing per state, and each row's final state is its last kept state
+def test_block_sums_stream_what_stored_states_give(pot_gauss, m, n_chains, n_kept):
+    # on the same seed, the in-run block sums give batch_means of the stored
+    # per-chain states: mean and error to 1e-12 relative, n_eff to rounding; it
+    # keeps nothing per state, and each row's final state is its last kept state
     t = Torus(1, m)
     target = make_gibbs_target(t, pot_gauss, [0.3], 1.0)
     cfg = ChainConfig(n_steps=n_kept + 200, burn_in=200, n_chains=n_chains, seed=3)
     stored = run_chains(target, cfg)
-    means = PooledBatchMeans(n_chains, n_kept)
+    sums = BlockSums(n_kept)
     with pytest.raises(ValueError, match="reduced"):
-        means.result()
-    streamed = run_chains(target, cfg, keep=means)
-    mean, se, n_eff = means.result()
-    ref_mean, ref_se, ref_n_eff = batch_means(pooled([r.samples for r in stored]))
-    assert np.array_equal(mean, ref_mean) and np.array_equal(se, ref_se)
+        sums.result()
+    streamed = run_chains(target, cfg, keep=sums)
+    mean, se, n_eff = sums.result()
+    ref_mean, ref_se, ref_n_eff = batch_means([r.samples for r in stored])
+    np.testing.assert_allclose(mean, ref_mean, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(se, ref_se, rtol=1e-12, atol=0.0)
     assert n_eff == pytest.approx(ref_n_eff, rel=1e-12, abs=0.0)
-    assert not means.open
     for s, r in zip(streamed, stored):
         assert s.samples.shape == (n_kept, 0)
         assert np.array_equal(s.state, r.samples[-1])
@@ -402,7 +383,7 @@ def test_pooled_batch_means_streams_what_stored_states_give(pot_gauss, m, n_chai
 def test_batch_means_iid():
     rng = np.random.default_rng(0)
     x = rng.standard_normal(20_000)
-    mean, se, n_eff = batch_means(x)
+    mean, se, n_eff = batch_means([x])
     assert abs(mean) < 4 * se
     assert se == pytest.approx(1.0 / math.sqrt(20_000), rel=0.3)
     assert 0 < n_eff <= 20_000
@@ -532,7 +513,7 @@ def test_fluctuation_hessian_symmetric(scaled_b):
 
 def _h1_samples(t, p, lam, cfg):
     target = make_h1_target(t, p, [0.0], np.zeros(t.volume), lam)
-    return np.concatenate([r.samples for r in run_chains(target, cfg)])
+    return np.stack([r.samples for r in run_chains(target, cfg)])
 
 
 @pytest.mark.parametrize("family", ["b", "c"])
@@ -549,11 +530,11 @@ def test_l1norm_bounds_integrate_two_norms(family, scaled_b, pot_c, monkeypatch)
     gv = np.random.default_rng(3).standard_normal(800)
     real, calls = gil.potentials._integrate_tail_doubling, []
     monkeypatch.setattr(gil.potentials, "_integrate_tail_doubling", lambda *a: calls.append(a) or real(*a))
-    rep = verify_l1norm_bounds(ps, t, [0.1], Field.zeros(t), gv)
+    rep = verify_l1norm_bounds(ps, t, [0.1], Field.zeros(t), [gv])
     assert len(calls) == (2 if family == "b" else 1)
     nr = gil.potentials.norms(ps)
     monkeypatch.setattr(gil.mcmc, "norm", lambda p, name, tol=1e-10: (getattr(nr, name), None))
-    full = verify_l1norm_bounds(ps, t, [0.1], Field.zeros(t), gv)
+    full = verify_l1norm_bounds(ps, t, [0.1], Field.zeros(t), [gv])
     for field in dataclasses.fields(rep):
         assert np.array_equal(getattr(rep, field.name), getattr(full, field.name)), field.name
     assert (rep.g0pp_bound_l2 is None) == (family == "c")
@@ -561,7 +542,7 @@ def test_l1norm_bounds_integrate_two_norms(family, scaled_b, pot_c, monkeypatch)
 
 def test_characteristic_a_at_zero_and_bounded(pot_gauss, quick_chain):
     t = Torus(1, 3)
-    gv = _h1_samples(t, pot_gauss, 0.5, quick_chain)[:, t.forward[0, 0] - 1]
+    gv = _h1_samples(t, pot_gauss, 0.5, quick_chain)[..., t.forward[0, 0] - 1]
     k = np.array([0.0, 0.7, 1.5, 3.0])
     rep = verify_l1norm_bounds(pot_gauss, t, [0.0], Field.zeros(t), gv, 0.5, k)
     assert rep.abs_a[0] == 1.0 and rep.se_abs[0] == 0.0
@@ -587,7 +568,7 @@ def test_characteristic_a_gaussian_closed_form(pot_gauss):
     t = Torus(1, 3)
     lam = 0.5
     cfg = ChainConfig(n_steps=60_000, burn_in=5_000, seed=29, n_chains=2)
-    gv = _h1_samples(t, pot_gauss, lam, cfg)[:, t.forward[0, 0] - 1]
+    gv = _h1_samples(t, pot_gauss, lam, cfg)[..., t.forward[0, 0] - 1]
     k = np.array([0.5, 1.0, 2.0])
     rep = verify_l1norm_bounds(pot_gauss, t, [0.0], Field.zeros(t), gv, lam, k)
     var = lam * (t.volume - 1) / (t.d * t.volume)
@@ -622,7 +603,7 @@ def test_poincare_variance_check_gaussian_linear(pot_gauss):
     rng = np.random.default_rng(31)
     vs = rng.standard_normal((3, t.n_dof))
     cfg = ChainConfig(n_steps=30_000, burn_in=3_000, seed=37, n_chains=2)
-    rep = poincare_variance_check(np.concatenate([r.samples for r in run_chains(target, cfg)]) @ vs.T, delta, vs)
+    rep = poincare_variance_check([r.samples @ vs.T for r in run_chains(target, cfg)], delta, vs)
     assert rep.ok
     C = pinned_covariance(t)
     for j, v in enumerate(vs):
@@ -633,16 +614,16 @@ def test_poincare_variance_check_needs_observables():
     # an empty list would report ok with nothing checked
     for empty in ([], np.zeros((0, 2))):
         with pytest.raises(ValueError):
-            poincare_variance_check(np.zeros((100, 0)), 1.0, empty)
+            poincare_variance_check([np.zeros((100, 0))], 1.0, empty)
     with pytest.raises(ValueError, match="projections"):
-        poincare_variance_check(np.zeros((100, 2)), 1.0, np.eye(3))
+        poincare_variance_check([np.zeros((100, 2))], 1.0, np.eye(3))
 
 
 def test_poincare_variance_check_bounds_are_exact():
     # delta certifies the Hessian, so the bound of a linear observable is |v|^2 / delta, without error
     # (integer entries, so |v|^2 is exact in any summation order)
     vs = np.random.default_rng(5).integers(-3, 4, (4, 3)).astype(float)
-    rep = poincare_variance_check(np.random.default_rng(6).standard_normal((500, 3)) @ vs.T, 0.7, vs)
+    rep = poincare_variance_check([np.random.default_rng(6).standard_normal((500, 3)) @ vs.T], 0.7, vs)
     assert np.array_equal(rep.bounds, np.array([float(v @ v) / 0.7 for v in vs]))
     assert np.array_equal(rep.bound_se, np.zeros(4))
     assert rep.names == ("linear_0", "linear_1", "linear_2", "linear_3")
@@ -655,7 +636,7 @@ def test_poincare_variance_check_matches_per_direction_jackknife(n):
     # samples in whole blocks
     rng = np.random.default_rng(n)
     samples, vs = rng.standard_normal((n, 6)), rng.standard_normal((5, 6))
-    rep = poincare_variance_check(samples @ vs.T, 1.0, vs)
+    rep = poincare_variance_check([samples @ vs.T], 1.0, vs)
     nb = min(n, max(20, math.isqrt(n)))
     b = n // nb
     for j, v in enumerate(vs):
@@ -675,7 +656,7 @@ def test_blocks_match_slice_loop(n, width):
     nb = min(n, max(20, math.isqrt(n)))
     b = n // nb
     slices = [x[i * b : (i + 1) * b] for i in range(nb)]
-    blocks = _blocks(x)
+    blocks = _blocks(x[None])
     assert blocks.shape == (nb, b) + x.shape[1:]
     assert np.array_equal(blocks.sum(axis=1), np.stack([s.sum(axis=0) for s in slices]))
     assert np.array_equal(blocks.mean(axis=1), np.stack([s.mean(axis=0) for s in slices]))
@@ -701,8 +682,8 @@ def test_poincare_variance_check_constant_observable(pot_gauss, quick_chain):
     t = Torus(1, 3)
     target = make_gibbs_target(t, pot_gauss, [0.0], 1.0)
     # the zero direction: a constant observable, with variance and bound 0
-    samples = np.concatenate([r.samples for r in run_chains(target, quick_chain)])
-    rep = poincare_variance_check(samples @ np.zeros((2, 1)), 1.0, np.zeros((1, 2)))
+    projections = [r.samples @ np.zeros((2, 1)) for r in run_chains(target, quick_chain)]
+    rep = poincare_variance_check(projections, 1.0, np.zeros((1, 2)))
     assert rep.ok and rep.variances[0] == 0.0 and rep.bounds[0] == 0.0
 
 
