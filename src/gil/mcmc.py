@@ -20,18 +20,18 @@ own trailing axes, so its samples are bitwise the same alone or in any ensemble.
 A run keeps only what its estimators read: the kept states, the target's
 observable alone, or per-state values reduced from the states chunk by chunk
 during the run, so memory need not grow as steps x dof.  No estimator here or
-in gil.cli stores states: D_u H is the Gibbs target's observable (fluctuation
-identity, thermodynamic integration); the fluctuation identity's V'' sums and
-the lemma checks' inputs (the bond grad_1 theta(0) for the Fourier bounds, the
-projections on direction rows for the Poincare variance bound) are per-state
-values taken in-run; BlockSums adds the kept states into each chain's block
-sums as they arrive (gil sample's mean field).  Estimators take one array per
-chain and carry batch-means or jackknife standard errors from one block layout,
-_blocks, which blocks each chain on its own (batch means are consistent only
-for blocks inside one chain) with at least 20 blocks per chain, each block
+in gil.cli stores states: D_u H is the Gibbs target's observable (thermodynamic
+integration), and the fluctuation identity's target returns D_u^2 H = sum_x V''
+beside it from the same fused potential pass, so no V'' is summed from kept
+states; the lemma checks' inputs (the bond grad_1 theta(0) for the Fourier
+bounds, the projections on direction rows for the Poincare variance bound) are
+per-state values taken in-run; BlockSums adds the kept states into each chain's
+block sums as they arrive (gil sample's mean field).  Estimators take one array
+per chain and carry batch-means or jackknife standard errors from one block
+layout, _blocks, which blocks each chain on its own (batch means are consistent
+only for blocks inside one chain) with at least 20 blocks per chain, each block
 statistic one reduction over that view; nothing is reported as a bare point
-estimate.  Their passes over samples or states (the V'' sums, the phases
-cos/sin(k grad theta)) run in slices sized to stay in cache.
+estimate.  The phases cos/sin(k grad theta) are formed one block at a time.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ __all__ = [
 
 MIN_BLOCKS = 20
 NOISE_CHUNK = 64  # steps of noise drawn at once per row; fixed, so streams do not depend on the batch
-SLICE_VALUES = 2**13  # values per slice of a batched pass over samples or shifts, so its arrays stay in cache
+SLICE_VALUES = 2**13  # values per slice of the gradient check's shifted states, so its arrays stay in cache
 # purpose words of the streams drawn outside any chain row
 AUX_STREAMS = {"observables": 0xB5, "probes": 0xC0, "r1g": 0x51}
 
@@ -148,21 +148,28 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
     return np.add.reduce(a.reshape(a.shape[:-2] + (-1,)), axis=-1)
 
 
-def make_gibbs_target(t: Torus, p: Potential, u, beta: float, observable: bool = False) -> Target:
+def make_gibbs_target(t: Torus, p: Potential, u, beta: float, observable: int = 0) -> Target:
     """Target exp(-beta H(u, .)) over pinned fields; u[d] for all rows or u[rows, d] per row.
 
-    With observable, energy_grad also returns D_u H = sum_x V'(u_i + grad_i phi(x)),
-    read off the V' array (for thermodynamic integration).  At beta = 1 nothing is multiplied by beta.
+    With observable 1 (or True), energy_grad also returns D_u H = sum_x V'(u_i + grad_i phi(x)),
+    read off the V' array (thermodynamic integration); with observable 2, D_u H and then the
+    diagonal D_u^2 H = sum_x V''(u_i + grad_i phi(x)), [..., rows, 2 d], the V'' array coming
+    from the same fused potential pass (the fluctuation identity).  At beta = 1 nothing is
+    multiplied by beta.
     """
     bonds = bond_kernel(t, np.atleast_1d(np.asarray(u, dtype=float))[..., :, None])
+    second = observable == 2
 
     def energy_grad(X):
-        v, vp = p.v_dv(bonds(X)[1])
+        v, vp, *vpp = p.v_dv(bonds(X)[1], second)
         E, G = _row_sum(v), bond_divergence(t, vp)
         if beta != 1.0:
             E *= beta
             G *= beta
-        return (E, G, np.add.reduce(vp, axis=-1)) if observable else (E, G)
+        if not observable:
+            return E, G
+        O = np.add.reduce(vp, axis=-1)
+        return E, G, np.concatenate((O, np.add.reduce(vpp[0], axis=-1)), axis=-1) if second else O
 
     hint = 0.5 / math.sqrt(beta * (p.c2 * 2.0 * t.d) + 1.0)
     return Target(energy_grad=energy_grad, n_dof=t.n_dof, step_hint=hint)
@@ -457,54 +464,34 @@ def _block_mean_se(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def fluctuation_hessian(u, p: Potential, t: Torus, cfg: ChainConfig, tilt: int = 0) -> Estimate:
     """D^2 f(u) = <D_u^2 H> - var(D_u H) at beta = 1 for a unit-scaled potential.
 
-    D_u H_i = sum_x V'(u_i + grad_i phi(x)) is the Gibbs target's observable, and
-    the diagonal D_u^2 H, sum_x V''(...), is reduced from the kept states during
-    the run, in cache-sized slices; no state is stored.  The covariance term uses
-    the unbiased estimator; errors come from a delete-one jackknife over >= 20 blocks
-    of each chain.  Chains are rows (tilt, 0, chain).
+    D_u H_i = sum_x V'(u_i + grad_i phi(x)) and the diagonal D_u^2 H, sum_x
+    V''(...), are the Gibbs target's observable, both from the step's fused
+    potential pass; no state is stored and no V'' is summed from kept states.
+    The covariance term uses the unbiased estimator; errors come from a
+    delete-one jackknife over >= 20 blocks of each chain.  Chains are rows
+    (tilt, 0, chain).
     """
     if abs(p.c1 - 1.0) > 1e-12:
         raise ValueError("fluctuation_hessian requires a unit-scaled potential; call scale_to_unit first")
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    bonds, step = bond_kernel(t, u[:, None]), max(1, SLICE_VALUES // (t.d * t.volume))
-    # a slice of distinct states, evaluated whole (rows past the last distinct state hold
-    # earlier ones) so every call's arrays keep one size: partial slices fragment the heap
-    distinct = np.zeros((step, t.n_dof))
+    d = len(u)
+    target = make_gibbs_target(t, p, u, beta=1.0, observable=2)
+    results = run_chains(target, cfg, [(tilt, 0, c) for c in range(cfg.n_chains)], keep=None)
 
-    def d2v_sums(X):
-        """sum_x V''(u_i + grad_i phi(x)) at each kept state: X[rows, k, n_dof] -> [rows, k, d].
-
-        A rejected step repeats its state, so each run of equal consecutive states
-        is summed once, slice by slice, and the sums are gathered back.
-        """
-        flat = X.reshape(-1, X.shape[-1])
-        states = flat.view(f"V{flat[0].nbytes}")[:, 0]  # one raw-bytes value per state: a repeat is a bitwise copy
-        new = np.ones(len(flat), dtype=bool)
-        new[1:] = states[1:] != states[:-1]
-        starts = np.flatnonzero(new)
-        sums = np.empty((-(-len(starts) // step) * step, t.d))
-        for a in range(0, len(starts), step):
-            idx = starts[a : a + step]
-            flat.take(idx, axis=0, out=distinct[: len(idx)])
-            np.add.reduce(p.d2v(bonds(distinct)[1]), axis=-1, out=sums[a : a + step])
-        return sums[np.cumsum(new) - 1].reshape(X.shape[:-1] + (t.d,))
-
-    target = make_gibbs_target(t, p, u, beta=1.0, observable=True)
-    results = run_chains(target, cfg, [(tilt, 0, c) for c in range(cfg.n_chains)], keep=d2v_sums)
-
-    observables = np.asarray([r.observable for r in results])
-    b1, b2 = _blocks(observables), _blocks(np.asarray([r.samples for r in results]))
+    observables = np.asarray([r.observable for r in results])  # [chains, n, 2 d]: D_u H, then D_u^2 H
+    blocks = _blocks(observables)
+    b1 = blocks[..., :d]
     # per block: sums of D_u H, their outer products, sums of D_u^2 H, block sizes
-    columns = (b1.sum(axis=1), b1.mT @ b1, b2.sum(axis=1), np.full(len(b1), b1.shape[1]))
+    columns = (b1.sum(axis=1), b1.mT @ b1, blocks[..., d:].sum(axis=1), np.full(len(b1), b1.shape[1]))
 
     def statistic(sum1, outer, sum2, n):
         n = np.asarray(n, dtype=float)[..., None]
         m1 = sum1 / n
         cov = (outer - n[..., None] * (m1[..., :, None] * m1[..., None, :])) / (n[..., None] - 1)
-        return np.eye(len(u)) * (sum2 / n)[..., None, :] - cov
+        return np.eye(d) * (sum2 / n)[..., None, :] - cov
 
     full, se = _jackknife(statistic, columns)
-    _, _, n_eff = batch_means(observables)
+    _, _, n_eff = batch_means(observables[..., :d])
     return Estimate(value=full, std_error=se, n_effective=n_eff, method="chain")
 
 
@@ -732,7 +719,7 @@ def thermodynamic_integration(
     s_nodes = 0.5 * (x + 1.0)
     nc = cfg.n_chains
     rows = [(tilt, j, c) for j in range(n_nodes) for c in range(nc)]
-    target = make_gibbs_target(t, p, np.repeat(s_nodes, nc)[:, None] * u, beta, observable=True)
+    target = make_gibbs_target(t, p, np.repeat(s_nodes, nc)[:, None] * u, beta, observable=1)
     results = run_chains(target, cfg, rows, keep=None)
     total, var = 0.0, 0.0
     for j, wj in enumerate(0.5 * w):

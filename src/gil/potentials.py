@@ -18,11 +18,10 @@ the line).  The conditioning machinery downstream consumes only the concave side
 the convexity certificates use the lower curvature bound -c0 alone, and ``norms``
 reports l1_g0pp as the L1 mass of the concave part max(-g0'', 0), which equals the
 plain L1 norm for genuinely concave perturbations (that norm is also reported, as
-l1_g0pp_abs); ``norm`` integrates any one norm alone.  ``curvature_report``
-quantifies the excess and whether reassigning it to the quadratic base would move
-the composite constant max(c0/c1, c2/c1 - 1, 1) (for example_a it would not; for
-example_b it would, which is why the declared constants keep the excess on the g0
-side).
+l1_g0pp_abs); ``norm`` integrates any one norm alone.  Reassigning the excess to
+the quadratic base would leave the composite constant max(c0/c1, c2/c1 - 1, 1)
+as it is for example_a but raise it for example_b, which is why the declared
+constants keep the excess on the g0 side.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ import numpy as np
 __all__ = [
     "Potential",
     "NormReport",
-    "CurvatureReport",
     "InvalidPotentialError",
     "DivergentNormError",
     "gaussian_potential",
@@ -46,10 +44,7 @@ __all__ = [
     "example_c",
     "norm",
     "norms",
-    "curvature_report",
 ]
-
-GRID_LO, GRID_HI, GRID_N = -50.0, 50.0, 10_001
 
 GL_FINE, GL_COARSE = np.polynomial.legendre.leggauss(20), np.polynomial.legendre.leggauss(10)
 PANELS_START = 16  # equal panels per breakpoint-free piece of a segment
@@ -68,24 +63,26 @@ class DivergentNormError(ValueError):
 
 @dataclass(frozen=True)
 class Potential:
-    """V = V0 + g0 as the triple (g, (g, g'), g''), g0'' and the curvature constants.
+    """V = V0 + g0 as the triple (g, (g, g'[, g'']), g''), g0'' and the curvature constants.
 
     g(s) = V(s) - c1 s^2/2 is the anharmonic part in closed form, which the
     quadrature integrands, the Monte Carlo weights and the lattice's anharmonic
-    energy read.  The middle entry is the fused pass, g and g' from shared
-    intermediates (``g_dg``); V, V' and V'' add c1 s^2/2, c1 s and c1 to it.
+    energy read.  The middle entry is the fused pass, g and g', and g'' when
+    asked, from shared intermediates (``g_dg``, ``v_dv``); V, V' and V'' add
+    c1 s^2/2, c1 s and c1 to it.  The norms and the oracles read the standalone
+    g, g'' and g0 terms; the fused pass may round apart from them by a few eps.
     ``frame(b, k)`` folds b and k into the closed forms (g, g_dg, g'', g0, g0',
     g0'') of s -> b V(s / k) but keeps the family's constants, breakpoints and
     support: its v, dv and d2v are b V(s / k) only after scale_to_unit maps them.
 
     c1 <= V0'' = V'' - g0'' <= c2 and g0'' >= -c0 hold on the certification grid;
-    g0'' <= 0 may fail on a set where the excess is certified absorbable (see
-    curvature_report).  g0 and g0' are kept only when ||g0||_L1 and ||g0'||_L2
-    are finite; None declares the norm divergent.
+    g0'' <= 0 may fail where the family carries a convex excess.  g0 and g0'
+    are kept only when ||g0||_L1 and ||g0'||_L2 are finite; None declares the
+    norm divergent.
     """
 
     family: str
-    vfun: tuple[Callable, Callable, Callable]  # (g, s -> (g, g'), g'')
+    vfun: tuple[Callable, Callable, Callable]  # (g, (s, second=False) -> (g, g'[, g'']), g'')
     d2g0: Callable
     c0: float
     c1: float
@@ -105,15 +102,18 @@ class Potential:
     def g_dg(self, s):
         return self.vfun[1](s)
 
-    def v_dv(self, s):
+    def v_dv(self, s, second: bool = False):
+        """(V, V') from one fused pass, and V'' third when second is set."""
         s = _as_array(s)
-        g, dg = self.vfun[1](s)
+        g, dg, *d2g = self.vfun[1](s, second)
         c1s = s if self.c1 == 1.0 else self.c1 * s  # no multiply in the unit frame
-        v = c1s * s  # then c1s s / 2 + g and c1s + dg, formed in place
+        v = c1s * s  # then c1s s / 2 + g, c1s + dg and c1 + d2g, formed in place
         v /= 2.0
         v += g
         dg += c1s
-        return v, dg
+        if second:
+            d2g[0] += self.c1
+        return v, dg, *d2g
 
     def v(self, s):
         return self.v_dv(s)[0]
@@ -145,21 +145,6 @@ class NormReport:
     divergent: tuple = ()
 
 
-@dataclass(frozen=True)
-class CurvatureReport:
-    """Grid-certified curvature bounds and the convex-excess certificate."""
-
-    v0pp_min: float
-    v0pp_max: float
-    g0pp_min: float
-    g0pp_max: float
-    convex_excess: float        # max(g0'', 0) over the grid
-    base_bounds_ok: bool        # c1 <= V0'' <= c2 on the grid
-    lower_bound_ok: bool        # g0'' >= -c0 on the grid
-    concave_ok: bool            # g0'' <= 0 on the grid
-    excess_absorbable: bool     # excess does not change max(c0/c1, c2/c1-1, 1)
-
-
 def _as_array(s):
     return np.asarray(s, dtype=float)
 
@@ -174,7 +159,7 @@ def gaussian_potential() -> Potential:
     # b (s/k)^2/2 is quadratic in every frame: g = 0, so each frame is this potential
     return Potential(
         family="gaussian",
-        vfun=(zero, lambda s: (zero(s), zero(s)), zero),
+        vfun=(zero, lambda s, second=False: tuple(zero(s) for _ in range(2 + second)), zero),
         d2g0=zero,
         c0=0.0,
         c1=1.0,
@@ -205,13 +190,16 @@ def example_a(a: float) -> Potential:
             y = _as_array(s) if k == 1.0 else _as_array(s) / k  # no divide in the raw family
             return y, y * y + a
 
-        def g_dg(s):
+        def g_dg(s, second=False):
             y, q = yq(s)
-            return b * (a - np.log(q)), dgk * y / q
+            out = b * (a - np.log(q)), dgk * y / q
+            return (*out, g0pp(y, q)) if second else out
+
+        def g0pp(y, q):
+            return d2gk * (y * y - a) / q**2
 
         def d2g0(s):
-            y, q = yq(s)
-            return d2gk * (y * y - a) / q**2
+            return g0pp(*yq(s))
 
         return Potential(
             family="example_a",
@@ -256,9 +244,28 @@ def example_b(delta: float) -> Potential:
             _, r = clipped(s)
             return -c * r * r * r
 
-        def g_dg(s):
+        def dg0(s):
             s, r = clipped(s)
-            return -c * r * r * r, -c * 3.0 * r * r * (dk - 2.0 * s)
+            return -c * 3.0 * r * r * (dk - 2.0 * s)
+
+        def g_dg(s, second=False):
+            # 9 array operations for g = -c r^2 r and g' = -3c r^2 ((dk - s) - s), 3 more
+            # for g'' = -3c (2 r (dk - 2s)^2 - 2 r^2) = 30c r (r - dk^2/5)
+            s = _as_array(s)
+            ds = dk - s
+            r = np.maximum(s * ds, 0.0)
+            r2 = r * r
+            g = r2 * r
+            g *= -c
+            ds -= s
+            dg = r2 * ds
+            dg *= -3.0 * c
+            if not second:
+                return g, dg
+            d2g = r - dk * dk / 5.0
+            d2g *= r
+            d2g *= 30.0 * c
+            return g, dg, d2g
 
         def d2g0(s):
             s = _as_array(s)
@@ -274,7 +281,7 @@ def example_b(delta: float) -> Potential:
             c1=1.0,
             c2=1.0,
             g0=g0,
-            dg0=lambda s: g_dg(s)[1],
+            dg0=dg0,
             g0pp_breakpoints=(0.0, s_lo, s_hi, delta),
             g0_support=(0.0, delta),
         )
@@ -307,16 +314,20 @@ def example_c(p: float, k1: float, k2: float) -> Potential:
         def pe(s):
             return p * np.exp(-np.clip(kp * s * s / 2.0, 0.0, 700.0))
 
-        def g_dg(s):
+        def g_dg(s, second=False):
             s = _as_array(s)
             e = pe(s)
-            return -b * np.log(q + e), b * kp * s * (e / (e + q))
+            w1 = e / (e + q)
+            out = -b * np.log(q + e), b * kp * s * w1
+            return (*out, b * kp * w1 + g0pp(s, w1)) if second else out
+
+        def g0pp(s, w1):
+            return -b * kp * kp * (w1 * (1.0 - w1)) * s * s
 
         def d2g0(s):
             s = _as_array(s)
             e = pe(s)
-            w1 = e / (e + q)
-            return -b * kp * kp * (w1 * (1.0 - w1)) * s * s
+            return g0pp(s, e / (e + q))
 
         def d2g(s):
             e = pe(_as_array(s))
@@ -337,33 +348,6 @@ def example_c(p: float, k1: float, k2: float) -> Potential:
 
 # ---------------------------------------------------------------------------
 # operations
-
-
-def curvature_report(p: Potential, lo: float = GRID_LO, hi: float = GRID_HI, n: int = GRID_N) -> CurvatureReport:
-    """Sample V0'' = V'' - g0'' and g0'' on a dense grid and certify the declared constants.
-
-    A small relative slack absorbs roundoff at the grid extremes.
-    """
-    s = np.linspace(lo, hi, n)
-    if p.g0pp_breakpoints:
-        s = np.sort(np.concatenate([s, np.asarray(p.g0pp_breakpoints, dtype=float)]))
-    g0pp = np.asarray(p.d2g0(s), dtype=float)
-    v0pp = np.asarray(p.d2v(s), dtype=float) - g0pp
-    tol = 1e-9 * max(1.0, abs(p.c2), abs(p.c0))
-    excess = float(max(g0pp.max(), 0.0))
-    cbar_decl = max(p.c0 / p.c1, p.c2 / p.c1 - 1.0, 1.0)
-    cbar_eff = max(p.c0 / p.c1, (p.c2 + excess) / p.c1 - 1.0, 1.0)
-    return CurvatureReport(
-        v0pp_min=float(v0pp.min()),
-        v0pp_max=float(v0pp.max()),
-        g0pp_min=float(g0pp.min()),
-        g0pp_max=float(g0pp.max()),
-        convex_excess=excess,
-        base_bounds_ok=bool(v0pp.min() >= p.c1 - tol and v0pp.max() <= p.c2 + tol),
-        lower_bound_ok=bool(g0pp.min() >= -p.c0 - tol),
-        concave_ok=bool(g0pp.max() <= tol),
-        excess_absorbable=bool(cbar_eff <= cbar_decl * (1.0 + 1e-12)),
-    )
 
 
 def _integrate_panels(f, a: float, b: float, points: Sequence[float], atol: float) -> tuple[float, float]:

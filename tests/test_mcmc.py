@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from gil.conditions import scale_to_unit
+from gil.conditions import check_conditions, scale_to_unit
 from gil.gff import poincare_constant
 from gil.lattice import Field, Torus
 from gil.mcmc import (
@@ -28,8 +28,8 @@ from gil.mcmc import (
     thermodynamic_integration,
     verify_l1norm_bounds,
 )
-from gil.oracle import free_energy, hessian_fd
-from gil.potentials import example_a, gaussian_potential
+from gil.oracle import f_tilt_hessian
+from gil.potentials import example_a, gaussian_potential, norms
 
 from conftest import grad_h, hamiltonian, induced_h1_energy, induced_h1_grad, pinned_covariance
 
@@ -400,72 +400,43 @@ def test_fluctuation_hessian_gaussian_exact(pot_gauss):
         assert float(np.max(est.std_error)) < 1e-10
 
 
-def test_fluctuation_hessian_streams_what_stored_samples_give(scaled_b, monkeypatch):
-    # the V'' sums reduced chunk by chunk during the run give, bit for bit, the
-    # value, error and effective size of the same estimator fed from stored
-    # states; 300 kept states leave an uneven last chunk of NOISE_CHUNK and
-    # slices of 7 states an uneven last slice.  The stored states also pin both
-    # sums, D_u H (the in-run observable) and sum V'', to the plain formulas
-    import dataclasses
-
+def test_fluctuation_hessian_observable_is_both_tilt_derivatives(scaled_b, monkeypatch):
+    # the Hessian target's observable is D_u H and then D_u^2 H from the step's
+    # fused pass: on stored states they are the sums of V' and V'' over each
+    # axis's bonds, and the estimate is the plain formula over the blocked
+    # observable.  A row alone is bit for bit that row inside an ensemble
     import gil.mcmc
 
     ps, k = scaled_b
     t = Torus(2, 3)
     u = k * np.array([0.3, 0.1])
-    monkeypatch.setattr(gil.mcmc, "SLICE_VALUES", 7 * t.d * t.volume)
-    cfg = ChainConfig(n_steps=400, burn_in=100, seed=3)
-    assert (cfg.n_steps - cfg.burn_in) % NOISE_CHUNK
-    streamed = fluctuation_hessian(u, ps, t, cfg)
-
-    real = gil.mcmc.run_chains
+    real, runs = gil.mcmc.run_chains, []
 
     def stored(target, cfg, rows, keep):
-        results = real(target, cfg, rows)
-        values = keep(np.stack([r.samples for r in results]))
-        for r, v in zip(results, values):
-            for x, s1, s2 in zip(r.samples[:3], r.observable, v):
-                vals = Field.from_dof(t, x).values
-                bonds = vals[t.forward] - vals + u[:, None]
-                np.testing.assert_allclose(s1, ps.dv(bonds).sum(axis=1), rtol=1e-13)
-                np.testing.assert_allclose(s2, ps.d2v(bonds).sum(axis=1), rtol=1e-13)
-        return [dataclasses.replace(r, samples=v) for r, v in zip(results, values)]
+        runs.append(real(target, cfg, rows, keep="states"))
+        return runs[-1]
 
     monkeypatch.setattr(gil.mcmc, "run_chains", stored)
-    post = fluctuation_hessian(u, ps, t, cfg)
-    assert np.array_equal(streamed.value, post.value)
-    assert np.array_equal(streamed.std_error, post.std_error)
-    assert streamed.n_effective == post.n_effective
+    cfg = ChainConfig(n_steps=400, burn_in=100, seed=3)
+    est = fluctuation_hessian(u, ps, t, cfg)
+    for r in runs[0]:
+        for x, obs in zip(r.samples, r.observable):
+            vals = Field.from_dof(t, x).values
+            bonds = vals[t.forward] - vals + u[:, None]
+            np.testing.assert_allclose(obs[:2], ps.dv(bonds).sum(axis=1), rtol=1e-13)
+            np.testing.assert_allclose(obs[2:], ps.d2v(bonds).sum(axis=1), rtol=1e-12)
+    obs = np.concatenate([r.observable for r in runs[0]])  # 300 kept states per chain: 20 whole blocks of 15
+    plain = np.diag(obs[:, 2:].mean(axis=0)) - np.cov(obs[:, :2].T)
+    np.testing.assert_allclose(est.value, plain, rtol=1e-12, atol=1e-12)
 
-
-def test_fluctuation_hessian_sums_repeated_states_once(scaled_b, monkeypatch):
-    # a rejected step repeats its state: the V'' sums of a chunk of kept states
-    # from a real run (with its repeats), and of rows that repeat one state
-    # throughout, are bit for bit those of every state taken on its own; slices
-    # of 3 states leave an uneven last slice of distinct states
-    import gil.mcmc
-    from gil.lattice import bond_kernel
-
-    ps, k = scaled_b
-    t = Torus(2, 3)
-    u = k * np.array([0.3, 0.1])
-    monkeypatch.setattr(gil.mcmc, "SLICE_VALUES", 3 * t.d * t.volume)
-    real, keeps = gil.mcmc.run_chains, []
-
-    def spy(target, cfg, rows, keep):
-        keeps.append(keep)
-        return real(target, cfg, rows, keep=keep)
-
-    monkeypatch.setattr(gil.mcmc, "run_chains", spy)
-    cfg = ChainConfig(n_steps=400, burn_in=100, seed=5)
-    fluctuation_hessian(u, ps, t, cfg)
-    chunk = np.stack([r.samples[:NOISE_CHUNK] for r in real(make_gibbs_target(t, ps, u, 1.0), cfg)])
-    assert np.any(np.all(chunk[:, 1:] == chunk[:, :-1], axis=-1))  # the chunk holds repeats
-    still = np.repeat(chunk[:, :1], NOISE_CHUNK, axis=1)
-    kernel = bond_kernel(t, u[:, None])
-    for X in (chunk, still, np.concatenate([chunk[:, :7], still[:, 7:]], axis=1)):
-        alone = [[np.add.reduce(ps.d2v(kernel(x[None])[1]), axis=-1)[0] for x in row] for row in X]
-        assert np.array_equal(keeps[0](X), np.array(alone))
+    tilts = u * np.array([[1.0], [0.5], [2.0]])
+    rows = [(0, 0, 0), (0, 0, 1), (1, 0, 0)]
+    ensemble = real(make_gibbs_target(t, ps, tilts, 1.0, observable=2), cfg, rows, keep=None)
+    for r, row in enumerate(rows):
+        alone = real(make_gibbs_target(t, ps, tilts[r], 1.0, observable=2), cfg, [row], keep=None)[0]
+        assert alone.observable.shape == (300, 4)
+        assert np.array_equal(alone.observable, ensemble[r].observable)
+        assert np.array_equal(alone.state, ensemble[r].state)
 
 
 def test_fluctuation_hessian_memory_does_not_grow_with_steps(scaled_b):
@@ -493,14 +464,18 @@ def test_fluctuation_hessian_requires_unit_scale():
         fluctuation_hessian([0.0], example_a(0.5), t, ChainConfig(n_steps=100, burn_in=10))
 
 
-def test_fluctuation_hessian_matches_oracle(scaled_b):
-    ps, k = scaled_b
+def test_fluctuation_hessian_matches_oracle(pot_a, pot_b, pot_c):
+    # each family in hypothesis in d = 1 (half its primary-condition
+    # threshold): the chain row against the conditioning oracle's direct tilt
+    # Hessian, within 3 standard errors plus the oracle's reported error
     t = Torus(1, 3)
     cfg = ChainConfig(n_steps=30_000, burn_in=3_000, seed=17, n_chains=2)
-    est = fluctuation_hessian([k * 0.25], ps, t, cfg)
-    H = hessian_fd(lambda uu: free_energy(uu, ps, t, 1.0), [k * 0.25], h=1e-3)
-    diff = abs(float(est.value[0, 0]) - H[0, 0])
-    assert diff < 3 * float(est.std_error[0, 0]) + 1e-6
+    for p in (pot_a, pot_b, pot_c):
+        ps, k = scale_to_unit(p, check_conditions(1.0, 1, p, norms(p)).beta_max_fcond / 2.0)
+        est = fluctuation_hessian([k * 0.25], ps, t, cfg)
+        H, err = f_tilt_hessian([k * 0.25], ps, t, 1.0)
+        diff, se = abs(float(est.value[0, 0]) - H[0, 0]), float(est.std_error[0, 0])
+        assert diff <= 3.0 * se + err, (p.family, diff, se, err)
 
 
 def test_fluctuation_hessian_symmetric(scaled_b):

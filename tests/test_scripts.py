@@ -52,13 +52,14 @@ def test_chain_step_timing_prints_every_target_and_size():
     proc = _run("time_chain_step.py", "--repeats", 1)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0] == "target,n_dof,rows,us_per_step,energy_grad_us"
+    assert lines[0] == "target,n_dof,rows,us_per_step,energy_grad_us,noise_us"
     rows = [line.split(",") for line in lines[1:]]
-    expected = [(t, n, "2") for n in ("7", "63", "255") for t in ("gibbs_unit", "gibbs_raw", "h1")]
-    expected.insert(3, ("ti", "7", "64"))  # the thermodynamic-integration ensemble, at n_dof 7 only
+    expected = [(t, n, "2") for n in ("7", "63", "255") for t in ("gibbs_unit", "hessian", "gibbs_raw", "h1")]
+    expected.insert(4, ("ti", "7", "64"))  # the thermodynamic-integration ensemble, at n_dof 7 only
     assert [tuple(r[:3]) for r in rows] == expected
-    # a step includes one target call, so it takes longer than the call alone
-    assert all(float(r[3]) > float(r[4]) > 0.0 for r in rows)
+    # a step includes one target call and its share of one chunk's noise, so it
+    # takes longer than either alone
+    assert all(float(r[3]) > float(r[4]) > 0.0 and float(r[3]) > float(r[5]) > 0.0 for r in rows)
 
 
 def test_oracle_route_timing_prints_every_route():
