@@ -17,21 +17,23 @@ these sizes, and no chain moves by a bit.  The gradient check
 evaluates all shifted states X +- h e_j in a few calls, with the shifts as a
 leading axis (see Target).  A row's arithmetic is elementwise or a sum over its
 own trailing axes, so its samples are bitwise the same alone or in any ensemble.
-A run keeps only what its estimators read: the kept states, the target's
-observable alone, or per-state values reduced from the states chunk by chunk
-during the run, so memory need not grow as steps x dof.  No estimator here or
-in gil.cli stores states: D_u H is the Gibbs target's observable (thermodynamic
-integration), and the fluctuation identity's target returns D_u^2 H = sum_x V''
-beside it from the same fused potential pass, so no V'' is summed from kept
-states; the lemma checks' inputs (the bond grad_1 theta(0) for the Fourier
-bounds, the projections on direction rows for the Poincare variance bound) are
-per-state values taken in-run; BlockSums adds the kept states into each chain's
-block sums as they arrive (gil sample's mean field).  Estimators take one array
-per chain and carry batch-means or jackknife standard errors from one block
-layout, _blocks, which blocks each chain on its own (batch means are consistent
-only for blocks inside one chain) with at least 20 blocks per chain, each block
-statistic one reduction over that view; nothing is reported as a bare point
-estimate.  The phases cos/sin(k grad theta) are formed one block at a time.
+Each kept step records one array per row, the target's observable when it
+returns one and the state otherwise, and a run keeps those records or values
+reduced from them chunk by chunk during the run, one path for both, so memory
+need not grow as steps x dof.  No estimator here or in gil.cli stores states:
+D_u H is the Gibbs target's observable (thermodynamic integration), and the
+fluctuation identity's target returns D_u^2 H = sum_x V'' beside it from the
+same fused potential pass, so no V'' is summed from kept states; the lemma
+checks' inputs (the bond grad_1 theta(0) for the Fourier bounds, the
+projections on direction rows for the Poincare variance bound) are per-state
+values taken in-run; BlockSums adds the kept states into each chain's block
+sums as they arrive (gil sample's mean field).  Estimators take one array per
+chain and carry batch-means or jackknife standard errors from one block layout,
+_blocks, which blocks each chain on its own (batch means are consistent only
+for blocks inside one chain) with at least 20 blocks per chain, or blocks of
+one below 40 samples, each block statistic one reduction over that view;
+nothing is reported as a bare point estimate.  The phases cos/sin(k grad theta)
+are formed one block at a time.
 """
 
 from __future__ import annotations
@@ -131,11 +133,12 @@ class Target:
 
     energy_grad maps X[..., rows, n_dof] to (E[..., rows], G[..., rows, n_dof]);
     it may append a per-row observable O[..., rows, k] computed from the same
-    arrays (D_u H for Gibbs targets that ask for it), kept beside each kept sample;
-    all are new arrays, which the sampler keeps as its state.  Leading axes before the row axis
-    are batches of states per row (the gradient check sends all shifted states at once), so per-row
-    parameters such as tilts u[rows, d] broadcast from the right, and each row is summed over its
-    own trailing axes, bitwise the same with or without leading axes.
+    arrays (D_u H for Gibbs targets that ask for it), which run_chains records at
+    each kept step in place of the state.  All are new arrays, which the sampler
+    keeps as its state.  Leading axes before the row axis are batches of states
+    per row (the gradient check sends all shifted states at once), so per-row
+    parameters such as tilts u[rows, d] broadcast from the right, and each row is
+    summed over its own trailing axes, bitwise the same with or without leading axes.
     """
 
     energy_grad: Callable
@@ -199,19 +202,17 @@ def make_h1_target(t: Torus, p: Potential, u, psi_values: np.ndarray, lam: float
 class ChainResult:
     """One row of a run_chains call.
 
-    samples holds what the call's keep asked for: under "states" the kept states
-    (n_kept, n_dof), under None nothing (0, n_dof), under a function its values
-    at each kept state (n_kept, q), q = 0 for a function that keeps nothing per
-    state (BlockSums).  samples and observable are this row of buffers
-    that all rows of the call share; state is the row's state after the last
-    step, its last kept state, under any keep.
+    samples holds the row's kept records, its observables or else its states,
+    (n_kept, width), or under a keep function that function's values at each
+    kept step, (n_kept, q), q = 0 for one that keeps nothing per step
+    (BlockSums): a row of one buffer that all rows of the call share.  state is
+    the row's state after the last step, its last kept state.
     """
 
-    samples: np.ndarray            # (n_kept, n_dof), (0, n_dof) or (n_kept, q)
+    samples: np.ndarray            # (n_kept, width) or (n_kept, q)
     acceptance: float              # post burn-in
     step_size: float               # frozen value
     row: tuple                     # (tilt, node, chain) stream key
-    observable: np.ndarray         # (n_kept, k) target observable at each kept sample, k = 0 if none
     state: np.ndarray              # (n_dof,) final state
 
 
@@ -243,25 +244,23 @@ def _fd_gradient_check(target: Target, X: np.ndarray, rows: list) -> None:
         raise GradientMismatchError(f"{_label(rows[r])}: target gradient differs from finite differences by {err[r]:.2e}")
 
 
-def run_chains(
-    target: Target, cfg: ChainConfig, rows: Sequence[tuple] | None = None, keep="states"
-) -> list[ChainResult]:
+def run_chains(target: Target, cfg: ChainConfig, rows: Sequence[tuple] | None = None, keep=None) -> list[ChainResult]:
     """Lockstep MALA over rows keyed (tilt, node, chain); default rows (0, 0, c) for c < n_chains.
 
     Row r draws from stream(cfg.seed, rows[r]): first a 0.1 N(0, 1) point for
     the gradient check, then, per chunk of steps, normals (k, n_dof) and uniforms (k,).
-    keep says what each row's samples hold: with "states" the kept states
-    themselves, (n_kept, n_dof); with None nothing, (0, n_dof), only the target's
-    observable being kept; with a function mapping kept states X[rows, k, n_dof]
-    to per-state values [rows, k, q], those values, (n_kept, q).  The function is
-    called, in step order, on one reused buffer of NOISE_CHUNK kept states
-    whenever it fills and at the end of the run, so the states themselves are
-    never all held; it may also reduce them itself (BlockSums).  Every row's
-    samples, and its observable, is row r of one [rows, n_kept, ...] buffer;
-    every row's final state is row r of the last state.
+    Each kept step records one array per row, the target's observable when
+    energy_grad returns one and the state otherwise, into one reused buffer of
+    NOISE_CHUNK records [rows, k, width].  Whenever it fills, and at the end of
+    the run, the buffer goes through keep into the samples: with None the
+    records themselves, (n_kept, width); with a function mapping records to
+    per-record values [rows, k, q], those values, (n_kept, q), so kept states
+    are never all held; it may also reduce them itself (BlockSums).  Every
+    row's samples are row r of one [rows, n_kept, ...] buffer; every row's final
+    state is row r of the last state.
     """
-    if not (keep is None or callable(keep) or keep == "states"):
-        raise ValueError(f"keep must be 'states', None or a function of kept states, got {keep!r}")
+    if not (keep is None or callable(keep)):
+        raise ValueError(f"keep must be None or a function of kept records, got {keep!r}")
     rows = [(0, 0, c) for c in range(cfg.n_chains)] if rows is None else [tuple(r) for r in rows]
     n_rows, n = len(rows), target.n_dof
     rngs = [stream(cfg.seed, row) for row in rows]
@@ -274,13 +273,8 @@ def run_chains(
     h = np.full(n_rows, float(cfg.step_size if cfg.step_size is not None else target.step_hint))
     tune = cfg.step_size is None
     n_kept = cfg.n_steps - cfg.burn_in
-    reduce = keep if callable(keep) else None
-    if reduce is None:
-        samples = np.empty((n_rows, 0 if keep is None else n_kept, n))
-    else:
-        # kept states wait in a chunk buffer that reduce empties; its values' width is known at its first call
-        samples, chunk = None, np.empty((n_rows, min(NOISE_CHUNK, n_kept), n))
-    kept_obs = np.empty((n_rows, n_kept, O[0].shape[1] if O else 0))
+    # records wait in a chunk buffer that keep empties; the samples' width is known at its first call
+    chunk, samples = np.empty((n_rows, min(NOISE_CHUNK, n_kept), O[0].shape[1] if O else n)), None
     accs = np.empty((cfg.n_steps, n_rows), dtype=bool)  # every step's acceptances, counted when read
     # drift h^2/2 laid out over the dof, so the step's products need no broadcast; mu = X - drift G is the
     # proposal mean, carried from the reverse term of the step that accepted X; -2 h^2 scales log q exactly
@@ -320,24 +314,17 @@ def run_chains(
                 np.multiply(hc, xi_chunk[c + 1 :], out=h_xi[c + 1 :])
             continue
         j = step - cfg.burn_in
-        if O:
-            kept_obs[:, j] = O[0]
-        if reduce is not None:
-            i = j % NOISE_CHUNK
-            chunk[:, i] = X
-            if i == NOISE_CHUNK - 1 or j == n_kept - 1:
-                values = reduce(chunk[:, : i + 1])
-                if samples is None:
-                    samples = np.empty((n_rows, n_kept, values.shape[-1]))
-                samples[:, j - i : j + 1] = values
-        elif keep is not None:
-            samples[:, j] = X
+        i = j % NOISE_CHUNK
+        chunk[:, i] = O[0] if O else X
+        if i == NOISE_CHUNK - 1 or j == n_kept - 1:
+            values = chunk[:, : i + 1] if keep is None else keep(chunk[:, : i + 1])
+            if samples is None:
+                samples = np.empty((n_rows, n_kept, values.shape[-1]))
+            samples[:, j - i : j + 1] = values
     rate = np.add.reduce(accs[cfg.burn_in :]) / n_kept
     for r in np.flatnonzero((rate < 0.10) | (rate > 0.95)):
         raise StepSizeError(f"{_label(rows[r])}: acceptance rate {rate[r]:.3f} outside [0.10, 0.95]; adjust step_size")
-    return [
-        ChainResult(samples[r], float(rate[r]), float(h[r]), rows[r], kept_obs[r], X[r]) for r in range(n_rows)
-    ]
+    return [ChainResult(samples[r], float(rate[r]), float(h[r]), rows[r], X[r]) for r in range(n_rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -345,18 +332,18 @@ def run_chains(
 
 
 def _block_layout(n: int) -> tuple[int, int]:
-    """nb = min(n, max(MIN_BLOCKS, floor(sqrt n))) blocks of b = n // nb samples: every error bar's block layout."""
-    nb = min(n, max(MIN_BLOCKS, math.isqrt(n)))
+    """Every error bar's blocks: n of one below 2 MIN_BLOCKS samples, else nb = max(MIN_BLOCKS, isqrt n) of n // nb."""
+    nb = n if n < 2 * MIN_BLOCKS else max(MIN_BLOCKS, math.isqrt(n))
     return nb, n // nb
 
 
-def _blocks(x: np.ndarray, layout=_block_layout) -> np.ndarray:
+def _blocks(x: np.ndarray) -> np.ndarray:
     """Chains x[chains, n, ...] in blocks [chains nb, b, ...], chain after chain.
 
     Each chain's first nb b samples are its own nb blocks of b, (nb, b) =
-    layout(n), its tail dropped, so no block spans two chains.
+    _block_layout(n), its tail dropped, so no block spans two chains.
     """
-    nb, b = layout(x.shape[1])
+    nb, b = _block_layout(x.shape[1])
     return x[:, : nb * b].reshape(-1, b, *x.shape[2:])
 
 
@@ -375,11 +362,6 @@ def _jackknife(statistic, columns: Sequence[np.ndarray], totals: tuple | None = 
     return statistic(*totals), se
 
 
-def _batch_layout(n: int) -> tuple[int, int]:
-    """batch_means' blocks of n samples: _block_layout's, or n blocks of one below 2 MIN_BLOCKS samples."""
-    return (n, 1) if n < 2 * MIN_BLOCKS else _block_layout(n)
-
-
 def _batch_estimate(sums: np.ndarray, b: int, n: int, var_x) -> tuple[np.ndarray, np.ndarray, float]:
     """Mean, std error and effective sample size from the sums [nb, ...] of blocks of b of n samples.
 
@@ -396,12 +378,12 @@ def _batch_estimate(sums: np.ndarray, b: int, n: int, var_x) -> tuple[np.ndarray
 def batch_means(chains: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, float]:
     """Batch-means mean, std error and effective sample size of chains [n, ...] of one length.
 
-    Each chain is blocked on its own (see _batch_layout and _blocks); the
-    effective sample size's variance is taken over all samples.
+    Each chain is blocked on its own (see _blocks); the effective sample
+    size's variance is taken over all samples.
     """
     x = np.asarray(chains, dtype=float)
-    b = _batch_layout(x.shape[1])[1]
-    sums, flat = _blocks(x, _batch_layout).sum(axis=1), x.reshape(-1, *x.shape[2:])
+    b = _block_layout(x.shape[1])[1]
+    sums, flat = _blocks(x).sum(axis=1), x.reshape(-1, *x.shape[2:])
     return _batch_estimate(sums, b, len(flat), flat.var(axis=0, ddof=1) if b > 1 else None)
 
 
@@ -417,7 +399,7 @@ class BlockSums:
 
     def __init__(self, n_kept: int):
         self.n_kept, self.seen = n_kept, 0  # kept states of each row reduced so far
-        self.nb, self.b = _batch_layout(n_kept)
+        self.nb, self.b = _block_layout(n_kept)
         self.sums = self.shift = self.dev = None
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
@@ -476,9 +458,9 @@ def fluctuation_hessian(u, p: Potential, t: Torus, cfg: ChainConfig, tilt: int =
     u = np.atleast_1d(np.asarray(u, dtype=float))
     d = len(u)
     target = make_gibbs_target(t, p, u, beta=1.0, observable=2)
-    results = run_chains(target, cfg, [(tilt, 0, c) for c in range(cfg.n_chains)], keep=None)
+    results = run_chains(target, cfg, [(tilt, 0, c) for c in range(cfg.n_chains)])
 
-    observables = np.asarray([r.observable for r in results])  # [chains, n, 2 d]: D_u H, then D_u^2 H
+    observables = np.asarray([r.samples for r in results])  # [chains, n, 2 d]: D_u H, then D_u^2 H
     blocks = _blocks(observables)
     b1 = blocks[..., :d]
     # per block: sums of D_u H, their outer products, sums of D_u^2 H, block sizes
@@ -508,7 +490,7 @@ def _phase_stats(gv: Sequence[np.ndarray], k: np.ndarray):
     block before its mean.  The effective sample size is not computed.
     """
     abs_k, where = np.unique(np.abs(k), return_inverse=True)
-    blocks = _blocks(np.asarray(gv, dtype=float), _batch_layout)
+    blocks = _blocks(np.asarray(gv, dtype=float))
     re_blocks, im_blocks = np.empty((2, len(blocks), len(abs_k)))
     trig, gathered = (np.empty((blocks.shape[1], len(abs_k))) for _ in range(2))  # one block's phase array each
     new = np.ones(blocks.shape[1], dtype=bool)
@@ -720,10 +702,10 @@ def thermodynamic_integration(
     nc = cfg.n_chains
     rows = [(tilt, j, c) for j in range(n_nodes) for c in range(nc)]
     target = make_gibbs_target(t, p, np.repeat(s_nodes, nc)[:, None] * u, beta, observable=1)
-    results = run_chains(target, cfg, rows, keep=None)
+    results = run_chains(target, cfg, rows)
     total, var = 0.0, 0.0
     for j, wj in enumerate(0.5 * w):
-        mean, se, _ = batch_means([r.observable for r in results[j * nc : (j + 1) * nc]])
+        mean, se, _ = batch_means([r.samples for r in results[j * nc : (j + 1) * nc]])
         total += wj * float(np.dot(mean, u))
         var += (wj * float(np.dot(se, np.abs(u)))) ** 2
     return Estimate(value=total, std_error=math.sqrt(var), n_effective=float(n_nodes), method="chain")

@@ -148,17 +148,22 @@ def test_energy_grad_leading_axes_match_separate_calls(scaled_b, d, m):
 
 
 def _reference_chains(target, cfg, rows):
-    """The MALA loop of run_chains written plainly, one step at a time."""
+    """The MALA loop of run_chains written plainly, one step at a time.
+
+    Returns each row's kept records (the observable where the target returns
+    one, else the state), the final states, the acceptance rates and the step sizes.
+    """
     n = target.n_dof
     rngs = [stream(cfg.seed, row) for row in rows]
     for rng in rngs:
         rng.standard_normal(n)  # the gradient-check point
     X = np.zeros((len(rows), n))
     E, G, *O = target.energy_grad(X)
+    has_obs = bool(O)
     O = O[0] if O else np.zeros((len(rows), 0))
     h = np.full(len(rows), cfg.step_size if cfg.step_size is not None else target.step_hint)
     window, accepted = np.zeros(len(rows)), np.zeros(len(rows))
-    samples, observable = [], []
+    records = []
     for step in range(cfg.n_steps):
         c = step % NOISE_CHUNK
         if c == 0:
@@ -183,42 +188,46 @@ def _reference_chains(target, cfg, rows):
                 window[:] = 0.0
             continue
         accepted += acc
-        samples.append(X)
-        observable.append(O)
-    return np.stack(samples, axis=1), np.stack(observable, axis=1), accepted / (cfg.n_steps - cfg.burn_in), h
+        records.append(O if has_obs else X)
+    return np.stack(records, axis=1), X, accepted / (cfg.n_steps - cfg.burn_in), h
 
 
 def _assert_matches_reference(target, cfg, rows):
-    """run_chains against _reference_chains: samples, state, observable, acceptance and step size bit for bit."""
-    samples, observable, rate, h = _reference_chains(target, cfg, rows)
-    for r, res in enumerate(run_chains(target, cfg, rows)):
-        assert np.array_equal(res.samples, samples[r])
-        assert np.array_equal(res.state, samples[r, -1])
-        assert np.array_equal(res.observable, observable[r])
+    """run_chains against _reference_chains: kept records, final state, acceptance and step size bit for bit."""
+    records, X, rate, h = _reference_chains(target, cfg, rows)
+    results = run_chains(target, cfg, rows)
+    for r, res in enumerate(results):
+        assert np.array_equal(res.samples, records[r])
+        assert np.array_equal(res.state, X[r])
         assert res.acceptance == rate[r] and res.step_size == h[r]
-    return samples, observable
+    return records, results
+
+
+def _assert_same_chains(a, b):
+    """Two runs of the same rows, with and without an observable: same final states, acceptances and step sizes."""
+    for x, y in zip(a, b, strict=True):
+        assert np.array_equal(x.state, y.state)
+        assert x.acceptance == y.acceptance and x.step_size == y.step_size
 
 
 def test_run_chains_matches_reference_loop(scaled_b):
-    # samples, observables, acceptance and frozen step size agree bit for bit,
-    # with a tuning update inside a noise chunk (step 75 of chunk 64..127) and
-    # with a fixed step size; a keep function reduced chunk by chunk (110 and
-    # 130 kept states: uneven last chunks) gives its values at every kept
-    # state, and keep=None keeps no state
+    # kept records (states, or the observable where the target returns one),
+    # final state, acceptance and frozen step size agree bit for bit, with a
+    # tuning update inside a noise chunk (step 75 of chunk 64..127) and with a
+    # fixed step size; a keep function reduced chunk by chunk (110 and 130 kept
+    # states: uneven last chunks) gives its values at every kept record
     ps, k = scaled_b
     t = Torus(2, 3)
     tilts = k * np.array([[0.0, 0.0], [0.25, 0.1], [0.5, 0.5]])
     psi = np.concatenate([[0.0], 0.3 * np.random.default_rng(4).standard_normal(t.n_dof)])
     rows = [(2, 0, 0), (2, 1, 0), (2, 2, 1)]
-    for target in (make_gibbs_target(t, ps, tilts, 1.0), make_h1_target(t, ps, tilts, psi, 0.4)):
+    gibbs_obs = make_gibbs_target(t, ps, tilts, 1.0, observable=True)
+    for target in (make_gibbs_target(t, ps, tilts, 1.0), gibbs_obs, make_h1_target(t, ps, tilts, psi, 0.4)):
         for cfg in (ChainConfig(n_steps=200, burn_in=90, seed=8), ChainConfig(n_steps=150, burn_in=20, seed=9, step_size=0.3)):
-            samples, observable = _assert_matches_reference(target, cfg, rows)
+            records, _ = _assert_matches_reference(target, cfg, rows)
             reduce = lambda X: np.stack([X.sum(axis=-1), np.abs(X).max(axis=-1)], axis=-1)
-            for res, values in zip(run_chains(target, cfg, rows, keep=reduce), reduce(samples)):
+            for res, values in zip(run_chains(target, cfg, rows, keep=reduce), reduce(records)):
                 assert np.array_equal(res.samples, values)
-            for r, res in enumerate(run_chains(target, cfg, rows, keep=None)):
-                assert res.samples.shape == (0, t.n_dof)
-                assert np.array_equal(res.observable, observable[r])
     with pytest.raises(ValueError, match="keep"):
         run_chains(target, cfg, rows, keep="state")
 
@@ -227,26 +236,28 @@ def test_run_chains_matches_reference_loop(scaled_b):
     # (step 1599 = 25 * 64 - 1), so the next chunk starts at the new h
     cfg = ChainConfig(n_steps=1700, burn_in=1600, seed=12)
     assert cfg.burn_in % 25 == 0 and cfg.burn_in % NOISE_CHUNK == 0
-    gibbs_obs = make_gibbs_target(t, ps, tilts, 1.0, observable=True)
     for target in (gibbs_obs, make_h1_target(t, ps, tilts, psi, 0.4)):
         _assert_matches_reference(target, cfg, rows)
 
     # four rows, tuned: steps where every row, no row, one or two rows (copied
     # row by row) and three rows (masked copies) accept all occur.  The
-    # reference calls the target at the start state, then once per step; after
-    # burn-in a row accepted a step when its kept state is that step's proposal
-    four = make_gibbs_target(t, ps, k * np.linspace(0.0, 0.5, 4)[:, None] * np.ones(2), 1.0, observable=True)
-    proposals = []
+    # observable is copied with the state in every branch; the same rows run
+    # without it keep their states, and the two runs move alike.  The reference
+    # calls the target at the start state, then once per step; after burn-in a
+    # row accepted a step when its kept state is that step's proposal
+    tilts4 = k * np.linspace(0.0, 0.5, 4)[:, None] * np.ones(2)
+    four, proposals = make_gibbs_target(t, ps, tilts4, 1.0), []
 
     def recorded(Y):
         proposals.append(Y.copy())
         return four.energy_grad(Y)
 
-    cfg = ChainConfig(n_steps=900, burn_in=600, seed=13)
-    target = Target(energy_grad=recorded, n_dof=t.n_dof, step_hint=four.step_hint)
-    samples, _ = _assert_matches_reference(target, cfg, [(4, j, 0) for j in range(4)])
+    cfg, rows4 = ChainConfig(n_steps=900, burn_in=600, seed=13), [(4, j, 0) for j in range(4)]
+    samples, plain = _assert_matches_reference(Target(recorded, t.n_dof, four.step_hint), cfg, rows4)
     proposed = np.stack(proposals[1 + cfg.burn_in : 1 + cfg.n_steps], axis=1)
     assert set(np.all(samples == proposed, axis=-1).sum(axis=0).tolist()) == {0, 1, 2, 3, 4}
+    _, observed = _assert_matches_reference(make_gibbs_target(t, ps, tilts4, 1.0, observable=True), cfg, rows4)
+    _assert_same_chains(plain, observed)
 
 
 def test_batched_targets_match_single_field_energies(pot_a):
@@ -275,21 +286,26 @@ def test_batched_targets_match_single_field_energies(pot_a):
 
 def test_row_samples_independent_of_batch(scaled_b):
     # a row run alone and inside a 64-row ensemble with other tilts gives the
-    # same samples, observables and frozen step size, bit for bit, for the
-    # Gibbs target and for the induced h1 target
+    # same kept records, final state and frozen step size, bit for bit, for the
+    # Gibbs target with and without its observable and for the induced h1 target
     ps, k = scaled_b
     t = Torus(2, 3)
     cfg = ChainConfig(n_steps=700, burn_in=300, seed=5)
     tilts = k * np.linspace(0.0, 0.5, 64)[:, None] * np.array([1.0, 0.5])
     rows = [(1, j // 2, j % 2) for j in range(64)]
     psi = np.concatenate([[0.0], 0.3 * np.random.default_rng(6).standard_normal(t.n_dof)])
-    for make in (lambda u: make_gibbs_target(t, ps, u, 1.0), lambda u: make_h1_target(t, ps, u, psi, 0.4)):
+    makes = (
+        lambda u: make_gibbs_target(t, ps, u, 1.0),
+        lambda u: make_gibbs_target(t, ps, u, 1.0, observable=True),
+        lambda u: make_h1_target(t, ps, u, psi, 0.4),
+    )
+    for make in makes:
         ensemble = run_chains(make(tilts), cfg, rows)
         for r in (0, 37, 63):
             alone = run_chains(make(tilts[r]), cfg, [rows[r]])[0]
             assert alone.row == ensemble[r].row == rows[r]
             assert np.array_equal(alone.samples, ensemble[r].samples)
-            assert np.array_equal(alone.observable, ensemble[r].observable)
+            assert np.array_equal(alone.state, ensemble[r].state)
             assert alone.step_size == ensemble[r].step_size
         assert not np.array_equal(ensemble[0].samples, ensemble[1].samples)
 
@@ -402,40 +418,40 @@ def test_fluctuation_hessian_gaussian_exact(pot_gauss):
 
 def test_fluctuation_hessian_observable_is_both_tilt_derivatives(scaled_b, monkeypatch):
     # the Hessian target's observable is D_u H and then D_u^2 H from the step's
-    # fused pass: on stored states they are the sums of V' and V'' over each
-    # axis's bonds, and the estimate is the plain formula over the blocked
-    # observable.  A row alone is bit for bit that row inside an ensemble
+    # fused pass: on the states of the same chains run without the observable
+    # (same final states and acceptances, bit for bit) they are the sums of V'
+    # and V'' over each axis's bonds, and the estimate is the plain formula over
+    # the blocked observable.  A row alone is bit for bit that row inside an ensemble
     import gil.mcmc
 
     ps, k = scaled_b
     t = Torus(2, 3)
     u = k * np.array([0.3, 0.1])
     real, runs = gil.mcmc.run_chains, []
-
-    def stored(target, cfg, rows, keep):
-        runs.append(real(target, cfg, rows, keep="states"))
-        return runs[-1]
-
-    monkeypatch.setattr(gil.mcmc, "run_chains", stored)
+    monkeypatch.setattr(gil.mcmc, "run_chains", lambda *args: runs.append(real(*args)) or runs[-1])
     cfg = ChainConfig(n_steps=400, burn_in=100, seed=3)
     est = fluctuation_hessian(u, ps, t, cfg)
-    for r in runs[0]:
-        for x, obs in zip(r.samples, r.observable):
+    observed, = runs
+    stored = real(make_gibbs_target(t, ps, u, 1.0), cfg, [r.row for r in observed])
+    _assert_same_chains(stored, observed)
+    for s, o in zip(stored, observed):
+        assert o.samples.shape == (300, 4)
+        for x, obs in zip(s.samples, o.samples):
             vals = Field.from_dof(t, x).values
             bonds = vals[t.forward] - vals + u[:, None]
             np.testing.assert_allclose(obs[:2], ps.dv(bonds).sum(axis=1), rtol=1e-13)
             np.testing.assert_allclose(obs[2:], ps.d2v(bonds).sum(axis=1), rtol=1e-12)
-    obs = np.concatenate([r.observable for r in runs[0]])  # 300 kept states per chain: 20 whole blocks of 15
+    obs = np.concatenate([r.samples for r in observed])  # 300 kept steps per chain: 20 whole blocks of 15
     plain = np.diag(obs[:, 2:].mean(axis=0)) - np.cov(obs[:, :2].T)
     np.testing.assert_allclose(est.value, plain, rtol=1e-12, atol=1e-12)
 
     tilts = u * np.array([[1.0], [0.5], [2.0]])
     rows = [(0, 0, 0), (0, 0, 1), (1, 0, 0)]
-    ensemble = real(make_gibbs_target(t, ps, tilts, 1.0, observable=2), cfg, rows, keep=None)
+    ensemble = real(make_gibbs_target(t, ps, tilts, 1.0, observable=2), cfg, rows)
     for r, row in enumerate(rows):
-        alone = real(make_gibbs_target(t, ps, tilts[r], 1.0, observable=2), cfg, [row], keep=None)[0]
-        assert alone.observable.shape == (300, 4)
-        assert np.array_equal(alone.observable, ensemble[r].observable)
+        alone = real(make_gibbs_target(t, ps, tilts[r], 1.0, observable=2), cfg, [row])[0]
+        assert alone.samples.shape == (300, 4)
+        assert np.array_equal(alone.samples, ensemble[r].samples)
         assert np.array_equal(alone.state, ensemble[r].state)
 
 
@@ -465,17 +481,25 @@ def test_fluctuation_hessian_requires_unit_scale():
 
 
 def test_fluctuation_hessian_matches_oracle(pot_a, pot_b, pot_c):
-    # each family in hypothesis in d = 1 (half its primary-condition
-    # threshold): the chain row against the conditioning oracle's direct tilt
-    # Hessian, within 3 standard errors plus the oracle's reported error
-    t = Torus(1, 3)
-    cfg = ChainConfig(n_steps=30_000, burn_in=3_000, seed=17, n_chains=2)
-    for p in (pot_a, pot_b, pot_c):
-        ps, k = scale_to_unit(p, check_conditions(1.0, 1, p, norms(p)).beta_max_fcond / 2.0)
-        est = fluctuation_hessian([k * 0.25], ps, t, cfg)
-        H, err = f_tilt_hessian([k * 0.25], ps, t, 1.0)
+    # each family in d = 1: the chain row against the conditioning oracle's
+    # direct tilt Hessian, within 3 standard errors plus the oracle's reported
+    # error.  At half its primary-condition threshold (in hypothesis) the row
+    # sits within a few SE of the Gaussian value m c1 = m; at 100x (example_a,
+    # example_b) or 10x (example_c) the threshold it sits at least 15 SE away,
+    # so the check pins each family's g''
+    def check(p, factor, t, u, cfg, gap=0.0):
+        ps, k = scale_to_unit(p, check_conditions(1.0, 1, p, norms(p)).beta_max_fcond * factor)
+        est = fluctuation_hessian([k * u], ps, t, cfg)
+        H, err = f_tilt_hessian([k * u], ps, t, 1.0)
         diff, se = abs(float(est.value[0, 0]) - H[0, 0]), float(est.std_error[0, 0])
-        assert diff <= 3.0 * se + err, (p.family, diff, se, err)
+        assert diff <= 3.0 * se + err, (p.family, factor, diff, se, err)
+        assert abs(H[0, 0] - t.volume) >= gap * se, (p.family, factor, H[0, 0], se)
+
+    for p in (pot_a, pot_b, pot_c):
+        check(p, 0.5, Torus(1, 3), 0.25, ChainConfig(n_steps=30_000, burn_in=3_000, seed=17, n_chains=2))
+    cfg = ChainConfig(n_steps=4_000, burn_in=500, seed=17, n_chains=2)
+    for p, factor in ((pot_a, 100.0), (pot_b, 100.0), (pot_c, 10.0)):
+        check(p, factor, Torus(1, 8), 0.3, cfg, gap=15.0)
 
 
 def test_fluctuation_hessian_symmetric(scaled_b):
@@ -612,7 +636,7 @@ def test_poincare_variance_check_matches_per_direction_jackknife(n):
     rng = np.random.default_rng(n)
     samples, vs = rng.standard_normal((n, 6)), rng.standard_normal((5, 6))
     rep = poincare_variance_check([samples @ vs.T], 1.0, vs)
-    nb = min(n, max(20, math.isqrt(n)))
+    nb = n if n < 40 else max(20, math.isqrt(n))  # 37 blocks of one
     b = n // nb
     for j, v in enumerate(vs):
         x = samples[: nb * b] @ v
@@ -626,9 +650,10 @@ def test_poincare_variance_check_matches_per_direction_jackknife(n):
 @pytest.mark.parametrize("width", [None, 1, 2])
 def test_blocks_match_slice_loop(n, width):
     # block sums, means and outer products over the blocked view are bitwise those
-    # of explicit slices: nb = min(n, max(20, floor(sqrt n))) blocks of n // nb, tail dropped
+    # of explicit slices: n blocks of one below 40 samples, else nb = max(20,
+    # floor(sqrt n)) blocks of n // nb, tail dropped
     x = np.random.default_rng(n).standard_normal(n if width is None else (n, width))
-    nb = min(n, max(20, math.isqrt(n)))
+    nb = n if n < 40 else max(20, math.isqrt(n))
     b = n // nb
     slices = [x[i * b : (i + 1) * b] for i in range(nb)]
     blocks = _blocks(x[None])

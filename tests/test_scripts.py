@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -86,3 +87,39 @@ def test_peak_memory_prints_every_command():
     rows = [line.split(",") for line in lines[1:]]
     assert [r[0] for r in rows] == ["hessian", "verify-lemma", "sample", "renorm_iterated_g", "r1g_mc"]
     assert all(float(r[1]) > float(r[2]) > 0.0 for r in rows)
+
+
+def test_bench_pairs_summarizes_alternating_pairs():
+    # the summary of synthetic runs, without running the benchmark: quartiles
+    # (statistics.quantiles) of the paired runs only, the median's relative
+    # change, wins and ties per pair; a run that was not correct marks its workload
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    bp = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bp)
+    assert list(bp.seeds("101-104")) == [101, 102, 103, 104] and list(bp.seeds("7")) == [7]
+    assert [bp.order(i) for i in range(3)] == [("parent", "change"), ("change", "parent"), ("parent", "change")]
+
+    def run(side, seed, wall, workload="ti_short_chains", correct=True):
+        return {"side": side, "seed": seed, "workload": workload, "correct": correct, "failed": int(not correct),
+                "wall_ref_s": wall, "setup_s": 0.1, "peak_rss_mb": 40.0 + seed, "ops_ok_frac": 1.0}
+
+    walls = [(1.0, 0.5), (2.0, 2.0), (3.0, 3.5), (4.0, 2.5), (5.0, 4.0)]
+    runs = [run(side, seed, w) for seed, pair in enumerate(walls, 1) for side, w in zip(("parent", "change"), pair)]
+    runs[-1]["correct"] = False
+    runs += [run("parent", 6, 9.0), run("change", 1, 0.2, "oracle_backends"), run("parent", 1, 0.25, "oracle_backends")]
+    summary = bp.summarize(runs)
+    assert list(summary) == ["ti_short_chains", "oracle_backends"]
+    ti = summary["ti_short_chains"]
+    assert (ti["pairs"], ti["correct"], ti["failed_runs"]) == (5, False, 1)
+    assert ti["wall_ref_s"] == {
+        "parent_q1_med_q3": [1.5, 3.0, 4.5],
+        "change_q1_med_q3": [1.25, 2.5, 3.75],
+        "median_change_rel": (2.5 - 3.0) / 3.0,
+        "change_lower": 3,
+        "ties": 1,
+    }
+    assert ti["setup_s"]["ties"] == 5 and ti["setup_s"]["median_change_rel"] == 0.0
+    assert ti["peak_rss_mb"]["parent_q1_med_q3"] == [41.5, 43.0, 44.5]
+    ob = summary["oracle_backends"]
+    assert (ob["pairs"], ob["correct"], ob["failed_runs"]) == (1, True, 0)
+    assert ob["wall_ref_s"]["parent_q1_med_q3"] == [0.25] * 3 and ob["wall_ref_s"]["change_lower"] == 1
