@@ -2,7 +2,7 @@
 """End-to-end demonstration of the one-step scale decomposition on a tiny torus.
 
 Prints, for example_b at half its threshold temperature: the split parameter,
-the convexity certificate of the induced Hamiltonian, the agreement between the
+the closed-form convexity certificate of the induced Hamiltonian, the agreement between the
 iterated and joint evaluations of the composed renormalization map, and the
 reconstruction of the free energy from the decomposition.
 
@@ -34,8 +34,8 @@ def main():
     print(f"example_b(delta={args.delta}) at beta = {beta:.6g} (half threshold)")
     print(f"  cbar = {plan.cbar:.6g}, lambda = {plan.lam:.6g}")
 
-    cert = certify_h1_convexity(plan, [0.2], Field.zeros(t), n_probes=500, seed=1)
-    print(f"  induced Hamiltonian convexity: ok={cert.ok}, min gradient margin = {cert.min_margin_grad:.3e}")
+    cert = certify_h1_convexity(plan)
+    print(f"  induced Hamiltonian convexity: ok={cert.ok}, margin 1/lambda - c0 - cbar = {cert.min_margin_grad:.3e}")
 
     for u in (0.0, 0.3):
         it = renorm_iterated_g(ps, plan.lam, [u], t)

@@ -17,10 +17,12 @@ renorm.estimate_r1g Monte Carlo of 100000 samples at the base field with dof
 (0.4, -0.2).  The norms rows time potentials.norms, all four g0 norms at
 tol 1e-8, once per family, and the verify_theorem row the benchmark's
 hessian_gh config (example_a(0.5), beta = 1, Torus(1, 5), u in {0, 0.5}),
-whose only g0 norm is the concave mass.  A figure is the fastest of
+whose only g0 norm is the concave mass.  The poincare rows time
+gff.poincare_constant, the secular root over the closed-form spectrum, on
+Torus(2, 32), Torus(2, 64) and Torus(2, 128).  A figure is the fastest of
 --repeats calls.  points is the conditioning grid size or the GH order;
-Mayer, the Hessian, the criterion-5, norms and verify_theorem rows report
-neither and write 0.
+Mayer, the Hessian, the criterion-5, norms, verify_theorem and poincare rows
+report neither and write 0.
 Prints CSV: route,config,points,ms_per_call.
 
 Usage: python scripts/time_oracle_routes.py [--repeats 5]
@@ -38,6 +40,7 @@ os.environ["OMP_NUM_THREADS"] = "1"
 import numpy as np
 
 from gil.conditions import check_conditions, scale_to_unit
+from gil.gff import poincare_constant
 from gil.lattice import Field, Torus
 from gil.oracle import f_tilt_hessian, renorm_iterated_g
 from gil.potentials import example_a, example_b, example_c, norms
@@ -60,6 +63,7 @@ ROUTES = (
 )
 # (family, d, m, beta as in ROUTES, u)
 HESSIANS = (("a", 1, 8, BETA_A, U), ("b", 1, 5, None, 0.0))
+POINCARE_SIDES = (32, 64, 128)  # d = 2
 
 
 def setup(family: str, d: int, beta):
@@ -110,6 +114,9 @@ def main():
         print(f"norms,{family}_tol1e-08,0,{ms:.3f}", flush=True)
     ms, _ = best_ms(lambda: verify_theorem(FAMILIES["a"], 1.0, Torus(1, 5), [[0.0], [0.5]]), args.repeats)
     print(f"verify_theorem,a_d1_m5_beta1_u0;0.5,0,{ms:.3f}", flush=True)
+    for m in POINCARE_SIDES:
+        ms, _ = best_ms(lambda: poincare_constant(Torus(2, m)), args.repeats)
+        print(f"poincare,d2_m{m},0,{ms:.3f}", flush=True)
 
 
 if __name__ == "__main__":

@@ -72,7 +72,7 @@ MIN_BLOCKS = 20
 NOISE_CHUNK = 64  # steps of noise drawn at once per row; fixed, so streams do not depend on the batch
 SLICE_VALUES = 2**13  # values per slice of the gradient check's shifted states, so its arrays stay in cache
 # purpose words of the streams drawn outside any chain row
-AUX_STREAMS = {"observables": 0xB5, "probes": 0xC0, "r1g": 0x51}
+AUX_STREAMS = {"observables": 0xB5, "r1g": 0x51}
 
 
 def stream(seed: int, row: tuple = (), purpose: str | None = None) -> np.random.Generator:

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .conditions import scale_to_unit
-from .gff import ModeBasis
+from .gff import spectrum
 from .lattice import Torus, bond_args, pinned
 from .potentials import Potential
 from .quadrature import (
@@ -85,11 +85,12 @@ def free_energy(u, p: Potential, t: Torus, beta: float) -> float:
 
     In the unit frame log Z^beta(u) = -(n/2) log(beta c1) + log Z^1(k u), and the
     exact Gaussian part of log Z^1 is (n/2) log(2 pi) - (1/2) log det of the
-    pinned form.  f_tilt comes first, so a torus no route serves fails before
-    the dense eigensolve.
+    pinned form.  By the matrix-tree theorem that determinant is the product
+    of the nonzero torus eigenvalues over |T|, so the Gaussian part costs one
+    sum over the closed-form spectrum.
     """
     tilt = f_tilt(u, p, t, beta)
-    log_det = float(np.sum(np.log(ModeBasis.build(t).lam)))
+    log_det = float(np.sum(np.log(spectrum(t)[1:]))) - math.log(t.volume)
     log_z_gauss = 0.5 * t.n_dof * math.log(2.0 * math.pi / (beta * p.c1)) - 0.5 * log_det
     return tilt - log_z_gauss / beta
 

@@ -29,9 +29,9 @@ with no fallback between routes:
                 and its curvature in a uniform bond shift, the d = 1 tilt
                 Hessian, and stops once both errors, floored at rounding, are
                 below EXACT_TOL.
-  gh            d >= 2 otherwise: tensor-product Gauss-Hermite in
-                gff.ModeBasis, the eigenbasis of the pinned form that
-                sample_gff also draws in, with node doubling from
+  gh            d >= 2 otherwise: tensor-product Gauss-Hermite over the
+                amplitudes of gff.fourier_modes, the torus's real Fourier
+                modes that sample_gff also draws in, with node doubling from
                 GH_START_ORDER until the change drops below GH_TOL; raises
                 QuadratureError when it does not converge by GH_MAX_ORDER or
                 GH_POINT_CAP.
@@ -45,8 +45,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gff import ModeBasis, bond_matrix
-from .lattice import Torus, anharmonic_g, bond_args, pinned
+from .gff import fourier_modes
+from .lattice import Torus, anharmonic_g, bond_args, grad_all, pinned
 from .potentials import Potential
 
 __all__ = [
@@ -124,10 +124,11 @@ def _gh_tensor(order: int, sigmas: np.ndarray):
 
 
 def gh_log_expectation(gfun, t: Torus, scale: float, order: int) -> float:
-    """One fixed-order tensor GH evaluation of log E[exp(-gfun(dof))]."""
-    mb = ModeBasis.build(t)
-    pts, logW = _gh_tensor(order, np.sqrt(scale / mb.lam))
-    gv = gfun(pts @ mb.Q.T)
+    """One fixed-order tensor GH evaluation of log E[exp(-gfun(dof))] over the Fourier amplitudes w: dof = S w - (S w)(0)."""
+    lam, S = fourier_modes(t)
+    pts, logW = _gh_tensor(order, np.sqrt(scale / lam))
+    fields = pts @ S.T
+    gv = gfun(fields[:, 1:] - fields[:, :1])
     m = np.max(logW - gv)
     return float(m + np.log(np.sum(np.exp(logW - gv - m))))
 
@@ -456,12 +457,13 @@ def mayer_log_expectation(
 
 
 def field_bond_map(t: Torus, scale: float) -> np.ndarray:
-    """Linear map from latent standard normal modes to bond gradients at a scale.
+    """Linear map from latent standard normal Fourier amplitudes to bond gradients at a scale.
 
-    Rows are ordered axis-major like bond_matrix and like bond_args(...).ravel().
+    Column j is the gradient of mode S[:, j] times sqrt(scale / lam_j); rows
+    are ordered axis-major like bond_args(...).ravel().
     """
-    mb = ModeBasis.build(t)
-    return bond_matrix(t) @ mb.Q @ np.diag(np.sqrt(scale / mb.lam))
+    lam, S = fourier_modes(t)
+    return grad_all(t, S.T).reshape(len(lam), -1).T * np.sqrt(scale / lam)
 
 
 def log_expectation(

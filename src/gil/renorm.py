@@ -4,9 +4,9 @@ The pinned Gaussian splits into independent layers with Dirichlet weights at
 scales lambda and 1 - lambda; integrating the small-variance layer first turns
 the bond energy G into an effective Hamiltonian whose convexity, with
 lambda = 1/(2 cbar), carries the margin cbar ||grad theta_dot||^2.  This module
-certifies that margin probe-wise, estimates the one-layer map R1 G by quadrature
-or Monte Carlo, verifies the finite-difference curvature bounds of the composed
-map, and drives the end-to-end convexity verification of the free energy.
+certifies that margin in closed form, estimates the one-layer map R1 G by
+quadrature or Monte Carlo, verifies the finite-difference curvature bound of
+R1 G, and drives the end-to-end convexity verification of the free energy.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ import numpy as np
 
 from .conditions import cbar, primary_condition, scale_to_unit
 from .gff import poincare_constant
-from .lattice import Torus, Field, bond_args, grad_all, grad_norm_sq, pinned
+from .lattice import Torus, Field, bond_args, grad_norm_sq, pinned
 from .mcmc import ChainConfig, Estimate, Target, make_h1_target, fluctuation_hessian, stream, _blocks, _jackknife
-from .oracle import ORACLE_ERROR, f_tilt, f_tilt_hessian, hessian_fd, renorm_iterated_g
+from .oracle import ORACLE_ERROR, f_tilt, f_tilt_hessian, hessian_fd
 from .potentials import Potential, norm
 from .quadrature import SLAB_VALUES, QuadratureError, field_bond_map, log_expectation
 
@@ -32,7 +32,6 @@ __all__ = [
     "certify_h1_convexity",
     "estimate_r1g",
     "verify_c6",
-    "verify_c7",
     "verify_theorem",
     "TheoremRow",
 ]
@@ -70,40 +69,24 @@ def induced_h1(plan: DecompositionPlan, u, psi: Field) -> Target:
 @dataclass(frozen=True)
 class ConvexityCertificate:
     ok: bool
-    min_margin_grad: float   # min over probes of D2H1(th)(td, td) - cbar ||grad td||^2
-    min_margin_l2: float     # same against cbar delta_m ||td||^2
-    n_probes: int
-    witness: tuple | None    # (theta, theta_dot) for the worst gradient-margin probe
+    min_margin_grad: float   # a: D2H1(th)(td, td) - cbar ||grad td||^2 >= a ||grad td||^2
+    min_margin_l2: float     # a delta_m: the same against cbar delta_m ||td||^2, per ||td||^2, when 1/lambda >= c0
 
 
-def certify_h1_convexity(
-    plan: DecompositionPlan, u, psi: Field, n_probes: int = 1000, seed: int = 0, tol: float = 1e-8
-) -> ConvexityCertificate:
-    """Probe D^2 H1 >= cbar ||grad .||^2 >= cbar delta_m ||.||^2 on random pairs.
+def certify_h1_convexity(plan: DecompositionPlan, tol: float = 1e-8) -> ConvexityCertificate:
+    """D^2 H1 >= cbar ||grad .||^2 >= cbar delta_m ||.||^2 in closed form, at every u, psi and theta.
 
-    The quadratic form is exact: sum g''(u_i + grad_i(psi + theta)) (grad_i
-    theta_dot)^2 + ||grad theta_dot||^2 / lambda with g'' = V'' - 1.  Probe j is
-    the pair (theta, theta_dot) = draws[j] of one (n_probes, 2, n_dof) normal draw.
+    The quadratic form is sum g''(u_i + grad_i(psi + theta)) (grad_i
+    theta_dot)^2 + ||grad theta_dot||^2 / lambda, and in the unit frame
+    g'' = V'' - 1 >= g0'' >= -c0, so it exceeds cbar ||grad theta_dot||^2 by
+    at least a ||grad theta_dot||^2 with a = 1/lambda - c0 - cbar.  With the
+    Poincare constant, ||grad theta_dot||^2 >= delta_m ||theta_dot||^2, the
+    L2 margin is a delta_m whenever 1/lambda >= c0.  The certificate holds
+    exactly when a >= -tol.
     """
-    t = plan.torus
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    delta_m = poincare_constant(t)
-    draws = pinned(stream(seed, purpose="probes").standard_normal((n_probes, 2, t.n_dof)))
-    theta, tdot = draws[:, 0], draws[:, 1]
-    gdot2 = grad_all(t, tdot) ** 2
-    gn = gdot2.sum(axis=(1, 2))
-    quad = ((plan.potential.d2v(bond_args(t, psi.values + theta, u)) - 1.0) * gdot2).sum(axis=(1, 2)) + gn / plan.lam
-    margin_grad = quad - plan.cbar * gn
-    worst = int(np.argmin(margin_grad))
-    worst_grad = float(margin_grad[worst])
-    worst_l2 = float(np.min(quad - plan.cbar * delta_m * (tdot * tdot).sum(axis=1)))
-    ok = worst_grad >= -tol and worst_l2 >= -tol
+    margin = 1.0 / plan.lam - plan.potential.c0 - plan.cbar
     return ConvexityCertificate(
-        ok=ok,
-        min_margin_grad=worst_grad,
-        min_margin_l2=worst_l2,
-        n_probes=n_probes,
-        witness=None if ok else (theta[worst], tdot[worst]),
+        ok=margin >= -tol, min_margin_grad=margin, min_margin_l2=margin * poincare_constant(plan.torus)
     )
 
 
@@ -163,14 +146,6 @@ class CurvatureBoundReport:
     margins: np.ndarray
 
 
-def _curvature_bound_report(lines: list, tol: float, h: float) -> CurvatureBoundReport:
-    """FD second derivative at 0 of each line f in (f, bound) pairs against its lower bound."""
-    vals = np.array([hessian_fd(f, 0.0, h)[0, 0] for f, _ in lines])
-    bounds = np.array([bound for _, bound in lines])
-    margins = vals - bounds
-    return CurvatureBoundReport(ok=bool(np.all(margins >= -tol)), values=vals, bounds=bounds, margins=margins)
-
-
 def verify_c6(
     plan: DecompositionPlan,
     u,
@@ -186,39 +161,19 @@ def verify_c6(
     """
     t = plan.torus
     u = np.atleast_1d(np.asarray(u, dtype=float))
-
-    def line(du, dpsi_dof):
+    vals, bounds = [], []
+    for du, dpsi_dof in directions:
         du = np.atleast_1d(np.asarray(du, dtype=float))
         dpsi = pinned(dpsi_dof)
 
         def f(s):
             return -log_expectation(t, plan.potential, u + s[0] * du, plan.lam, psi_values=psi.values + s[0] * dpsi)[0]
 
-        return f, -0.5 * (t.volume * float(du @ du) + grad_norm_sq(t, dpsi))
-
-    return _curvature_bound_report([line(du, dpsi) for du, dpsi in directions], tol, h)
-
-
-def verify_c7(
-    plan: DecompositionPlan,
-    u,
-    u_dirs,
-    tol: float = 1e-6,
-    h: float = 1e-3,
-) -> CurvatureBoundReport:
-    """FD curvature of the fully integrated map against -|T| |du|^2 / 2."""
-    t = plan.torus
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-
-    def line(du):
-        du = np.atleast_1d(np.asarray(du, dtype=float))
-
-        def f(s):
-            return renorm_iterated_g(plan.potential, plan.lam, u + s[0] * du, t)
-
-        return f, -0.5 * t.volume * float(du @ du)
-
-    return _curvature_bound_report([line(du) for du in u_dirs], tol, h)
+        vals.append(hessian_fd(f, 0.0, h)[0, 0])
+        bounds.append(-0.5 * (t.volume * float(du @ du) + grad_norm_sq(t, dpsi)))
+    vals, bounds = np.array(vals), np.array(bounds)
+    margins = vals - bounds
+    return CurvatureBoundReport(ok=bool(np.all(margins >= -tol)), values=vals, bounds=bounds, margins=margins)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from gil.conditions import check_conditions, scale_to_unit
-from gil.gff import pinned_form
 from gil.lattice import Field, Torus, bond_args, bond_divergence, grad_all, grad_norm_sq, pinned
 from gil.mcmc import ChainConfig
 from gil.potentials import example_a, example_b, example_c, gaussian_potential, norms
@@ -100,6 +99,36 @@ def induced_h1_grad(t: Torus, p, u, psi_values, theta_dof, lam: float) -> np.nda
     theta = pinned(theta_dof)
     arg = bond_args(t, psi_values + theta, u)
     return bond_divergence(t, (p.dv(arg) - arg) + grad_all(t, theta) / lam)
+
+
+def h1_form_probes(plan, u, psi_values, n_probes: int, rng: np.random.Generator):
+    """The exact quadratic form D^2 H1(theta)(theta_dot, theta_dot) on random pinned pairs.
+
+    D^2 H1 = sum g''(u_i + grad_i(psi + theta)) (grad_i theta_dot)^2 + ||grad theta_dot||^2 / lambda
+    with g'' = V'' - 1; returns (form, ||grad theta_dot||^2, ||theta_dot||^2), each (n_probes,).
+    """
+    t = plan.torus
+    draws = pinned(rng.standard_normal((n_probes, 2, t.n_dof)))
+    theta, tdot = draws[:, 0], draws[:, 1]
+    gdot2 = grad_all(t, tdot) ** 2
+    gn = gdot2.sum(axis=(1, 2))
+    g2 = plan.potential.d2v(bond_args(t, psi_values + theta, u)) - 1.0
+    return (g2 * gdot2).sum(axis=(1, 2)) + gn / plan.lam, gn, (tdot * tdot).sum(axis=1)
+
+
+def bond_matrix(t: Torus) -> np.ndarray:
+    """Dense reference: the linear map from dof vectors to all d * volume bond gradients.
+
+    Row (i * volume + x) carries grad_i phi(x) with phi(0) = 0 implicit.
+    """
+    n = t.n_dof
+    return grad_all(t, pinned(np.eye(n))).reshape(n, -1).T
+
+
+def pinned_form(t: Torus) -> np.ndarray:
+    """Dense reference: the Dirichlet form on the non-origin coordinates, dof . A dof = ||grad phi||^2."""
+    D = bond_matrix(t)
+    return D.T @ D
 
 
 def pinned_covariance(t: Torus) -> np.ndarray:

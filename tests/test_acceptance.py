@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import h1_form_probes
 from gil.cli import main as cli_main
 from gil.conditions import check_conditions, scale_to_unit
 from gil.gff import poincare_constant
@@ -150,6 +151,7 @@ def test_criterion_5_decomposition_identity(b_setting):
 
 
 def test_criterion_6_induced_convexity():
+    # the certificate is closed form; random probes of the exact form check it
     t0 = time.time()
     settings = []
     for maker, tag in ((lambda: example_a(0.5), "a"), (lambda: example_b(0.5), "b")):
@@ -158,13 +160,17 @@ def test_criterion_6_induced_convexity():
         ps, _ = scale_to_unit(p, beta)
         settings.append((ps, tag))
     for t in (Torus(1, 4), Torus(2, 3)):
+        delta_m = poincare_constant(t)
         for ps, tag in settings:
             plan = DecompositionPlan.from_potential(ps, t)
             u = np.full(t.d, 0.2)
-            cert = certify_h1_convexity(plan, u, Field.zeros(t), n_probes=1000, seed=61, tol=1e-8)
+            cert = certify_h1_convexity(plan, tol=1e-8)
             assert cert.ok, (tag, t, cert.min_margin_grad, cert.min_margin_l2)
             assert cert.min_margin_grad >= -1e-8
             assert cert.min_margin_l2 >= -1e-8
+            form, gn, l2 = h1_form_probes(plan, u, np.zeros(t.volume), 1000, np.random.default_rng(61))
+            assert np.all(form - plan.cbar * gn >= cert.min_margin_grad * gn - 1e-12 * form), (tag, t)
+            assert np.all(form - plan.cbar * delta_m * l2 >= cert.min_margin_l2 * l2 - 1e-12 * form), (tag, t)
     elapsed = time.time() - t0
     assert elapsed < 120
     _report("criterion 6 (induced convexity)", elapsed, 120)

@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gil.gff import (
-    ModeBasis,
-    bond_matrix,
-    pinned_form,
-    poincare_constant,
-    sample_gff,
-    spectrum,
-)
+import math
+import time
+
+from gil.gff import fourier_modes, poincare_constant, sample_gff, spectrum
 from gil.lattice import Torus, grad_all, grad_norm_sq
+from gil.oracle import free_energy
+from gil.potentials import gaussian_potential
+from gil.quadrature import field_bond_map
 
 
 def full_dirichlet_matrix(t):
@@ -18,7 +17,7 @@ def full_dirichlet_matrix(t):
     D = grad_all(t, np.eye(t.volume)).reshape(t.volume, -1).T
     return D.T @ D
 
-from conftest import pinned_covariance, random_pinned
+from conftest import bond_matrix, pinned_covariance, pinned_form, random_pinned
 
 
 @pytest.mark.parametrize(
@@ -40,24 +39,28 @@ def test_spectrum_matches_dense_eigensolve(d, m):
     np.testing.assert_allclose(np.sort(spectrum(t)), dense, atol=1e-10)
 
 
-@pytest.mark.parametrize("d,m", [(1, 3), (1, 4), (2, 2), (2, 3)])
+@pytest.mark.parametrize("d,m", [(1, 3), (1, 4), (2, 2), (2, 3), (1, 6), (2, 8), (3, 3)])
 def test_mode_transform_diagonalizes(d, m):
+    # real orthonormal modes orthogonal to the constants, diagonalizing the torus Laplacian
     t = Torus(d, m)
-    mb = ModeBasis.build(t)
-    Q, lam = mb.Q, mb.lam
-    np.testing.assert_allclose(Q @ Q.T, np.eye(t.n_dof), atol=1e-12)
-    np.testing.assert_allclose(Q.T @ pinned_form(t) @ Q, np.diag(lam), atol=1e-10)
+    lam, S = fourier_modes(t)
+    assert S.shape == (t.volume, t.n_dof) and lam.shape == (t.n_dof,)
+    np.testing.assert_allclose(S.T @ S, np.eye(t.n_dof), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(S.sum(axis=0), 0.0, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(S.T @ full_dirichlet_matrix(t) @ S, np.diag(lam), rtol=0, atol=1e-13)
+    np.testing.assert_array_equal(np.sort(lam), np.sort(spectrum(t))[1:])
     assert np.all(lam > 0)
 
 
 @given(seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=100, deadline=None)
 def test_quadratic_form_identity(seed):
+    # a pinned field is S w plus a constant, so its amplitudes are w = S^T phi
     t = Torus(2, 3)
-    mb = ModeBasis.build(t)
+    lam, S = fourier_modes(t)
     vals = random_pinned(t, np.random.default_rng(seed))
-    modes = mb.Q.T @ vals[1:]
-    lhs = float(np.sum(mb.lam * modes**2))
+    modes = S.T @ vals
+    lhs = float(np.sum(lam * modes**2))
     rhs = grad_norm_sq(t, vals)
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
@@ -72,6 +75,39 @@ def test_poincare_examples(d, m):
     else:
         dense = np.linalg.eigvalsh(pinned_form(Torus(d, m)))[0]
         assert val == pytest.approx(dense, abs=1e-12)
+
+
+SPECTRAL_SIZES = [(1, m) for m in range(2, 7)] + [(2, m) for m in range(2, 9)] + [(3, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("d,m", SPECTRAL_SIZES)
+def test_poincare_and_log_det_match_dense(d, m):
+    # the secular root and the matrix-tree log det against eigvalsh of the dense
+    # pinned form; the log det is read back from the Gaussian free energy,
+    # f = -(n/2) log(2 pi) + (1/2) log det at beta = c1 = 1 and u = 0
+    t = Torus(d, m)
+    dense = np.linalg.eigvalsh(pinned_form(t))
+    assert abs(poincare_constant(t) - dense[0]) <= 1e-12
+    log_det = 2.0 * free_energy([0.0] * d, gaussian_potential(), t, 1.0) + t.n_dof * math.log(2.0 * math.pi)
+    assert abs(log_det - np.sum(np.log(dense))) <= 1e-12
+
+
+@pytest.mark.parametrize("d,m", [(1, 2), (1, 5), (2, 2), (2, 4), (3, 3)])
+def test_field_bond_map_covariance_matches_dense(d, m):
+    # F F^T is the bond covariance scale D A^-1 D^T of the pinned field
+    t = Torus(d, m)
+    D = bond_matrix(t)
+    F = field_bond_map(t, 0.7)
+    np.testing.assert_allclose(F @ F.T, 0.7 * D @ np.linalg.solve(pinned_form(t), D.T), rtol=0, atol=1e-13)
+
+
+def test_poincare_constant_beyond_the_dense_cap():
+    # the secular equation needs only the spectrum: Torus(2, 128) has 16383 dof
+    t = Torus(2, 128)
+    start = time.perf_counter()
+    delta = poincare_constant(t)
+    assert time.perf_counter() - start < 0.1
+    assert 0.0 < delta <= 4.0 * math.sin(math.pi / 128) ** 2
 
 
 @pytest.mark.parametrize("d,m", [(1, 2), (1, 3), (1, 6), (2, 2), (2, 4)])
@@ -162,5 +198,8 @@ def test_grad_variance_matches_dense_covariance():
 
 
 def test_dense_cap_enforced():
-    with pytest.raises(ValueError):
-        poincare_constant(Torus(2, 70))
+    # only the dense volume x (volume - 1) mode matrix is capped
+    t = Torus(2, 70)
+    for call in (lambda: fourier_modes(t), lambda: field_bond_map(t, 1.0), lambda: sample_gff(t, 1.0, np.random.default_rng(0))):
+        with pytest.raises(ValueError, match="capped at volume 4096"):
+            call()

@@ -486,7 +486,9 @@ def test_fluctuation_hessian_matches_oracle(pot_a, pot_b, pot_c):
     # error.  At half its primary-condition threshold (in hypothesis) the row
     # sits within a few SE of the Gaussian value m c1 = m; at 100x (example_a,
     # example_b) or 10x (example_c) the threshold it sits at least 15 SE away,
-    # so the check pins each family's g''
+    # so the check pins each family's g''.  On Torus(1, 8) example_a's gap comes
+    # mostly from Var(D_u H); on Torus(1, 128) <sum g''> is about -16.7, some 200
+    # of its SE from zero, so the row pins example_a's fused g'' too
     def check(p, factor, t, u, cfg, gap=0.0):
         ps, k = scale_to_unit(p, check_conditions(1.0, 1, p, norms(p)).beta_max_fcond * factor)
         est = fluctuation_hessian([k * u], ps, t, cfg)
@@ -500,6 +502,7 @@ def test_fluctuation_hessian_matches_oracle(pot_a, pot_b, pot_c):
     cfg = ChainConfig(n_steps=4_000, burn_in=500, seed=17, n_chains=2)
     for p, factor in ((pot_a, 100.0), (pot_b, 100.0), (pot_c, 10.0)):
         check(p, factor, Torus(1, 8), 0.3, cfg, gap=15.0)
+    check(pot_a, 100.0, Torus(1, 128), 0.3, ChainConfig(n_steps=24_000, burn_in=3_000, seed=17, n_chains=2), gap=15.0)
 
 
 def test_fluctuation_hessian_symmetric(scaled_b):

@@ -5,8 +5,9 @@ import pytest
 from scipy.special import roots_hermitenorm
 
 import gil.quadrature
+from conftest import pinned_form
 from gil.conditions import check_conditions, scale_to_unit
-from gil.gff import ModeBasis, pinned_form
+from gil.gff import fourier_modes
 from gil.lattice import Torus, anharmonic_g, bond_args, pinned
 from gil.oracle import hessian_fd
 from gil.potentials import example_a, example_b, example_c, gaussian_potential, norms
@@ -572,10 +573,48 @@ def test_anharmonic_energy_batch_matches_scalar(scaled_b):
 
 
 def test_mode_basis_diagonalizes_pinned_form():
+    # the amplitudes' map to dof vectors, dof = S w - (S w)(0), takes the pinned form to diag(lam)
     t = Torus(2, 3)
-    mb = ModeBasis.build(t)
-    A = pinned_form(t)
-    np.testing.assert_allclose(mb.Q @ np.diag(mb.lam) @ mb.Q.T, A, atol=1e-10)
+    lam, S = fourier_modes(t)
+    M = S[1:] - S[0]
+    np.testing.assert_allclose(M.T @ pinned_form(t) @ M, np.diag(lam), rtol=0, atol=1e-13)
+
+
+# log_expectation on batches of three base fields, computed in the dense pinned
+# eigenbasis that the Fourier modes replaced: GH may move within GH_TOL (a
+# degenerate eigenspace's basis changes its nodes), Mayer only at rounding
+BASE_22 = [
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, -0.15812051543462802, 0.10556595400629183, 0.2428513075182271],
+    [0.0, -0.388863919890881, 0.3070657012559569, 0.10202324870973584],
+]
+BASE_15 = [
+    [0.0, 0.0, 0.0, 0.0, 0.0],
+    [0.0, 0.31319194825203606, 0.10896729362894707, 0.46480325021222707, -0.37510255150674876],
+    [0.0, 0.7104398935270972, 0.480955937654115, -0.2399831393828006, 0.2640665252241425],
+]
+DENSE_BASIS_ROWS = [
+    # (family, beta or None for half the d-dimensional threshold, d, m, tilt on every axis or per axis, scale, values)
+    ("a", 1.0, 2, 2, (0.3, -0.2), 1.0, [-5.800915167531787, -5.425671329715149, -4.869022855590397]),
+    ("a", 1.0, 2, 2, (0.3, -0.2), 0.4, [-7.586503766064392, -7.231421988050219, -6.705520176942339]),
+    ("c", None, 2, 2, (0.3, -0.2), 1.0, [-0.03369277536244031, -0.03574549179949571, -0.038641541246195565]),
+    ("c", None, 2, 2, (0.3, -0.2), 0.4, [-0.020786541071570852, -0.024852873896892724, -0.03050096883360265]),
+    ("b", None, 1, 5, (0.15,), 1.0, [0.0003153170713582938, 0.0002780436089463869, 0.00026675183814558144]),
+    ("b", None, 1, 5, (0.15,), 0.4, [0.0004976351180174267, 0.0003779177017560207, 0.00033683860805804354]),
+    ("b", None, 2, 2, (0.15, 0.15), 1.0, [0.0002604405948663118, 0.00024320869321923618, 0.0002195156322175051]),
+    ("b", None, 2, 2, (0.15, 0.15), 0.4, [0.0004109787108804314, 0.0003504611417295577, 0.000273113731667864]),
+]
+
+
+@pytest.mark.parametrize("family,beta,d,m,u,scale,expected", DENSE_BASIS_ROWS)
+def test_rows_match_the_dense_eigenbasis_values(family, beta, d, m, u, scale, expected):
+    p = {"a": example_a(0.5), "b": example_b(0.5), "c": example_c(0.05, 2.0, 1.0)}[family]
+    if beta is None:
+        beta = check_conditions(1.0, d, p, norms(p)).beta_max_fcond / 2.0
+    ps, k = scale_to_unit(p, beta)
+    vals, info = log_expectation(Torus(d, m), ps, k * np.array(u), scale, psi_values=np.array(BASE_22 if d == 2 else BASE_15))
+    assert info["method"] == ("mayer" if family == "b" else "gh")
+    np.testing.assert_allclose(vals, expected, rtol=0, atol=gil.quadrature.GH_TOL if info["method"] == "gh" else 1e-12)
 
 
 def test_mayer_rank5_grid_stays_in_slabs():

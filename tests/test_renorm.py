@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gil.conditions import check_conditions, scale_to_unit
-from gil.gff import sample_gff
+from conftest import h1_form_probes
+from gil.gff import poincare_constant, sample_gff
 from gil.lattice import Field, Torus, anharmonic_g, bond_args, grad_norm_sq
 from gil.mcmc import ChainConfig, stream
 from gil.oracle import f_tilt, hessian_fd
@@ -16,7 +17,6 @@ from gil.renorm import (
     estimate_r1g,
     induced_h1,
     verify_c6,
-    verify_c7,
     verify_theorem,
 )
 
@@ -59,32 +59,41 @@ def test_induced_h1_values(pot_gauss, scaled_b):
 
 
 def test_certify_gaussian_margin(pot_gauss):
-    # D^2 H1 = 2 ||grad .||^2 at lambda = 1/2, so the margin is ||grad td||^2
+    # D^2 H1 = 2 ||grad .||^2 at lambda = 1/2, so the margin is ||grad td||^2: a = 2 - 0 - 1
     t = Torus(1, 3)
     plan = DecompositionPlan.from_potential(pot_gauss, t, lam=0.5)
-    cert = certify_h1_convexity(plan, [0.0], Field.zeros(t), n_probes=50, seed=0)
+    cert = certify_h1_convexity(plan)
     assert cert.ok
-    assert cert.min_margin_grad > 0
+    assert cert.min_margin_grad == 1.0 and cert.min_margin_l2 == poincare_constant(t)
+    form, gn, _ = h1_form_probes(plan, [0.0], np.zeros(t.volume), 50, np.random.default_rng(0))
+    np.testing.assert_allclose(form - plan.cbar * gn, gn, rtol=1e-12)
 
 
 def test_certify_example_b(scaled_b):
+    # the closed-form margins bound the exact form from below on random probes
     ps, _ = scaled_b
-    t = Torus(1, 4)
-    plan = DecompositionPlan.from_potential(ps, t)
-    cert = certify_h1_convexity(plan, [0.2], Field.zeros(t), n_probes=300, seed=1)
-    assert cert.ok
-    assert cert.min_margin_grad >= -1e-8 and cert.min_margin_l2 >= -1e-8
+    for t in (Torus(1, 4), Torus(2, 3)):
+        plan = DecompositionPlan.from_potential(ps, t)
+        cert = certify_h1_convexity(plan)
+        assert cert.ok
+        assert cert.min_margin_grad >= -1e-8 and cert.min_margin_l2 >= -1e-8
+        psi = 0.5 * np.random.default_rng(2).standard_normal(t.volume)
+        form, gn, l2 = h1_form_probes(plan, [0.2] * t.d, psi, 300, np.random.default_rng(1))
+        assert np.all(form - plan.cbar * gn >= cert.min_margin_grad * gn - 1e-12 * form)
+        delta = poincare_constant(t)
+        assert np.all(form - plan.cbar * delta * l2 >= cert.min_margin_l2 * l2 - 1e-12 * form)
 
 
 def test_certify_adversarial_lambda_fails(scaled_b):
+    # 1/lambda < c0 + cbar: the bound certifies nothing, and some probe's margin is negative
     ps, _ = scaled_b
     t = Torus(1, 3)
     plan = DecompositionPlan.from_potential(ps, t, lam=0.999)
-    cert = certify_h1_convexity(plan, [0.0], Field.zeros(t), n_probes=300, seed=1)
+    cert = certify_h1_convexity(plan)
     assert not cert.ok
-    assert cert.witness is not None
-    theta, tdot = cert.witness
-    assert theta.shape == (t.volume,) and tdot.shape == (t.volume,)
+    assert cert.min_margin_grad == pytest.approx(1.0 / 0.999 - ps.c0 - plan.cbar, rel=1e-15)
+    form, gn, _ = h1_form_probes(plan, [0.0], np.zeros(t.volume), 300, np.random.default_rng(1))
+    assert np.min(form - plan.cbar * gn) < 0.0
 
 
 def test_estimate_r1g_gaussian_zero(pot_gauss):
@@ -247,15 +256,6 @@ def test_verify_c6_example_b_random_directions(scaled_b):
     dirs = [(rng.standard_normal(1), rng.standard_normal(t.n_dof)) for _ in range(5)]
     rep = verify_c6(plan, [0.2], psi, dirs)
     assert rep.ok, rep.margins
-
-
-def test_verify_c7_example_b(scaled_b):
-    ps, _ = scaled_b
-    t = Torus(1, 3)
-    plan = DecompositionPlan.from_potential(ps, t)
-    rep = verify_c7(plan, [0.1], [np.array([1.0])])
-    assert rep.ok
-    assert rep.bounds[0] == pytest.approx(-0.5 * t.volume)
 
 
 def test_verify_theorem_gaussian(pot_gauss):

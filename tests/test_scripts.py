@@ -70,8 +70,12 @@ def test_oracle_route_timing_prints_every_route():
     assert lines[0] == "route,config,points,ms_per_call"
     rows = [line.split(",") for line in lines[1:]]
     routes = ["conditioning"] * 5 + ["mayer"] * 2 + ["gh"] + ["f_tilt_hessian"] * 2
-    assert [r[0] for r in rows] == routes + ["renorm_iterated_g", "r1g_mc"] + ["norms"] * 3 + ["verify_theorem"]
-    assert [r[1] for r in rows[-4:]] == ["a_tol1e-08", "b_tol1e-08", "c_tol1e-08", "a_d1_m5_beta1_u0;0.5"]
+    assert [r[0] for r in rows] == (
+        routes + ["renorm_iterated_g", "r1g_mc"] + ["norms"] * 3 + ["verify_theorem"] + ["poincare"] * 3
+    )
+    assert [r[1] for r in rows[-7:]] == [
+        "a_tol1e-08", "b_tol1e-08", "c_tol1e-08", "a_d1_m5_beta1_u0;0.5", "d2_m32", "d2_m64", "d2_m128"
+    ]
     # example_a's sampled grids; example_b's compact bonds are transformed exactly and stop on a small grid
     assert [int(r[2]) for r in rows[:3]] == [8192, 16384, 32768] and rows[7][2] == "32"
     assert all(int(r[2]) <= 4096 for r in rows[3:5])
