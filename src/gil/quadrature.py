@@ -124,7 +124,10 @@ def _gh_tensor(order: int, sigmas: np.ndarray):
 
 
 def gh_log_expectation(gfun, t: Torus, scale: float, order: int) -> float:
-    """One fixed-order tensor GH evaluation of log E[exp(-gfun(dof))] over the Fourier amplitudes w: dof = S w - (S w)(0)."""
+    """One fixed-order tensor GH evaluation of log E[exp(-gfun(dof))].
+
+    The nodes are Fourier amplitudes w of gff.fourier_modes, mapped to dof = S w - (S w)(0).
+    """
     lam, S = fourier_modes(t)
     pts, logW = _gh_tensor(order, np.sqrt(scale / lam))
     fields = pts @ S.T

@@ -200,6 +200,7 @@ def test_grad_variance_matches_dense_covariance():
 def test_dense_cap_enforced():
     # only the dense volume x (volume - 1) mode matrix is capped
     t = Torus(2, 70)
-    for call in (lambda: fourier_modes(t), lambda: field_bond_map(t, 1.0), lambda: sample_gff(t, 1.0, np.random.default_rng(0))):
+    calls = (lambda: fourier_modes(t), lambda: field_bond_map(t, 1.0), lambda: sample_gff(t, 1.0, np.random.default_rng(0)))
+    for call in calls:
         with pytest.raises(ValueError, match="capped at volume 4096"):
             call()

@@ -612,7 +612,8 @@ def test_rows_match_the_dense_eigenbasis_values(family, beta, d, m, u, scale, ex
     if beta is None:
         beta = check_conditions(1.0, d, p, norms(p)).beta_max_fcond / 2.0
     ps, k = scale_to_unit(p, beta)
-    vals, info = log_expectation(Torus(d, m), ps, k * np.array(u), scale, psi_values=np.array(BASE_22 if d == 2 else BASE_15))
+    base = np.array(BASE_22 if d == 2 else BASE_15)
+    vals, info = log_expectation(Torus(d, m), ps, k * np.array(u), scale, psi_values=base)
     assert info["method"] == ("mayer" if family == "b" else "gh")
     np.testing.assert_allclose(vals, expected, rtol=0, atol=gil.quadrature.GH_TOL if info["method"] == "gh" else 1e-12)
 
